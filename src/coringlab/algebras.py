@@ -81,17 +81,6 @@ class FinDimAlgebra:
             self._mult = Matrix(self.p, self.tensor.reshape(d * d, d).T)
         return self._mult
 
-    def structure_sparse(self):
-        """Structure constants in the nested sparse list form."""
-        out = []
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                terms = [[int(k), int(c)] for k, c in enumerate(self.tensor[i, j]) if c]
-                row.append(terms)
-            out.append(row)
-        return out
-
     def multiply(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64) % self.p
         y = np.asarray(y, dtype=np.int64) % self.p

@@ -15,52 +15,29 @@ the relative cochain complex on the nose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corings import CoringWithGrouplike
-from .linalg import Matrix, QuotientSpace, induced_map, mul_mod, rank_of, trivial_quotient
-from .reporting import Report
+from .dga import DGA, Element
+# this complex's cohomology and law check are the shared ones
+from .dga import cohomology_dims as amitsur_cohomology, verify_dga as verify_amitsur_dga
+from .linalg import Matrix, QuotientSpace, induced_map, mul_mod, trivial_quotient
 
 
-@dataclass
-class OmegaElement:
-    """A homogeneous element, stored as coordinates in its degree's space."""
-
-    degree: int
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=np.int64)
-
-
-class AmitsurComplex:
+class AmitsurComplex(DGA):
     """Spaces Omega^0..Omega^N and differentials d^0..d^{N-1}."""
 
-    __slots__ = ("coring", "max_degree", "spaces", "d")
+    __slots__ = ("coring", "spaces")
+    title = "amitsur-dga"
 
     def __init__(self, coring: CoringWithGrouplike, max_degree: int,
                  spaces: list[QuotientSpace], d: list[Matrix]):
+        super().__init__(coring.p, max_degree, [q.dim for q in spaces], d)
         self.coring = coring
-        self.max_degree = max_degree
         self.spaces = spaces
-        self.d = d
 
-    @property
-    def p(self) -> int:
-        return self.coring.p
-
-    def dim(self, degree: int) -> int:
-        return self.spaces[degree].dim
-
-    def element(self, degree: int, coords) -> OmegaElement:
-        el = OmegaElement(degree, coords)
-        if el.coords.shape != (self.dim(degree),):
-            raise ValueError(
-                f"degree {degree} expects {self.dim(degree)} coordinates, "
-                f"got {el.coords.shape}")
-        return el
+    def product(self, a: Element, b: Element) -> Element:
+        return omega_product(self, a, b)
 
 
 def build_amitsur(c: CoringWithGrouplike, max_degree: int = 3) -> AmitsurComplex:
@@ -102,7 +79,7 @@ def build_amitsur(c: CoringWithGrouplike, max_degree: int = 3) -> AmitsurComplex
     return AmitsurComplex(c, max_degree, spaces, d)
 
 
-def omega_product(x: AmitsurComplex, a: OmegaElement, b: OmegaElement) -> OmegaElement:
+def omega_product(x: AmitsurComplex, a: Element, b: Element) -> Element:
     """Concatenation product; degree-zero factors act via the base actions."""
     m, n = a.degree, b.degree
     if m + n > x.max_degree:
@@ -111,59 +88,14 @@ def omega_product(x: AmitsurComplex, a: OmegaElement, b: OmegaElement) -> OmegaE
     p = x.p
     car = x.coring.carrier_dim
     if m == 0 and n == 0:
-        return OmegaElement(0, x.coring.base.multiply(a.coords, b.coords))
+        return Element(0, x.coring.base.multiply(a.coords, b.coords))
     if m == 0:
         block = x.spaces[n].lift(b.coords).reshape(car, -1)
         acted = mul_mod(x.coring.left_action(a.coords).a, block, p)
-        return OmegaElement(n, x.spaces[n].project(acted.reshape(-1)))
+        return Element(n, x.spaces[n].project(acted.reshape(-1)))
     if n == 0:
         block = x.spaces[m].lift(a.coords).reshape(-1, car)
         acted = mul_mod(block, x.coring.right_action(b.coords).a.T, p)
-        return OmegaElement(m, x.spaces[m].project(acted.reshape(-1)))
+        return Element(m, x.spaces[m].project(acted.reshape(-1)))
     joined = np.kron(x.spaces[m].lift(a.coords), x.spaces[n].lift(b.coords)) % p
-    return OmegaElement(m + n, x.spaces[m + n].project(joined))
-
-
-def amitsur_cohomology(x: AmitsurComplex) -> list[int]:
-    """dim H^0 .. dim H^{N-1} by rank-nullity."""
-    ranks = [rank_of(d.a, x.p) for d in x.d]
-    dims = [x.dim(0) - ranks[0]]
-    for n in range(1, x.max_degree):
-        dims.append(x.dim(n) - ranks[n] - ranks[n - 1])
-    return dims
-
-
-def grouplike_element(x: AmitsurComplex) -> OmegaElement:
-    """The grouplike as a degree-1 element."""
-    return OmegaElement(1, x.coring.grouplike)
-
-
-def random_omega(x: AmitsurComplex, degree: int, rng) -> OmegaElement:
-    return OmegaElement(degree, rng.integers(0, x.p, size=x.dim(degree),
-                                             dtype=np.int64))
-
-
-def verify_amitsur_dga(x: AmitsurComplex, trials: int = 50, seed: int = 0) -> Report:
-    """Exact d-squared and graded-Leibniz checks, reported per degree."""
-    rep = Report("amitsur-dga")
-    p = x.p
-    for n in range(len(x.d) - 1):
-        ok = not (x.d[n + 1] @ x.d[n]).a.any()
-        rep.add(f"d^{n + 1} . d^{n} = 0", ok)
-    rng = np.random.default_rng(seed)
-    for m in range(x.max_degree):
-        for n in range(x.max_degree - m):
-            sign = 1 if m % 2 == 0 else p - 1
-            bad = 0
-            for _ in range(trials):
-                a = random_omega(x, m, rng)
-                b = random_omega(x, n, rng)
-                lhs = x.d[m + n].apply(omega_product(x, a, b).coords)
-                da = OmegaElement(m + 1, x.d[m].apply(a.coords))
-                db = OmegaElement(n + 1, x.d[n].apply(b.coords))
-                rhs = (omega_product(x, da, b).coords
-                       + sign * omega_product(x, a, db).coords) % p
-                if not np.array_equal(lhs, rhs):
-                    bad += 1
-            rep.add(f"leibniz deg ({m},{n})", bad == 0, trials=trials, failures=bad)
-    return rep
+    return Element(m + n, x.spaces[m + n].project(joined))

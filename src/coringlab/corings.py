@@ -27,14 +27,11 @@ from .linalg import (
     Subspace,
     induced_map,
     inverse,
-    kernel_rows_with_free,
-    member_coords,
     mul_mod,
     rank_of,
     trivial_quotient,
 )
-from .reporting import Report
-from .tensors import balanced_pair, balanced_power, build_power, embed_pure, mult_at
+from .tensors import balanced_power, build_power, embed_pure, mult_at
 
 
 class CoringWithGrouplike:
@@ -327,48 +324,3 @@ def hopf_coring(h: HopfData) -> CoringWithGrouplike:
     return CoringWithGrouplike(base, d, [ident], [ident], coproduct,
                                Matrix(p, h.counit.a), h.algebra.unit,
                                powers={2: sq})
-
-
-def smash_check(e: Extension) -> Report:
-    """Compare A (x)_R S with the right-B-linear endomorphisms of A via
-    a (x) alpha |-> lambda_a o alpha; report dimensions and bijectivity."""
-    a = e.ambient
-    p = a.p
-    d = a.dim
-    rep = Report("smash-product")
-    s_space = build_hom(e, build_power(e, 1))
-    r_space = centralizer(e)
-    left_mats, _ = _endo_action_mats(e, s_space, r_space)
-    mixed = balanced_pair(p, d, s_space.dim,
-                          [a.right_mul(r).a for r in r_space.rows],
-                          [m.a for m in left_mats])
-    eye_d = np.eye(d, dtype=np.int64)
-    blocks = []
-    for b in e.sub_images():
-        rb = a.right_mul(b).a
-        m = (np.kron(eye_d, rb.T) - np.kron(rb, eye_d)) % p
-        if m.any():
-            blocks.append(m)
-    if blocks:
-        end_rows, end_free = kernel_rows_with_free(np.vstack(blocks), p)
-    else:
-        end_rows = np.eye(d * d, dtype=np.int64)
-        end_free = tuple(range(d * d))
-    end_dim = end_rows.shape[0]
-    cols = []
-    for i in range(d):
-        lam = a.left_mul(eye_d[i]).a
-        for mat in s_space.basis:
-            coords = member_coords(end_rows, end_free, mul_mod(lam, mat.a, p).reshape(-1), p)
-            if coords is None:
-                raise AssertionError("lambda compositions stay right-linear over the sub")
-            cols.append(coords)
-    on_pure = np.stack(cols, axis=1)
-    rel = mixed.relations.rows
-    descends = not (rel.shape[0] and mul_mod(on_pure, rel.T, p).any())
-    rep.add("map descends to the tensor over the centralizer", descends)
-    smash = mul_mod(on_pure, mixed.section.a, p)
-    rank = rank_of(smash, p)
-    rep.add("smash map bijective", mixed.dim == end_dim and rank == end_dim,
-            tensor_dim=mixed.dim, endo_dim=end_dim, rank=rank)
-    return rep

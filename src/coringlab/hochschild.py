@@ -19,60 +19,38 @@ for degrees 0..N-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebras import Extension, centralizer
-from .linalg import (
-    Matrix,
-    Subspace,
-    induced_map,
-    mul_mod,
-    rank_of,
-    trivial_quotient,
-)
-from .homspaces import BimoduleHomSpace, build_hom
-from .reporting import Report
-from .tensors import RelativeTensorPower, build_power, mult_at
+from .dga import DGA, Element
+# this complex's cohomology and law check are the shared ones
+from .dga import cohomology_dims, verify_dga as verify_hochschild_dga
+from .linalg import Matrix, induced_map, mul_mod, trivial_quotient
+from .homspaces import build_hom
+from .tensors import build_power, mult_at
 
 DEFAULT_DEGREE = 3
 HARD_DEGREE_CAP = 4
 
 
-@dataclass
-class Cochain:
-    degree: int
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=np.int64)
-
-
-class CochainComplex:
+class CochainComplex(DGA):
     """Cochain spaces C^0..C^N and coboundaries delta^0..delta^{N-1}."""
 
-    __slots__ = ("extension", "max_degree", "r_space", "powers", "homs", "delta",
-                 "_a_quot")
+    __slots__ = ("extension", "r_space", "powers", "homs", "_a_quot")
+    symbol = "delta"
+    title = "hochschild-dga"
 
     def __init__(self, extension, max_degree, r_space, powers, homs, delta):
+        dims = [r_space.dim] + [homs[n].dim for n in range(1, max_degree + 1)]
+        super().__init__(extension.p, max_degree, dims, delta)
         self.extension = extension
-        self.max_degree = max_degree
         self.r_space = r_space          # Subspace of A: degree-0 coordinates
         self.powers = powers            # {n: RelativeTensorPower}, n = 1..N
         self.homs = homs                # {n: BimoduleHomSpace}, n = 1..N
-        self.delta = delta              # [delta^0 .. delta^{N-1}]
         self._a_quot = trivial_quotient(extension.p, extension.ambient.dim)
 
-    @property
-    def p(self) -> int:
-        return self.extension.p
-
-    def dim(self, n: int) -> int:
-        return self.r_space.dim if n == 0 else self.homs[n].dim
-
-    def dims(self) -> list[int]:
-        return [self.dim(n) for n in range(self.max_degree + 1)]
+    def product(self, f: Element, g: Element) -> Element:
+        return cup(self, f, g)
 
     def r_vector(self, coords) -> np.ndarray:
         """Ambient A-vector of a degree-0 element."""
@@ -123,7 +101,7 @@ def build_complex(e: Extension, max_degree: int = DEFAULT_DEGREE) -> CochainComp
         if cols
         else np.zeros((s1.dim, 0), dtype=np.int64)
     )
-    c.delta.append(Matrix(p, d0.reshape(s1.dim, r_space.dim)))
+    c.d.append(Matrix(p, d0.reshape(s1.dim, r_space.dim)))
 
     for n in range(1, max_degree):
         src = homs[n]
@@ -141,11 +119,11 @@ def build_complex(e: Extension, max_degree: int = DEFAULT_DEGREE) -> CochainComp
             total = (total + sign * _outer_right(c, n + 1, f_amb).a) % p
             cols.append(dst.coords_of(Matrix(p, total)))
         dn = np.stack(cols, axis=1) if cols else np.zeros((dst.dim, 0), dtype=np.int64)
-        c.delta.append(Matrix(p, dn.reshape(dst.dim, src.dim)))
+        c.d.append(Matrix(p, dn.reshape(dst.dim, src.dim)))
     return c
 
 
-def cup(c: CochainComplex, f: Cochain, g: Cochain) -> Cochain:
+def cup(c: CochainComplex, f: Element, g: Element) -> Element:
     """The cup product; degrees must sum to at most the built maximum."""
     m, n = f.degree, g.degree
     if m + n > c.max_degree:
@@ -157,70 +135,17 @@ def cup(c: CochainComplex, f: Cochain, g: Cochain) -> Cochain:
         coords = c.r_space.coords_of(prod)
         if coords is None:
             raise AssertionError("R is closed under multiplication")
-        return Cochain(0, coords)
+        return Element(0, coords)
     if m == 0:
         lam = a.left_mul(c.r_vector(f.coords))
         mat = lam @ c.homs[n].matrix_of(g.coords)
-        return Cochain(n, c.homs[n].coords_of(mat))
+        return Element(n, c.homs[n].coords_of(mat))
     if n == 0:
         rho = a.right_mul(c.r_vector(g.coords))
         mat = rho @ c.homs[m].matrix_of(f.coords)
-        return Cochain(m, c.homs[m].coords_of(mat))
+        return Element(m, c.homs[m].coords_of(mat))
     f_amb = _hom_matrix_ambient(c, m, c.homs[m].matrix_of(f.coords))
     g_amb = _hom_matrix_ambient(c, n, c.homs[n].matrix_of(g.coords))
     amb = mul_mod(a.mult.a, np.kron(f_amb, g_amb) % p, p)
     descended = induced_map(c.powers[m + n].space, c._a_quot, Matrix(p, amb))
-    return Cochain(m + n, c.homs[m + n].coords_of(descended))
-
-
-def unit_cochain(c: CochainComplex) -> Cochain:
-    """1_R as a degree-0 cochain."""
-    coords = c.r_space.coords_of(c.extension.ambient.unit)
-    return Cochain(0, coords)
-
-
-def cohomology_dims(c: CochainComplex) -> list[int]:
-    """dim H^0 .. dim H^{N-1} by rank-nullity."""
-    ranks = [rank_of(d.a, c.p) for d in c.delta]
-    out = []
-    for n in range(c.max_degree):
-        kernel = c.dim(n) - ranks[n]
-        image_prev = ranks[n - 1] if n >= 1 else 0
-        out.append(kernel - image_prev)
-    return out
-
-
-def random_cochain(c: CochainComplex, degree: int, rng) -> Cochain:
-    return Cochain(degree, rng.integers(0, c.p, size=c.dim(degree), dtype=np.int64))
-
-
-def verify_hochschild_dga(c: CochainComplex, trials: int = 50, seed: int = 0) -> Report:
-    """Exact d-squared and graded-Leibniz checks, reported per degree."""
-    rep = Report("hochschild-dga")
-    p = c.p
-    for n in range(len(c.delta) - 1):
-        square = c.delta[n + 1] @ c.delta[n]
-        rep.add(f"delta^{n + 1} . delta^{n} = 0", square.is_zero(), degree=n)
-    rng = np.random.default_rng(seed)
-    top = c.max_degree - 1
-    for m in range(0, top + 1):
-        for n in range(0, top - m + 1):
-            bad = 0
-            for _ in range(trials):
-                f = random_cochain(c, m, rng)
-                g = random_cochain(c, n, rng)
-                lhs = apply_delta(c, cup(c, f, g))
-                term1 = cup(c, apply_delta(c, f), g)
-                term2 = cup(c, f, apply_delta(c, g))
-                sign = 1 if m % 2 == 0 else p - 1
-                rhs = (term1.coords + sign * term2.coords) % p
-                if not np.array_equal(lhs.coords, rhs):
-                    bad += 1
-            rep.add(f"leibniz deg ({m},{n})", bad == 0, trials=trials, failures=bad)
-    return rep
-
-
-def apply_delta(c: CochainComplex, f: Cochain) -> Cochain:
-    if f.degree >= len(c.delta):
-        raise ValueError(f"no coboundary stored at degree {f.degree}")
-    return Cochain(f.degree + 1, c.delta[f.degree].apply(f.coords))
+    return Element(m + n, c.homs[m + n].coords_of(descended))

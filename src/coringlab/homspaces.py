@@ -100,28 +100,3 @@ def build_hom(e: Extension, t: RelativeTensorPower) -> BimoduleHomSpace:
         rows = np.eye(nvars, dtype=np.int64)
         free = list(range(nvars))
     return BimoduleHomSpace(e, t, rows, free)
-
-
-def evaluate(h, v, space: BimoduleHomSpace | None = None) -> np.ndarray:
-    """Apply a hom element (coords or matrix) to a quotient vector."""
-    if isinstance(h, Matrix):
-        return h.apply(v)
-    if space is None:
-        raise ValueError("coordinate form needs the hom space")
-    return space.matrix_of(h).apply(v)
-
-
-def identity_endo(s: BimoduleHomSpace) -> np.ndarray:
-    """Coordinates of id_A in an n = 1 hom space."""
-    if s.source.n != 1:
-        raise ValueError("identity_endo lives in the n = 1 hom space")
-    return s.coords_of(Matrix.identity(s.p, s.extension.ambient.dim))
-
-
-def compose_endo(s: BimoduleHomSpace, f, g) -> np.ndarray:
-    """Coordinates of f ∘ g for two n = 1 elements given by coordinates."""
-    if s.source.n != 1:
-        raise ValueError("compose_endo lives in the n = 1 hom space")
-    mf = s.matrix_of(f)
-    mg = s.matrix_of(g)
-    return s.coords_of(mf @ mg)

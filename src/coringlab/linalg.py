@@ -10,7 +10,7 @@ dense integer matrix of residues.  This module supplies the primitives:
   accumulation.  Both paths are exact for every supported prime.
 * reduced row echelon forms with deterministic first-nonzero pivoting,
   including an incremental accumulator for large relation spans,
-* kernels, solving, inverses,
+* kernels and inverses,
 * ``QuotientSpace`` with an explicit projection/section pair, and
   ``induced_map`` with a mandatory well-definedness check.
 
@@ -21,7 +21,7 @@ free-coordinate unit representatives.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,12 +62,6 @@ def check_prime(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p
-
-
-def as_residues(data, p: int) -> np.ndarray:
-    """Copy ``data`` into an int64 array of residues mod p."""
-    a = np.array(data, dtype=np.int64)
-    return a % p
 
 
 def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -295,9 +289,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix(self.p, (-self.a) % self.p)
 
-    def scale(self, c: int) -> "Matrix":
-        return Matrix(self.p, self.a * (c % self.p) % self.p)
-
     def apply(self, v) -> np.ndarray:
         """Matrix-vector product on a coordinate vector."""
         v = np.asarray(v, dtype=np.int64) % self.p
@@ -316,20 +307,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix(p={self.p}, shape={self.a.shape})"
-
-
-class Echelon(NamedTuple):
-    reduced: Matrix
-    pivots: tuple[int, ...]
-    rank: int
-
-
-def row_reduce(m: Matrix) -> Echelon:
-    """Reduced row echelon form (same shape, zero rows at the bottom)."""
-    rows, piv = rref_rows(m.a, m.p)
-    full = np.zeros_like(m.a)
-    full[: rows.shape[0]] = rows
-    return Echelon(Matrix(m.p, full), piv, len(piv))
 
 
 class Subspace:
@@ -366,10 +343,6 @@ class Subspace:
     def zero(cls, p: int, ambient_dim: int) -> "Subspace":
         return cls(p, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64), ())
 
-    @classmethod
-    def full(cls, p: int, ambient_dim: int) -> "Subspace":
-        return cls(p, ambient_dim, np.eye(ambient_dim, dtype=np.int64), tuple(range(ambient_dim)))
-
     @property
     def dim(self) -> int:
         return self.rows.shape[0]
@@ -395,30 +368,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(p={self.p}, ambient={self.ambient_dim}, dim={self.dim})"
-
-
-def kernel_basis(m: Matrix) -> Subspace:
-    """Solution space {v : m v = 0} with a canonical echelon basis."""
-    return Subspace.from_spanning(m.p, m.cols, kernel_rows(m.a, m.p))
-
-
-def solve(m: Matrix, rhs) -> np.ndarray | None:
-    """One solution of m x = rhs, or None when the system is inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    b = np.asarray(rhs, dtype=np.int64).reshape(-1) % m.p
-    if b.shape[0] != m.rows:
-        raise ValueError(f"rhs length {b.shape[0]} != row count {m.rows}")
-    aug = np.hstack([m.a, b.reshape(-1, 1)]).copy()
-    piv = _rref_inplace(aug, m.p, col_stop=m.cols)
-    rank = len(piv)
-    if aug[rank:, -1].any():
-        return None
-    x = np.zeros(m.cols, dtype=np.int64)
-    for i, c in enumerate(piv):
-        x[c] = aug[i, -1]
-    return x
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -9,7 +9,8 @@ import numpy as np
 
 from .algebras import Extension, FinDimAlgebra, diagonal_algebra
 from .errors import FacetParseError, SizeLimitError
-from .hochschild import build_complex, cohomology_dims
+from .dga import cohomology_dims
+from .hochschild import build_complex
 from .linalg import Field, Matrix, rank_of
 from .reporting import Report
 

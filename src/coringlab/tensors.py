@@ -90,14 +90,6 @@ def balanced_power(p: int, dim: int, rights, lefts, n: int) -> QuotientSpace:
     return quotient_of(ambient, relations)
 
 
-def balanced_pair(p: int, dim_left: int, dim_right: int, rights, lefts) -> QuotientSpace:
-    """V ⊗_base W for possibly different left and right carriers."""
-    rows = pair_relation_rows(p, dim_left, dim_right, rights, lefts)
-    ambient = dim_left * dim_right
-    relations = Subspace.from_spanning(p, ambient, rows)
-    return quotient_of(ambient, relations)
-
-
 class RelativeTensorPower:
     """A ⊗_B ... ⊗_B A (n factors) over an extension."""
 

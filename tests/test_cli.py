@@ -192,6 +192,25 @@ def test_hopf_check_factorization(capsys):
     assert by_name["H^3 factorization"]["ok"]
 
 
+@pytest.mark.parametrize("command,source", [
+    ("cohomology", "ut2_diag_gf5.json"),
+    ("amitsur", "ut2_diag_gf5.json"),
+    ("verify-iso", "ut2_diag_gf5.json"),
+    ("hopf-check", "hopf_c2_gf3.json"),
+])
+def test_broken_algebra_laws_are_a_usage_error(capsys, tmp_path, command, source):
+    # e0 * e1 changed: the loaders accept it, associativity does not hold
+    obj = json.loads(corpus_path(source).read_text(encoding="utf-8"))
+    obj["structure"][0][1] = [[1, 2]] if command != "hopf-check" else [[0, 1]]
+    bad = tmp_path / "broken.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(bad))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "algebra laws fail: associativity fails at" in err
+
+
 def test_missing_file_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "cohomology", "/nonexistent/nowhere.json")
     assert code == 2

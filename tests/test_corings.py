@@ -1,4 +1,4 @@
-"""Coring constructors, the depth-two certificate, and the smash report."""
+"""Coring constructors and the depth-two certificate."""
 
 import numpy as np
 import pytest
@@ -17,9 +17,6 @@ from coringlab import (
     field_ext_algebra,
     group_hopf,
     hopf_coring,
-    matrix_algebra,
-    self_extension,
-    smash_check,
     sweedler_coring,
     trivial_extension,
 )
@@ -168,27 +165,3 @@ def test_tampered_coproduct_is_rejected():
     with pytest.raises(AxiomError):
         CoringWithGrouplike(good.base, good.carrier_dim, good.left_mats,
                             good.right_mats, bad, good.counit, good.grouplike)
-
-
-def test_smash_matrix_algebra_bijective(m2_gf5_extension):
-    rep = smash_check(m2_gf5_extension)
-    assert rep.ok
-    bij = rep.checks[-1]
-    assert bij.detail == {"tensor_dim": 16, "endo_dim": 16, "rank": 16}
-
-
-def test_smash_self_extension_bijective():
-    rep = smash_check(self_extension(matrix_algebra(Field(3), 2)))
-    assert rep.ok
-    assert rep.checks[-1].detail == {"tensor_dim": 4, "endo_dim": 4, "rank": 4}
-
-
-def test_smash_ut2_descends_but_not_bijective():
-    # Hom restricted to B-linearity on the right is 5-dimensional here
-    # while the tensor side only reaches 4; the map is injective but
-    # misses the corner map e01 |-> e11.
-    rep = smash_check(ut2_diag_extension(5))
-    assert rep.checks[0].ok
-    assert not rep.checks[1].ok
-    assert rep.checks[1].detail == {"tensor_dim": 4, "endo_dim": 5, "rank": 4}
-    assert not rep.ok

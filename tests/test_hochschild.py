@@ -12,20 +12,19 @@ import pytest
 
 from conftest import naive_absolute_hochschild_dims
 from coringlab import (
-    Cochain,
+    Element,
     Field,
     Matrix,
-    apply_delta,
     build_complex,
     cohomology_dims,
     cup,
     group_algebra,
     matrix_algebra,
+    random_element,
     trivial_extension,
-    unit_cochain,
-    verify_hochschild_dga,
+    verify_dga,
 )
-from coringlab.hochschild import HARD_DEGREE_CAP, random_cochain
+from coringlab.hochschild import HARD_DEGREE_CAP
 
 from test_algebras import ut2_diag_extension
 
@@ -56,9 +55,9 @@ def test_m2_degree_one_kernel_is_inner(m2_complex):
     from coringlab.linalg import rank_of
 
     c = m2_complex
-    ker1 = c.dim(1) - rank_of(c.delta[1].a, 5)
+    ker1 = c.dim(1) - rank_of(c.d[1].a, 5)
     assert ker1 == 3
-    assert rank_of(c.delta[0].a, 5) == 3
+    assert rank_of(c.d[0].a, 5) == 3
 
 
 @pytest.mark.parametrize("p,expected", [(2, [2, 2, 2]), (3, [2, 0, 0])])
@@ -83,8 +82,8 @@ def test_ut2_relative_matches_absolute(ut2_complex):
 def test_delta1_of_identity_is_multiplication(ut2_complex):
     c = ut2_complex
     a = c.extension.ambient
-    ident = Cochain(1, c.homs[1].coords_of(Matrix.identity(c.p, a.dim)))
-    image = apply_delta(c, ident)
+    ident = Element(1, c.homs[1].coords_of(Matrix.identity(c.p, a.dim)))
+    image = c.differential(ident)
     # (delta f)(x, y) = x f(y) - f(xy) + f(x) y = xy for f = id
     mult_mat = a.mult @ Matrix(c.p, c.powers[2].space.section.a)
     assert np.array_equal(image.coords, c.homs[2].coords_of(mult_mat))
@@ -93,11 +92,16 @@ def test_delta1_of_identity_is_multiplication(ut2_complex):
     assert np.array_equal(image.coords, squared.coords)
 
 
+def unit_cochain(c):
+    """1_R as a degree-0 cochain."""
+    return Element(0, c.r_space.coords_of(c.extension.ambient.unit))
+
+
 def test_cup_unit_laws(m2_complex, rng):
     c = m2_complex
     one = unit_cochain(c)
     for degree in range(c.max_degree + 1):
-        f = random_cochain(c, degree, rng)
+        f = random_element(c, degree, rng)
         assert np.array_equal(cup(c, one, f).coords, f.coords % c.p)
         assert np.array_equal(cup(c, f, one).coords, f.coords % c.p)
 
@@ -107,9 +111,9 @@ def test_cup_associativity(ut2_complex, rng):
     splits = [(0, 0, 0), (1, 1, 1), (0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 2, 0)]
     for dm, dn, dk in splits:
         for _ in range(5):
-            f = random_cochain(c, dm, rng)
-            g = random_cochain(c, dn, rng)
-            h = random_cochain(c, dk, rng)
+            f = random_element(c, dm, rng)
+            g = random_element(c, dn, rng)
+            h = random_element(c, dk, rng)
             left = cup(c, cup(c, f, g), h)
             right = cup(c, f, cup(c, g, h))
             assert left.degree == right.degree == dm + dn + dk
@@ -118,14 +122,14 @@ def test_cup_associativity(ut2_complex, rng):
 
 def test_cup_degree_cap(m2_complex, rng):
     c = m2_complex
-    f = random_cochain(c, 2, rng)
-    g = random_cochain(c, 2, rng)
+    f = random_element(c, 2, rng)
+    g = random_element(c, 2, rng)
     with pytest.raises(ValueError):
         cup(c, f, g)
 
 
 def test_dga_laws(ut2_complex):
-    report = verify_hochschild_dga(ut2_complex, trials=25, seed=7)
+    report = verify_dga(ut2_complex, trials=25, seed=7)
     assert report.ok, report.failures()
     names = [check.name for check in report.checks]
     # degree-0 Leibniz cases are exercised explicitly
@@ -138,14 +142,24 @@ def test_corrupted_coboundary_is_detected():
     c = build_complex(ut2_diag_extension(3), max_degree=2)
     # tamper with a column of delta^1 that meets a nonzero row of delta^0,
     # so the corruption must show up in the square
-    j = int(np.flatnonzero(c.delta[0].a.any(axis=1))[0])
-    tampered = c.delta[1].a.copy()
+    j = int(np.flatnonzero(c.d[0].a.any(axis=1))[0])
+    tampered = c.d[1].a.copy()
     tampered[0, j] = (tampered[0, j] + 1) % 3
-    c.delta[1] = Matrix(3, tampered)
-    report = verify_hochschild_dga(c, trials=10, seed=1)
+    c.d[1] = Matrix(3, tampered)
+    report = verify_dga(c, trials=10, seed=1)
     assert not report.ok
-    failing = [check.name for check in report.failures()]
+    failing = {check.name: check for check in report.failures()}
     assert "delta^1 . delta^0 = 0" in failing
+    # delta^1 acts on the degree-1 factor of a (1,0) pair; the first
+    # failing trial is attached and really fails
+    check = failing["leibniz deg (1,0)"]
+    assert 0 < check.detail["failures"] <= check.detail["trials"]
+    witness = check.detail["witness"]
+    assert witness["degrees"] == [1, 0]
+    f, g = (Element(n, x) for n, x in zip(witness["degrees"], witness["inputs"]))
+    lhs = c.differential(cup(c, f, g)).coords
+    rhs = (cup(c, c.differential(f), g).coords - cup(c, f, c.differential(g)).coords) % 3
+    assert np.flatnonzero((lhs - rhs) % 3).tolist() == witness["residual_at"] != []
 
 
 def test_degree_cap_enforced():

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from coringlab import (
+    Element,
     Field,
     Matrix,
     NoD2CertificateError,
     build_complex,
     build_f2,
+    cup,
     endo_coring,
     group_algebra,
     trivial_extension,
 )
-from coringlab.amitsur import build_amitsur
+from coringlab import isomorphism
+from coringlab.amitsur import build_amitsur, omega_product
 from coringlab.isomorphism import build_fn, verify_main_theorem
 
 from conftest import s3_c2_extension
@@ -85,7 +88,7 @@ def test_chain_identity_pointwise(rng):
     for _ in range(10):
         alpha = rng.integers(0, 5, size=cc.dim(1))
         mat = cc.homs[1].matrix_of(alpha)
-        image = cc.homs[2].matrix_of(cc.delta[1].apply(alpha))
+        image = cc.homs[2].matrix_of(cc.d[1].apply(alpha))
         a1 = rng.integers(0, 5, size=a.dim)
         a2 = rng.integers(0, 5, size=a.dim)
         lhs = image.apply(q2.project(np.kron(a1, a2) % 5))
@@ -102,3 +105,43 @@ def test_build_fn_rejects_out_of_range(ut2_witness):
     cc = build_complex(e, 2)
     with pytest.raises(ValueError):
         build_fn(e, ac, cc, 3)
+
+
+def test_corrupted_comparison_map_carries_witnesses(monkeypatch):
+    """Zeroing one row of f2 must fail f2's bijectivity with its rank, the
+    chain squares next to it with a differing entry, and multiplicativity
+    with a failing pair whose residual is recomputed here."""
+    real_build_fn = isomorphism.build_fn
+
+    def corrupted(e, ac, cc, n):
+        fn = real_build_fn(e, ac, cc, n)
+        if n != 2:
+            return fn
+        rows = fn.a.copy()
+        rows[0] = 0
+        return Matrix(fn.p, rows)
+
+    monkeypatch.setattr(isomorphism, "build_fn", corrupted)
+    e = ut2_diag_extension(5)
+    w = verify_main_theorem(e, 3, trials=10)
+    assert not w.ok
+    checks = {c.name: c for c in w.report.checks}
+    assert w.bijective == [True, True, False, True]
+    assert checks["f2 bijective"].detail["rank"] == 3
+    assert "rank" not in checks["f1 bijective"].detail
+
+    ac = build_amitsur(endo_coring(e), 3)
+    cc = build_complex(e, 3)
+    assert w.chain_ok == [True, False, False]
+    for n in (1, 2):
+        r, c = checks[f"chain square degree {n}"].detail["differs_at"]
+        assert (w.f[n + 1] @ ac.d[n]).a[r, c] != (cc.d[n] @ w.f[n]).a[r, c]
+
+    failing = [c for c in w.report.failures() if c.name.startswith("multiplicative")]
+    assert failing
+    witness = failing[0].detail["witness"]
+    m, k = witness["degrees"]
+    x, y = (Element(n, v) for n, v in zip(witness["degrees"], witness["inputs"]))
+    lhs = w.f[m + k].apply(omega_product(ac, x, y).coords)
+    rhs = cup(cc, Element(m, w.f[m].apply(x.coords)), Element(k, w.f[k].apply(y.coords))).coords
+    assert np.flatnonzero((lhs - rhs) % 5).tolist() == witness["residual_at"] != []

@@ -13,12 +13,11 @@ from coringlab.linalg import (
     induced_map,
     inverse,
     is_prime,
-    kernel_basis,
+    kernel_rows_with_free,
     mul_mod,
     quotient_of,
+    rank_of,
     rref_rows,
-    row_reduce,
-    solve,
     trivial_quotient,
 )
 
@@ -36,10 +35,25 @@ def test_kernel_of_sum_constraint_gf3():
     expected = set(enumerate_kernel([[1, 1]], 3, 2))
     assert expected == {(0, 0), (1, 2), (2, 1)}
 
-    ker = kernel_basis(Matrix(3, [[1, 1]]))
-    assert ker.dim == 1
-    assert span_from_vectors(ker.rows, 3) == expected
-    assert [tuple(r) for r in ker.rows] == [(1, 2)]
+    ker, free = kernel_rows_with_free(np.array([[1, 1]]), 3)
+    assert free == [1]
+    assert span_from_vectors(ker, 3) == expected
+    assert [tuple(r) for r in ker] == [(2, 1)]
+
+
+def solve(m: Matrix, rhs):
+    """One solution of m x = rhs from the kernel of [m | rhs], or None.
+
+    (x, -1) spans the solutions whose last coordinate is nonzero, so a
+    kernel row with a nonzero last entry, scaled to -1 there, solves it.
+    """
+    p = m.p
+    aug = np.hstack([m.a, np.asarray(rhs, dtype=np.int64).reshape(-1, 1) % p])
+    ker, _ = kernel_rows_with_free(aug, p)
+    for row in ker:
+        if row[-1]:
+            return row[:-1] * (p - pow(int(row[-1]), p - 2, p)) % p
+    return None
 
 
 def test_solve_single_equation_gf5():
@@ -47,16 +61,16 @@ def test_solve_single_equation_gf5():
     assert x is not None
     assert list(x) == [4]
     assert 2 * 4 % 5 == 3
+    assert list(inverse(Matrix(5, [[2]])).apply([3])) == [4]
 
 
 def test_rank_of_dependent_rows_gf7():
-    ech = row_reduce(Matrix(7, [[1, 2], [2, 4]]))
-    assert ech.rank == 1
+    rows, piv = rref_rows(np.array([[1, 2], [2, 4]]), 7)
+    assert len(piv) == rank_of(np.array([[1, 2], [2, 4]]), 7) == 1
     assert naive_rank([[1, 2], [2, 4]], 7) == 1
-    assert ech.pivots == (0,)
-    # the reduced matrix keeps its shape, zero rows at the bottom
-    assert ech.reduced.shape == (2, 2)
-    assert list(ech.reduced.a[1]) == [0, 0]
+    assert piv == (0,)
+    # only the nonzero rows of the reduced form are kept
+    assert rows.tolist() == [[1, 2]]
 
 
 def test_quotient_identifies_coordinates_gf5():
@@ -74,11 +88,10 @@ def test_quotient_identifies_coordinates_gf5():
 def test_row_reduce_idempotent(rng):
     for p in (2, 3, 7, 31):
         for _ in range(8):
-            m = Matrix(p, random_matrix(rng, 6, 9, p))
-            once = row_reduce(m)
-            twice = row_reduce(once.reduced)
-            assert once.reduced == twice.reduced
-            assert once.pivots == twice.pivots
+            once = rref_rows(random_matrix(rng, 6, 9, p), p)
+            twice = rref_rows(once[0], p)
+            assert np.array_equal(once[0], twice[0])
+            assert once[1] == twice[1]
 
 
 def test_rank_nullity(rng):
@@ -86,13 +99,13 @@ def test_rank_nullity(rng):
         for _ in range(10):
             rows = int(rng.integers(1, 7))
             cols = int(rng.integers(1, 7))
-            m = Matrix(p, random_matrix(rng, rows, cols, p))
-            ech = row_reduce(m)
-            ker = kernel_basis(m)
-            assert ech.rank + ker.dim == cols
-            assert ech.rank == naive_rank(m.a.tolist(), p)
-            if ker.dim:
-                assert not mul_mod(m.a, ker.rows.T, p).any()
+            m = random_matrix(rng, rows, cols, p)
+            rank = len(rref_rows(m, p)[1])
+            ker, _ = kernel_rows_with_free(m, p)
+            assert rank + ker.shape[0] == cols
+            assert rank == naive_rank(m.tolist(), p)
+            if ker.shape[0]:
+                assert not mul_mod(m, ker.T, p).any()
 
 
 def test_solve_roundtrip(rng):
@@ -121,7 +134,7 @@ def test_inverse_roundtrip(rng):
         n = 5
         while True:
             m = Matrix(p, random_matrix(rng, n, n, p))
-            if row_reduce(m).rank == n:
+            if rank_of(m.a, p) == n:
                 break
         assert (m @ inverse(m)) == Matrix.identity(p, n)
         assert (inverse(m) @ m) == Matrix.identity(p, n)
