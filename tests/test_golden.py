@@ -29,6 +29,7 @@ COMMANDS = {
     "cohomology-ut2_diag_gf5": ["cohomology", "ut2_diag_gf5.json"],
     "cohomology-s3_c2_gf7": ["cohomology", "s3_c2_gf7.json"],
     "amitsur-gf25_gf5": ["amitsur", "gf25_gf5.json", "--trials", "25"],
+    "amitsur-c3_gf3": ["amitsur", "c3_gf3.json"],
     "amitsur-s3_c2_gf7": ["amitsur", "s3_c2_gf7.json", "--max-degree", "2",
                           "--trials", "10"],
     "verify-iso-c2_gf2": ["verify-iso", "c2_gf2.json", "--trials", "25"],
