@@ -1,10 +1,14 @@
 """The tensor-algebra complex of a coring with grouplike element.
 
 Degree zero is the base algebra, degree n the n-fold tensor power of
-the carrier over the base.  The differential inserts the grouplike at
-the two outer positions and the coproduct at each inner slot, with
-alternating signs; the product concatenates tensor factors, with
-degree-zero elements acting through the base actions.
+the carrier over the base, in the coring's coordinates: power(n) is
+power(n-1) (x)_R carrier, not a quotient of the dense carrier**n.  The
+differential inserts the grouplike at the two outer positions and the
+coproduct at each inner slot, with alternating signs; the product
+concatenates tensor factors, with degree-zero elements acting through
+the base actions.  Every one of these maps comes from the coring
+(``concat``, ``coproducts``), and the product of each pair of degrees
+is one precomputed matrix on the plain product of the two spaces.
 
 Everything is exact mod p.  The differential in degree zero sends r to
 ``right_action(r)(g) - left_action(r)(g)``: this orientation (rather
@@ -21,13 +25,14 @@ from .corings import CoringWithGrouplike
 from .dga import DGA, Element
 # this complex's cohomology and law check are the shared ones
 from .dga import cohomology_dims as amitsur_cohomology, verify_dga as verify_amitsur_dga
-from .linalg import Matrix, QuotientSpace, induced_map, mul_mod, trivial_quotient
+from .linalg import Matrix, QuotientSpace, mul_mod, trivial_quotient
 
 
 class AmitsurComplex(DGA):
-    """Spaces Omega^0..Omega^N and differentials d^0..d^{N-1}."""
+    """Spaces Omega^0..Omega^N, differentials d^0..d^{N-1}, and the product
+    of each pair of degrees as one matrix on the plain product."""
 
-    __slots__ = ("coring", "spaces")
+    __slots__ = ("coring", "spaces", "products")
     title = "amitsur-dga"
 
     def __init__(self, coring: CoringWithGrouplike, max_degree: int,
@@ -35,22 +40,25 @@ class AmitsurComplex(DGA):
         super().__init__(coring.p, max_degree, [q.dim for q in spaces], d)
         self.coring = coring
         self.spaces = spaces
+        self.products = {(m, n): coring.concat(m, n)
+                         for m in range(max_degree + 1) for n in range(max_degree + 1 - m)}
 
     def product(self, a: Element, b: Element) -> Element:
         return omega_product(self, a, b)
 
 
 def build_amitsur(c: CoringWithGrouplike, max_degree: int = 3) -> AmitsurComplex:
-    """Assemble spaces and differentials up to the requested degree.
+    """Assemble spaces, differentials and products up to the requested degree.
 
-    Each summand of d^n descends separately through induced_map; none of
-    them can fail the well-definedness check for a coring that passed
-    construction.
+    Omega^n = power(n) is power(n-1) ⊗_R carrier, so every summand of d^n
+    is the coring's concatenation with the grouplike, or one of its
+    slotwise coproducts; each of those was descended through the
+    well-definedness check when the coring built it, and none can fail it
+    for a coring that passed construction.
     """
     if max_degree < 1:
         raise ValueError("the complex needs max_degree >= 1")
     p = c.p
-    car = c.carrier_dim
     spaces = [trivial_quotient(p, c.base.dim)]
     for n in range(1, max_degree + 1):
         spaces.append(c.power(n))
@@ -60,21 +68,16 @@ def build_amitsur(c: CoringWithGrouplike, max_degree: int = 3) -> AmitsurComplex
             for j in range(c.base.dim)]
     d = [Matrix(p, np.stack(cols, axis=1))]
 
-    g_col = g.reshape(car, 1)
-    cop_amb = mul_mod(c.power(2).section.a, c.coproduct.a, p)
+    g_col = g.reshape(-1, 1)
     for n in range(1, max_degree):
-        src, dst = spaces[n], spaces[n + 1]
-        eye_n = np.eye(car**n, dtype=np.int64)
-        total = induced_map(src, dst, Matrix(p, np.kron(g_col, eye_n))).a.copy()
+        eye_n = np.eye(spaces[n].dim, dtype=np.int64)
+        total = mul_mod(c.concat(1, n).a, np.kron(g_col, eye_n), p)
         outer_sign = 1 if (n + 1) % 2 == 0 else p - 1
-        right = induced_map(src, dst, Matrix(p, np.kron(eye_n, g_col))).a
+        right = mul_mod(c.concat(n, 1).a, np.kron(eye_n, g_col), p)
         total = (total + outer_sign * right) % p
-        for i in range(n):
-            amb = np.kron(np.eye(car**i, dtype=np.int64),
-                          np.kron(cop_amb, np.eye(car**(n - 1 - i), dtype=np.int64)))
-            term = induced_map(src, dst, Matrix(p, amb)).a
+        for i, term in enumerate(c.coproducts(n)):
             sign = p - 1 if (i + 1) % 2 else 1
-            total = (total + sign * term) % p
+            total = (total + sign * term.a) % p
         d.append(Matrix(p, total))
     return AmitsurComplex(c, max_degree, spaces, d)
 
@@ -85,17 +88,4 @@ def omega_product(x: AmitsurComplex, a: Element, b: Element) -> Element:
     if m + n > x.max_degree:
         raise ValueError(
             f"product degree {m + n} exceeds the built range {x.max_degree}")
-    p = x.p
-    car = x.coring.carrier_dim
-    if m == 0 and n == 0:
-        return Element(0, x.coring.base.multiply(a.coords, b.coords))
-    if m == 0:
-        block = x.spaces[n].lift(b.coords).reshape(car, -1)
-        acted = mul_mod(x.coring.left_action(a.coords).a, block, p)
-        return Element(n, x.spaces[n].project(acted.reshape(-1)))
-    if n == 0:
-        block = x.spaces[m].lift(a.coords).reshape(-1, car)
-        acted = mul_mod(block, x.coring.right_action(b.coords).a.T, p)
-        return Element(m, x.spaces[m].project(acted.reshape(-1)))
-    joined = np.kron(x.spaces[m].lift(a.coords), x.spaces[n].lift(b.coords)) % p
-    return Element(m + n, x.spaces[m + n].project(joined))
+    return Element(m + n, x.products[(m, n)].apply(np.kron(a.coords, b.coords)))

@@ -36,12 +36,14 @@ from .isomorphism import verify_main_theorem
 from .linalg import Field, rank_of
 from .reporting import Report
 from .schemas import detect_kind, load_algebra, load_extension, load_hopf, read_json
-from .simplicial import DEFAULT_DIM_CAP, gs_compare, parse_complex
+from .simplicial import DEFAULT_DIM_CAP, GS_DEGREE_CAP, gs_compare, parse_complex
 
 # gs-compare defaults shallower than the algebraic commands: the
 # incidence algebra of even a small complex has a large tensor square.
 DEGREE_DEFAULTS = {"gs-compare": 1}
 GENERIC_DEGREE_DEFAULT = 3
+# gs-compare builds the cochain complex one degree above its own top
+DEGREE_CAPS = {"gs-compare": GS_DEGREE_CAP}
 
 
 @dataclass
@@ -265,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--field", type=int, default=5, dest="prime",
                         help="prime for commands that choose their own field")
         sp.add_argument("--max-degree", type=int, default=None,
-                        help=f"top tensor degree (hard cap {HARD_DEGREE_CAP})")
+                        help="top tensor degree "
+                             f"(hard cap {DEGREE_CAPS.get(name, HARD_DEGREE_CAP)})")
         sp.add_argument("--trials", type=int, default=50,
                         help="random pairs per law check")
         sp.add_argument("--seed", type=int, default=0,
@@ -283,8 +286,10 @@ def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     max_degree = args.max_degree
     if max_degree is None:
         max_degree = DEGREE_DEFAULTS.get(args.command, GENERIC_DEGREE_DEFAULT)
-    if not 1 <= max_degree <= HARD_DEGREE_CAP:
-        parser.error(f"--max-degree must be between 1 and the hard cap {HARD_DEGREE_CAP}")
+    cap = DEGREE_CAPS.get(args.command, HARD_DEGREE_CAP)
+    if not 1 <= max_degree <= cap:
+        parser.error(f"--max-degree must be between 1 and the hard cap {cap}"
+                     + (f" of {args.command}" if args.command in DEGREE_CAPS else ""))
     try:
         Field(args.prime)
     except ValueError as err:

@@ -6,6 +6,17 @@ the carrier's tensor square over the base, counit, grouplike vector —
 and every axiom is checked exactly before the constructor returns, so a
 CoringWithGrouplike value in hand is itself a certificate.
 
+The tensor powers of the carrier over the base are grown one factor at
+a time: power(n) is power(n-1) (x)_R carrier, a quotient of the plain
+product of power(n-1) coordinates with carrier coordinates, so no power
+is ever built in the dense carrier_dim**n ambient.  Every structure map
+on power(n) is then either a map on power(n-1) tensored with the
+identity of the last factor, or acts on the last factor alone, and each
+is descended through the mandatory well-definedness check.  The coring
+caches the powers, the right base action on each, the concatenation
+products between them and the slotwise coproducts, which the Amitsur
+complex and the axiom check share.
+
 Three builders produce the corings the theory needs: the endomorphism
 coring of a depth-two extension (with its f2 certificate), the
 canonical coring on A (x)_B A, and the coalgebra of a Hopf algebra
@@ -25,13 +36,14 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     Subspace,
+    descend,
     induced_map,
     inverse,
     mul_mod,
     rank_of,
     trivial_quotient,
 )
-from .tensors import balanced_power, build_power, embed_pure, mult_at
+from .tensors import balanced_pair, balanced_power, build_power, embed_pure, mult_at
 
 
 class CoringWithGrouplike:
@@ -44,7 +56,7 @@ class CoringWithGrouplike:
     """
 
     __slots__ = ("base", "carrier_dim", "left_mats", "right_mats", "coproduct",
-                 "counit", "grouplike", "_powers")
+                 "counit", "grouplike", "_powers", "_rights", "_concats", "_coproducts")
 
     def __init__(self, base: FinDimAlgebra, carrier_dim: int, left_mats,
                  right_mats, coproduct: Matrix, counit: Matrix, grouplike,
@@ -57,6 +69,9 @@ class CoringWithGrouplike:
         self.counit = counit
         self.grouplike = np.asarray(grouplike, dtype=np.int64) % base.p
         self._powers = dict(powers) if powers else {}
+        self._rights = {}
+        self._concats = {}
+        self._coproducts = {}
         failures = self._axiom_failures()
         if failures:
             raise AxiomError("coring axioms violated: " + "; ".join(failures))
@@ -78,17 +93,104 @@ class CoringWithGrouplike:
         stack = np.stack([m.a for m in mats]).reshape(len(mats), c * c)
         return Matrix(self.p, mul_mod(coords, stack, self.p).reshape(c, c))
 
+    # -- tensor powers and the maps between them, all cached ---------------
+
     def power(self, n: int) -> QuotientSpace:
-        """The carrier's n-fold tensor power over the base, cached."""
+        """The carrier's n-fold tensor power over the base.
+
+        power(n) is power(n-1) ⊗_R carrier: a quotient of the plain
+        product whose index is x * carrier_dim + v, for x a power(n-1)
+        coordinate and v a carrier coordinate.
+        """
         if n < 1:
             raise ValueError("coring tensor powers start at n = 1")
         q = self._powers.get(n)
         if q is None:
-            q = balanced_power(self.p, self.carrier_dim,
-                               [m.a for m in self.right_mats],
-                               [m.a for m in self.left_mats], n)
+            if n == 1:
+                q = trivial_quotient(self.p, self.carrier_dim)
+            else:
+                q = balanced_pair(self.p, self.power(n - 1).dim, self.carrier_dim,
+                                  [m.a for m in self.right_on(n - 1)],
+                                  [m.a for m in self.left_mats])
             self._powers[n] = q
         return q
+
+    def right_on(self, n: int) -> list[Matrix]:
+        """x -> x·b on power(n), one matrix per base basis element: the
+        right action on the last factor, id ⊗ right_mats[b], descended."""
+        mats = self._rights.get(n)
+        if mats is None:
+            if n == 1:
+                mats = self.right_mats
+            else:
+                q = self.power(n)
+                eye = np.eye(self.power(n - 1).dim, dtype=np.int64)
+                mats = [induced_map(q, q, Matrix(self.p, np.kron(eye, m.a)))
+                        for m in self.right_mats]
+            self._rights[n] = mats
+        return mats
+
+    def concat(self, m: int, n: int) -> Matrix:
+        """The product x ⊗ y of power(m) and power(n) in power(m+n).
+
+        A matrix on the plain product, index x * dim(n) + y.  Degree 0 is
+        the base: it acts through the left or right action, and two
+        degree-0 factors multiply in the base.
+        """
+        key = (m, n)
+        j = self._concats.get(key)
+        if j is None:
+            p = self.p
+            if n == 0 and m == 0:
+                j = self.base.mult
+            elif n == 0:
+                r = np.stack([a.a for a in self.right_on(m)])
+                j = Matrix(p, r.transpose(1, 2, 0).reshape(r.shape[1], -1))
+            elif n == 1 and m == 0:
+                j = Matrix(p, np.hstack([a.a for a in self.left_mats]))
+            elif n == 1:
+                # power(m+1) is a quotient of exactly this plain product
+                j = self.power(m + 1).projection
+            else:
+                lead = self.base.dim if m == 0 else self.power(m).dim
+                j = self._then_identity(self.concat(m, n - 1), n, m + n, lead)
+            self._concats[key] = j
+        return j
+
+    def coproducts(self, n: int) -> list[Matrix]:
+        """The coproduct applied in slot i = 1..n of power(n), each a map
+        power(n) -> power(n+1)."""
+        maps = self._coproducts.get(n)
+        if maps is None:
+            if n == 1:
+                maps = [self.coproduct]
+            else:
+                # slots before the last act as (the map on power(n-1)) ⊗ id
+                maps = [self._then_identity(m, n, n + 1) for m in self.coproducts(n - 1)]
+                # the last slot: x ⊗ v -> x ⊗ coproduct(v), concatenated
+                eye = np.eye(self.power(n - 1).dim, dtype=np.int64)
+                last = mul_mod(self.concat(n - 1, 2).a, np.kron(eye, self.coproduct.a), self.p)
+                maps.append(Matrix(self.p, descend(self.power(n), last)))
+            self._coproducts[n] = maps
+        return maps
+
+    def _then_identity(self, phi: Matrix, n: int, k: int, lead: int = 1) -> Matrix:
+        """phi ⊗ id_carrier, descended to ``lead`` ⊗ power(n) -> power(k).
+
+        phi maps the plain product of ``lead`` coordinates with power(n-1)
+        into power(k-1).  Each of the ``lead`` slices must kill the
+        relations of power(n); one ``descend`` checks them all.
+        """
+        p, c = self.p, self.carrier_dim
+        src, dst = self.power(n), self.power(k)
+        d_in, d_out = self.power(n - 1).dim, self.power(k - 1).dim
+        # dst.projection @ kron(phi slice x, I_c), for every x at once
+        proj = dst.projection.a.reshape(dst.dim, d_out, c).transpose(0, 2, 1)
+        b = mul_mod(proj.reshape(-1, d_out), phi.a, p)
+        b = b.reshape(dst.dim, c, lead, d_in).transpose(2, 0, 3, 1)
+        out = descend(src, b.reshape(lead * dst.dim, d_in * c))
+        out = out.reshape(lead, dst.dim, src.dim).transpose(1, 0, 2)
+        return Matrix(p, out.reshape(dst.dim, lead * src.dim))
 
     # -- construction-time verification ------------------------------------
 
@@ -133,25 +235,23 @@ class CoringWithGrouplike:
         eye_c = np.eye(c, dtype=np.int64)
         eps = self.counit.a
         try:
+            rights = self.right_on(2)
             for j in range(db):
                 e_j = np.zeros(db, dtype=np.int64)
                 e_j[j] = 1
                 lq = induced_map(sq, sq, Matrix(p, np.kron(self.left_mats[j].a, eye_c)))
                 if self.coproduct @ self.left_mats[j] != lq @ self.coproduct:
                     fails.append(f"coproduct is not left-linear over the base (index {j})")
-                rq = induced_map(sq, sq, Matrix(p, np.kron(eye_c, self.right_mats[j].a)))
-                if self.coproduct @ self.right_mats[j] != rq @ self.coproduct:
+                if self.coproduct @ self.right_mats[j] != rights[j] @ self.coproduct:
                     fails.append(f"coproduct is not right-linear over the base (index {j})")
                 if self.counit @ self.left_mats[j] != self.base.left_mul(e_j) @ self.counit:
                     fails.append(f"counit is not left-linear over the base (index {j})")
                 if self.counit @ self.right_mats[j] != self.base.right_mul(e_j) @ self.counit:
                     fails.append(f"counit is not right-linear over the base (index {j})")
 
-            cube = self.power(3)
-            cop_amb = mul_mod(sq.section.a, self.coproduct.a, p)
-            expand_first = induced_map(sq, cube, Matrix(p, np.kron(cop_amb, eye_c)))
-            expand_second = induced_map(sq, cube, Matrix(p, np.kron(eye_c, cop_amb)))
-            if expand_first @ self.coproduct != expand_second @ self.coproduct:
+            # coproduct ⊗ id against id ⊗ coproduct, both power(2) -> power(3)
+            first, second = self.coproducts(2)
+            if first @ self.coproduct != second @ self.coproduct:
                 fails.append("coproduct is not coassociative")
 
             carrier = trivial_quotient(p, c)

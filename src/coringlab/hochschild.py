@@ -83,7 +83,9 @@ def build_complex(e: Extension, max_degree: int = DEFAULT_DEGREE) -> CochainComp
     a = e.ambient
     p = a.p
     r_space = centralizer(e)
-    powers = {n: build_power(e, n, max_n=max_degree) for n in range(1, max_degree + 1)}
+    # top power first: it is the largest, so an oversized request fails
+    # its size check before any other power is built
+    powers = {n: build_power(e, n, max_n=max_degree) for n in range(max_degree, 0, -1)}
     homs = {n: build_hom(e, powers[n]) for n in range(1, max_degree + 1)}
     c = CochainComplex(e, max_degree, r_space, powers, homs, [])
 

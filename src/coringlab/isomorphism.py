@@ -4,8 +4,10 @@ cochain complex of the extension it came from.
 The comparison maps send a pure tensor of endomorphisms to their
 iterated cup product.  In degrees 0 and 1 the two sides share
 coordinates outright, so the maps are identities; from degree 2 on the
-matrix is assembled column by column over pure tensors, checked against
-the balancing relations, and pushed through the quotient section.
+matrix is assembled column by column as f_{n-1}(x) ∪ f_1(v) over the
+plain product power(n-1) x carrier that the coring's power(n) is a
+quotient of, checked against the balancing relations, and pushed
+through the quotient section.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import numpy as np
 from .algebras import Extension
 from .amitsur import AmitsurComplex, build_amitsur
 from .corings import build_f2, endo_coring
-from .dga import cohomology_dims, verify_morphism
-from .hochschild import CochainComplex, build_complex
-from .linalg import Matrix, induced_map, mul_mod, rank_of, trivial_quotient
+from .dga import Element, cohomology_dims, verify_morphism
+from .hochschild import CochainComplex, build_complex, cup
+from .linalg import Matrix, induced_map, rank_of, trivial_quotient
 from .reporting import Report
 
 
@@ -44,39 +46,25 @@ class IsoWitness:
 def build_fn(e: Extension, ac: AmitsurComplex, cc: CochainComplex, n: int) -> Matrix:
     """Matrix of the degree-n comparison map in quotient coordinates.
 
-    Columns are indexed by the tensor-power basis; each pure tensor of
-    endomorphism basis elements maps to 'apply factorwise, multiply the
-    results in order', which is the iterated cup product of 1-cochains.
+    Degrees 0 and 1 share coordinates outright.  Above them the map is
+    the iterated cup product of 1-cochains, built one factor at a time:
+    the coring's power(k) is power(k-1) ⊗_R carrier, and on that plain
+    product f_k(x ⊗ v) = f_{k-1}(x) ∪ f_1(v), descended through the
+    balancing relations.
     """
-    a = e.ambient
-    p = a.p
+    p = e.ambient.p
     if not 0 <= n <= min(ac.max_degree, cc.max_degree):
         raise ValueError(f"degree {n} outside the built range")
     if n == 0:
         return Matrix.identity(p, ac.dim(0))
-    if n == 1:
-        return Matrix.identity(p, ac.dim(1))
-
-    endo_mats = [m.a for m in cc.homs[1].basis]
-    d = a.dim
-    eye_d = np.eye(d, dtype=np.int64)
-    mult_n = a.mult.a
-    for _ in range(n - 2):
-        mult_n = mul_mod(a.mult.a, np.kron(mult_n, eye_d), p)
-    section = cc.powers[n].space.section.a
-    hom = cc.homs[n]
-
-    prefixes = [np.eye(1, dtype=np.int64)]
-    for _ in range(n - 1):
-        prefixes = [np.kron(pre, t) % p for pre in prefixes for t in endo_mats]
-    cols = []
-    for pre in prefixes:
-        for t in endo_mats:
-            factorwise = np.kron(pre, t) % p
-            on_quotient = mul_mod(mul_mod(mult_n, factorwise, p), section, p)
-            cols.append(hom.coords_of(Matrix(p, on_quotient)))
-    f_amb = np.stack(cols, axis=1)
-    return induced_map(ac.spaces[n], trivial_quotient(p, hom.dim), Matrix(p, f_amb))
+    f = Matrix.identity(p, ac.dim(1))
+    units = np.eye(ac.dim(1), dtype=np.int64)
+    for k in range(2, n + 1):
+        cols = [cup(cc, Element(k - 1, x), Element(1, v)).coords
+                for x in f.a.T for v in units]
+        f = induced_map(ac.spaces[k], trivial_quotient(p, cc.dim(k)),
+                        Matrix(p, np.stack(cols, axis=1)))
+    return f
 
 
 def verify_main_theorem(e: Extension, max_degree: int = 3, trials: int = 50,

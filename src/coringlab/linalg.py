@@ -12,7 +12,7 @@ dense integer matrix of residues.  This module supplies the primitives:
   including an incremental accumulator for large relation spans,
 * kernels and inverses,
 * ``QuotientSpace`` with an explicit projection/section pair, and
-  ``induced_map`` with a mandatory well-definedness check.
+  ``induced_map``/``descend`` with a mandatory well-definedness check.
 
 Everything is deterministic: the RREF of a row span is unique, kernel
 bases are the canonical free-column bases, and sections pick the
@@ -458,14 +458,27 @@ def induced_map(q_dom: QuotientSpace, q_cod: QuotientSpace, ambient_map: Matrix)
             f"ambient map shape {ambient_map.shape} does not match "
             f"({q_cod.ambient_dim}, {q_dom.ambient_dim})"
         )
+    projected = ambient_map.a
+    if q_cod.relations.dim:
+        projected = mul_mod(q_cod.projection.a, projected, p)
+    return Matrix(p, descend(q_dom, projected))
+
+
+def descend(q_dom: QuotientSpace, projected: np.ndarray) -> np.ndarray:
+    """Quotient-coordinate matrix of a map from q_dom's ambient whose
+    values are already in codomain coordinates.
+
+    The map descends exactly when it kills every relation of q_dom; that
+    check is the same mandatory one ``induced_map`` makes, and its
+    failure raises NotWellDefinedError.
+    """
+    p = q_dom.p
     rel = q_dom.relations.rows
     if rel.shape[0]:
-        image = mul_mod(ambient_map.a, rel.T, p)
-        residual = mul_mod(q_cod.projection.a, image, p)
+        residual = mul_mod(projected, rel.T, p)
         if residual.any():
             bad = int(np.flatnonzero(residual.any(axis=0))[0])
             raise NotWellDefinedError(
                 f"relation vector {bad} maps outside the codomain relations"
             )
-    out = mul_mod(q_cod.projection.a, mul_mod(ambient_map.a, q_dom.section.a, p), p)
-    return Matrix(p, out)
+    return mul_mod(projected, q_dom.section.a, p)

@@ -10,11 +10,13 @@ import numpy as np
 from .algebras import Extension, FinDimAlgebra, diagonal_algebra
 from .errors import FacetParseError, SizeLimitError
 from .dga import cohomology_dims
-from .hochschild import build_complex
+from .hochschild import HARD_DEGREE_CAP, build_complex
 from .linalg import Field, Matrix, rank_of
 from .reporting import Report
 
 DEFAULT_DIM_CAP = 20
+# H^n needs the cochain complex up to degree n + 1
+GS_DEGREE_CAP = HARD_DEGREE_CAP - 1
 
 
 class SimplicialComplex:
@@ -133,6 +135,9 @@ def gs_compare(s: SimplicialComplex, field: Field, max_n: int = 1,
                cap: int = DEFAULT_DIM_CAP) -> Report:
     """Relative cochain cohomology of the incidence extension against the
     simplicial oracle, degree by degree."""
+    if not 0 <= max_n <= GS_DEGREE_CAP:
+        raise SizeLimitError(
+            f"gs-compare degree {max_n} is outside 0..{GS_DEGREE_CAP}")
     e = incidence_extension(s, field)
     if e.ambient.dim > cap:
         raise SizeLimitError(

@@ -1,24 +1,30 @@
 """Iterated tensor powers over a subring, as explicit quotient spaces.
 
-A power V ⊗ ... ⊗ V over a base that acts on V from both sides is the
-plain tensor power GF(p)^(dim^n) modulo the span of all one-slot
-balancing relations (v·b) ⊗ w − v ⊗ (b·w).  The same construction
-serves A ⊗_B ... ⊗_B A (base acting by multiplication through the
-inclusion) and the coring powers C ⊗_R ... ⊗_R C (base acting through
-the coring's actions), so it lives here once.
+A product V ⊗_R W of two spaces the base R acts on (from the right on V,
+from the left on W) is the plain product GF(p)^(dim V * dim W), index
+v * dim W + w, modulo the balancing relations (v·b) ⊗ w − v ⊗ (b·w).
+``balanced_pair`` builds that quotient in one row reduction; the coring
+powers C ⊗_R ... ⊗_R C are grown from it one factor at a time, as
+power(n-1) ⊗_R C (see ``corings``).
 
-Relation spans are assembled slot by slot.  The slot-1 block
+A ⊗_B ... ⊗_B A is built by ``balanced_power`` instead, as the plain
+power GF(p)^(dim^n) modulo the span of every one-slot balancing
+relation.  That span is assembled slot by slot.  The slot-1 block
 kron(L2, I) of a reduced pairwise span L2 is itself already a reduced
 echelon basis with predictable pivots, so it seeds the accumulator
 without any elimination; only the later slots pay for row reduction.
+
+Both builders estimate the entries of their largest dense relation
+matrix before allocating it and raise SizeLimitError above
+``RELATION_ENTRY_BUDGET``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SizeLimitError
 from .algebras import Extension
+from .errors import SizeLimitError
 from .linalg import (
     Matrix,
     QuotientSpace,
@@ -31,6 +37,32 @@ from .linalg import (
 )
 
 DEFAULT_MAX_POWER = 4
+
+# Entries of the largest dense relation matrix a build may hold: 0.8 GB
+# as int64.  A ⊗_B A ⊗_B A of the 19-dim incidence algebra of the filled
+# triangle (ambient 19**3, about 4.7e7 entries) is the largest build in
+# use; its fourth power (about 1.7e10) is refused.
+RELATION_ENTRY_BUDGET = 10**8
+
+
+def relation_entries(pair_ambient: int, n_base: int, ambient: int) -> int:
+    """Entries of the largest dense relation matrix of a power build.
+
+    The pairwise generators are ``n_base`` blocks of ``pair_ambient``
+    rows, each ``pair_ambient`` wide; the reduced relation span in the
+    full ambient has at most ``ambient`` rows of ``ambient`` entries.
+    """
+    return max(n_base * pair_ambient * pair_ambient, ambient * ambient)
+
+
+def check_relation_budget(pair_ambient: int, n_base: int, ambient: int) -> None:
+    """Raise SizeLimitError before a relation build above the budget."""
+    entries = relation_entries(pair_ambient, n_base, ambient)
+    if entries > RELATION_ENTRY_BUDGET:
+        raise SizeLimitError(
+            f"a tensor power with ambient dimension {ambient} needs a dense "
+            f"relation matrix of about {entries:.2e} entries, over the budget "
+            f"of {RELATION_ENTRY_BUDGET:.0e}")
 
 
 def pair_relation_rows(p: int, dim_left: int, dim_right: int, rights, lefts) -> np.ndarray:
@@ -54,8 +86,21 @@ def pair_relation_rows(p: int, dim_left: int, dim_right: int, rights, lefts) -> 
     return np.vstack(blocks)
 
 
+def balanced_pair(p: int, dim_left: int, dim_right: int, rights, lefts) -> QuotientSpace:
+    """V ⊗_R W as a quotient of the plain product, index v * dim_right + w.
+
+    ``rights[b]`` is the matrix of v -> v·b on V and ``lefts[b]`` that of
+    w -> b·w on W, for each base basis element b.
+    """
+    ambient = dim_left * dim_right
+    check_relation_budget(ambient, len(rights), ambient)
+    rows, piv = rref_rows(pair_relation_rows(p, dim_left, dim_right, rights, lefts), p)
+    return quotient_of(ambient, Subspace(p, ambient, rows, piv))
+
+
 def balanced_power(p: int, dim: int, rights, lefts, n: int) -> QuotientSpace:
-    """The n-fold power of a carrier over its base actions, as a quotient.
+    """The n-fold power of a carrier over its base actions, as a quotient
+    of the dense ambient GF(p)^(dim^n).
 
     rights/lefts are the per-base-basis action matrices on the carrier
     (dim x dim).  n = 1 gives the carrier itself with no relations.
@@ -63,6 +108,7 @@ def balanced_power(p: int, dim: int, rights, lefts, n: int) -> QuotientSpace:
     ambient = dim**n
     if n == 1:
         return trivial_quotient(p, ambient)
+    check_relation_budget(dim * dim, len(rights), ambient)
     l2 = pair_relation_rows(p, dim, dim, rights, lefts)
     l2_rows, l2_piv = rref_rows(l2, p)
     r2 = l2_rows.shape[0]

@@ -230,6 +230,25 @@ def test_flag_validation():
     assert exc.value.code == 2
 
 
+def test_gs_compare_degree_cap_is_a_usage_error(capsys):
+    # H^4 would need the cochain complex at degree 5, above the hard cap
+    with pytest.raises(SystemExit) as exc:
+        main(["gs-compare", str(corpus_path("filled_triangle.facets")), "--max-degree", "4"])
+    assert exc.value.code == 2
+    assert "hard cap 3 of gs-compare" in capsys.readouterr().err
+
+
+def test_oversized_tensor_power_is_a_usage_error(capsys):
+    # the filled triangle's fourth tensor power is refused before allocating
+    code, out, err = run_cli(capsys, "gs-compare", str(corpus_path("filled_triangle.facets")),
+                             "--max-degree", "3")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: a tensor power with ambient dimension 130321")
+    assert err.count("\n") == 1
+
+
 def test_markdown_format(capsys):
     code, out, _ = run_cli(capsys, "cohomology", str(corpus_path("ut2_diag_gf5.json")),
                            "--format", "markdown")

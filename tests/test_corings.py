@@ -20,6 +20,9 @@ from coringlab import (
     sweedler_coring,
     trivial_extension,
 )
+from coringlab.algebras import one_dim_algebra
+from coringlab.corpus import extension_names, hopf_names, load_corpus_extension, load_corpus_hopf
+from coringlab.tensors import balanced_power
 
 from conftest import naive_rank, s3_c2_extension
 from test_algebras import ut2_diag_extension
@@ -165,3 +168,74 @@ def test_tampered_coproduct_is_rejected():
     with pytest.raises(AxiomError):
         CoringWithGrouplike(good.base, good.carrier_dim, good.left_mats,
                             good.right_mats, bad, good.counit, good.grouplike)
+
+
+def test_non_coassociative_coproduct_is_rejected():
+    """Over k with basis {1, x, y}: counital, k-linear, 1 grouplike, but
+    (cop (x) id) cop(y) - (id (x) cop) cop(y) = -x (x) x (x) y."""
+    p = 5
+    one, x, y = np.eye(3, dtype=np.int64)
+    ident = Matrix.identity(p, 3)
+    counit = Matrix(p, [[1, 0, 0]])
+
+    def coring(cop_y):
+        cop = np.stack([np.kron(one, one), np.kron(x, one) + np.kron(one, x), cop_y], axis=1)
+        return CoringWithGrouplike(one_dim_algebra(Field(p)), 3, [ident], [ident],
+                                   Matrix(p, cop), counit, one)
+
+    coring(np.kron(y, one) + np.kron(one, y))  # primitive y: a coring
+    with pytest.raises(AxiomError) as exc:
+        coring(np.kron(y, one) + np.kron(one, y) + np.kron(x, y))
+    assert str(exc.value) == "coring axioms violated: coproduct is not coassociative"
+
+
+# -- iterated tensor powers ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def corpus_corings():
+    """Every coring the corpus gives: the endomorphism coring of each
+    certified extension, the Sweedler coring of each extension, and the
+    coring of each dual bialgebra."""
+    out = {}
+    for name in extension_names():
+        e = load_corpus_extension(name)
+        cert = build_f2(e)
+        if cert.bijective:
+            out[f"{name} endo"] = endo_coring(e, cert)
+        out[f"{name} sweedler"] = sweedler_coring(e)
+    for name in hopf_names():
+        out[f"{name} hopf"] = hopf_coring(dual_hopf(load_corpus_hopf(name)))
+    return out
+
+
+def test_iterated_powers_match_the_dense_oracle(corpus_corings):
+    """power(n) = power(n-1) (x)_R carrier against the slotwise relation
+    span in the dense ambient carrier^n: power(3) for carriers up to 9,
+    power(4) for carriers up to 4."""
+    checked = []
+    for name, c in corpus_corings.items():
+        rights = [m.a for m in c.right_mats]
+        lefts = [m.a for m in c.left_mats]
+        for n, top in ((3, 9), (4, 4)):
+            if c.carrier_dim <= top:
+                dense = balanced_power(c.p, c.carrier_dim, rights, lefts, n)
+                assert c.power(n).dim == dense.dim, (name, n)
+                checked.append((name, n))
+    assert len(checked) >= 20
+
+
+def test_powers_grow_by_one_carrier_factor(corpus_corings):
+    for name, c in corpus_corings.items():
+        for n in range(2, 5 if c.carrier_dim <= 4 else 4):
+            assert c.power(n).ambient_dim == c.power(n - 1).dim * c.carrier_dim, (name, n)
+
+
+def test_large_carrier_power_dims(corpus_corings):
+    # M2 over itself: the carrier is free of rank 4 over R = M2 on each
+    # side, so power(n) has dim 4 * 4^n; A (x)_B A for S3 over C2 is free
+    # of rank 3 over A, so power(n) has dim 6 * 3^n
+    m2 = corpus_corings["m2_gf5 endo"]
+    assert [m2.power(n).dim for n in (1, 2, 3)] == [16, 64, 256]
+    s3 = corpus_corings["s3_c2_gf7 sweedler"]
+    assert [s3.power(n).dim for n in (1, 2, 3)] == [18, 54, 162]

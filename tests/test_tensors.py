@@ -7,11 +7,14 @@ from coringlab.algebras import matrix_algebra, self_extension, trivial_extension
 from coringlab.errors import SizeLimitError
 from coringlab.linalg import Field, rref_rows
 from coringlab.tensors import (
+    RELATION_ENTRY_BUDGET,
+    balanced_pair,
     balanced_power,
     build_power,
     embed_pure,
     mult_at,
     pair_relation_rows,
+    relation_entries,
 )
 
 from test_algebras import ut2_diag_extension
@@ -180,3 +183,38 @@ def test_balanced_power_seeding_consistency(rng):
     rows, piv = rref_rows(gens, p)
     assert q.relations.dim == len(piv)
     assert np.array_equal(q.relations.rows, rows)
+
+
+def test_relation_budget_admits_the_builds_in_use():
+    # A (x)_B A (x)_B A of the filled triangle's 19-dim incidence algebra
+    # over its 7 vertex idempotents (gs-compare --max-degree 2)
+    assert relation_entries(19 * 19, 7, 19**3) == 19**6
+    assert relation_entries(19 * 19, 7, 19**3) <= RELATION_ENTRY_BUDGET
+    # coring power(3) as power(2) (x) carrier: M2 endomorphism coring
+    # (64 x 16 over a 4-dim base), S3/C2 Sweedler coring (54 x 18 over 6)
+    assert relation_entries(1024, 4, 1024) == 4 * 1024**2
+    assert relation_entries(972, 6, 972) <= RELATION_ENTRY_BUDGET
+    # the generator blocks dominate a pairwise build
+    assert relation_entries(10, 3, 10) == 300
+    # the filled triangle's fourth power would take about 1.7e10 entries
+    assert relation_entries(19 * 19, 7, 19**4) > RELATION_ENTRY_BUDGET
+
+
+def test_oversized_powers_are_refused_before_allocating():
+    p = 5
+    eye19 = [np.eye(19, dtype=np.int64)]
+    with pytest.raises(SizeLimitError, match="ambient dimension 130321"):
+        balanced_power(p, 19, eye19, eye19, 4)
+    with pytest.raises(SizeLimitError, match="ambient dimension 16000"):
+        balanced_pair(p, 400, 40, [np.eye(400, dtype=np.int64)], [np.eye(40, dtype=np.int64)])
+
+
+def test_balanced_pair_is_the_dense_square():
+    e = ut2_diag_extension(5)
+    a = e.ambient
+    rights = [a.right_mul(b).a for b in e.sub_images()]
+    lefts = [a.left_mul(b).a for b in e.sub_images()]
+    pair = balanced_pair(5, a.dim, a.dim, rights, lefts)
+    square = balanced_power(5, a.dim, rights, lefts, 2)
+    assert np.array_equal(pair.relations.rows, square.relations.rows)
+    assert np.array_equal(pair.projection.a, square.projection.a)
