@@ -217,6 +217,31 @@ def centralizer(e: Extension) -> Subspace:
     return Subspace.from_spanning(a.p, a.dim, kernel_rows(np.vstack(blocks), a.p))
 
 
+def generating_indices(a: FinDimAlgebra) -> list[int]:
+    """Basis indices whose elements generate the algebra, picked greedily.
+
+    A basis element is picked when it lies outside the subalgebra that
+    the unit and the earlier picks generate: the span of the words in the
+    picks, reached from the unit by left multiplications.
+    """
+    p, d = a.p, a.dim
+    eye = np.eye(d, dtype=np.int64)
+    span = Subspace.from_spanning(p, d, a.unit.reshape(1, -1))
+    picks: list[int] = []
+    for i in range(d):
+        if span.contains(eye[i]):
+            continue
+        picks.append(i)
+        while True:
+            words = [span.rows] + [mul_mod(span.rows, a.left_mul(eye[j]).a.T, p)
+                                   for j in picks]
+            grown = Subspace.from_spanning(p, d, np.vstack(words))
+            if grown.dim == span.dim:
+                break
+            span = grown
+    return picks
+
+
 # ---------------------------------------------------------------------------
 # example constructors
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import Extension, FinDimAlgebra, HopfData, centralizer, one_dim_algebra, subalgebra_on
+from .algebras import (Extension, FinDimAlgebra, HopfData, centralizer, generating_indices,
+                       one_dim_algebra, subalgebra_on)
 from .errors import AxiomError, NoD2CertificateError, NotWellDefinedError
 from .homspaces import BimoduleHomSpace, build_hom, outer_left_action, outer_right_action
 from .linalg import (
@@ -109,9 +110,14 @@ class CoringWithGrouplike:
             if n == 1:
                 q = trivial_quotient(self.p, self.carrier_dim)
             else:
+                # algebra generators of the base balance as much as its
+                # basis does: the relation of a product a·b is the sum of
+                # ((x·a)·b) ⊗ v − (x·a) ⊗ (b·v) and (x·a) ⊗ (b·v) − x ⊗ (a·(b·v))
+                gens = generating_indices(self.base)
+                rights = self.right_on(n - 1)
                 q = balanced_pair(self.p, self.power(n - 1).dim, self.carrier_dim,
-                                  [m.a for m in self.right_on(n - 1)],
-                                  [m.a for m in self.left_mats])
+                                  [rights[j].a for j in gens],
+                                  [self.left_mats[j].a for j in gens])
             self._powers[n] = q
         return q
 
@@ -123,9 +129,10 @@ class CoringWithGrouplike:
             if n == 1:
                 mats = self.right_mats
             else:
+                # projection @ kron(I, m), without forming the kron
                 q = self.power(n)
-                eye = np.eye(self.power(n - 1).dim, dtype=np.int64)
-                mats = [induced_map(q, q, Matrix(self.p, np.kron(eye, m.a)))
+                proj = q.projection.a.reshape(-1, self.carrier_dim)
+                mats = [Matrix(self.p, descend(q, mul_mod(proj, m.a, self.p).reshape(q.dim, -1)))
                         for m in self.right_mats]
             self._rights[n] = mats
         return mats

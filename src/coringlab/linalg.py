@@ -473,12 +473,16 @@ def descend(q_dom: QuotientSpace, projected: np.ndarray) -> np.ndarray:
     failure raises NotWellDefinedError.
     """
     p = q_dom.p
-    rel = q_dom.relations.rows
-    if rel.shape[0]:
-        residual = mul_mod(projected, rel.T, p)
+    rel = q_dom.relations
+    # the section is the unit vectors at the free coordinates, and each
+    # relation row is a unit vector at its pivot plus free-column entries
+    on_free = projected[:, list(q_dom.free)]
+    if rel.dim:
+        residual = (projected[:, list(rel.pivots)]
+                    + mul_mod(on_free, rel.rows[:, list(q_dom.free)].T, p)) % p
         if residual.any():
             bad = int(np.flatnonzero(residual.any(axis=0))[0])
             raise NotWellDefinedError(
                 f"relation vector {bad} maps outside the codomain relations"
             )
-    return mul_mod(projected, q_dom.section.a, p)
+    return on_free % p

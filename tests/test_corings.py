@@ -20,9 +20,9 @@ from coringlab import (
     sweedler_coring,
     trivial_extension,
 )
-from coringlab.algebras import one_dim_algebra
+from coringlab.algebras import generating_indices, matrix_algebra, one_dim_algebra
 from coringlab.corpus import extension_names, hopf_names, load_corpus_extension, load_corpus_hopf
-from coringlab.tensors import balanced_power
+from coringlab.tensors import balanced_pair, balanced_power
 
 from conftest import naive_rank, s3_c2_extension
 from test_algebras import ut2_diag_extension
@@ -239,3 +239,27 @@ def test_large_carrier_power_dims(corpus_corings):
     assert [m2.power(n).dim for n in (1, 2, 3)] == [16, 64, 256]
     s3 = corpus_corings["s3_c2_gf7 sweedler"]
     assert [s3.power(n).dim for n in (1, 2, 3)] == [18, 54, 162]
+
+
+def test_base_generators_balance_like_the_whole_basis(corpus_corings):
+    # power(n) is balanced over algebra generators of the base only; the
+    # relation span, hence its canonical echelon basis, is the same as
+    # over every basis element
+    for name, c in corpus_corings.items():
+        if c.carrier_dim > 9:
+            continue
+        for n in (2, 3):
+            full = balanced_pair(c.p, c.power(n - 1).dim, c.carrier_dim,
+                                 [m.a for m in c.right_on(n - 1)],
+                                 [m.a for m in c.left_mats])
+            assert np.array_equal(full.relations.rows, c.power(n).relations.rows), (name, n)
+
+
+def test_generating_indices():
+    f5 = Field(5)
+    assert generating_indices(one_dim_algebra(f5)) == []
+    # e11, e12 and e21 generate M2; e22 = 1 - e11
+    assert generating_indices(matrix_algebra(f5, 2)) == [0, 1, 2]
+    # S3 is generated by two of its transpositions
+    s3 = load_corpus_extension("s3_c2_gf7").ambient
+    assert len(generating_indices(s3)) == 2
