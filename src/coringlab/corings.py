@@ -44,7 +44,7 @@ from .linalg import (
     rank_of,
     trivial_quotient,
 )
-from .tensors import balanced_pair, balanced_power, build_power, embed_pure, mult_at
+from .tensors import balanced_pair, build_power, embed_pure, mult_at
 
 
 class CoringWithGrouplike:
@@ -145,24 +145,25 @@ class CoringWithGrouplike:
         degree-0 factors multiply in the base.
         """
         key = (m, n)
-        j = self._concats.get(key)
-        if j is None:
+        prod = self._concats.get(key)
+        if prod is None:
             p = self.p
             if n == 0 and m == 0:
-                j = self.base.mult
+                prod = self.base.mult
             elif n == 0:
-                r = np.stack([a.a for a in self.right_on(m)])
-                j = Matrix(p, r.transpose(1, 2, 0).reshape(r.shape[1], -1))
+                # column x * base_dim + j: basis element j acting on x
+                stack = np.stack([mat.a for mat in self.right_on(m)])
+                prod = Matrix(p, stack.transpose(1, 2, 0).reshape(stack.shape[1], -1))
             elif n == 1 and m == 0:
-                j = Matrix(p, np.hstack([a.a for a in self.left_mats]))
+                prod = Matrix(p, np.hstack([mat.a for mat in self.left_mats]))
             elif n == 1:
                 # power(m+1) is a quotient of exactly this plain product
-                j = self.power(m + 1).projection
+                prod = self.power(m + 1).projection
             else:
                 lead = self.base.dim if m == 0 else self.power(m).dim
-                j = self._then_identity(self.concat(m, n - 1), n, m + n, lead)
-            self._concats[key] = j
-        return j
+                prod = self._then_identity(self.concat(m, n - 1), n, m + n, lead)
+            self._concats[key] = prod
+        return prod
 
     def coproducts(self, n: int) -> list[Matrix]:
         """The coproduct applied in slot i = 1..n of power(n), each a map
@@ -328,8 +329,8 @@ def build_f2(e: Extension) -> D2Certificate:
     s_space = build_hom(e, build_power(e, 1))
     r_space = centralizer(e)
     left_mats, right_mats = _endo_action_mats(e, s_space, r_space)
-    square = balanced_power(p, s_space.dim,
-                            [m.a for m in right_mats], [m.a for m in left_mats], 2)
+    square = balanced_pair(p, s_space.dim, s_space.dim,
+                           [m.a for m in right_mats], [m.a for m in left_mats])
     power2 = build_power(e, 2)
     hom_space = build_hom(e, power2)
     cols = []
@@ -409,7 +410,7 @@ def sweedler_coring(e: Extension) -> CoringWithGrouplike:
     eye_d = np.eye(d, dtype=np.int64)
     left_mats = [outer_left_action(e, t2, eye_d[j]) for j in range(d)]
     right_mats = [outer_right_action(e, t2, eye_d[j]) for j in range(d)]
-    sq = balanced_power(p, q.dim, [m.a for m in right_mats], [m.a for m in left_mats], 2)
+    sq = balanced_pair(p, q.dim, q.dim, [m.a for m in right_mats], [m.a for m in left_mats])
     into_left = mul_mod(q.projection.a, np.kron(eye_d, a.unit.reshape(d, 1)), p)
     into_right = mul_mod(q.projection.a, np.kron(a.unit.reshape(d, 1), eye_d), p)
     coproduct = induced_map(q, sq, Matrix(p, np.kron(into_left, into_right)))
@@ -426,7 +427,7 @@ def hopf_coring(h: HopfData) -> CoringWithGrouplike:
     p = h.algebra.p
     d = h.algebra.dim
     ident = Matrix.identity(p, d)
-    sq = balanced_power(p, d, [ident.a], [ident.a], 2)
+    sq = balanced_pair(p, d, d, [ident.a], [ident.a])
     coproduct = Matrix(p, mul_mod(sq.projection.a, h.coproduct.a, p))
     return CoringWithGrouplike(base, d, [ident], [ident], coproduct,
                                Matrix(p, h.counit.a), h.algebra.unit,

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebras import Extension
 from .errors import SizeLimitError
+from .algebras import Extension
 from .linalg import (
     Matrix,
     QuotientSpace,
@@ -55,7 +55,7 @@ def relation_entries(pair_ambient: int, n_base: int, ambient: int) -> int:
     return max(n_base * pair_ambient * pair_ambient, ambient * ambient)
 
 
-def check_relation_budget(pair_ambient: int, n_base: int, ambient: int) -> None:
+def _check_relation_budget(pair_ambient: int, n_base: int, ambient: int) -> None:
     """Raise SizeLimitError before a relation build above the budget."""
     entries = relation_entries(pair_ambient, n_base, ambient)
     if entries > RELATION_ENTRY_BUDGET:
@@ -90,10 +90,11 @@ def balanced_pair(p: int, dim_left: int, dim_right: int, rights, lefts) -> Quoti
     """V ⊗_R W as a quotient of the plain product, index v * dim_right + w.
 
     ``rights[b]`` is the matrix of v -> v·b on V and ``lefts[b]`` that of
-    w -> b·w on W, for each base basis element b.
+    w -> b·w on W, for each b in a set that generates the base as an
+    algebra (a basis does).
     """
     ambient = dim_left * dim_right
-    check_relation_budget(ambient, len(rights), ambient)
+    _check_relation_budget(ambient, len(rights), ambient)
     rows, piv = rref_rows(pair_relation_rows(p, dim_left, dim_right, rights, lefts), p)
     return quotient_of(ambient, Subspace(p, ambient, rows, piv))
 
@@ -108,7 +109,7 @@ def balanced_power(p: int, dim: int, rights, lefts, n: int) -> QuotientSpace:
     ambient = dim**n
     if n == 1:
         return trivial_quotient(p, ambient)
-    check_relation_budget(dim * dim, len(rights), ambient)
+    _check_relation_budget(dim * dim, len(rights), ambient)
     l2 = pair_relation_rows(p, dim, dim, rights, lefts)
     l2_rows, l2_piv = rref_rows(l2, p)
     r2 = l2_rows.shape[0]
