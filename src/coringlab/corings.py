@@ -6,16 +6,16 @@ the carrier's tensor square over the base, counit, grouplike vector —
 and every axiom is checked exactly before the constructor returns, so a
 CoringWithGrouplike value in hand is itself a certificate.
 
-The tensor powers of the carrier over the base are grown one factor at
-a time: power(n) is power(n-1) (x)_R carrier, a quotient of the plain
-product of power(n-1) coordinates with carrier coordinates, so no power
-is ever built in the dense carrier_dim**n ambient.  Every structure map
-on power(n) is then either a map on power(n-1) tensored with the
-identity of the last factor, or acts on the last factor alone, and each
-is descended through the mandatory well-definedness check.  The coring
-caches the powers, the right base action on each, the concatenation
-products between them and the slotwise coproducts, which the Amitsur
-complex and the axiom check share.
+A coring is a ``tensors.TensorTower``: its carrier's powers over the
+base are grown one factor at a time, power(n) = power(n-1) (x)_R
+carrier, and the tower caches them with the right base action on each
+and the concatenation products between them.  The coring adds the
+slotwise coproducts, each a map on power(n-1) tensored with the
+identity of the last factor or the coproduct on the last factor alone,
+descended through the mandatory well-definedness check.  The Amitsur
+complex and the axiom check share them.  The Sweedler coring's carrier
+is itself power 2 of an extension's tower, and A acts on it through the
+same two kinds of tower map.
 
 Three builders produce the corings the theory needs: the endomorphism
 coring of a depth-two extension (with its f2 certificate), the
@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import (Extension, FinDimAlgebra, HopfData, centralizer, generating_indices,
-                       one_dim_algebra, subalgebra_on)
+from .algebras import (Extension, FinDimAlgebra, HopfData, centralizer, one_dim_algebra,
+                       subalgebra_on)
 from .errors import AxiomError, NoD2CertificateError, NotWellDefinedError
-from .homspaces import BimoduleHomSpace, build_hom, outer_left_action, outer_right_action
+from .homspaces import BimoduleHomSpace, build_hom
 from .linalg import (
     Matrix,
     QuotientSpace,
@@ -44,42 +44,32 @@ from .linalg import (
     rank_of,
     trivial_quotient,
 )
-from .tensors import balanced_pair, build_power, embed_pure, mult_at
+from .tensors import TensorTower, balanced_pair, build_power, mult_at
 
 
-class CoringWithGrouplike:
+class CoringWithGrouplike(TensorTower):
     """Verified (base, carrier, actions, coproduct, counit, grouplike) data.
 
     ``left_mats[j]`` / ``right_mats[j]`` are the carrier matrices of the
     j-th base basis element acting on the left / right.  ``coproduct``
     maps carrier coordinates into ``power(2)`` coordinates, ``counit``
-    maps them to base coordinates.
+    maps them to base coordinates.  The coring is the tower of its
+    carrier's powers over the base.
     """
 
-    __slots__ = ("base", "carrier_dim", "left_mats", "right_mats", "coproduct",
-                 "counit", "grouplike", "_powers", "_rights", "_concats", "_coproducts")
+    __slots__ = ("coproduct", "counit", "grouplike", "_coproducts")
 
     def __init__(self, base: FinDimAlgebra, carrier_dim: int, left_mats,
                  right_mats, coproduct: Matrix, counit: Matrix, grouplike,
                  powers=None):
-        self.base = base
-        self.carrier_dim = int(carrier_dim)
-        self.left_mats = list(left_mats)
-        self.right_mats = list(right_mats)
+        super().__init__(base, carrier_dim, left_mats, right_mats, powers)
         self.coproduct = coproduct
         self.counit = counit
         self.grouplike = np.asarray(grouplike, dtype=np.int64) % base.p
-        self._powers = dict(powers) if powers else {}
-        self._rights = {}
-        self._concats = {}
         self._coproducts = {}
         failures = self._axiom_failures()
         if failures:
             raise AxiomError("coring axioms violated: " + "; ".join(failures))
-
-    @property
-    def p(self) -> int:
-        return self.base.p
 
     def left_action(self, coords) -> Matrix:
         """Carrier matrix of the base element with the given coordinates."""
@@ -94,77 +84,6 @@ class CoringWithGrouplike:
         stack = np.stack([m.a for m in mats]).reshape(len(mats), c * c)
         return Matrix(self.p, mul_mod(coords, stack, self.p).reshape(c, c))
 
-    # -- tensor powers and the maps between them, all cached ---------------
-
-    def power(self, n: int) -> QuotientSpace:
-        """The carrier's n-fold tensor power over the base.
-
-        power(n) is power(n-1) ⊗_R carrier: a quotient of the plain
-        product whose index is x * carrier_dim + v, for x a power(n-1)
-        coordinate and v a carrier coordinate.
-        """
-        if n < 1:
-            raise ValueError("coring tensor powers start at n = 1")
-        q = self._powers.get(n)
-        if q is None:
-            if n == 1:
-                q = trivial_quotient(self.p, self.carrier_dim)
-            else:
-                # algebra generators of the base balance as much as its
-                # basis does: the relation of a product a·b is the sum of
-                # ((x·a)·b) ⊗ v − (x·a) ⊗ (b·v) and (x·a) ⊗ (b·v) − x ⊗ (a·(b·v))
-                gens = generating_indices(self.base)
-                rights = self.right_on(n - 1)
-                q = balanced_pair(self.p, self.power(n - 1).dim, self.carrier_dim,
-                                  [rights[j].a for j in gens],
-                                  [self.left_mats[j].a for j in gens])
-            self._powers[n] = q
-        return q
-
-    def right_on(self, n: int) -> list[Matrix]:
-        """x -> x·b on power(n), one matrix per base basis element: the
-        right action on the last factor, id ⊗ right_mats[b], descended."""
-        mats = self._rights.get(n)
-        if mats is None:
-            if n == 1:
-                mats = self.right_mats
-            else:
-                # projection @ kron(I, m), without forming the kron
-                q = self.power(n)
-                proj = q.projection.a.reshape(-1, self.carrier_dim)
-                mats = [Matrix(self.p, descend(q, mul_mod(proj, m.a, self.p).reshape(q.dim, -1)))
-                        for m in self.right_mats]
-            self._rights[n] = mats
-        return mats
-
-    def concat(self, m: int, n: int) -> Matrix:
-        """The product x ⊗ y of power(m) and power(n) in power(m+n).
-
-        A matrix on the plain product, index x * dim(n) + y.  Degree 0 is
-        the base: it acts through the left or right action, and two
-        degree-0 factors multiply in the base.
-        """
-        key = (m, n)
-        prod = self._concats.get(key)
-        if prod is None:
-            p = self.p
-            if n == 0 and m == 0:
-                prod = self.base.mult
-            elif n == 0:
-                # column x * base_dim + j: basis element j acting on x
-                stack = np.stack([mat.a for mat in self.right_on(m)])
-                prod = Matrix(p, stack.transpose(1, 2, 0).reshape(stack.shape[1], -1))
-            elif n == 1 and m == 0:
-                prod = Matrix(p, np.hstack([mat.a for mat in self.left_mats]))
-            elif n == 1:
-                # power(m+1) is a quotient of exactly this plain product
-                prod = self.power(m + 1).projection
-            else:
-                lead = self.base.dim if m == 0 else self.power(m).dim
-                prod = self._then_identity(self.concat(m, n - 1), n, m + n, lead)
-            self._concats[key] = prod
-        return prod
-
     def coproducts(self, n: int) -> list[Matrix]:
         """The coproduct applied in slot i = 1..n of power(n), each a map
         power(n) -> power(n+1)."""
@@ -174,31 +93,13 @@ class CoringWithGrouplike:
                 maps = [self.coproduct]
             else:
                 # slots before the last act as (the map on power(n-1)) ⊗ id
-                maps = [self._then_identity(m, n, n + 1) for m in self.coproducts(n - 1)]
+                maps = [self.then_identity(m, n, n + 1) for m in self.coproducts(n - 1)]
                 # the last slot: x ⊗ v -> x ⊗ coproduct(v), concatenated
                 eye = np.eye(self.power(n - 1).dim, dtype=np.int64)
                 last = mul_mod(self.concat(n - 1, 2).a, np.kron(eye, self.coproduct.a), self.p)
                 maps.append(Matrix(self.p, descend(self.power(n), last)))
             self._coproducts[n] = maps
         return maps
-
-    def _then_identity(self, phi: Matrix, n: int, k: int, lead: int = 1) -> Matrix:
-        """phi ⊗ id_carrier, descended to ``lead`` ⊗ power(n) -> power(k).
-
-        phi maps the plain product of ``lead`` coordinates with power(n-1)
-        into power(k-1).  Each of the ``lead`` slices must kill the
-        relations of power(n); one ``descend`` checks them all.
-        """
-        p, c = self.p, self.carrier_dim
-        src, dst = self.power(n), self.power(k)
-        d_in, d_out = self.power(n - 1).dim, self.power(k - 1).dim
-        # dst.projection @ kron(phi slice x, I_c), for every x at once
-        proj = dst.projection.a.reshape(dst.dim, d_out, c).transpose(0, 2, 1)
-        b = mul_mod(proj.reshape(-1, d_out), phi.a, p)
-        b = b.reshape(dst.dim, c, lead, d_in).transpose(2, 0, 3, 1)
-        out = descend(src, b.reshape(lead * dst.dim, d_in * c))
-        out = out.reshape(lead, dst.dim, src.dim).transpose(1, 0, 2)
-        return Matrix(p, out.reshape(dst.dim, lead * src.dim))
 
     # -- construction-time verification ------------------------------------
 
@@ -240,14 +141,13 @@ class CoringWithGrouplike:
             # only cascade
             return fails
 
-        eye_c = np.eye(c, dtype=np.int64)
         eps = self.counit.a
         try:
-            rights = self.right_on(2)
+            lefts, rights = self.concat(0, 2).a, self.right_on(2)
             for j in range(db):
                 e_j = np.zeros(db, dtype=np.int64)
                 e_j[j] = 1
-                lq = induced_map(sq, sq, Matrix(p, np.kron(self.left_mats[j].a, eye_c)))
+                lq = Matrix(p, lefts[:, j * sq.dim:(j + 1) * sq.dim])
                 if self.coproduct @ self.left_mats[j] != lq @ self.coproduct:
                     fails.append(f"coproduct is not left-linear over the base (index {j})")
                 if self.coproduct @ self.right_mats[j] != rights[j] @ self.coproduct:
@@ -408,14 +308,17 @@ def sweedler_coring(e: Extension) -> CoringWithGrouplike:
     t2 = build_power(e, 2)
     q = t2.space
     eye_d = np.eye(d, dtype=np.int64)
-    left_mats = [outer_left_action(e, t2, eye_d[j]) for j in range(d)]
-    right_mats = [outer_right_action(e, t2, eye_d[j]) for j in range(d)]
+    # A acts on the first factor as its multiplication ⊗ id, and on the
+    # last factor alone
+    lefts = t2.tower.then_identity(a.mult, 2, 2, d).a
+    left_mats = [Matrix(p, lefts[:, j * q.dim:(j + 1) * q.dim]) for j in range(d)]
+    right_mats = t2.tower.on_last(2, [a.right_mul(x) for x in eye_d])
     sq = balanced_pair(p, q.dim, q.dim, [m.a for m in right_mats], [m.a for m in left_mats])
     into_left = mul_mod(q.projection.a, np.kron(eye_d, a.unit.reshape(d, 1)), p)
     into_right = mul_mod(q.projection.a, np.kron(a.unit.reshape(d, 1), eye_d), p)
     coproduct = induced_map(q, sq, Matrix(p, np.kron(into_left, into_right)))
     counit = mult_at(t2, build_power(e, 1), 1)
-    grouplike = embed_pure(t2, [a.unit, a.unit])
+    grouplike = q.project(np.kron(a.unit, a.unit))
     return CoringWithGrouplike(a, q.dim, left_mats, right_mats, coproduct,
                                counit, grouplike, powers={2: sq})
 

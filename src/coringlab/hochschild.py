@@ -1,16 +1,16 @@
 """The relative Hochschild cochain complex of an extension, as a DGA.
 
 Degree 0 is the centralizer R; degree n >= 1 is the bimodule hom space
-on the n-fold relative tensor power.  The coboundary alternates the
-outer module actions with the slotwise multiplications:
+on A^(⊗_B n), power n of the extension's tensor tower.  The cup product
+concatenates arguments: mult·kron(f, g) on the plain product of power(m)
+and power(n), descended through the tower's concatenation onto
+power(m+n); degree-0 elements act through left/right multiplication on
+values.  With iota the identity 1-cochain and mu_i the slot
+multiplication ``tensors.mult_at``, the coboundary is
 
-    (delta f)(a1 ... a_{n+1}) = a1 f(a2 ... a_{n+1})
-        + sum_i (-1)^i f(... a_i a_{i+1} ...)
-        + (-1)^{n+1} f(a1 ... a_n) a_{n+1}
+    delta f = iota ∪ f + sum_i (-1)^i f∘mu_i + (-1)^{n+1} f ∪ iota,
 
-and delta^0 sends r to left-mult-by-r minus right-mult-by-r.  The cup
-product concatenates arguments: value = f(first m factors) * g(rest);
-degree-0 elements act through left/right multiplication on values.
+and delta^0 sends r to right-mult-by-r minus left-mult-by-r.
 
 A complex built to max_degree N stores spaces for degrees 0..N and the
 coboundaries delta^0..delta^{N-1}; cohomology is therefore certified
@@ -25,9 +25,10 @@ from .algebras import Extension, centralizer
 from .dga import DGA, Element
 # this complex's cohomology and law check are the shared ones
 from .dga import cohomology_dims, verify_dga as verify_hochschild_dga
-from .linalg import Matrix, induced_map, mul_mod, trivial_quotient
+from .errors import NotWellDefinedError
+from .linalg import Matrix, mul_mod
 from .homspaces import build_hom
-from .tensors import build_power, mult_at
+from .tensors import RelativeTensorPower, extension_tower, mult_at
 
 DEFAULT_DEGREE = 3
 HARD_DEGREE_CAP = 4
@@ -36,7 +37,7 @@ HARD_DEGREE_CAP = 4
 class CochainComplex(DGA):
     """Cochain spaces C^0..C^N and coboundaries delta^0..delta^{N-1}."""
 
-    __slots__ = ("extension", "r_space", "powers", "homs", "_a_quot")
+    __slots__ = ("extension", "r_space", "tower", "powers", "homs")
     symbol = "delta"
     title = "hochschild-dga"
 
@@ -46,8 +47,8 @@ class CochainComplex(DGA):
         self.extension = extension
         self.r_space = r_space          # Subspace of A: degree-0 coordinates
         self.powers = powers            # {n: RelativeTensorPower}, n = 1..N
+        self.tower = powers[1].tower    # the one tower all powers come from
         self.homs = homs                # {n: BimoduleHomSpace}, n = 1..N
-        self._a_quot = trivial_quotient(extension.p, extension.ambient.dim)
 
     def product(self, f: Element, g: Element) -> Element:
         return cup(self, f, g)
@@ -58,23 +59,19 @@ class CochainComplex(DGA):
         return mul_mod(coords, self.r_space.rows, self.p)[0]
 
 
-def _hom_matrix_ambient(c: CochainComplex, n: int, mat: Matrix) -> np.ndarray:
-    """A hom element as a map on the plain (ambient) tensor power."""
-    return mul_mod(mat.a, c.powers[n].space.projection.a, c.p)
+def _cup_matrix(c: CochainComplex, m: int, n: int, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The hom matrix of f ∪ g for hom matrices of degrees m, n >= 1.
 
-
-def _outer_left(c: CochainComplex, n_src: int, f_amb: np.ndarray) -> Matrix:
-    """x1 ... x_{n+1} -> x1 * f(x2 ... x_{n+1}), descended to the quotient."""
-    a = c.extension.ambient
-    amb = mul_mod(a.mult.a, np.kron(np.eye(a.dim, dtype=np.int64), f_amb), c.p)
-    return induced_map(c.powers[n_src].space, c._a_quot, Matrix(c.p, amb))
-
-
-def _outer_right(c: CochainComplex, n_src: int, f_amb: np.ndarray) -> Matrix:
-    """x1 ... x_{n+1} -> f(x1 ... x_n) * x_{n+1}, descended to the quotient."""
-    a = c.extension.ambient
-    amb = mul_mod(a.mult.a, np.kron(f_amb, np.eye(a.dim, dtype=np.int64)), c.p)
-    return induced_map(c.powers[n_src].space, c._a_quot, Matrix(c.p, amb))
+    mult·kron(f, g) on the plain product of power(m) and power(n) is
+    pushed through a section of concat(m, n); it descends exactly when
+    the result composed with concat(m, n) gives it back.
+    """
+    p = c.p
+    plain = mul_mod(c.extension.ambient.mult.a, np.kron(f, g) % p, p)
+    h = mul_mod(plain, c.tower.concat_section(m, n).a, p)
+    if not np.array_equal(mul_mod(h, c.tower.concat(m, n).a, p), plain):
+        raise NotWellDefinedError(f"the cup product of degrees {m} and {n} does not descend")
+    return h
 
 
 def build_complex(e: Extension, max_degree: int = DEFAULT_DEGREE) -> CochainComplex:
@@ -84,8 +81,10 @@ def build_complex(e: Extension, max_degree: int = DEFAULT_DEGREE) -> CochainComp
     p = a.p
     r_space = centralizer(e)
     # top power first: it is the largest, so an oversized request fails
-    # its size check before any other power is built
-    powers = {n: build_power(e, n, max_n=max_degree) for n in range(max_degree, 0, -1)}
+    # its size check before any hom space is solved
+    tower = extension_tower(e)
+    tower.power(max_degree)
+    powers = {n: RelativeTensorPower(e, tower, n) for n in range(1, max_degree + 1)}
     homs = {n: build_hom(e, powers[n]) for n in range(1, max_degree + 1)}
     c = CochainComplex(e, max_degree, r_space, powers, homs, [])
 
@@ -98,27 +97,23 @@ def build_complex(e: Extension, max_degree: int = DEFAULT_DEGREE) -> CochainComp
     for r in r_space.rows:
         mat = a.right_mul(r) - a.left_mul(r)
         cols.append(s1.coords_of(mat))
-    d0 = (
-        np.stack(cols, axis=1)
-        if cols
-        else np.zeros((s1.dim, 0), dtype=np.int64)
-    )
+    d0 = np.stack(cols, axis=1) if cols else np.zeros((s1.dim, 0), dtype=np.int64)
     c.d.append(Matrix(p, d0.reshape(s1.dim, r_space.dim)))
 
+    iota = np.eye(a.dim, dtype=np.int64)
     for n in range(1, max_degree):
         src = homs[n]
         dst = homs[n + 1]
-        mults = [mult_at(powers[n + 1], powers[n], i) for i in range(1, n + 1)]
+        mults = [mult_at(powers[n + 1], powers[n], i).a for i in range(1, n + 1)]
+        outer_sign = 1 if n % 2 else p - 1
         cols = []
         for mat in src.basis:
-            f_amb = _hom_matrix_ambient(c, n, mat)
-            total = _outer_left(c, n + 1, f_amb).a.copy()
-            sign = 1
-            for i in range(1, n + 1):
-                sign = -sign
-                total = (total + sign * mul_mod(mat.a, mults[i - 1].a, p)) % p
-            sign = -sign
-            total = (total + sign * _outer_right(c, n + 1, f_amb).a) % p
+            f = mat.a
+            total = (_cup_matrix(c, 1, n, iota, f)
+                     + outer_sign * _cup_matrix(c, n, 1, f, iota)) % p
+            for i, mu in enumerate(mults, start=1):
+                sign = p - 1 if i % 2 else 1
+                total = (total + sign * mul_mod(f, mu, p)) % p
             cols.append(dst.coords_of(Matrix(p, total)))
         dn = np.stack(cols, axis=1) if cols else np.zeros((dst.dim, 0), dtype=np.int64)
         c.d.append(Matrix(p, dn.reshape(dst.dim, src.dim)))
@@ -146,8 +141,5 @@ def cup(c: CochainComplex, f: Element, g: Element) -> Element:
         rho = a.right_mul(c.r_vector(g.coords))
         mat = rho @ c.homs[m].matrix_of(f.coords)
         return Element(m, c.homs[m].coords_of(mat))
-    f_amb = _hom_matrix_ambient(c, m, c.homs[m].matrix_of(f.coords))
-    g_amb = _hom_matrix_ambient(c, n, c.homs[n].matrix_of(g.coords))
-    amb = mul_mod(a.mult.a, np.kron(f_amb, g_amb) % p, p)
-    descended = induced_map(c.powers[m + n].space, c._a_quot, Matrix(p, amb))
-    return Element(m + n, c.homs[m + n].coords_of(descended))
+    h = _cup_matrix(c, m, n, c.homs[m].matrix_of(f.coords).a, c.homs[n].matrix_of(g.coords).a)
+    return Element(m + n, c.homs[m + n].coords_of(Matrix(p, h)))

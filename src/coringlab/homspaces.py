@@ -1,20 +1,22 @@
 """Spaces of B-bimodule maps A^(⊗_B n) -> A with canonical bases.
 
 A hom element is a matrix from quotient coordinates of the tensor power
-to A.  The space is cut out by two families of intertwining constraints
-(left B-action on the first slot, right B-action on the last), solved
-once into a kernel-canonical basis: basis element t has a 1 in the t-th
-free coordinate of the flattened matrix, so re-expressing a member is a
-single gather plus one verification product.
+to A.  The space is cut out by two families of intertwining constraints,
+one per algebra generator of B: its left action on the first factor
+(the tower's ``concat(0, n)``) and its right action on the last
+(``right_on(n)``).  They are solved once into a kernel-canonical
+basis: basis element t has a 1 in the t-th free coordinate of the
+flattened matrix, so re-expressing a member is a single gather plus one
+verification product.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebras import Extension
+from .algebras import Extension, generating_indices
 from .errors import ElementNotInSpaceError
-from .linalg import Matrix, induced_map, kernel_rows_with_free, member_coords, mul_mod
+from .linalg import Matrix, kernel_rows_with_free, member_coords, mul_mod
 from .tensors import RelativeTensorPower
 
 
@@ -63,32 +65,21 @@ class BimoduleHomSpace:
         return f"BimoduleHomSpace(n={self.source.n}, dim={self.dim})"
 
 
-def outer_left_action(e: Extension, t: RelativeTensorPower, x) -> Matrix:
-    """Quotient matrix of v1 ⊗ ... -> (x·v1) ⊗ ... for x in A."""
-    a = e.ambient
-    amb = np.kron(a.left_mul(x).a, np.eye(a.dim ** (t.n - 1), dtype=np.int64))
-    return induced_map(t.space, t.space, Matrix(a.p, amb))
-
-
-def outer_right_action(e: Extension, t: RelativeTensorPower, x) -> Matrix:
-    """Quotient matrix of ... ⊗ vn -> ... ⊗ (vn·x) for x in A."""
-    a = e.ambient
-    amb = np.kron(np.eye(a.dim ** (t.n - 1), dtype=np.int64), a.right_mul(x).a)
-    return induced_map(t.space, t.space, Matrix(a.p, amb))
-
-
 def build_hom(e: Extension, t: RelativeTensorPower) -> BimoduleHomSpace:
     """Solve the intertwining constraints for Hom_{B-B}(power, A)."""
     a = e.ambient
     p, d_a, q = a.p, a.dim, t.dim
+    tower = t.tower
     eye_a = np.eye(d_a, dtype=np.int64)
     eye_q = np.eye(q, dtype=np.int64)
+    # B on the first factor is concat(0, n), on the last right_on(n);
+    # algebra generators of B constrain as much as its basis does
+    lefts, rights = tower.concat(0, t.n).a, tower.right_on(t.n)
     blocks = []
-    for b in e.sub_images():
-        lq = outer_left_action(e, t, b).a
-        rq = outer_right_action(e, t, b).a
-        bl = (np.kron(a.left_mul(b).a, eye_q) - np.kron(eye_a, lq.T)) % p
-        br = (np.kron(a.right_mul(b).a, eye_q) - np.kron(eye_a, rq.T)) % p
+    for j in generating_indices(e.sub):
+        lq = lefts[:, j * q:(j + 1) * q]
+        bl = (np.kron(tower.left_mats[j].a, eye_q) - np.kron(eye_a, lq.T)) % p
+        br = (np.kron(tower.right_mats[j].a, eye_q) - np.kron(eye_a, rights[j].a.T)) % p
         if bl.any():
             blocks.append(bl)
         if br.any():

@@ -7,7 +7,8 @@ coordinates outright, so the maps are identities; from degree 2 on the
 matrix is assembled column by column as f_{n-1}(x) ∪ f_1(v) over the
 plain product power(n-1) x carrier that the coring's power(n) is a
 quotient of, checked against the balancing relations, and pushed
-through the quotient section.
+through the quotient section.  All degrees are built in one sweep, each
+from the one below.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ class IsoWitness:
         return self.report.ok
 
 
-def build_fn(e: Extension, ac: AmitsurComplex, cc: CochainComplex, n: int) -> Matrix:
-    """Matrix of the degree-n comparison map in quotient coordinates.
+def build_fn(e: Extension, ac: AmitsurComplex, cc: CochainComplex, n: int) -> list[Matrix]:
+    """Matrices f_0 .. f_n of the comparison maps in quotient coordinates,
+    built in one sweep.
 
     Degrees 0 and 1 share coordinates outright.  Above them the map is
     the iterated cup product of 1-cochains, built one factor at a time:
@@ -55,15 +57,13 @@ def build_fn(e: Extension, ac: AmitsurComplex, cc: CochainComplex, n: int) -> Ma
     p = e.ambient.p
     if not 0 <= n <= min(ac.max_degree, cc.max_degree):
         raise ValueError(f"degree {n} outside the built range")
-    if n == 0:
-        return Matrix.identity(p, ac.dim(0))
-    f = Matrix.identity(p, ac.dim(1))
+    f = [Matrix.identity(p, ac.dim(0)), Matrix.identity(p, ac.dim(1))][:n + 1]
     units = np.eye(ac.dim(1), dtype=np.int64)
     for k in range(2, n + 1):
         cols = [cup(cc, Element(k - 1, x), Element(1, v)).coords
-                for x in f.a.T for v in units]
-        f = induced_map(ac.spaces[k], trivial_quotient(p, cc.dim(k)),
-                        Matrix(p, np.stack(cols, axis=1)))
+                for x in f[-1].a.T for v in units]
+        f.append(induced_map(ac.spaces[k], trivial_quotient(p, cc.dim(k)),
+                             Matrix(p, np.stack(cols, axis=1))))
     return f
 
 
@@ -81,7 +81,7 @@ def verify_main_theorem(e: Extension, max_degree: int = 3, trials: int = 50,
     cc = build_complex(e, max_degree)
     rep = Report("main-theorem")
 
-    f = [build_fn(e, ac, cc, n) for n in range(max_degree + 1)]
+    f = build_fn(e, ac, cc, max_degree)
     bijective = []
     for n, fn in enumerate(f):
         rank = rank_of(fn.a, e.p)

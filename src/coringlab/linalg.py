@@ -131,13 +131,6 @@ class RrefAccumulator:
         self.rows = np.zeros((0, ncols), dtype=np.int64)
         self.pivots: list[int] = []
 
-    def seed(self, rows: np.ndarray, pivots: Sequence[int]) -> None:
-        """Install rows already known to be an RREF sorted by pivot."""
-        if self.pivots or self.rows.shape[0]:
-            raise ValueError("seed requires an empty accumulator")
-        self.rows = np.ascontiguousarray(rows, dtype=np.int64) % self.p
-        self.pivots = [int(c) for c in pivots]
-
     def add(self, block) -> None:
         block = np.atleast_2d(np.asarray(block, dtype=np.int64)) % self.p
         if block.shape[0] == 0:

@@ -1,22 +1,17 @@
-"""Iterated tensor powers over a subring, as explicit quotient spaces.
+"""Tensor powers over a subring, grown one factor at a time.
 
-A product V ⊗_R W of two spaces the base R acts on (from the right on V,
-from the left on W) is the plain product GF(p)^(dim V * dim W), index
-v * dim W + w, modulo the balancing relations (v·b) ⊗ w − v ⊗ (b·w).
-``balanced_pair`` builds that quotient in one row reduction; the coring
-powers C ⊗_R ... ⊗_R C are grown from it one factor at a time, as
-power(n-1) ⊗_R C (see ``corings``).
-
-A ⊗_B ... ⊗_B A is built by ``balanced_power`` instead, as the plain
-power GF(p)^(dim^n) modulo the span of every one-slot balancing
-relation.  That span is assembled slot by slot.  The slot-1 block
-kron(L2, I) of a reduced pairwise span L2 is itself already a reduced
-echelon basis with predictable pivots, so it seeds the accumulator
-without any elimination; only the later slots pay for row reduction.
-
-Both builders estimate the entries of their largest dense relation
-matrix before allocating it and raise SizeLimitError above
-``RELATION_ENTRY_BUDGET``.
+V ⊗_R W is the plain product GF(p)^(dim V * dim W), index v * dim W + w,
+modulo the balancing relations (v·b) ⊗ w − v ⊗ (b·w); ``balanced_pair``
+builds it in one row reduction.  ``TensorTower`` grows the powers of a
+carrier C from it, power(n) = power(n-1) ⊗_R C, so no power is built in
+the dense dim**n ambient; every structure map on power(n) is a map on
+power(n-1) tensored with the identity of the last factor, or acts on
+the last factor alone, descended through the well-definedness check.
+A coring's S ⊗_R ... ⊗_R S and an extension's A ⊗_B ... ⊗_B A
+(``build_power``, B acting by multiplication) are both towers.
+``balanced_power`` is the dense reference the tests check them against.
+Every build estimates its largest dense matrix first and raises
+SizeLimitError above ``RELATION_ENTRY_BUDGET``.
 """
 
 from __future__ import annotations
@@ -24,13 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SizeLimitError
-from .algebras import Extension
+from .algebras import Extension, FinDimAlgebra, generating_indices
 from .linalg import (
     Matrix,
     QuotientSpace,
-    RrefAccumulator,
     Subspace,
-    induced_map,
+    descend,
+    mul_mod,
     quotient_of,
     rref_rows,
     trivial_quotient,
@@ -38,26 +33,28 @@ from .linalg import (
 
 DEFAULT_MAX_POWER = 4
 
-# Entries of the largest dense relation matrix a build may hold: 0.8 GB
-# as int64.  A ⊗_B A ⊗_B A of the 19-dim incidence algebra of the filled
-# triangle (ambient 19**3, about 4.7e7 entries) is the largest build in
-# use; its fourth power (about 1.7e10) is refused.
+# Entries of the largest dense matrix a build may hold: 0.8 GB as int64.
+# The largest tower step in use is the fourth power of the filled
+# triangle's 19-dim incidence algebra over its 6 generating vertex
+# idempotents (ambient 61 * 19, about 8.1e6 entries, gs-compare
+# --max-degree 3); the fourth power of an 11-dim algebra over the ground
+# field (ambient 11**4, about 2.1e8) is refused.
 RELATION_ENTRY_BUDGET = 10**8
 
 
-def relation_entries(pair_ambient: int, n_base: int, ambient: int) -> int:
-    """Entries of the largest dense relation matrix of a power build.
+def relation_entries(n_blocks: int, ambient: int) -> int:
+    """Entries of the largest dense matrix of a power build.
 
-    The pairwise generators are ``n_base`` blocks of ``pair_ambient``
-    rows, each ``pair_ambient`` wide; the reduced relation span in the
-    full ambient has at most ``ambient`` rows of ``ambient`` entries.
+    The generators are ``n_blocks`` blocks of ``ambient`` rows, each
+    ``ambient`` wide; with no generators the projection and section of
+    the quotient, at most ``ambient`` square, are the largest.
     """
-    return max(n_base * pair_ambient * pair_ambient, ambient * ambient)
+    return max(n_blocks, 1) * ambient * ambient
 
 
-def _check_relation_budget(pair_ambient: int, n_base: int, ambient: int) -> None:
+def _check_relation_budget(n_blocks: int, ambient: int) -> None:
     """Raise SizeLimitError before a relation build above the budget."""
-    entries = relation_entries(pair_ambient, n_base, ambient)
+    entries = relation_entries(n_blocks, ambient)
     if entries > RELATION_ENTRY_BUDGET:
         raise SizeLimitError(
             f"a tensor power with ambient dimension {ambient} needs a dense "
@@ -94,58 +91,196 @@ def balanced_pair(p: int, dim_left: int, dim_right: int, rights, lefts) -> Quoti
     algebra (a basis does).
     """
     ambient = dim_left * dim_right
-    _check_relation_budget(ambient, len(rights), ambient)
+    _check_relation_budget(len(rights), ambient)
     rows, piv = rref_rows(pair_relation_rows(p, dim_left, dim_right, rights, lefts), p)
     return quotient_of(ambient, Subspace(p, ambient, rows, piv))
 
 
 def balanced_power(p: int, dim: int, rights, lefts, n: int) -> QuotientSpace:
-    """The n-fold power of a carrier over its base actions, as a quotient
-    of the dense ambient GF(p)^(dim^n).
-
-    rights/lefts are the per-base-basis action matrices on the carrier
-    (dim x dim).  n = 1 gives the carrier itself with no relations.
-    """
+    """The n-fold power of a carrier as a quotient of the dense ambient
+    GF(p)^(dim^n) by every slot's pair relations, reduced at once: the
+    reference for the towers.  rights/lefts are the per-base-basis action
+    matrices on the carrier; n = 1 gives the carrier itself."""
     ambient = dim**n
-    if n == 1:
-        return trivial_quotient(p, ambient)
-    _check_relation_budget(dim * dim, len(rights), ambient)
-    l2 = pair_relation_rows(p, dim, dim, rights, lefts)
-    l2_rows, l2_piv = rref_rows(l2, p)
-    r2 = l2_rows.shape[0]
-    if r2 == 0:
-        return trivial_quotient(p, ambient)
-    acc = RrefAccumulator(ambient, p)
-    post = dim ** (n - 2)
-    if post == 1:
-        acc.seed(l2_rows, l2_piv)
-    else:
-        seed = np.kron(l2_rows, np.eye(post, dtype=np.int64))
-        seed_piv = [pv * post + t for pv in l2_piv for t in range(post)]
-        acc.seed(seed, seed_piv)
-    for slot in range(2, n):
-        pre = dim ** (slot - 1)
-        post_i = dim ** (n - slot - 1)
-        w = l2_rows if post_i == 1 else np.kron(l2_rows, np.eye(post_i, dtype=np.int64))
-        width = dim * dim * post_i
-        for a in range(pre):
-            block = np.zeros((w.shape[0], ambient), dtype=np.int64)
-            block[:, a * width : (a + 1) * width] = w
-            acc.add(block)
-    rel_rows, rel_piv = acc.result()
-    relations = Subspace(p, ambient, rel_rows, rel_piv)
-    return quotient_of(ambient, relations)
+    _check_relation_budget((n - 1) * len(rights), ambient)
+    core = pair_relation_rows(p, dim, dim, rights, lefts)
+    gens = [np.kron(np.kron(np.eye(dim ** (slot - 1), dtype=np.int64), core),
+                    np.eye(dim ** (n - slot - 1), dtype=np.int64))
+            for slot in range(1, n)]
+    rows, piv = rref_rows(np.vstack([np.zeros((0, ambient), dtype=np.int64)] + gens), p)
+    return quotient_of(ambient, Subspace(p, ambient, rows, piv))
+
+
+def _side_by_side(mats) -> np.ndarray:
+    """The matrix on the plain product whose column x * len(mats) + j is
+    column x of mats[j]: the j-th basis element of a factor acting on x."""
+    stack = np.stack([m.a for m in mats])
+    return stack.transpose(1, 2, 0).reshape(stack.shape[1], -1)
+
+
+class TensorTower:
+    """The powers of a carrier over a base that acts on it from both
+    sides, and the maps between them, all cached.
+
+    ``left_mats[j]`` / ``right_mats[j]`` are the carrier matrices of the
+    j-th base basis element acting on the left / right.
+    """
+
+    __slots__ = ("base", "carrier_dim", "left_mats", "right_mats", "_powers", "_rights",
+                 "_concats", "_sections")
+
+    def __init__(self, base: FinDimAlgebra, carrier_dim: int, left_mats, right_mats,
+                 powers=None):
+        self.base = base
+        self.carrier_dim = int(carrier_dim)
+        self.left_mats = list(left_mats)
+        self.right_mats = list(right_mats)
+        self._powers = dict(powers) if powers else {}
+        self._rights = {}
+        self._concats = {}
+        self._sections = {}
+
+    @property
+    def p(self) -> int:
+        return self.base.p
+
+    def power(self, n: int) -> QuotientSpace:
+        """The carrier's n-fold tensor power over the base.
+
+        power(n) is power(n-1) ⊗_R carrier: a quotient of the plain
+        product whose index is x * carrier_dim + v, for x a power(n-1)
+        coordinate and v a carrier coordinate.
+        """
+        if n < 1:
+            raise ValueError("tensor powers start at n = 1")
+        q = self._powers.get(n)
+        if q is None:
+            if n == 1:
+                q = trivial_quotient(self.p, self.carrier_dim)
+            else:
+                # algebra generators of the base balance as much as its
+                # basis does: the relation of a product a·b is the sum of
+                # ((x·a)·b) ⊗ v − (x·a) ⊗ (b·v) and (x·a) ⊗ (b·v) − x ⊗ (a·(b·v))
+                gens = generating_indices(self.base)
+                rights = self.right_on(n - 1)
+                q = balanced_pair(self.p, self.power(n - 1).dim, self.carrier_dim,
+                                  [rights[j].a for j in gens],
+                                  [self.left_mats[j].a for j in gens])
+            self._powers[n] = q
+        return q
+
+    def on_last(self, n: int, mats) -> list[Matrix]:
+        """x ⊗ v -> x ⊗ m(v) on power(n), for each carrier matrix m: the
+        map id ⊗ m, descended; m must commute with the base's left action."""
+        if n == 1:
+            return list(mats)
+        # projection @ kron(I, m), without forming the kron
+        q = self.power(n)
+        proj = q.projection.a.reshape(-1, self.carrier_dim)
+        return [Matrix(self.p, descend(q, mul_mod(proj, m.a, self.p).reshape(q.dim, -1)))
+                for m in mats]
+
+    def right_on(self, n: int) -> list[Matrix]:
+        """x -> x·b on power(n), one matrix per base basis element."""
+        mats = self._rights.get(n)
+        if mats is None:
+            mats = self._rights[n] = self.on_last(n, self.right_mats)
+        return mats
+
+    def concat(self, m: int, n: int) -> Matrix:
+        """The product x ⊗ y of power(m) and power(n) in power(m+n).
+
+        A matrix on the plain product, index x * dim(n) + y.  Degree 0 is
+        the base: it acts through the left or right action, and two
+        degree-0 factors multiply in the base.
+        """
+        key = (m, n)
+        prod = self._concats.get(key)
+        if prod is None:
+            p = self.p
+            if n == 0 and m == 0:
+                prod = self.base.mult
+            elif n == 0:
+                prod = Matrix(p, _side_by_side(self.right_on(m)))
+            elif n == 1 and m == 0:
+                prod = Matrix(p, np.hstack([mat.a for mat in self.left_mats]))
+            elif n == 1:
+                # power(m+1) is a quotient of exactly this plain product
+                prod = self.power(m + 1).projection
+            else:
+                lead = self.base.dim if m == 0 else self.power(m).dim
+                prod = self.then_identity(self.concat(m, n - 1), n, m + n, lead)
+            self._concats[key] = prod
+        return prod
+
+    def concat_section(self, m: int, n: int) -> Matrix:
+        """A section of concat(m, n) for m, n >= 1, built from the powers'
+        own sections: power(m+n) lifts z to w ⊗ v with w in
+        power(m+n-1), the section one power down lifts w to the plain
+        product of power(m) and power(n-1), and v joins the second part
+        in power(n)."""
+        key = (m, n)
+        sec = self._sections.get(key)
+        if sec is None:
+            p, c = self.p, self.carrier_dim
+            q = self.power(m + n)
+            if n == 1:
+                sec = q.section
+            else:
+                d_m, d_n, d_prev = self.power(m).dim, self.power(n).dim, self.power(n - 1).dim
+                w, v = divmod(np.asarray(q.free, dtype=np.int64), c)
+                lifted = self.concat_section(m, n - 1).a[:, w].reshape(d_m, d_prev, q.dim)
+                proj = self.power(n).projection.a.reshape(d_n, d_prev, c)
+                out = np.zeros((d_m, d_n, q.dim), dtype=np.int64)
+                for t in range(c):
+                    cols = np.flatnonzero(v == t)
+                    block = lifted[:, :, cols].transpose(0, 2, 1).reshape(-1, d_prev)
+                    joined = mul_mod(block, proj[:, :, t].T, p)
+                    out[:, :, cols] = joined.reshape(d_m, cols.size, d_n).transpose(0, 2, 1)
+                sec = Matrix(p, out.reshape(d_m * d_n, q.dim))
+            self._sections[key] = sec
+        return sec
+
+    def then_identity(self, phi: Matrix, n: int, k: int, lead: int = 1) -> Matrix:
+        """phi ⊗ id_carrier, descended to ``lead`` ⊗ power(n) -> power(k).
+
+        phi maps the plain product of ``lead`` coordinates with power(n-1)
+        into power(k-1).  Each of the ``lead`` slices must kill the
+        relations of power(n); one ``descend`` checks them all.
+        """
+        p, c = self.p, self.carrier_dim
+        src, dst = self.power(n), self.power(k)
+        d_in, d_out = self.power(n - 1).dim, self.power(k - 1).dim
+        # dst.projection @ kron(phi slice x, I_c), for every x at once
+        proj = dst.projection.a.reshape(dst.dim, d_out, c).transpose(0, 2, 1)
+        b = mul_mod(proj.reshape(-1, d_out), phi.a, p)
+        b = b.reshape(dst.dim, c, lead, d_in).transpose(2, 0, 3, 1)
+        out = descend(src, b.reshape(lead * dst.dim, d_in * c))
+        out = out.reshape(lead, dst.dim, src.dim).transpose(1, 0, 2)
+        return Matrix(p, out.reshape(dst.dim, lead * src.dim))
+
+
+def extension_tower(e: Extension) -> TensorTower:
+    """The tower of A over B, with B acting by multiplication in A."""
+    a = e.ambient
+    subs = e.sub_images()
+    return TensorTower(e.sub, a.dim, [a.left_mul(b) for b in subs],
+                       [a.right_mul(b) for b in subs])
 
 
 class RelativeTensorPower:
-    """A ⊗_B ... ⊗_B A (n factors) over an extension."""
+    """A ⊗_B ... ⊗_B A (n factors): power n of an extension's tower."""
 
-    __slots__ = ("extension", "n", "space")
+    __slots__ = ("extension", "tower", "n")
 
-    def __init__(self, extension: Extension, n: int, space: QuotientSpace):
+    def __init__(self, extension: Extension, tower: TensorTower, n: int):
         self.extension = extension
+        self.tower = tower
         self.n = n
-        self.space = space
+
+    @property
+    def space(self) -> QuotientSpace:
+        return self.tower.power(self.n)
 
     @property
     def dim(self) -> int:
@@ -165,44 +300,28 @@ def build_power(e: Extension, n: int, max_n: int = DEFAULT_MAX_POWER) -> Relativ
         raise ValueError("tensor powers start at n = 1")
     if n > max_n:
         raise SizeLimitError(f"power {n} exceeds the configured maximum {max_n}")
-    a = e.ambient
-    rights = [a.right_mul(b).a for b in e.sub_images()]
-    lefts = [a.left_mul(b).a for b in e.sub_images()]
-    return RelativeTensorPower(e, n, balanced_power(a.p, a.dim, rights, lefts, n))
+    t = RelativeTensorPower(e, extension_tower(e), n)
+    t.tower.power(n)
+    return t
 
 
-def embed_pure(t: RelativeTensorPower, factors) -> np.ndarray:
-    """Quotient coordinates of f1 ⊗ f2 ⊗ ... ⊗ fn."""
-    if len(factors) != t.n:
-        raise ValueError(f"expected {t.n} factors, got {len(factors)}")
-    p = t.space.p
-    vec = np.asarray(factors[0], dtype=np.int64) % p
-    for f in factors[1:]:
-        vec = np.kron(vec, np.asarray(f, dtype=np.int64) % p) % p
-    return t.space.project(vec)
-
-
-def mult_at_ambient(e: Extension, n_src: int, i: int) -> np.ndarray:
-    """Ambient matrix multiplying slots i, i+1 of an n_src-fold plain power."""
-    a = e.ambient
-    d = a.dim
-    m = a.mult.a
-    pre = d ** (i - 1)
-    post = d ** (n_src - i - 1)
-    out = m
-    if pre > 1:
-        out = np.kron(np.eye(pre, dtype=np.int64), out)
-    if post > 1:
-        out = np.kron(out, np.eye(post, dtype=np.int64))
-    return out
+def _mult(tower: TensorTower, a: FinDimAlgebra, n: int, i: int) -> Matrix:
+    """Slots i, i+1 multiplied, power(n+1) -> power(n) of an extension tower."""
+    if i < n:
+        return tower.then_identity(_mult(tower, a, n - 1, i), n + 1, n)
+    # the last slot: y ⊗ x -> y·x, A acting on the last factor of power(n)
+    acts = tower.on_last(n, [a.right_mul(x) for x in np.eye(a.dim, dtype=np.int64)])
+    return Matrix(a.p, descend(tower.power(n + 1), _side_by_side(acts)))
 
 
 def mult_at(t_src: RelativeTensorPower, t_dst: RelativeTensorPower, i: int) -> Matrix:
     """The map multiplying slots i, i+1: power n+1 -> power n.
 
-    Descends through both quotients with the well-definedness check; the
-    check can only fail on inconsistent inputs (the multiplication is
-    B-balanced in every slot).
+    On power(n+1) = power(n) ⊗ A the last slot is A acting on the last
+    factor of power(n), and an earlier slot is the map one power down
+    tensored with the identity of A.  Each descends through the
+    well-definedness check, which can only fail on inconsistent inputs
+    (the multiplication is B-balanced in every slot).
     """
     if t_src.extension is not t_dst.extension and t_src.extension.ambient is not t_dst.extension.ambient:
         raise ValueError("powers built over different extensions")
@@ -210,5 +329,4 @@ def mult_at(t_src: RelativeTensorPower, t_dst: RelativeTensorPower, i: int) -> M
         raise ValueError("mult_at needs source power n+1 and destination power n")
     if not (1 <= i <= t_dst.n):
         raise ValueError(f"slot {i} out of range 1..{t_dst.n}")
-    amb = mult_at_ambient(t_src.extension, t_src.n, i)
-    return induced_map(t_src.space, t_dst.space, Matrix(t_src.space.p, amb))
+    return _mult(t_src.tower, t_src.extension.ambient, t_dst.n, i)

@@ -178,6 +178,18 @@ def naive_absolute_hochschild_dims(tensor, unit, p, top):
     return dims
 
 
+def pure_tensor(t, factors):
+    """Coordinates of f1 (x) ... (x) fn in a tensor power record, joined
+    one factor at a time: power(k) is power(k-1) (x) A in its tower."""
+    if len(factors) != t.n:
+        raise ValueError(f"expected {t.n} factors, got {len(factors)}")
+    p = t.space.p
+    vec = np.asarray(factors[0], dtype=np.int64) % p
+    for k, f in enumerate(factors[1:], start=2):
+        vec = t.tower.power(k).project(np.kron(vec, np.asarray(f, dtype=np.int64) % p))
+    return vec
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20250817)

@@ -10,7 +10,6 @@ from coringlab import (
     build_power,
     cohomology_dims,
     dual_hopf,
-    embed_pure,
     endo_coring,
     field_ext_algebra,
     group_hopf,
@@ -22,6 +21,7 @@ from coringlab import (
 )
 from coringlab.amitsur import build_amitsur, omega_product
 
+from conftest import pure_tensor
 from test_algebras import ut2_diag_extension
 
 C2_TABLE = [[0, 1], [1, 0]]
@@ -75,9 +75,9 @@ def test_sweedler_differential_on_pure_tensors(gf25_sweedler, rng):
     for _ in range(10):
         xv = rng.integers(0, 5, size=2)
         yv = rng.integers(0, 5, size=2)
-        v = embed_pure(t2, [xv, yv])
-        split_l = embed_pure(t2, [xv, unit])
-        split_r = embed_pure(t2, [unit, yv])
+        v = pure_tensor(t2, [xv, yv])
+        split_l = pure_tensor(t2, [xv, unit])
+        split_r = pure_tensor(t2, [unit, yv])
         want = (sq.project(np.kron(c.grouplike, v))
                 - sq.project(np.kron(split_l, split_r))
                 + sq.project(np.kron(v, c.grouplike))) % 5

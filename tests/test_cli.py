@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+from coringlab.algebras import diagonal_algebra, trivial_extension
 from coringlab.cli import main
 from coringlab.corpus import corpus_path, s3_over_c2, ut2_over_diagonal
+from coringlab.linalg import Field
 from coringlab.schemas import dump_extension
 
 
@@ -238,14 +240,17 @@ def test_gs_compare_degree_cap_is_a_usage_error(capsys):
     assert "hard cap 3 of gs-compare" in capsys.readouterr().err
 
 
-def test_oversized_tensor_power_is_a_usage_error(capsys):
-    # the filled triangle's fourth tensor power is refused before allocating
-    code, out, err = run_cli(capsys, "gs-compare", str(corpus_path("filled_triangle.facets")),
-                             "--max-degree", "3")
+def test_oversized_tensor_power_is_a_usage_error(capsys, tmp_path):
+    # k^11 over k: the tower builds A (x) A (x) A and refuses the fourth
+    # power, whose ambient 11**4 is relation-free, before allocating it
+    big = tmp_path / "diag11.json"
+    big.write_text(json.dumps(dump_extension(
+        trivial_extension(diagonal_algebra(Field(5), 11)))), encoding="utf-8")
+    code, out, err = run_cli(capsys, "cohomology", str(big), "--max-degree", "4")
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
-    assert err.startswith("error: a tensor power with ambient dimension 130321")
+    assert err.startswith("error: a tensor power with ambient dimension 14641")
     assert err.count("\n") == 1
 
 

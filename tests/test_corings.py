@@ -12,7 +12,6 @@ from coringlab import (
     build_f2,
     build_power,
     dual_hopf,
-    embed_pure,
     endo_coring,
     field_ext_algebra,
     group_hopf,
@@ -24,7 +23,7 @@ from coringlab.algebras import generating_indices, matrix_algebra, one_dim_algeb
 from coringlab.corpus import extension_names, hopf_names, load_corpus_extension, load_corpus_hopf
 from coringlab.tensors import balanced_pair, balanced_power
 
-from conftest import naive_rank, s3_c2_extension
+from conftest import naive_rank, pure_tensor, s3_c2_extension
 from test_algebras import ut2_diag_extension
 from test_homspaces import brute_hom_dim
 
@@ -137,7 +136,7 @@ def test_sweedler_coring_on_a_field_extension():
     # counit multiplies the two legs: t (x) t |-> t^2 = 2
     t2 = build_power(e, 2)
     gen = np.array([0, 1], dtype=np.int64)
-    assert np.array_equal(c.counit.apply(embed_pure(t2, [gen, gen])),
+    assert np.array_equal(c.counit.apply(pure_tensor(t2, [gen, gen])),
                           np.array([2, 0]))
 
 

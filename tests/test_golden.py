@@ -38,6 +38,9 @@ COMMANDS = {
     "hopf-check-hopf_c2_gf3": ["hopf-check", "hopf_c2_gf3.json", "--max-degree", "4"],
 }
 COMMANDS.update({f"gs-compare-{n}": ["gs-compare", f"{n}.facets"] for n in facet_names()})
+# a degree-3 Hochschild build over the 7 vertex idempotents of the filled triangle
+COMMANDS["gs-compare-filled_triangle-deg2"] = ["gs-compare", "filled_triangle.facets",
+                                               "--max-degree", "2"]
 
 
 def render(argv) -> tuple[int, str]:

@@ -10,7 +10,7 @@ the relative theory must again agree with the absolute one.
 import numpy as np
 import pytest
 
-from conftest import naive_absolute_hochschild_dims
+from conftest import naive_absolute_hochschild_dims, pure_tensor, s3_c2_extension
 from coringlab import (
     Element,
     Field,
@@ -24,6 +24,7 @@ from coringlab import (
     trivial_extension,
     verify_dga,
 )
+from coringlab.errors import NotWellDefinedError
 from coringlab.hochschild import HARD_DEGREE_CAP
 
 from test_algebras import ut2_diag_extension
@@ -84,12 +85,55 @@ def test_delta1_of_identity_is_multiplication(ut2_complex):
     a = c.extension.ambient
     ident = Element(1, c.homs[1].coords_of(Matrix.identity(c.p, a.dim)))
     image = c.differential(ident)
-    # (delta f)(x, y) = x f(y) - f(xy) + f(x) y = xy for f = id
-    mult_mat = a.mult @ Matrix(c.p, c.powers[2].space.section.a)
-    assert np.array_equal(image.coords, c.homs[2].coords_of(mult_mat))
+    # (delta f)(x, y) = x f(y) - f(xy) + f(x) y = xy for f = id, checked
+    # on the pure basis tensors, which span the power
+    mat = c.homs[2].matrix_of(image.coords)
+    eye = np.eye(a.dim, dtype=np.int64)
+    for x in eye:
+        for y in eye:
+            assert np.array_equal(mat.apply(pure_tensor(c.powers[2], [x, y])), a.multiply(x, y))
     # and the same element is id cup id
     squared = cup(c, ident, ident)
     assert np.array_equal(image.coords, squared.coords)
+
+
+@pytest.mark.parametrize("make", [lambda: ut2_diag_extension(5), lambda: s3_c2_extension(7)],
+                         ids=["ut2_diag", "s3_c2"])
+def test_degree_two_coboundary_and_cups_pointwise(make, rng):
+    """On pure tensors of power 3, whose tower coordinates are not the
+    dense layout's: (delta b)(x y z) = x b(y z) - b(xy z) + b(x yz) - b(x y) z,
+    (a ∪ b)(x y z) = a(x) b(y z) and (b ∪ a)(x y z) = b(x y) a(z)."""
+    e = make()
+    c = build_complex(e, 3)
+    a = e.ambient
+    p = a.p
+    for _ in range(5):
+        alpha, beta = random_element(c, 1, rng), random_element(c, 2, rng)
+        am = c.homs[1].matrix_of(alpha.coords)
+        bm = c.homs[2].matrix_of(beta.coords)
+
+        def b(u, v):
+            return bm.apply(pure_tensor(c.powers[2], [u, v]))
+
+        def on(x3, u, v, w):
+            return c.homs[3].matrix_of(x3.coords).apply(pure_tensor(c.powers[3], [u, v, w]))
+
+        x, y, z = (rng.integers(0, p, size=a.dim) for _ in range(3))
+        want = (a.multiply(x, b(y, z)) - b(a.multiply(x, y), z)
+                + b(x, a.multiply(y, z)) - a.multiply(b(x, y), z)) % p
+        assert np.array_equal(on(c.differential(beta), x, y, z), want)
+        assert np.array_equal(on(cup(c, alpha, beta), x, y, z), a.multiply(am.apply(x), b(y, z)))
+        assert np.array_equal(on(cup(c, beta, alpha), x, y, z), a.multiply(b(x, y), am.apply(z)))
+
+
+def test_cup_refuses_a_product_that_does_not_descend():
+    # with a section that does not invert concat(1, 1), id ∪ id fails the
+    # descent check instead of returning a wrong cochain
+    c = build_complex(ut2_diag_extension(5), 2)
+    c.tower._sections[(1, 1)] = Matrix(5, np.zeros_like(c.tower.concat_section(1, 1).a))
+    ident = Element(1, c.homs[1].coords_of(Matrix.identity(5, 3)))
+    with pytest.raises(NotWellDefinedError, match="degrees 1 and 1"):
+        cup(c, ident, ident)
 
 
 def unit_cochain(c):

@@ -7,22 +7,27 @@ from coringlab.algebras import matrix_algebra, trivial_extension
 from coringlab.errors import ElementNotInSpaceError
 from coringlab.homspaces import build_hom
 from coringlab.linalg import Field, Matrix
-from coringlab.tensors import build_power, embed_pure
+from coringlab.tensors import balanced_power, build_power
 
-from conftest import naive_rank
+from conftest import naive_rank, pure_tensor
 from test_algebras import ut2_diag_extension
 
 
 def brute_hom_dim(e, t):
     """Dimension of the constraint kernel, built entry by entry in loops.
 
-    Constraints are imposed on images of projected ambient basis tensors,
-    which span the quotient; equations are assembled with plain python
-    arithmetic and ranked by the naive eliminator from conftest.
+    The power is rebuilt as the dense reference quotient of A^(dim^n),
+    whose dimension must be the tower's.  Constraints are imposed on
+    images of projected ambient basis tensors, which span the quotient;
+    equations are assembled with plain python arithmetic and ranked by
+    the naive eliminator from conftest.
     """
     a = e.ambient
     p, d_a = a.p, a.dim
-    q = t.dim
+    space = balanced_power(p, d_a, [a.right_mul(b).a for b in e.sub_images()],
+                           [a.left_mul(b).a for b in e.sub_images()], t.n)
+    q = space.dim
+    assert q == t.dim
     eqs = []
     ambient_dim = d_a**t.n
     for b in e.sub_images():
@@ -33,9 +38,9 @@ def brute_hom_dim(e, t):
         for col in range(ambient_dim):
             unit = np.zeros(ambient_dim, dtype=np.int64)
             unit[col] = 1
-            v = t.space.project(unit)
-            lv = t.space.project(lamb @ unit % p)
-            rv = t.space.project(ramb @ unit % p)
+            v = space.project(unit)
+            lv = space.project(lamb @ unit % p)
+            rv = space.project(ramb @ unit % p)
             # rows for T(b.v) - b.T(v) = 0 and T(v.b) - T(v).b = 0
             for out_row in range(d_a):
                 eq_left = [0] * (d_a * q)
@@ -83,11 +88,11 @@ def test_basis_elements_satisfy_constraints(rng):
             y = rng.integers(0, 5, size=3, dtype=np.int64)
             bc = rng.integers(0, 5, size=2, dtype=np.int64)
             b = e.inclusion.apply(bc)
-            lhs = mat.apply(embed_pure(t2, [a.multiply(b, x), y]))
-            rhs = a.multiply(b, mat.apply(embed_pure(t2, [x, y])))
+            lhs = mat.apply(pure_tensor(t2, [a.multiply(b, x), y]))
+            rhs = a.multiply(b, mat.apply(pure_tensor(t2, [x, y])))
             assert np.array_equal(lhs, rhs)
-            lhs = mat.apply(embed_pure(t2, [x, a.multiply(y, b)]))
-            rhs = a.multiply(mat.apply(embed_pure(t2, [x, y])), b)
+            lhs = mat.apply(pure_tensor(t2, [x, a.multiply(y, b)]))
+            rhs = a.multiply(mat.apply(pure_tensor(t2, [x, y])), b)
             assert np.array_equal(lhs, rhs)
 
 

@@ -19,7 +19,7 @@ from coringlab import isomorphism
 from coringlab.amitsur import build_amitsur, omega_product
 from coringlab.isomorphism import build_fn, verify_main_theorem
 
-from conftest import s3_c2_extension
+from conftest import pure_tensor, s3_c2_extension
 from test_algebras import ut2_diag_extension
 
 
@@ -43,7 +43,7 @@ def test_degree_two_matches_certificate(m2_gf5_extension, m2_gf5_cert):
     e = m2_gf5_extension
     ac = build_amitsur(endo_coring(e, m2_gf5_cert), 2)
     cc = build_complex(e, 2)
-    assert build_fn(e, ac, cc, 2) == m2_gf5_cert.f2
+    assert build_fn(e, ac, cc, 2)[2] == m2_gf5_cert.f2
 
 
 def test_ut2_witness_passes(ut2_witness):
@@ -84,14 +84,13 @@ def test_chain_identity_pointwise(rng):
     e = ut2_diag_extension(5)
     cc = build_complex(e, 2)
     a = e.ambient
-    q2 = cc.powers[2].space
     for _ in range(10):
         alpha = rng.integers(0, 5, size=cc.dim(1))
         mat = cc.homs[1].matrix_of(alpha)
         image = cc.homs[2].matrix_of(cc.d[1].apply(alpha))
         a1 = rng.integers(0, 5, size=a.dim)
         a2 = rng.integers(0, 5, size=a.dim)
-        lhs = image.apply(q2.project(np.kron(a1, a2) % 5))
+        lhs = image.apply(pure_tensor(cc.powers[2], [a1, a2]))
         rhs = (a.multiply(a1, mat.apply(a2))
                - mat.apply(a.multiply(a1, a2))
                + a.multiply(mat.apply(a1), a2)) % 5
@@ -114,12 +113,11 @@ def test_corrupted_comparison_map_carries_witnesses(monkeypatch):
     real_build_fn = isomorphism.build_fn
 
     def corrupted(e, ac, cc, n):
-        fn = real_build_fn(e, ac, cc, n)
-        if n != 2:
-            return fn
-        rows = fn.a.copy()
+        f = real_build_fn(e, ac, cc, n)
+        rows = f[2].a.copy()
         rows[0] = 0
-        return Matrix(fn.p, rows)
+        f[2] = Matrix(f[2].p, rows)
+        return f
 
     monkeypatch.setattr(isomorphism, "build_fn", corrupted)
     e = ut2_diag_extension(5)

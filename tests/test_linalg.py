@@ -177,20 +177,6 @@ def test_accumulator_matches_oneshot(rng):
         assert np.array_equal(rows, want_rows)
 
 
-def test_accumulator_seed_path(rng):
-    p = 5
-    m = random_matrix(rng, 6, 12, p)
-    rows, piv = rref_rows(m, p)
-    acc = RrefAccumulator(12, p)
-    acc.seed(rows, piv)
-    extra = random_matrix(rng, 9, 12, p)
-    acc.add(extra)
-    got_rows, got_piv = acc.result()
-    want_rows, want_piv = rref_rows(np.vstack([m, extra]), p)
-    assert got_piv == want_piv
-    assert np.array_equal(got_rows, want_rows)
-
-
 def test_subspace_membership_and_coords(rng):
     p = 7
     vecs = random_matrix(rng, 3, 6, p)

@@ -1,22 +1,25 @@
-"""Relative tensor powers: dimensions, balancedness, multiplication maps."""
+"""Relative tensor powers: dimensions, balancedness, multiplication maps,
+and the shape of the tower they are grown in."""
 
 import numpy as np
 import pytest
 
-from coringlab.algebras import matrix_algebra, self_extension, trivial_extension
+from coringlab.algebras import diagonal_algebra, matrix_algebra, self_extension, trivial_extension
+from coringlab.corpus import extension_names, facet_names, load_corpus_extension, read_facets
 from coringlab.errors import SizeLimitError
 from coringlab.linalg import Field, rref_rows
+from coringlab.simplicial import incidence_extension, parse_complex
 from coringlab.tensors import (
     RELATION_ENTRY_BUDGET,
     balanced_pair,
     balanced_power,
     build_power,
-    embed_pure,
     mult_at,
     pair_relation_rows,
     relation_entries,
 )
 
+from conftest import pure_tensor, s3_c2_extension
 from test_algebras import ut2_diag_extension
 
 
@@ -70,9 +73,7 @@ def test_structured_relations_match_bruteforce():
     e = ut2_diag_extension(5)
     for n in (2, 3):
         t = build_power(e, n)
-        want_rank = brute_relation_rank(e, n)
-        assert t.space.relations.dim == want_rank
-        assert t.dim == e.ambient.dim**n - want_rank
+        assert t.dim == e.ambient.dim**n - brute_relation_rank(e, n)
     m2 = self_extension(matrix_algebra(Field(3), 2))
     t = build_power(m2, 2)
     assert t.dim == 4  # A tensor_A A is A itself
@@ -88,15 +89,15 @@ def test_embed_pure_balanced(rng):
         y = rng.integers(0, 5, size=3, dtype=np.int64)
         bc = rng.integers(0, 5, size=2, dtype=np.int64)
         b = e.inclusion.apply(bc)
-        lhs = embed_pure(t, [a.multiply(x, b), y])
-        rhs = embed_pure(t, [x, a.multiply(b, y)])
+        lhs = pure_tensor(t, [a.multiply(x, b), y])
+        rhs = pure_tensor(t, [x, a.multiply(b, y)])
         assert np.array_equal(lhs, rhs)
 
 
 def test_embed_unit_tensor_nonzero():
     e = ut2_diag_extension(5)
     t = build_power(e, 2)
-    v = embed_pure(t, [e.ambient.unit, e.ambient.unit])
+    v = pure_tensor(t, [e.ambient.unit, e.ambient.unit])
     assert v.any()
 
 
@@ -107,10 +108,10 @@ def test_embed_idempotent_absorption():
     a = e.ambient
     e01 = np.array([0, 1, 0], dtype=np.int64)
     e11 = np.array([0, 0, 1], dtype=np.int64)
-    lhs = embed_pure(t, [a.multiply(e01, e11), e11])
-    rhs = embed_pure(t, [e01, a.multiply(e11, e11)])
+    lhs = pure_tensor(t, [a.multiply(e01, e11), e11])
+    rhs = pure_tensor(t, [e01, a.multiply(e11, e11)])
     assert np.array_equal(lhs, rhs)
-    assert np.array_equal(rhs, embed_pure(t, [e01, e11]))
+    assert np.array_equal(rhs, pure_tensor(t, [e01, e11]))
 
 
 def test_mult_at_collapses_pure_tensors(rng):
@@ -122,11 +123,25 @@ def test_mult_at_collapses_pure_tensors(rng):
     for _ in range(20):
         x = rng.integers(0, 5, size=3, dtype=np.int64)
         y = rng.integers(0, 5, size=3, dtype=np.int64)
-        got = m.apply(embed_pure(t2, [x, y]))
+        got = m.apply(pure_tensor(t2, [x, y]))
         want = t1.space.project(a.multiply(x, y))
         assert np.array_equal(got, want)
-    unit = m.apply(embed_pure(t2, [a.unit, a.unit]))
+    unit = m.apply(pure_tensor(t2, [a.unit, a.unit]))
     assert np.array_equal(unit, t1.space.project(a.unit))
+
+
+def test_mult_at_on_pure_tensors_of_power_three(rng):
+    # power(3) of S3 over C2 is power(2) (x)_B A with ambient 18 * 6, not 6**3
+    e = s3_c2_extension(7)
+    a = e.ambient
+    t3, t2 = build_power(e, 3), build_power(e, 2)
+    assert t3.ambient_dim == 108
+    first, last = mult_at(t3, t2, 1), mult_at(t3, t2, 2)
+    for _ in range(10):
+        x, y, z = (rng.integers(0, 7, size=a.dim, dtype=np.int64) for _ in range(3))
+        xyz = pure_tensor(t3, [x, y, z])
+        assert np.array_equal(first.apply(xyz), pure_tensor(t2, [a.multiply(x, y), z]))
+        assert np.array_equal(last.apply(xyz), pure_tensor(t2, [x, a.multiply(y, z)]))
 
 
 def test_mult_at_simplicial_identities():
@@ -170,34 +185,23 @@ def test_pair_relation_rows_empty_for_scalar_base():
     assert rows.shape[0] == 0
 
 
-def test_balanced_power_seeding_consistency(rng):
-    # random action pair: compare the seeded accumulator result with a
-    # one-shot reduction of the very same generator matrix
-    p, d = 5, 3
-    rights = [rng.integers(0, p, size=(d, d), dtype=np.int64)]
-    lefts = [rng.integers(0, p, size=(d, d), dtype=np.int64)]
-    q = balanced_power(p, d, rights, lefts, 3)
-    core = pair_relation_rows(p, d, d, rights, lefts)
-    eye = np.eye(d, dtype=np.int64)
-    gens = np.vstack([np.kron(core, eye), np.kron(eye, core)])
-    rows, piv = rref_rows(gens, p)
-    assert q.relations.dim == len(piv)
-    assert np.array_equal(q.relations.rows, rows)
-
-
 def test_relation_budget_admits_the_builds_in_use():
-    # A (x)_B A (x)_B A of the filled triangle's 19-dim incidence algebra
-    # over its 7 vertex idempotents (gs-compare --max-degree 2)
-    assert relation_entries(19 * 19, 7, 19**3) == 19**6
-    assert relation_entries(19 * 19, 7, 19**3) <= RELATION_ENTRY_BUDGET
+    # the fourth tower power of the filled triangle's 19-dim incidence
+    # algebra, power(3) (x)_B A over 6 generating vertex idempotents
+    # (gs-compare --max-degree 3), and its third (--max-degree 2)
+    assert relation_entries(6, 61 * 19) == 6 * 1159**2
+    assert relation_entries(6, 61 * 19) <= RELATION_ENTRY_BUDGET
+    assert relation_entries(6, 37 * 19) <= RELATION_ENTRY_BUDGET
     # coring power(3) as power(2) (x) carrier: M2 endomorphism coring
-    # (64 x 16 over a 4-dim base), S3/C2 Sweedler coring (54 x 18 over 6)
-    assert relation_entries(1024, 4, 1024) == 4 * 1024**2
-    assert relation_entries(972, 6, 972) <= RELATION_ENTRY_BUDGET
-    # the generator blocks dominate a pairwise build
-    assert relation_entries(10, 3, 10) == 300
-    # the filled triangle's fourth power would take about 1.7e10 entries
-    assert relation_entries(19 * 19, 7, 19**4) > RELATION_ENTRY_BUDGET
+    # (64 x 16 over 3 generators of M2), S3/C2 Sweedler coring (54 x 18
+    # over 2 generators of S3)
+    assert relation_entries(3, 1024) <= RELATION_ENTRY_BUDGET
+    assert relation_entries(2, 972) <= RELATION_ENTRY_BUDGET
+    # with no generators the projection and section bound a build
+    assert relation_entries(0, 10) == relation_entries(1, 10) == 100
+    # the fourth power of an 11-dim algebra over the ground field
+    # (ambient 11**4, no relations) is refused
+    assert relation_entries(0, 11**4) > RELATION_ENTRY_BUDGET
 
 
 def test_oversized_powers_are_refused_before_allocating():
@@ -207,6 +211,10 @@ def test_oversized_powers_are_refused_before_allocating():
         balanced_power(p, 19, eye19, eye19, 4)
     with pytest.raises(SizeLimitError, match="ambient dimension 16000"):
         balanced_pair(p, 400, 40, [np.eye(400, dtype=np.int64)], [np.eye(40, dtype=np.int64)])
+    # the tower builds power(3) of k^11 over k and refuses power(4)
+    e = trivial_extension(diagonal_algebra(Field(p), 11))
+    with pytest.raises(SizeLimitError, match="ambient dimension 14641"):
+        build_power(e, 4)
 
 
 def test_balanced_pair_is_the_dense_square():
@@ -218,3 +226,65 @@ def test_balanced_pair_is_the_dense_square():
     square = balanced_power(5, a.dim, rights, lefts, 2)
     assert np.array_equal(pair.relations.rows, square.relations.rows)
     assert np.array_equal(pair.projection.a, square.projection.a)
+
+
+# -- the extension tower ------------------------------------------------------
+
+TOP = 4
+
+
+@pytest.fixture(scope="module")
+def corpus_towers():
+    return {name: build_power(load_corpus_extension(name), TOP).tower
+            for name in extension_names()}
+
+
+def test_extension_powers_grow_by_one_factor(corpus_towers):
+    # power(n) is power(n-1) (x)_B A: a return to the dense A^(dim^n)
+    # ambient fails here
+    for name, tower in corpus_towers.items():
+        for n in range(2, TOP + 1):
+            assert tower.power(n).ambient_dim == tower.power(n - 1).dim * tower.carrier_dim, (
+                name, n)
+
+
+# the dense reference stays under a second up to this ambient size; the
+# largest corpus case, power 4 of s3_c2_gf7 (ambient 6**4), takes about
+# half of one
+DENSE_REFERENCE_AMBIENT = 1300
+
+
+def test_extension_powers_match_the_dense_oracle(corpus_towers):
+    checked = []
+    for name, tower in corpus_towers.items():
+        rights = [m.a for m in tower.right_mats]
+        lefts = [m.a for m in tower.left_mats]
+        for n in range(2, TOP + 1):
+            if tower.carrier_dim**n <= DENSE_REFERENCE_AMBIENT:
+                dense = balanced_power(tower.p, tower.carrier_dim, rights, lefts, n)
+                assert tower.power(n).dim == dense.dim, (name, n)
+                checked.append((name, n))
+    # every corpus power up to the top fits
+    assert len(checked) == (TOP - 1) * len(corpus_towers)
+
+
+def multichain_count(faces, n):
+    """Multichains sigma_0 <= ... <= sigma_n in the face poset, counted
+    by extending each chain at its top."""
+    below = {t: [s for s in faces if set(s) <= set(t)] for t in faces}
+    ending = {t: 1 for t in faces}
+    for _ in range(n):
+        ending = {t: sum(ending[s] for s in below[t]) for t in faces}
+    return sum(ending.values())
+
+
+def test_facet_complex_powers_count_multichains():
+    # e[s0|s1] (x) e[s1|s2] (x) ... spans A^(x_B n) of an incidence
+    # algebra over its diagonal, one basis tensor per multichain
+    for name in facet_names():
+        s = parse_complex(read_facets(name))
+        t = build_power(incidence_extension(s, Field(5)), TOP)
+        dims = [t.tower.power(n).dim for n in range(1, TOP + 1)]
+        assert dims == [multichain_count(s.faces, n) for n in range(1, TOP + 1)], name
+        if name == "filled_triangle":
+            assert dims == [19, 37, 61, 91]
