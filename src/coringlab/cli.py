@@ -296,6 +296,8 @@ def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         parser.error(f"--field: {err}")
     if args.trials < 1:
         parser.error("--trials must be positive")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     return RunConfig(command=args.command, paths=list(args.paths), prime=args.prime,
                      max_degree=max_degree, trials=args.trials,
                      out_format=args.out_format, seed=args.seed,

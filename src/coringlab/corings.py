@@ -29,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import (Extension, FinDimAlgebra, HopfData, centralizer, one_dim_algebra,
+from .algebras import (Extension, FinDimAlgebra, HopfData, one_dim_algebra,
                        subalgebra_on)
 from .errors import AxiomError, NoD2CertificateError, NotWellDefinedError
-from .homspaces import BimoduleHomSpace, build_hom
+from .hochschild import build_complex
+from .homspaces import BimoduleHomSpace
 from .linalg import (
     Matrix,
     QuotientSpace,
@@ -206,48 +207,30 @@ class D2Certificate:
     bijective: bool
 
 
-def _endo_action_mats(e: Extension, s_space: BimoduleHomSpace, r_space: Subspace):
-    """Matrices of r . alpha = lambda_r o alpha and alpha . r = rho_r o alpha
-    on S coordinates, one per centralizer basis element."""
-    a = e.ambient
-    p = a.p
-    left, right = [], []
-    for r in r_space.rows:
-        lam = a.left_mul(r)
-        rho = a.right_mul(r)
-        lcols = [s_space.coords_of(lam @ mat) for mat in s_space.basis]
-        rcols = [s_space.coords_of(rho @ mat) for mat in s_space.basis]
-        left.append(Matrix(p, np.stack(lcols, axis=1)))
-        right.append(Matrix(p, np.stack(rcols, axis=1)))
-    return left, right
-
-
 def build_f2(e: Extension) -> D2Certificate:
-    """Evaluate alpha (x) beta |-> (x (x) y |-> alpha(x) beta(y)) and test rank."""
-    a = e.ambient
-    p = a.p
-    s_space = build_hom(e, build_power(e, 1))
-    r_space = centralizer(e)
-    left_mats, right_mats = _endo_action_mats(e, s_space, r_space)
-    square = balanced_pair(p, s_space.dim, s_space.dim,
-                           [m.a for m in right_mats], [m.a for m in left_mats])
-    power2 = build_power(e, 2)
-    hom_space = build_hom(e, power2)
-    cols = []
-    for alpha in s_space.basis:
-        for beta in s_space.basis:
-            pair = mul_mod(a.mult.a, np.kron(alpha.a, beta.a) % p, p)
-            cols.append(hom_space.coords_of(Matrix(p, mul_mod(pair, power2.space.section.a, p))))
-    on_pure = np.stack(cols, axis=1)
-    rel = square.relations.rows
-    if rel.shape[0] and mul_mod(on_pure, rel.T, p).any():
-        raise NotWellDefinedError("f2 does not vanish on the tensor-over-R relations")
-    f2 = Matrix(p, mul_mod(on_pure, square.section.a, p))
+    """Evaluate alpha (x) beta |-> (x (x) y |-> alpha(x) beta(y)) and test rank.
+
+    R = C^0, S = C^1, the hom space C^2 and every product come from the
+    cochain complex to degree 2: r . alpha is r ∪ alpha, alpha . r is
+    alpha ∪ r, and f2 is the cup product of S with itself, descended to
+    S (x)_R S.
+    """
+    cc = build_complex(e, 2)
+    p = e.p
+    s, r = cc.dim(1), cc.dim(0)
+    eye_s, eye_r = np.eye(s, dtype=np.int64), np.eye(r, dtype=np.int64)
+    lefts = cc.products(0, 1, eye_r, eye_s)     # column i * s + j: r_i ∪ alpha_j
+    rights = cc.products(1, 0, eye_s, eye_r)    # column j * r + i: alpha_j ∪ r_i
+    left_mats = [Matrix(p, lefts[:, i * s:(i + 1) * s]) for i in range(r)]
+    right_mats = [Matrix(p, rights[:, i::r]) for i in range(r)]
+    square = balanced_pair(p, s, s, [m.a for m in right_mats], [m.a for m in left_mats])
+    f2 = Matrix(p, descend(square, cc.products(1, 1, eye_s, eye_s)))
+    hom_space = cc.homs[2]
     bijective = hom_space.dim == square.dim and rank_of(f2.a, p) == square.dim
     return D2Certificate(
-        extension=e, s_space=s_space, r_space=r_space, hom_space=hom_space,
+        extension=e, s_space=cc.homs[1], r_space=cc.r_space, hom_space=hom_space,
         square=square, left_mats=left_mats, right_mats=right_mats, f2=f2,
-        s_dim=s_space.dim, r_dim=r_space.dim, square_dim=square.dim,
+        s_dim=s, r_dim=r, square_dim=square.dim,
         hom_dim=hom_space.dim, bijective=bijective)
 
 

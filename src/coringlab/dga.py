@@ -1,11 +1,22 @@
 """The differential graded algebra core shared by both complexes.
 
 A DGA here is a coordinate space in each degree 0..N, the differentials
-d^0..d^{N-1} as matrices, and a bilinear product that each concrete
-complex supplies: the cup product of relative Hochschild cochains, or
-the concatenation product of a coring's tensor powers.  Cohomology, the
-DGA law checks and the check of a comparison morphism are written once
-here against that interface.
+d^0..d^{N-1} as matrices, and one batched bilinear map that each
+concrete complex supplies, ``products(m, n, xs, ys)``: the cup product
+of relative Hochschild cochains, or the concatenation product of a
+coring's tensor powers.  The per-pair product, the coboundaries, the
+cohomology, the DGA law checks and the check of a comparison morphism
+are written once here against that map.
+
+Both complexes have one coboundary (the paper's cochains under cup
+product are the Amitsur complex of End(_B A_B) with grouplike 1):
+
+    d a = u·a + sum_{i=1..n} (-1)^i (slot map i)(a) + (-1)^{n+1} a·u
+
+for a of degree n, with u a degree-1 unit (the identity cochain, or the
+grouplike) and the slot maps the pullbacks along the slot
+multiplications, or the slotwise coproducts.  ``coboundaries`` builds
+d^0..d^{N-1} from it; d^0 is its n = 0 case, r -> u·r - r·u.
 
 Products are checked on seeded random pairs of homogeneous elements; a
 failing check carries its first failing pair, and the nonzero positions
@@ -36,7 +47,7 @@ class Element:
 class DGA:
     """Spaces of degrees 0..N, differentials d^0..d^{N-1}, and a product.
 
-    Subclasses supply ``product``.  ``symbol`` names the differential in
+    Subclasses supply ``products``.  ``symbol`` names the differential in
     check labels and ``title`` is the title of the law report.
     """
 
@@ -67,8 +78,41 @@ class DGA:
     def differential(self, x: Element) -> Element:
         return Element(x.degree + 1, self.d[x.degree].apply(x.coords))
 
-    def product(self, x: Element, y: Element) -> Element:
+    def products(self, m: int, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """x·y for every column x of ``xs`` (degree m) and every column y
+        of ``ys`` (degree n), both reduced mod p, as the columns of one
+        matrix over degree m+n; column i * cols(ys) + j is xs[:, i]·ys[:, j]."""
         raise NotImplementedError
+
+    def product(self, x: Element, y: Element) -> Element:
+        """The product of one pair; degrees must sum to at most the built maximum."""
+        m, n = x.degree, y.degree
+        if m + n > self.max_degree:
+            raise ValueError(f"product degree {m}+{n} exceeds max_degree {self.max_degree}")
+        xs = (x.coords % self.p).reshape(-1, 1)
+        ys = (y.coords % self.p).reshape(-1, 1)
+        return Element(m + n, self.products(m, n, xs, ys)[:, 0])
+
+
+def coboundaries(x: DGA, unit, inner) -> list[Matrix]:
+    """d^0..d^{N-1} of ``x`` from the one coboundary formula.
+
+    ``unit`` holds the degree-1 coordinates of u; ``inner(n)`` lists the
+    slot maps i = 1..n out of degree n >= 1, each a matrix from degree n
+    to degree n+1.
+    """
+    p = x.p
+    u = np.asarray(unit, dtype=np.int64).reshape(-1, 1) % p
+    d = []
+    for n in range(x.max_degree):
+        eye = np.eye(x.dim(n), dtype=np.int64)
+        outer = x.products(n, 1, eye, u)
+        total = x.products(1, n, u, eye)
+        total = (total + outer if n % 2 else total - outer) % p
+        for i, term in enumerate(inner(n) if n else [], start=1):
+            total = (total - term.a if i % 2 else total + term.a) % p
+        d.append(Matrix(p, total))
+    return d
 
 
 def cohomology_dims(x: DGA) -> list[int]:

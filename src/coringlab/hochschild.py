@@ -1,16 +1,20 @@
 """The relative Hochschild cochain complex of an extension, as a DGA.
 
 Degree 0 is the centralizer R; degree n >= 1 is the bimodule hom space
-on A^(⊗_B n), power n of the extension's tensor tower.  The cup product
-concatenates arguments: mult·kron(f, g) on the plain product of power(m)
-and power(n), descended through the tower's concatenation onto
-power(m+n); degree-0 elements act through left/right multiplication on
-values.  With iota the identity 1-cochain and mu_i the slot
-multiplication ``tensors.mult_at``, the coboundary is
+on A^(⊗_B n), power n of the extension's tensor tower.  A cochain is
+handled as its matrix from power(n) to A; a degree-0 cochain is its
+value r, a matrix on the one-dimensional power(0).  The cup product
+concatenates arguments: f ∪ g is mult·kron(f, g) on the plain product
+of power(m) and power(n), descended through the tower's concatenation
+onto power(m+n) when both degrees are positive, so r ∪ g = r·g and
+f ∪ r = f·r.  ``products`` forms it for whole batches of cochains at
+once.  The coboundary is the shared ``dga.coboundaries`` with iota, the
+identity 1-cochain, as unit and the pullbacks f -> f∘mu_i along the
+slot multiplications ``tensors.mult_at`` as slot maps:
 
     delta f = iota ∪ f + sum_i (-1)^i f∘mu_i + (-1)^{n+1} f ∪ iota,
 
-and delta^0 sends r to right-mult-by-r minus left-mult-by-r.
+so delta^0 sends r to right-mult-by-r minus left-mult-by-r.
 
 A complex built to max_degree N stores spaces for degrees 0..N and the
 coboundaries delta^0..delta^{N-1}; cohomology is therefore certified
@@ -22,10 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 from .algebras import Extension, centralizer
-from .dga import DGA, Element
+from .dga import DGA, Element, coboundaries
 # this complex's cohomology and law check are the shared ones
 from .dga import cohomology_dims, verify_dga as verify_hochschild_dga
-from .errors import NotWellDefinedError
+from .errors import ElementNotInSpaceError, NotWellDefinedError
 from .linalg import Matrix, mul_mod
 from .homspaces import build_hom
 from .tensors import RelativeTensorPower, extension_tower, mult_at
@@ -53,32 +57,68 @@ class CochainComplex(DGA):
     def product(self, f: Element, g: Element) -> Element:
         return cup(self, f, g)
 
-    def r_vector(self, coords) -> np.ndarray:
-        """Ambient A-vector of a degree-0 element."""
-        coords = np.asarray(coords, dtype=np.int64).reshape(1, -1) % self.p
-        return mul_mod(coords, self.r_space.rows, self.p)[0]
+    def _basis(self, n: int):
+        """Basis rows of degree n, each a flattened dim A x dim power(n)
+        matrix, and the positions of their identity pattern."""
+        if n == 0:
+            return self.r_space.rows, self.r_space.pivots
+        return self.homs[n].rows, self.homs[n].free
+
+    def _matrices(self, n: int, xs: np.ndarray) -> np.ndarray:
+        """The cochains in the columns of xs, stacked: k x dim A x dim power(n)."""
+        rows, _ = self._basis(n)
+        d = self.extension.ambient.dim
+        return mul_mod(xs.T, rows, self.p).reshape(xs.shape[1], d, rows.shape[1] // d)
+
+    def _coords(self, n: int, flat: np.ndarray) -> np.ndarray:
+        """Degree-n coordinates, as columns, of cochain matrices given as
+        flattened rows."""
+        rows, at = self._basis(n)
+        coords = flat[:, list(at)]
+        if not np.array_equal(mul_mod(coords, rows, self.p), flat):
+            raise ElementNotInSpaceError(
+                f"a degree-{n} matrix does not satisfy the B-bimodule constraints")
+        return coords.T
+
+    def products(self, m: int, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        p, d = self.p, self.extension.ambient.dim
+        f, g = self._matrices(m, xs), self._matrices(n, ys)
+        (k1, _, qm), (k2, _, qn) = f.shape, g.shape
+        # mult[c, a, b] against f[i, a, x], rows (c, b) and columns (i, x)
+        mult = self.extension.ambient.mult.a.reshape(d, d, d).transpose(0, 2, 1)
+        t = mul_mod(mult.reshape(d * d, d), f.transpose(1, 0, 2).reshape(d, k1 * qm), p)
+        # then against g[j, b, y], rows (c, i, x) and columns (j, y)
+        t = t.reshape(d, d, k1 * qm).transpose(0, 2, 1).reshape(d * k1 * qm, d)
+        t = mul_mod(t, g.transpose(1, 0, 2).reshape(d, k2 * qn), p)
+        # f_i ∪ g_j on the plain product of power(m) and power(n)
+        plain = t.reshape(d, k1, qm, k2, qn).transpose(1, 3, 0, 2, 4)
+        plain = plain.reshape(k1 * k2 * d, qm * qn)
+        if m and n:
+            # descends exactly when composing with concat(m, n) gives it back
+            h = mul_mod(plain, self.tower.concat_section(m, n).a, p)
+            if not np.array_equal(mul_mod(h, self.tower.concat(m, n).a, p), plain):
+                raise NotWellDefinedError(
+                    f"the cup product of degrees {m} and {n} does not descend")
+            plain = h
+        return self._coords(m + n, plain.reshape(k1 * k2, d * plain.shape[1]))
 
 
-def _cup_matrix(c: CochainComplex, m: int, n: int, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The hom matrix of f ∪ g for hom matrices of degrees m, n >= 1.
-
-    mult·kron(f, g) on the plain product of power(m) and power(n) is
-    pushed through a section of concat(m, n); it descends exactly when
-    the result composed with concat(m, n) gives it back.
-    """
-    p = c.p
-    plain = mul_mod(c.extension.ambient.mult.a, np.kron(f, g) % p, p)
-    h = mul_mod(plain, c.tower.concat_section(m, n).a, p)
-    if not np.array_equal(mul_mod(h, c.tower.concat(m, n).a, p), plain):
-        raise NotWellDefinedError(f"the cup product of degrees {m} and {n} does not descend")
-    return h
+def _pullbacks(c: CochainComplex, n: int) -> list[Matrix]:
+    """f -> f∘mu_i from degree n to n+1, for the slots i = 1..n."""
+    mats = c._matrices(n, np.eye(c.dim(n), dtype=np.int64))
+    k, d, q = mats.shape
+    flat = mats.reshape(k * d, q)
+    maps = []
+    for i in range(1, n + 1):
+        pulled = mul_mod(flat, mult_at(c.powers[n + 1], c.powers[n], i).a, c.p)
+        maps.append(Matrix(c.p, c._coords(n + 1, pulled.reshape(k, d * pulled.shape[1]))))
+    return maps
 
 
 def build_complex(e: Extension, max_degree: int = DEFAULT_DEGREE) -> CochainComplex:
     if not (1 <= max_degree <= HARD_DEGREE_CAP):
         raise ValueError(f"max_degree must be between 1 and {HARD_DEGREE_CAP}")
     a = e.ambient
-    p = a.p
     r_space = centralizer(e)
     # top power first: it is the largest, so an oversized request fails
     # its size check before any hom space is solved
@@ -87,59 +127,11 @@ def build_complex(e: Extension, max_degree: int = DEFAULT_DEGREE) -> CochainComp
     powers = {n: RelativeTensorPower(e, tower, n) for n in range(1, max_degree + 1)}
     homs = {n: build_hom(e, powers[n]) for n in range(1, max_degree + 1)}
     c = CochainComplex(e, max_degree, r_space, powers, homs, [])
-
-    # delta^0 is the n = 0 instance of the coboundary formula: the outer
-    # terms degenerate to x*r - r*x, i.e. right-mult minus left-mult.
-    # (This sign, not its negative, satisfies graded Leibniz with the cup;
-    # kernel, image, and cohomology are identical either way.)
-    s1 = homs[1]
-    cols = []
-    for r in r_space.rows:
-        mat = a.right_mul(r) - a.left_mul(r)
-        cols.append(s1.coords_of(mat))
-    d0 = np.stack(cols, axis=1) if cols else np.zeros((s1.dim, 0), dtype=np.int64)
-    c.d.append(Matrix(p, d0.reshape(s1.dim, r_space.dim)))
-
-    iota = np.eye(a.dim, dtype=np.int64)
-    for n in range(1, max_degree):
-        src = homs[n]
-        dst = homs[n + 1]
-        mults = [mult_at(powers[n + 1], powers[n], i).a for i in range(1, n + 1)]
-        outer_sign = 1 if n % 2 else p - 1
-        cols = []
-        for mat in src.basis:
-            f = mat.a
-            total = (_cup_matrix(c, 1, n, iota, f)
-                     + outer_sign * _cup_matrix(c, n, 1, f, iota)) % p
-            for i, mu in enumerate(mults, start=1):
-                sign = p - 1 if i % 2 else 1
-                total = (total + sign * mul_mod(f, mu, p)) % p
-            cols.append(dst.coords_of(Matrix(p, total)))
-        dn = np.stack(cols, axis=1) if cols else np.zeros((dst.dim, 0), dtype=np.int64)
-        c.d.append(Matrix(p, dn.reshape(dst.dim, src.dim)))
+    iota = homs[1].coords_of(Matrix.identity(a.p, a.dim))
+    c.d = coboundaries(c, iota, lambda n: _pullbacks(c, n))
     return c
 
 
 def cup(c: CochainComplex, f: Element, g: Element) -> Element:
-    """The cup product; degrees must sum to at most the built maximum."""
-    m, n = f.degree, g.degree
-    if m + n > c.max_degree:
-        raise ValueError(f"cup degree {m}+{n} exceeds max_degree {c.max_degree}")
-    p = c.p
-    a = c.extension.ambient
-    if m == 0 and n == 0:
-        prod = a.multiply(c.r_vector(f.coords), c.r_vector(g.coords))
-        coords = c.r_space.coords_of(prod)
-        if coords is None:
-            raise AssertionError("R is closed under multiplication")
-        return Element(0, coords)
-    if m == 0:
-        lam = a.left_mul(c.r_vector(f.coords))
-        mat = lam @ c.homs[n].matrix_of(g.coords)
-        return Element(n, c.homs[n].coords_of(mat))
-    if n == 0:
-        rho = a.right_mul(c.r_vector(g.coords))
-        mat = rho @ c.homs[m].matrix_of(f.coords)
-        return Element(m, c.homs[m].coords_of(mat))
-    h = _cup_matrix(c, m, n, c.homs[m].matrix_of(f.coords).a, c.homs[n].matrix_of(g.coords).a)
-    return Element(m + n, c.homs[m + n].coords_of(Matrix(p, h)))
+    """The cup product of one pair; degrees must sum to at most the built maximum."""
+    return DGA.product(c, f, g)

@@ -7,7 +7,8 @@ one per algebra generator of B: its left action on the first factor
 (``right_on(n)``).  They are solved once into a kernel-canonical
 basis: basis element t has a 1 in the t-th free coordinate of the
 flattened matrix, so re-expressing a member is a single gather plus one
-verification product.
+verification product.  The solve estimates its dense constraint matrix
+first and refuses one above ``tensors.RELATION_ENTRY_BUDGET``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .algebras import Extension, generating_indices
 from .errors import ElementNotInSpaceError
 from .linalg import Matrix, kernel_rows_with_free, member_coords, mul_mod
-from .tensors import RelativeTensorPower
+from .tensors import RelativeTensorPower, check_entry_budget
 
 
 class BimoduleHomSpace:
@@ -69,6 +70,12 @@ def build_hom(e: Extension, t: RelativeTensorPower) -> BimoduleHomSpace:
     """Solve the intertwining constraints for Hom_{B-B}(power, A)."""
     a = e.ambient
     p, d_a, q = a.p, a.dim, t.dim
+    gens = generating_indices(e.sub)
+    nvars = d_a * q
+    # two constraint blocks per generator of B, each nvars square; with
+    # none, the kernel basis is the nvars-square identity
+    check_entry_budget(2 * len(gens), nvars,
+                       f"a bimodule hom space with {nvars} unknowns needs a dense constraint matrix")
     tower = t.tower
     eye_a = np.eye(d_a, dtype=np.int64)
     eye_q = np.eye(q, dtype=np.int64)
@@ -76,7 +83,7 @@ def build_hom(e: Extension, t: RelativeTensorPower) -> BimoduleHomSpace:
     # algebra generators of B constrain as much as its basis does
     lefts, rights = tower.concat(0, t.n).a, tower.right_on(t.n)
     blocks = []
-    for j in generating_indices(e.sub):
+    for j in gens:
         lq = lefts[:, j * q:(j + 1) * q]
         bl = (np.kron(tower.left_mats[j].a, eye_q) - np.kron(eye_a, lq.T)) % p
         br = (np.kron(tower.right_mats[j].a, eye_q) - np.kron(eye_a, rights[j].a.T)) % p
@@ -84,7 +91,6 @@ def build_hom(e: Extension, t: RelativeTensorPower) -> BimoduleHomSpace:
             blocks.append(bl)
         if br.any():
             blocks.append(br)
-    nvars = d_a * q
     if blocks:
         rows, free = kernel_rows_with_free(np.vstack(blocks), p)
     else:

@@ -245,10 +245,6 @@ class Matrix:
         self.a = a
 
     @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "Matrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
     def identity(cls, p: int, n: int) -> "Matrix":
         return cls(p, np.eye(n, dtype=np.int64))
 
@@ -264,23 +260,10 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
-    @property
-    def T(self) -> "Matrix":
-        return Matrix(self.p, self.a.T)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.p != other.p:
             raise ValueError("field mismatch")
         return Matrix(self.p, mul_mod(self.a, other.a, self.p))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.p, (self.a + other.a) % self.p)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.p, (self.a - other.a) % self.p)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.p, (-self.a) % self.p)
 
     def apply(self, v) -> np.ndarray:
         """Matrix-vector product on a coordinate vector."""

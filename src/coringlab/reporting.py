@@ -31,10 +31,3 @@ class Report:
 
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.ok]
-
-    def to_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "ok": self.ok,
-            "checks": [c.to_dict() for c in self.checks],
-        }

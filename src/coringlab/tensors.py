@@ -11,7 +11,8 @@ A coring's S ⊗_R ... ⊗_R S and an extension's A ⊗_B ... ⊗_B A
 (``build_power``, B acting by multiplication) are both towers.
 ``balanced_power`` is the dense reference the tests check them against.
 Every build estimates its largest dense matrix first and raises
-SizeLimitError above ``RELATION_ENTRY_BUDGET``.
+SizeLimitError above ``RELATION_ENTRY_BUDGET``; the bimodule-hom solves
+of ``homspaces`` are held to the same budget.
 """
 
 from __future__ import annotations
@@ -52,14 +53,21 @@ def relation_entries(n_blocks: int, ambient: int) -> int:
     return max(n_blocks, 1) * ambient * ambient
 
 
-def _check_relation_budget(n_blocks: int, ambient: int) -> None:
-    """Raise SizeLimitError before a relation build above the budget."""
+def check_entry_budget(n_blocks: int, ambient: int, what: str) -> None:
+    """Raise SizeLimitError before a build whose largest dense matrix,
+    ``relation_entries(n_blocks, ambient)`` entries, is above the budget;
+    ``what`` names the build and its matrix."""
     entries = relation_entries(n_blocks, ambient)
     if entries > RELATION_ENTRY_BUDGET:
         raise SizeLimitError(
-            f"a tensor power with ambient dimension {ambient} needs a dense "
-            f"relation matrix of about {entries:.2e} entries, over the budget "
+            f"{what} of about {entries:.2e} entries, over the budget "
             f"of {RELATION_ENTRY_BUDGET:.0e}")
+
+
+def _check_relation_budget(n_blocks: int, ambient: int) -> None:
+    """Raise SizeLimitError before a relation build above the budget."""
+    check_entry_budget(n_blocks, ambient,
+                       f"a tensor power with ambient dimension {ambient} needs a dense relation matrix")
 
 
 def pair_relation_rows(p: int, dim_left: int, dim_right: int, rights, lefts) -> np.ndarray:

@@ -230,6 +230,10 @@ def test_flag_validation():
     with pytest.raises(SystemExit) as exc:
         main(["verify-iso", "x.json", "--trials", "0"])
     assert exc.value.code == 2
+    for command in ("amitsur", "verify-iso"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(corpus_path("c2_gf2.json")), "--seed", "-1"])
+        assert exc.value.code == 2
 
 
 def test_gs_compare_degree_cap_is_a_usage_error(capsys):

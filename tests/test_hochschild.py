@@ -212,8 +212,3 @@ def test_degree_cap_enforced():
     with pytest.raises(ValueError):
         build_complex(ut2_diag_extension(3), max_degree=0)
 
-
-def test_r_vector_roundtrip(ut2_complex):
-    c = ut2_complex
-    one = unit_cochain(c)
-    assert np.array_equal(c.r_vector(one.coords), c.extension.ambient.unit)

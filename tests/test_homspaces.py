@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from coringlab.algebras import matrix_algebra, trivial_extension
-from coringlab.errors import ElementNotInSpaceError
+from coringlab import tensors
+from coringlab.algebras import diagonal_algebra, matrix_algebra, trivial_extension
+from coringlab.errors import ElementNotInSpaceError, SizeLimitError
 from coringlab.homspaces import build_hom
 from coringlab.linalg import Field, Matrix
 from coringlab.tensors import balanced_power, build_power
@@ -175,3 +176,20 @@ def test_idempotent_component_projection_squares():
         sq = compose_endo(s, eye[i], eye[i])
         # basis elements are unit matrices on single components
         assert np.array_equal(sq, eye[i]) or not sq.any()
+
+
+@pytest.mark.parametrize("make,entries", [
+    # two constraint blocks for the one generator of the diagonal, over
+    # 3 * 4 unknowns
+    (lambda: ut2_diag_extension(5), 2 * 12**2),
+    # no generators over the ground field: the 27-square identity
+    (lambda: trivial_extension(diagonal_algebra(Field(5), 3)), 27**2),
+])
+def test_oversized_hom_solve_is_refused_before_allocating(monkeypatch, make, entries):
+    e = make()
+    t = build_power(e, 2)
+    monkeypatch.setattr(tensors, "RELATION_ENTRY_BUDGET", entries)
+    assert build_hom(e, t).dim > 0
+    monkeypatch.setattr(tensors, "RELATION_ENTRY_BUDGET", entries - 1)
+    with pytest.raises(SizeLimitError, match=f"{e.ambient.dim * t.dim} unknowns"):
+        build_hom(e, t)

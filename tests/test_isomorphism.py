@@ -73,6 +73,36 @@ def test_group_algebra_witness_passes():
     assert w.hochschild_dims == w.amitsur_dims == [2, 2, 2]
 
 
+# every mul_mod at this prime takes the exact int64 path, inside the
+# batched products as well
+BIG_P = 2**31 - 1
+BIG_P_EXTENSIONS = {
+    "c2": lambda: trivial_extension(group_algebra(Field(BIG_P), [[0, 1], [1, 0]])),
+    "ut2_diag": lambda: ut2_diag_extension(BIG_P),
+}
+
+
+@pytest.mark.parametrize("name", BIG_P_EXTENSIONS)
+def test_main_theorem_at_a_large_prime(name):
+    w = verify_main_theorem(BIG_P_EXTENSIONS[name](), 3, trials=5)
+    assert w.ok, w.report.failures()
+
+
+@pytest.mark.parametrize("name", BIG_P_EXTENSIONS)
+def test_batched_products_are_the_per_pair_products(name, rng):
+    e = BIG_P_EXTENSIONS[name]()
+    for x in (build_complex(e, 3), build_amitsur(endo_coring(e), 3)):
+        for m in range(4):
+            for n in range(4 - m):
+                xs = rng.integers(0, BIG_P, size=(x.dim(m), 3))
+                ys = rng.integers(0, BIG_P, size=(x.dim(n), 2))
+                batch = x.products(m, n, xs, ys)
+                for i in range(3):
+                    for j in range(2):
+                        pair = x.product(Element(m, xs[:, i]), Element(n, ys[:, j]))
+                        assert np.array_equal(batch[:, i * 2 + j], pair.coords)
+
+
 def test_no_certificate_raises():
     with pytest.raises(NoD2CertificateError):
         verify_main_theorem(s3_c2_extension(7), 2, trials=5)

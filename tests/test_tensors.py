@@ -197,11 +197,18 @@ def test_relation_budget_admits_the_builds_in_use():
     # over 2 generators of S3)
     assert relation_entries(3, 1024) <= RELATION_ENTRY_BUDGET
     assert relation_entries(2, 972) <= RELATION_ENTRY_BUDGET
+    # the largest hom solve: Hom_{B-B}(power(4), A) of the filled
+    # triangle, 19 * 91 = 1729 unknowns under two blocks per generator
+    assert relation_entries(12, 19 * 91) <= RELATION_ENTRY_BUDGET
     # with no generators the projection and section bound a build
     assert relation_entries(0, 10) == relation_entries(1, 10) == 100
     # the fourth power of an 11-dim algebra over the ground field
     # (ambient 11**4, no relations) is refused
     assert relation_entries(0, 11**4) > RELATION_ENTRY_BUDGET
+    # a 9-dim algebra over the ground field builds power(4) (ambient
+    # 9**4), but its hom space, 9 * 9**4 unknowns, is refused
+    assert relation_entries(0, 9**4) <= RELATION_ENTRY_BUDGET
+    assert relation_entries(0, 9 * 9**4) > RELATION_ENTRY_BUDGET
 
 
 def test_oversized_powers_are_refused_before_allocating():
