@@ -16,7 +16,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .errors import AxiomError, ElementNotInSpaceError
-from .linalg import Field, Matrix, Subspace, kernel_rows, mul_mod, rank_of
+from .linalg import Field, Matrix, Subspace, kernel_rows_with_free, mul_mod, rank_of
 
 
 class FinDimAlgebra:
@@ -158,7 +158,7 @@ def center(a: FinDimAlgebra) -> Subspace:
     eye = np.eye(d, dtype=np.int64)
     for i in range(d):
         blocks.append((a.left_mul(eye[i]).a - a.right_mul(eye[i]).a) % a.p)
-    return Subspace.from_spanning(a.p, d, kernel_rows(np.vstack(blocks), a.p))
+    return Subspace.from_spanning(a.p, d, kernel_rows_with_free(np.vstack(blocks), a.p)[0])
 
 
 class Extension:
@@ -214,7 +214,7 @@ def centralizer(e: Extension) -> Subspace:
     blocks = []
     for b in e.sub_images():
         blocks.append((a.left_mul(b).a - a.right_mul(b).a) % a.p)
-    return Subspace.from_spanning(a.p, a.dim, kernel_rows(np.vstack(blocks), a.p))
+    return Subspace.from_spanning(a.p, a.dim, kernel_rows_with_free(np.vstack(blocks), a.p)[0])
 
 
 def generating_indices(a: FinDimAlgebra) -> list[int]:

@@ -4,12 +4,14 @@ Degree zero is the base algebra, degree n the n-fold tensor power of
 the carrier over the base, in the coring's coordinates: power(n) is
 power(n-1) (x)_R carrier, not a quotient of the dense carrier**n.  The
 product concatenates tensor factors, with degree-zero elements acting
-through the base actions: on a batch it is the coring's ``concat(m, n)``
-applied to the kron of the two batches.  The differential is the
-shared ``dga.coboundaries`` with the grouplike as unit and the
-coring's slotwise ``coproducts`` as slot maps; in degree zero it sends
-r to ``right_action(r)(g) - left_action(r)(g)``, which matches the
-degree-zero coboundary of the relative cochain complex on the nose.
+through the base actions: ``omega_product`` forms it on column-paired
+batches, as the coring's ``concat(m, n)`` applied to the Khatri-Rao
+product of the two batches, and is the complex's ``products``.  The
+differential is the shared ``dga.coboundaries`` with the grouplike as
+unit and the coring's slotwise ``coproducts`` as slot maps; in degree
+zero it sends r to ``right_action(r)(g) - left_action(r)(g)``, which
+matches the degree-zero coboundary of the relative cochain complex on
+the nose.
 
 Everything is exact mod p.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corings import CoringWithGrouplike
-from .dga import DGA, Element, coboundaries
+from .dga import DGA, coboundaries, paired
 # this complex's cohomology and law check are the shared ones
 from .dga import cohomology_dims as amitsur_cohomology, verify_dga as verify_amitsur_dga
 from .linalg import Matrix, QuotientSpace, mul_mod, trivial_quotient
@@ -39,10 +41,16 @@ class AmitsurComplex(DGA):
         self.spaces = spaces
 
     def products(self, m: int, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return mul_mod(self.coring.concat(m, n).a, np.kron(xs, ys) % self.p, self.p)
+        return omega_product(self, m, n, xs, ys)
 
-    def product(self, a: Element, b: Element) -> Element:
-        return omega_product(self, a, b)
+
+def omega_product(x: AmitsurComplex, m: int, n: int, xs, ys) -> np.ndarray:
+    """The concatenation product of column-paired batches (see
+    ``DGA.products``); degree-zero factors act via the base actions."""
+    xs, ys = paired(x, m, n, xs, ys)
+    # column i of the Khatri-Rao product is kron(xs[:, i], ys[:, i])
+    pairs = (xs[:, None, :] * ys[None, :, :]).reshape(-1, xs.shape[1]) % x.p
+    return mul_mod(x.coring.concat(m, n).a, pairs, x.p)
 
 
 def build_amitsur(c: CoringWithGrouplike, max_degree: int = 3) -> AmitsurComplex:
@@ -62,9 +70,3 @@ def build_amitsur(c: CoringWithGrouplike, max_degree: int = 3) -> AmitsurComplex
     x = AmitsurComplex(c, max_degree, spaces, [])
     x.d = coboundaries(x, c.grouplike, c.coproducts)
     return x
-
-
-def omega_product(x: AmitsurComplex, a: Element, b: Element) -> Element:
-    """Concatenation product of one pair; degree-zero factors act via the
-    base actions."""
-    return DGA.product(x, a, b)

@@ -31,6 +31,7 @@ import numpy as np
 
 from .algebras import (Extension, FinDimAlgebra, HopfData, one_dim_algebra,
                        subalgebra_on)
+from .dga import every_pair
 from .errors import AxiomError, NoD2CertificateError, NotWellDefinedError
 from .hochschild import build_complex
 from .homspaces import BimoduleHomSpace
@@ -219,12 +220,12 @@ def build_f2(e: Extension) -> D2Certificate:
     p = e.p
     s, r = cc.dim(1), cc.dim(0)
     eye_s, eye_r = np.eye(s, dtype=np.int64), np.eye(r, dtype=np.int64)
-    lefts = cc.products(0, 1, eye_r, eye_s)     # column i * s + j: r_i ∪ alpha_j
-    rights = cc.products(1, 0, eye_s, eye_r)    # column j * r + i: alpha_j ∪ r_i
+    lefts = cc.products(0, 1, *every_pair(eye_r, eye_s))    # column i * s + j: r_i ∪ alpha_j
+    rights = cc.products(1, 0, *every_pair(eye_s, eye_r))   # column j * r + i: alpha_j ∪ r_i
     left_mats = [Matrix(p, lefts[:, i * s:(i + 1) * s]) for i in range(r)]
     right_mats = [Matrix(p, rights[:, i::r]) for i in range(r)]
     square = balanced_pair(p, s, s, [m.a for m in right_mats], [m.a for m in left_mats])
-    f2 = Matrix(p, descend(square, cc.products(1, 1, eye_s, eye_s)))
+    f2 = Matrix(p, descend(square, cc.products(1, 1, *every_pair(eye_s, eye_s))))
     hom_space = cc.homs[2]
     bijective = hom_space.dim == square.dim and rank_of(f2.a, p) == square.dim
     return D2Certificate(
@@ -248,22 +249,18 @@ def endo_coring(e: Extension, cert: D2Certificate | None = None) -> CoringWithGr
             f"f2 is {cert.hom_dim} x {cert.square_dim} with rank "
             f"{rank_of(cert.f2.a, e.ambient.p)}; the depth-two certificate fails")
     a = e.ambient
-    p = a.p
+    p, d = a.p, a.dim
     base, _ = subalgebra_on(a, cert.r_space, [f"r{i}" for i in range(cert.r_dim)])
-    f2_inv = inverse(cert.f2)
+    # the basis of S, stacked as dim A x dim A matrices
+    alphas = cert.s_space.rows.reshape(-1, d, d)
     mu = mul_mod(a.mult.a, cert.hom_space.source.space.section.a, p)
-    cop_cols = []
-    for alpha in cert.s_space.basis:
-        after_mult = Matrix(p, mul_mod(alpha.a, mu, p))
-        cop_cols.append(f2_inv.apply(cert.hom_space.coords_of(after_mult)))
-    coproduct = Matrix(p, np.stack(cop_cols, axis=1))
-    eps_cols = []
-    for alpha in cert.s_space.basis:
-        at_unit = cert.r_space.coords_of(alpha.apply(a.unit))
-        if at_unit is None:
-            raise AssertionError("evaluation at the unit lands in the centralizer")
-        eps_cols.append(at_unit)
-    counit = Matrix(p, np.stack(eps_cols, axis=1))
+    after_mult = [cert.hom_space.coords_of(Matrix(p, m)) for m in mul_mod(alphas, mu, p)]
+    coproduct = inverse(cert.f2) @ Matrix(p, np.stack(after_mult, axis=1))
+    values = mul_mod(alphas, a.unit.reshape(d, 1), p)[..., 0]
+    at_unit = [cert.r_space.coords_of(v) for v in values]
+    if any(c is None for c in at_unit):
+        raise AssertionError("evaluation at the unit lands in the centralizer")
+    counit = Matrix(p, np.stack(at_unit, axis=1))
     grouplike = cert.s_space.coords_of(Matrix.identity(p, a.dim))
     coring = CoringWithGrouplike(base, cert.s_dim, cert.left_mats, cert.right_mats,
                                  coproduct, counit, grouplike,

@@ -7,10 +7,11 @@ value r, a matrix on the one-dimensional power(0).  The cup product
 concatenates arguments: f ∪ g is mult·kron(f, g) on the plain product
 of power(m) and power(n), descended through the tower's concatenation
 onto power(m+n) when both degrees are positive, so r ∪ g = r·g and
-f ∪ r = f·r.  ``products`` forms it for whole batches of cochains at
-once.  The coboundary is the shared ``dga.coboundaries`` with iota, the
-identity 1-cochain, as unit and the pullbacks f -> f∘mu_i along the
-slot multiplications ``tensors.mult_at`` as slot maps:
+f ∪ r = f·r.  ``cup`` forms it on column-paired batches, f_i ∪ g_i for
+every column i, and is the complex's ``products``.  The coboundary is
+the shared ``dga.coboundaries`` with iota, the identity 1-cochain, as
+unit and the pullbacks f -> f∘mu_i along the slot multiplications
+``tensors.mult_at`` as slot maps:
 
     delta f = iota ∪ f + sum_i (-1)^i f∘mu_i + (-1)^{n+1} f ∪ iota,
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebras import Extension, centralizer
-from .dga import DGA, Element, coboundaries
+from .dga import DGA, coboundaries, paired
 # this complex's cohomology and law check are the shared ones
 from .dga import cohomology_dims, verify_dga as verify_hochschild_dga
 from .errors import ElementNotInSpaceError, NotWellDefinedError
@@ -54,9 +55,6 @@ class CochainComplex(DGA):
         self.tower = powers[1].tower    # the one tower all powers come from
         self.homs = homs                # {n: BimoduleHomSpace}, n = 1..N
 
-    def product(self, f: Element, g: Element) -> Element:
-        return cup(self, f, g)
-
     def _basis(self, n: int):
         """Basis rows of degree n, each a flattened dim A x dim power(n)
         matrix, and the positions of their identity pattern."""
@@ -81,26 +79,31 @@ class CochainComplex(DGA):
         return coords.T
 
     def products(self, m: int, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        p, d = self.p, self.extension.ambient.dim
-        f, g = self._matrices(m, xs), self._matrices(n, ys)
-        (k1, _, qm), (k2, _, qn) = f.shape, g.shape
-        # mult[c, a, b] against f[i, a, x], rows (c, b) and columns (i, x)
-        mult = self.extension.ambient.mult.a.reshape(d, d, d).transpose(0, 2, 1)
-        t = mul_mod(mult.reshape(d * d, d), f.transpose(1, 0, 2).reshape(d, k1 * qm), p)
-        # then against g[j, b, y], rows (c, i, x) and columns (j, y)
-        t = t.reshape(d, d, k1 * qm).transpose(0, 2, 1).reshape(d * k1 * qm, d)
-        t = mul_mod(t, g.transpose(1, 0, 2).reshape(d, k2 * qn), p)
-        # f_i ∪ g_j on the plain product of power(m) and power(n)
-        plain = t.reshape(d, k1, qm, k2, qn).transpose(1, 3, 0, 2, 4)
-        plain = plain.reshape(k1 * k2 * d, qm * qn)
-        if m and n:
-            # descends exactly when composing with concat(m, n) gives it back
-            h = mul_mod(plain, self.tower.concat_section(m, n).a, p)
-            if not np.array_equal(mul_mod(h, self.tower.concat(m, n).a, p), plain):
-                raise NotWellDefinedError(
-                    f"the cup product of degrees {m} and {n} does not descend")
-            plain = h
-        return self._coords(m + n, plain.reshape(k1 * k2, d * plain.shape[1]))
+        return cup(self, m, n, xs, ys)
+
+
+def cup(c: CochainComplex, m: int, n: int, xs, ys) -> np.ndarray:
+    """The cup product of column-paired batches (see ``DGA.products``)."""
+    xs, ys = paired(c, m, n, xs, ys)
+    p, d = c.p, c.extension.ambient.dim
+    f, g = c._matrices(m, xs), c._matrices(n, ys)
+    k, qm, qn = f.shape[0], f.shape[2], g.shape[2]
+    # mult[r, a, b] against f[i, a, x], rows (r, b) and columns (i, x)
+    mult = c.extension.ambient.mult.a.reshape(d, d, d).transpose(0, 2, 1)
+    t = mul_mod(mult.reshape(d * d, d), f.transpose(1, 0, 2).reshape(d, k * qm), p)
+    # then against g[i, b, y] with the same i: a stack of k products,
+    # each with rows (r, x) and columns y
+    t = t.reshape(d, d, k, qm).transpose(2, 0, 3, 1).reshape(k, d * qm, d)
+    # f_i ∪ g_i on the plain product of power(m) and power(n)
+    plain = mul_mod(t, g, p).reshape(k * d, qm * qn)
+    if m and n:
+        # descends exactly when composing with concat(m, n) gives it back
+        h = mul_mod(plain, c.tower.concat_section(m, n).a, p)
+        if not np.array_equal(mul_mod(h, c.tower.concat(m, n).a, p), plain):
+            raise NotWellDefinedError(
+                f"the cup product of degrees {m} and {n} does not descend")
+        plain = h
+    return c._coords(m + n, plain.reshape(k, d * plain.shape[1]))
 
 
 def _pullbacks(c: CochainComplex, n: int) -> list[Matrix]:
@@ -130,8 +133,3 @@ def build_complex(e: Extension, max_degree: int = DEFAULT_DEGREE) -> CochainComp
     iota = homs[1].coords_of(Matrix.identity(a.p, a.dim))
     c.d = coboundaries(c, iota, lambda n: _pullbacks(c, n))
     return c
-
-
-def cup(c: CochainComplex, f: Element, g: Element) -> Element:
-    """The cup product of one pair; degrees must sum to at most the built maximum."""
-    return DGA.product(c, f, g)

@@ -17,50 +17,33 @@ import numpy as np
 
 from .algebras import Extension, generating_indices
 from .errors import ElementNotInSpaceError
-from .linalg import Matrix, kernel_rows_with_free, member_coords, mul_mod
+from .linalg import Matrix, kernel_rows_with_free, member_coords
 from .tensors import RelativeTensorPower, check_entry_budget
 
 
 class BimoduleHomSpace:
     """Hom_{B-B}(A^(⊗_B n), A) with its echelon coordinate system."""
 
-    __slots__ = ("extension", "source", "rows", "free", "basis")
+    __slots__ = ("extension", "source", "rows", "free")
 
     def __init__(self, extension, source, rows, free):
         self.extension = extension
         self.source = source
         self.rows = rows          # dim x (dim A * source.dim), kernel-canonical
         self.free = free          # identity positions in the flattened matrix
-        d_a = extension.ambient.dim
-        self.basis = [Matrix(extension.p, r.reshape(d_a, source.dim)) for r in rows]
-
-    @property
-    def p(self) -> int:
-        return self.extension.p
 
     @property
     def dim(self) -> int:
         return self.rows.shape[0]
 
-    def matrix_of(self, coords) -> Matrix:
-        coords = np.asarray(coords, dtype=np.int64).reshape(1, -1) % self.p
-        if coords.shape[1] != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {coords.shape[1]}")
-        d_a = self.extension.ambient.dim
-        flat = mul_mod(coords, self.rows, self.p)[0]
-        return Matrix(self.p, flat.reshape(d_a, self.source.dim))
-
     def coords_of(self, mat: Matrix) -> np.ndarray:
         """Echelon coordinates of a B-bimodule map; raises if not one."""
-        coords = member_coords(self.rows, self.free, mat.a.reshape(-1), self.p)
+        coords = member_coords(self.rows, self.free, mat.a.reshape(-1), self.extension.p)
         if coords is None:
             raise ElementNotInSpaceError(
                 "matrix does not satisfy the B-bimodule constraints"
             )
         return coords
-
-    def contains(self, mat: Matrix) -> bool:
-        return member_coords(self.rows, self.free, mat.a.reshape(-1), self.p) is not None
 
     def __repr__(self):
         return f"BimoduleHomSpace(n={self.source.n}, dim={self.dim})"

@@ -4,11 +4,12 @@ cochain complex of the extension it came from.
 The comparison maps send a pure tensor of endomorphisms to their
 iterated cup product.  In degrees 0 and 1 the two sides share
 coordinates outright, so the maps are identities; from degree 2 on
-f_n is one batched product of the cochain complex, f_{n-1}(x) ∪ v for
+f_n is one paired product of the cochain complex, f_{n-1}(x) ∪ v for
 every basis x of degree n-1 and v of the carrier, on the plain product
 power(n-1) x carrier that the coring's power(n) is a quotient of,
 descended through the balancing relations.  All degrees are built in
-one sweep, each from the one below.
+one sweep, each from the one below.  Multiplicativity is checked by the
+shared ``dga.verify_morphism`` on batches of sampled pairs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .algebras import Extension
 from .amitsur import AmitsurComplex, build_amitsur
 from .corings import build_f2, endo_coring
-from .dga import cohomology_dims, verify_morphism
+from .dga import cohomology_dims, every_pair, verify_morphism
 from .hochschild import CochainComplex, build_complex
 from .linalg import Matrix, descend, rank_of
 from .reporting import Report
@@ -60,7 +61,8 @@ def build_fn(e: Extension, ac: AmitsurComplex, cc: CochainComplex, n: int) -> li
     f = [Matrix.identity(p, ac.dim(0)), Matrix.identity(p, ac.dim(1))][:n + 1]
     units = np.eye(ac.dim(1), dtype=np.int64)
     for k in range(2, n + 1):
-        f.append(Matrix(p, descend(ac.spaces[k], cc.products(k - 1, 1, f[-1].a, units))))
+        images = cc.products(k - 1, 1, *every_pair(f[-1].a, units))
+        f.append(Matrix(p, descend(ac.spaces[k], images)))
     return f
 
 

@@ -65,20 +65,20 @@ def check_prime(p: int) -> int:
 
 
 def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p for int64 residue matrices."""
+    """Exact (a @ b) % p for int64 residue matrices, or for stacks of them
+    (3-D operands, multiplied slice by slice as ``np.matmul`` does)."""
     a = np.ascontiguousarray(a, dtype=np.int64)
     b = np.ascontiguousarray(b, dtype=np.int64)
     inner = a.shape[-1]
-    if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     top = (p - 1) * (p - 1)
+    # an empty inner dimension takes this path too, and gives zeros
     if inner * top < 2**53:
         prod = a.astype(np.float64) @ b.astype(np.float64)
         return np.rint(prod).astype(np.int64) % p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    out = 0
     step = max(1, _INT64_BUDGET // top)
     for lo in range(0, inner, step):
-        out = (out + a[:, lo : lo + step] @ b[lo : lo + step, :]) % p
+        out = (out + a[..., lo : lo + step] @ b[..., lo : lo + step, :]) % p
     return out
 
 
@@ -181,18 +181,13 @@ def kernel_rows_with_free(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]
     a = np.atleast_2d(np.asarray(a, dtype=np.int64))
     n = a.shape[1]
     rows, piv = rref_rows(a, p)
-    piv_set = set(piv)
-    free = [c for c in range(n) if c not in piv_set]
+    free = free_columns(n, piv)
     k = np.zeros((len(free), n), dtype=np.int64)
     for t, f in enumerate(free):
         k[t, f] = 1
         if piv:
             k[t, list(piv)] = (-rows[:, f]) % p
     return k, free
-
-
-def kernel_rows(a: np.ndarray, p: int) -> np.ndarray:
-    return kernel_rows_with_free(a, p)[0]
 
 
 def free_columns(ncols: int, pivots: Sequence[int]) -> list[int]:
@@ -323,11 +318,6 @@ class Subspace:
     def dim(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def basis(self) -> Matrix:
-        """Basis vectors as matrix columns."""
-        return Matrix(self.p, self.rows.T)
-
     def reduce(self, v) -> np.ndarray:
         """Residual of v after subtracting its component in this subspace."""
         v = np.asarray(v, dtype=np.int64) % self.p
@@ -389,9 +379,6 @@ class QuotientSpace:
 
     def project(self, v) -> np.ndarray:
         return self.projection.apply(v)
-
-    def lift(self, q) -> np.ndarray:
-        return self.section.apply(q)
 
     def __repr__(self):
         return f"QuotientSpace(p={self.p}, ambient={self.ambient_dim}, dim={self.dim})"

@@ -190,6 +190,28 @@ def pure_tensor(t, factors):
     return vec
 
 
+def hom_matrix(space, coords):
+    """The matrix of the member of a bimodule hom space with the given
+    coordinates: coords @ rows, reshaped to dim A x dim power(n)."""
+    from coringlab import Matrix
+
+    p = space.extension.p
+    flat = np.asarray(coords, dtype=np.int64) @ space.rows % p
+    return Matrix(p, flat.reshape(-1, space.source.dim))
+
+
+def leibniz_residual(x, m, n, a, b):
+    """d(ab) - d(a)b - (-1)^m a d(b) for one pair, a of degree m and b of
+    degree n, from one-column products."""
+    p = x.p
+    a, b = (np.reshape(v, (-1, 1)) % p for v in (a, b))
+    d = [mat.a for mat in x.d]
+    lhs = d[m + n] @ x.products(m, n, a, b)
+    da, db = d[m] @ a % p, d[n] @ b % p
+    rhs = x.products(m + 1, n, da, b) + (-1) ** m * x.products(m, n + 1, a, db)
+    return (lhs - rhs)[:, 0] % p
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20250817)

@@ -23,7 +23,7 @@ from coringlab.algebras import generating_indices, matrix_algebra, one_dim_algeb
 from coringlab.corpus import extension_names, hopf_names, load_corpus_extension, load_corpus_hopf
 from coringlab.tensors import balanced_pair, balanced_power
 
-from conftest import naive_rank, pure_tensor, s3_c2_extension
+from conftest import hom_matrix, naive_rank, pure_tensor, s3_c2_extension
 from test_algebras import ut2_diag_extension
 from test_homspaces import brute_hom_dim
 
@@ -97,19 +97,20 @@ def test_endo_measuring_identity(m2_gf5_extension, m2_gf5_cert, m2_gf5_endo, rng
     s = m2_gf5_cert.s_space
     c = m2_gf5_endo
     sq = c.power(2)
+    basis = [hom_matrix(s, row) for row in np.eye(s.dim, dtype=np.int64)]
     for _ in range(5):
         alpha = rng.integers(0, 5, size=s.dim)
         x = rng.integers(0, 5, size=a.dim)
         y = rng.integers(0, 5, size=a.dim)
-        lhs = s.matrix_of(alpha).apply(a.multiply(x, y))
-        lift = sq.lift(c.coproduct.apply(alpha))
+        lhs = hom_matrix(s, alpha).apply(a.multiply(x, y))
+        lift = sq.section.apply(c.coproduct.apply(alpha))
         rhs = np.zeros(a.dim, dtype=np.int64)
         for k in range(s.dim):
-            xk = s.basis[k].apply(x)
+            xk = basis[k].apply(x)
             for l in range(s.dim):
                 coeff = int(lift[k * s.dim + l])
                 if coeff:
-                    rhs = (rhs + coeff * a.multiply(xk, s.basis[l].apply(y))) % 5
+                    rhs = (rhs + coeff * a.multiply(xk, basis[l].apply(y))) % 5
         assert np.array_equal(lhs, rhs)
 
 

@@ -4,22 +4,21 @@ import numpy as np
 import pytest
 
 from coringlab import (
-    Element,
     Field,
     Matrix,
     NoD2CertificateError,
     build_complex,
     build_f2,
-    cup,
     endo_coring,
     group_algebra,
     trivial_extension,
 )
-from coringlab import isomorphism
-from coringlab.amitsur import build_amitsur, omega_product
+from coringlab import dga, isomorphism
+from coringlab.amitsur import build_amitsur
+from coringlab.dga import verify_dga, verify_morphism
 from coringlab.isomorphism import build_fn, verify_main_theorem
 
-from conftest import pure_tensor, s3_c2_extension
+from conftest import hom_matrix, leibniz_residual, pure_tensor, s3_c2_extension
 from test_algebras import ut2_diag_extension
 
 
@@ -94,13 +93,12 @@ def test_batched_products_are_the_per_pair_products(name, rng):
     for x in (build_complex(e, 3), build_amitsur(endo_coring(e), 3)):
         for m in range(4):
             for n in range(4 - m):
-                xs = rng.integers(0, BIG_P, size=(x.dim(m), 3))
-                ys = rng.integers(0, BIG_P, size=(x.dim(n), 2))
+                xs = rng.integers(0, BIG_P, size=(x.dim(m), 4))
+                ys = rng.integers(0, BIG_P, size=(x.dim(n), 4))
                 batch = x.products(m, n, xs, ys)
-                for i in range(3):
-                    for j in range(2):
-                        pair = x.product(Element(m, xs[:, i]), Element(n, ys[:, j]))
-                        assert np.array_equal(batch[:, i * 2 + j], pair.coords)
+                for i in range(4):
+                    pair = x.products(m, n, xs[:, i:i + 1], ys[:, i:i + 1])
+                    assert np.array_equal(batch[:, i:i + 1], pair)
 
 
 def test_no_certificate_raises():
@@ -116,8 +114,8 @@ def test_chain_identity_pointwise(rng):
     a = e.ambient
     for _ in range(10):
         alpha = rng.integers(0, 5, size=cc.dim(1))
-        mat = cc.homs[1].matrix_of(alpha)
-        image = cc.homs[2].matrix_of(cc.d[1].apply(alpha))
+        mat = hom_matrix(cc.homs[1], alpha)
+        image = hom_matrix(cc.homs[2], cc.d[1].apply(alpha))
         a1 = rng.integers(0, 5, size=a.dim)
         a2 = rng.integers(0, 5, size=a.dim)
         lhs = image.apply(pure_tensor(cc.powers[2], [a1, a2]))
@@ -169,7 +167,74 @@ def test_corrupted_comparison_map_carries_witnesses(monkeypatch):
     assert failing
     witness = failing[0].detail["witness"]
     m, k = witness["degrees"]
-    x, y = (Element(n, v) for n, v in zip(witness["degrees"], witness["inputs"]))
-    lhs = w.f[m + k].apply(omega_product(ac, x, y).coords)
-    rhs = cup(cc, Element(m, w.f[m].apply(x.coords)), Element(k, w.f[k].apply(y.coords))).coords
+    x, y = (np.reshape(v, (-1, 1)) for v in witness["inputs"])
+    lhs = w.f[m + k].a @ ac.products(m, k, x, y)
+    rhs = cc.products(m, k, w.f[m].a @ x, w.f[k].a @ y)
     assert np.flatnonzero((lhs - rhs) % 5).tolist() == witness["residual_at"] != []
+
+
+def ut2_comparison(tamper):
+    """The ut2/diag comparison at p = 5 to degree 3; with ``tamper``, one
+    entry of delta^1 and one row of f2 are corrupted, so Leibniz,
+    the chain squares and multiplicativity all fail."""
+    e = ut2_diag_extension(5)
+    ac, cc = build_amitsur(endo_coring(e), 3), build_complex(e, 3)
+    f = build_fn(e, ac, cc, 3)
+    if tamper:
+        j = int(np.flatnonzero(cc.d[0].a.any(axis=1))[0])
+        d1 = cc.d[1].a.copy()
+        d1[0, j] = (d1[0, j] + 1) % 5
+        cc.d[1] = Matrix(5, d1)
+        f2 = f[2].a.copy()
+        f2[0] = 0
+        f[2] = Matrix(5, f2)
+    return ac, cc, f
+
+
+def test_witness_is_the_first_failing_draw():
+    """Each trial draws a before b from one seeded stream, as a check of
+    one pair at a time did; every witness is that order's first failing
+    pair, and every failure count its number of failing pairs."""
+    _, cc, _ = ut2_comparison(True)
+    trials, seed = 70, 11
+    checks = {c.name: c.detail for c in verify_dga(cc, trials=trials, seed=seed).checks}
+    rng = np.random.default_rng(seed)
+    witnesses = 0
+    for m in range(3):
+        for n in range(3 - m):
+            failing = []
+            for _ in range(trials):
+                a = rng.integers(0, 5, size=cc.dim(m), dtype=np.int64)
+                b = rng.integers(0, 5, size=cc.dim(n), dtype=np.int64)
+                if leibniz_residual(cc, m, n, a, b).any():
+                    failing.append([a.tolist(), b.tolist()])
+            detail = checks[f"leibniz deg ({m},{n})"]
+            assert detail["failures"] == len(failing)
+            if failing:
+                witnesses += 1
+                assert detail["witness"]["inputs"] == failing[0]
+            else:
+                assert "witness" not in detail
+    assert witnesses
+
+
+@pytest.mark.parametrize("tamper", [False, True], ids=["passing", "broken"])
+def test_law_checks_do_not_depend_on_the_batch_size(monkeypatch, tamper):
+    ac, cc, f = ut2_comparison(tamper)
+
+    def run():
+        reports = (verify_dga(cc, trials=130, seed=3),
+                   verify_morphism(f, ac, cc, trials=130, seed=3))
+        return [(c.name, c.ok, c.detail) for r in reports for c in r.checks]
+
+    batched = run()    # batches of 64, 64 and 2 trials
+    monkeypatch.setattr(dga, "LAW_BATCH", 130)
+    assert run() == batched
+    sampled = [detail for name, _, detail in batched if "deg (" in name]
+    assert all(detail["trials"] == 130 for detail in sampled)
+    failures = [detail["failures"] for detail in sampled]
+    if tamper:
+        # some check fails in more than one batch
+        assert max(failures) > 64
+    else:
+        assert not any(failures)

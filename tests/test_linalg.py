@@ -81,7 +81,7 @@ def test_quotient_identifies_coordinates_gf5():
     pb = q.project([0, 1])
     assert np.array_equal(pa, pb)
     # the section lifts back to a representative in the same class
-    lifted = q.lift(pa)
+    lifted = q.section.apply(pa)
     assert np.array_equal(q.project(lifted), pa)
 
 
@@ -165,6 +165,20 @@ def test_mul_mod_empty_inner():
     assert not out.any()
 
 
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+def test_mul_mod_stacked_is_slice_by_slice(rng, p):
+    # at 2**31 - 1 every product takes the chunked int64 path
+    a = rng.integers(0, p, size=(4, 3, 5), dtype=np.int64)
+    b = rng.integers(0, p, size=(4, 5, 2), dtype=np.int64)
+    got = mul_mod(a, b, p)
+    assert got.shape == (4, 3, 2)
+    for k in range(4):
+        assert np.array_equal(got[k], mul_mod(a[k], b[k], p))
+    empty = mul_mod(np.zeros((4, 3, 0), dtype=np.int64), np.zeros((4, 0, 2), dtype=np.int64), p)
+    assert empty.shape == (4, 3, 2)
+    assert not empty.any()
+
+
 def test_accumulator_matches_oneshot(rng):
     for p in (2, 5, 31):
         m = random_matrix(rng, 40, 17, p)
@@ -221,7 +235,7 @@ def test_quotient_projection_section_contract(rng):
         assert (q.projection @ q.section) == Matrix.identity(p, q.dim)
         # lifting then projecting is the identity on quotient coordinates
         v = rng.integers(0, p, size=7, dtype=np.int64)
-        assert np.array_equal(q.project(q.lift(q.project(v))), q.project(v))
+        assert np.array_equal(q.project(q.section.apply(q.project(v))), q.project(v))
 
 
 def test_trivial_quotient_is_identity():
