@@ -4,7 +4,7 @@ An algebra is a dense structure tensor ``t[i, j, k]`` (coefficient of
 ``e_k`` in ``e_i * e_j``) plus a unit vector.  The module provides the
 standard example constructors (matrix algebras, group algebras,
 upper-triangular algebras, simple field extensions), extensions B -> A
-with an explicit inclusion matrix, centralizer/center computation, and
+with an explicit inclusion matrix, centralizer computation, and
 finite-dimensional Hopf data with dualization.
 """
 
@@ -149,16 +149,6 @@ def algebra_violations(a: FinDimAlgebra) -> list[str]:
 def validate(a: FinDimAlgebra) -> ValidationReport:
     failures = algebra_violations(a)
     return ValidationReport(ok=not failures, failures=failures)
-
-
-def center(a: FinDimAlgebra) -> Subspace:
-    """Elements commuting with the whole algebra, as a subspace of A."""
-    blocks = []
-    d = a.dim
-    eye = np.eye(d, dtype=np.int64)
-    for i in range(d):
-        blocks.append((a.left_mul(eye[i]).a - a.right_mul(eye[i]).a) % a.p)
-    return Subspace.from_spanning(a.p, d, kernel_rows_with_free(np.vstack(blocks), a.p)[0])
 
 
 class Extension:

@@ -8,8 +8,9 @@ class CoringLabError(Exception):
 class NotWellDefinedError(CoringLabError):
     """An ambient map failed to descend to a quotient space.
 
-    Raised by ``induced_map`` when some relation vector of the domain is
-    not sent into the relation span of the codomain.
+    Raised by ``linalg.descend``, the one check every map onto a
+    quotient goes through (``induced_map`` included), when the map does
+    not kill the kernel of the quotient's projection.
     """
 
 

@@ -5,10 +5,11 @@ on A^(⊗_B n), power n of the extension's tensor tower.  A cochain is
 handled as its matrix from power(n) to A; a degree-0 cochain is its
 value r, a matrix on the one-dimensional power(0).  The cup product
 concatenates arguments: f ∪ g is mult·kron(f, g) on the plain product
-of power(m) and power(n), descended through the tower's concatenation
-onto power(m+n) when both degrees are positive, so r ∪ g = r·g and
-f ∪ r = f·r.  ``cup`` forms it on column-paired batches, f_i ∪ g_i for
-every column i, and is the complex's ``products``.  The coboundary is
+of power(m) and power(n), descended onto power(m+n) through the pair
+(``concat(m, n)``, ``concat_section(m, n)``) when both degrees are
+positive, so r ∪ g = r·g and f ∪ r = f·r.  ``cup`` forms it on
+column-paired batches, f_i ∪ g_i for every column i, and is the
+complex's ``products``.  The coboundary is
 the shared ``dga.coboundaries`` with iota, the identity 1-cochain, as
 unit and the pullbacks f -> f∘mu_i along the slot multiplications
 ``tensors.mult_at`` as slot maps:
@@ -30,8 +31,8 @@ from .algebras import Extension, centralizer
 from .dga import DGA, coboundaries, paired
 # this complex's cohomology and law check are the shared ones
 from .dga import cohomology_dims, verify_dga as verify_hochschild_dga
-from .errors import ElementNotInSpaceError, NotWellDefinedError
-from .linalg import Matrix, mul_mod
+from .errors import ElementNotInSpaceError
+from .linalg import Matrix, QuotientSpace, descend, mul_mod
 from .homspaces import build_hom
 from .tensors import RelativeTensorPower, extension_tower, mult_at
 
@@ -97,12 +98,9 @@ def cup(c: CochainComplex, m: int, n: int, xs, ys) -> np.ndarray:
     # f_i ∪ g_i on the plain product of power(m) and power(n)
     plain = mul_mod(t, g, p).reshape(k * d, qm * qn)
     if m and n:
-        # descends exactly when composing with concat(m, n) gives it back
-        h = mul_mod(plain, c.tower.concat_section(m, n).a, p)
-        if not np.array_equal(mul_mod(h, c.tower.concat(m, n).a, p), plain):
-            raise NotWellDefinedError(
-                f"the cup product of degrees {m} and {n} does not descend")
-        plain = h
+        # power(m+n) as a retract of that plain product
+        concat = QuotientSpace(p, c.tower.concat(m, n), c.tower.concat_section(m, n))
+        plain = descend(concat, plain)
     return c._coords(m + n, plain.reshape(k, d * plain.shape[1]))
 
 

@@ -4,11 +4,12 @@ A hom element is a matrix from quotient coordinates of the tensor power
 to A.  The space is cut out by two families of intertwining constraints,
 one per algebra generator of B: its left action on the first factor
 (the tower's ``concat(0, n)``) and its right action on the last
-(``right_on(n)``).  They are solved once into a kernel-canonical
-basis: basis element t has a 1 in the t-th free coordinate of the
-flattened matrix, so re-expressing a member is a single gather plus one
-verification product.  The solve estimates its dense constraint matrix
-first and refuses one above ``tensors.RELATION_ENTRY_BUDGET``.
+(``right_on(n)``).  They stream, block by block, into one row
+reduction whose kernel is the canonical basis: basis element t has a 1
+in the t-th free coordinate of the flattened matrix, so re-expressing a
+member is a single gather plus one verification product.  The solve
+first estimates its constraint matrix as if every block were stacked,
+and refuses one above ``tensors.RELATION_ENTRY_BUDGET``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .algebras import Extension, generating_indices
 from .errors import ElementNotInSpaceError
-from .linalg import Matrix, kernel_rows_with_free, member_coords
+from .linalg import Matrix, RrefAccumulator, member_coords
 from .tensors import RelativeTensorPower, check_entry_budget
 
 
@@ -55,8 +56,9 @@ def build_hom(e: Extension, t: RelativeTensorPower) -> BimoduleHomSpace:
     p, d_a, q = a.p, a.dim, t.dim
     gens = generating_indices(e.sub)
     nvars = d_a * q
-    # two constraint blocks per generator of B, each nvars square; with
-    # none, the kernel basis is the nvars-square identity
+    # budgeted as the two nvars-square blocks of every generator stacked;
+    # they stream into one reduction instead, so one block and the
+    # echelon rows are all that is held at once
     check_entry_budget(2 * len(gens), nvars,
                        f"a bimodule hom space with {nvars} unknowns needs a dense constraint matrix")
     tower = t.tower
@@ -65,18 +67,10 @@ def build_hom(e: Extension, t: RelativeTensorPower) -> BimoduleHomSpace:
     # B on the first factor is concat(0, n), on the last right_on(n);
     # algebra generators of B constrain as much as its basis does
     lefts, rights = tower.concat(0, t.n).a, tower.right_on(t.n)
-    blocks = []
+    acc = RrefAccumulator(nvars, p)
     for j in gens:
         lq = lefts[:, j * q:(j + 1) * q]
-        bl = (np.kron(tower.left_mats[j].a, eye_q) - np.kron(eye_a, lq.T)) % p
-        br = (np.kron(tower.right_mats[j].a, eye_q) - np.kron(eye_a, rights[j].a.T)) % p
-        if bl.any():
-            blocks.append(bl)
-        if br.any():
-            blocks.append(br)
-    if blocks:
-        rows, free = kernel_rows_with_free(np.vstack(blocks), p)
-    else:
-        rows = np.eye(nvars, dtype=np.int64)
-        free = list(range(nvars))
+        acc.add(np.kron(tower.left_mats[j].a, eye_q) - np.kron(eye_a, lq.T))
+        acc.add(np.kron(tower.right_mats[j].a, eye_q) - np.kron(eye_a, rights[j].a.T))
+    rows, free = acc.kernel()
     return BimoduleHomSpace(e, t, rows, free)

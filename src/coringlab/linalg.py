@@ -11,12 +11,13 @@ dense integer matrix of residues.  This module supplies the primitives:
 * reduced row echelon forms with deterministic first-nonzero pivoting,
   including an incremental accumulator for large relation spans,
 * kernels and inverses,
-* ``QuotientSpace`` with an explicit projection/section pair, and
-  ``induced_map``/``descend`` with a mandatory well-definedness check.
+* ``QuotientSpace``, a (projection, section) pair with projection @
+  section = identity, and ``descend``, the one well-definedness check
+  (``induced_map`` goes through it).
 
 Everything is deterministic: the RREF of a row span is unique, kernel
-bases are the canonical free-column bases, and sections pick the
-free-coordinate unit representatives.
+bases are the canonical free-column bases, and ``quotient_of``'s
+sections pick the free-coordinate unit representatives.
 """
 
 from __future__ import annotations
@@ -162,6 +163,10 @@ class RrefAccumulator:
     def result(self) -> tuple[np.ndarray, tuple[int, ...]]:
         return self.rows, tuple(self.pivots)
 
+    def kernel(self) -> tuple[np.ndarray, list[int]]:
+        """The kernel basis of the rows, as ``kernel_rows_with_free``."""
+        return _kernel_of_rref(self.rows, self.pivots, self.ncols, self.p)
+
 
 def rref_rows(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Canonical RREF (nonzero rows only) of the row space of ``a``."""
@@ -179,20 +184,19 @@ def kernel_rows_with_free(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]
     entries at the free positions.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    n = a.shape[1]
-    rows, piv = rref_rows(a, p)
-    free = free_columns(n, piv)
-    k = np.zeros((len(free), n), dtype=np.int64)
-    for t, f in enumerate(free):
-        k[t, f] = 1
-        if piv:
-            k[t, list(piv)] = (-rows[:, f]) % p
-    return k, free
+    return _kernel_of_rref(*rref_rows(a, p), a.shape[1], p)
 
 
-def free_columns(ncols: int, pivots: Sequence[int]) -> list[int]:
+def _kernel_of_rref(rows: np.ndarray, pivots: Sequence[int], ncols: int,
+                    p: int) -> tuple[np.ndarray, list[int]]:
+    """The kernel basis of ``kernel_rows_with_free`` from an RREF."""
     piv_set = set(pivots)
-    return [c for c in range(ncols) if c not in piv_set]
+    free = [c for c in range(ncols) if c not in piv_set]
+    k = np.zeros((len(free), ncols), dtype=np.int64)
+    k[range(len(free)), free] = 1
+    if len(pivots):
+        k[:, list(pivots)] = (-rows[:, free].T) % p
+    return k, free
 
 
 def member_coords(basis_rows: np.ndarray, positions: Sequence[int], x: np.ndarray, p: int):
@@ -310,10 +314,6 @@ class Subspace:
         rows, piv = rref_rows(vectors, p)
         return cls(p, ambient_dim, rows, piv)
 
-    @classmethod
-    def zero(cls, p: int, ambient_dim: int) -> "Subspace":
-        return cls(p, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64), ())
-
     @property
     def dim(self) -> int:
         return self.rows.shape[0]
@@ -353,25 +353,25 @@ def rank_of(a: np.ndarray, p: int) -> int:
 
 
 class QuotientSpace:
-    """GF(p)^ambient modulo a relation subspace.
+    """A quotient of GF(p)^ambient, held as a retract of it.
 
-    ``projection`` (quotient x ambient) and ``section`` (ambient x
-    quotient) satisfy projection @ section = identity and
-    projection @ (any relation vector) = 0.  The section lifts quotient
-    coordinates to the canonical representatives supported on the free
-    (non-pivot) columns of the relation RREF.
+    ``projection`` (dim x ambient) and ``section`` (ambient x dim)
+    satisfy projection @ section = identity; the relations are the
+    kernel of the projection, and section @ projection fixes the
+    section's image and kills that kernel.  ``quotient_of`` builds the
+    pair from a relation span, ``trivial_quotient`` the identity pair.
     """
 
-    __slots__ = ("p", "ambient_dim", "relations", "projection", "section", "free")
+    __slots__ = ("p", "projection", "section")
 
-    def __init__(self, p: int, ambient_dim: int, relations: Subspace,
-                 projection: Matrix, section: Matrix, free: tuple[int, ...]):
+    def __init__(self, p: int, projection: Matrix, section: Matrix):
         self.p = p
-        self.ambient_dim = ambient_dim
-        self.relations = relations
         self.projection = projection
         self.section = section
-        self.free = free
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.projection.cols
 
     @property
     def dim(self) -> int:
@@ -385,67 +385,52 @@ class QuotientSpace:
 
 
 def quotient_of(ambient_dim: int, relations: Subspace) -> QuotientSpace:
-    """Quotient of GF(p)^ambient_dim by the span of ``relations``."""
+    """Quotient of GF(p)^ambient_dim by the span of ``relations``: the
+    projection is the canonical kernel basis of their RREF, the section
+    lifts to the representatives on its free (non-pivot) columns."""
     if relations.ambient_dim != ambient_dim:
         raise ValueError(
             f"relations live in dim {relations.ambient_dim}, expected {ambient_dim}"
         )
     p = relations.p
-    free = free_columns(ambient_dim, relations.pivots)
-    q = len(free)
-    proj = np.zeros((q, ambient_dim), dtype=np.int64)
-    proj[range(q), free] = 1
-    if relations.dim:
-        proj[:, list(relations.pivots)] = (-relations.rows[:, free].T) % p
-    sect = np.zeros((ambient_dim, q), dtype=np.int64)
-    sect[free, range(q)] = 1
-    return QuotientSpace(p, ambient_dim, relations, Matrix(p, proj), Matrix(p, sect),
-                         tuple(free))
+    proj, free = _kernel_of_rref(relations.rows, relations.pivots, ambient_dim, p)
+    sect = np.zeros((ambient_dim, len(free)), dtype=np.int64)
+    sect[free, range(len(free))] = 1
+    return QuotientSpace(p, Matrix(p, proj), Matrix(p, sect))
 
 
 def trivial_quotient(p: int, n: int) -> QuotientSpace:
     """The identity quotient (no relations)."""
-    return quotient_of(n, Subspace.zero(p, n))
+    eye = Matrix.identity(p, n)
+    return QuotientSpace(p, eye, eye)
 
 
 def induced_map(q_dom: QuotientSpace, q_cod: QuotientSpace, ambient_map: Matrix) -> Matrix:
-    """Descend an ambient-space map to quotient coordinates.
-
-    Verifies first that the map sends every domain relation into the
-    codomain relation span; this check is mandatory and raising
-    NotWellDefinedError is the only alternative to a correct descent.
-    """
-    p = q_dom.p
+    """Descend an ambient-space map to quotient coordinates: ``descend``
+    of its composite with the codomain projection, which raises
+    NotWellDefinedError unless the map sends every domain relation into
+    the codomain relations."""
     if ambient_map.shape != (q_cod.ambient_dim, q_dom.ambient_dim):
         raise ValueError(
             f"ambient map shape {ambient_map.shape} does not match "
             f"({q_cod.ambient_dim}, {q_dom.ambient_dim})"
         )
-    projected = ambient_map.a
-    if q_cod.relations.dim:
-        projected = mul_mod(q_cod.projection.a, projected, p)
-    return Matrix(p, descend(q_dom, projected))
-
-
-def descend(q_dom: QuotientSpace, projected: np.ndarray) -> np.ndarray:
-    """Quotient-coordinate matrix of a map from q_dom's ambient whose
-    values are already in codomain coordinates.
-
-    The map descends exactly when it kills every relation of q_dom; that
-    check is the same mandatory one ``induced_map`` makes, and its
-    failure raises NotWellDefinedError.
-    """
     p = q_dom.p
-    rel = q_dom.relations
-    # the section is the unit vectors at the free coordinates, and each
-    # relation row is a unit vector at its pivot plus free-column entries
-    on_free = projected[:, list(q_dom.free)]
-    if rel.dim:
-        residual = (projected[:, list(rel.pivots)]
-                    + mul_mod(on_free, rel.rows[:, list(q_dom.free)].T, p)) % p
-        if residual.any():
-            bad = int(np.flatnonzero(residual.any(axis=0))[0])
-            raise NotWellDefinedError(
-                f"relation vector {bad} maps outside the codomain relations"
-            )
-    return on_free % p
+    return Matrix(p, descend(q_dom, mul_mod(q_cod.projection.a, ambient_map.a, p)))
+
+
+def descend(q: QuotientSpace, m: np.ndarray) -> np.ndarray:
+    """h = m @ section, the map m (residues) on q's ambient read on
+    quotient coordinates.  m kills the relations, ker(projection),
+    exactly when h @ projection = m; otherwise NotWellDefinedError
+    names the first ambient coordinate whose image differs from its
+    representative's."""
+    p = q.p
+    h = mul_mod(m, q.section.a, p)
+    bad = mul_mod(h, q.projection.a, p) != m
+    if bad.any():
+        col = int(np.flatnonzero(bad.any(axis=0))[0])
+        raise NotWellDefinedError(
+            f"the map does not kill the relations: ambient coordinate {col} "
+            f"and its representative have different images")
+    return h

@@ -4,9 +4,11 @@ V ⊗_R W is the plain product GF(p)^(dim V * dim W), index v * dim W + w,
 modulo the balancing relations (v·b) ⊗ w − v ⊗ (b·w); ``balanced_pair``
 builds it in one row reduction.  ``TensorTower`` grows the powers of a
 carrier C from it, power(n) = power(n-1) ⊗_R C, so no power is built in
-the dense dim**n ambient; every structure map on power(n) is a map on
-power(n-1) tensored with the identity of the last factor, or acts on
-the last factor alone, descended through the well-definedness check.
+the dense dim**n ambient.  Each power is a (projection, section) pair
+on its plain product, and every structure map on power(n), a map on
+power(n-1) tensored with the identity of the last factor or one on the
+last factor alone, descends through ``linalg.descend``; so can maps out
+of power(m) ⊗ power(n), with ``concat_section`` as concat(m, n)'s section.
 A coring's S ⊗_R ... ⊗_R S and an extension's A ⊗_B ... ⊗_B A
 (``build_power``, B acting by multiplication) are both towers.
 ``balanced_power`` is the dense reference the tests check them against.
@@ -223,29 +225,26 @@ class TensorTower:
 
     def concat_section(self, m: int, n: int) -> Matrix:
         """A section of concat(m, n) for m, n >= 1, built from the powers'
-        own sections: power(m+n) lifts z to w ⊗ v with w in
+        own pairs: power(m+n)'s section lifts z to w ⊗ v with w in
         power(m+n-1), the section one power down lifts w to the plain
-        product of power(m) and power(n-1), and v joins the second part
-        in power(n)."""
+        product of power(m) and power(n-1), and power(n)'s projection
+        joins that power(n-1) part with v."""
         key = (m, n)
         sec = self._sections.get(key)
         if sec is None:
-            p, c = self.p, self.carrier_dim
             q = self.power(m + n)
             if n == 1:
                 sec = q.section
             else:
-                d_m, d_n, d_prev = self.power(m).dim, self.power(n).dim, self.power(n - 1).dim
-                w, v = divmod(np.asarray(q.free, dtype=np.int64), c)
-                lifted = self.concat_section(m, n - 1).a[:, w].reshape(d_m, d_prev, q.dim)
-                proj = self.power(n).projection.a.reshape(d_n, d_prev, c)
-                out = np.zeros((d_m, d_n, q.dim), dtype=np.int64)
-                for t in range(c):
-                    cols = np.flatnonzero(v == t)
-                    block = lifted[:, :, cols].transpose(0, 2, 1).reshape(-1, d_prev)
-                    joined = mul_mod(block, proj[:, :, t].T, p)
-                    out[:, :, cols] = joined.reshape(d_m, cols.size, d_n).transpose(0, 2, 1)
-                sec = Matrix(p, out.reshape(d_m * d_n, q.dim))
+                p, c = self.p, self.carrier_dim
+                d_m, d_prev = self.power(m).dim, self.power(n - 1).dim
+                # rows (x, y), columns (v, z): x ⊗ y ⊗ v lifts z
+                lifted = mul_mod(self.concat_section(m, n - 1).a,
+                                 q.section.a.reshape(-1, c * q.dim), p)
+                lifted = lifted.reshape(d_m, d_prev * c, q.dim).transpose(1, 0, 2)
+                joined = mul_mod(self.power(n).projection.a, lifted.reshape(d_prev * c, -1), p)
+                joined = joined.reshape(-1, d_m, q.dim).transpose(1, 0, 2)
+                sec = Matrix(p, joined.reshape(-1, q.dim))
             self._sections[key] = sec
         return sec
 

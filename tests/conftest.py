@@ -190,6 +190,17 @@ def pure_tensor(t, factors):
     return vec
 
 
+def concat_section_failures(tower, top):
+    """The degree pairs (m, n), m, n >= 1 and m + n <= top, at which
+    concat(m, n) @ concat_section(m, n) is not the identity of
+    power(m + n)."""
+    from coringlab import Matrix
+
+    return [(m, n) for m in range(1, top) for n in range(1, top - m + 1)
+            if tower.concat(m, n) @ tower.concat_section(m, n)
+            != Matrix.identity(tower.p, tower.power(m + n).dim)]
+
+
 def hom_matrix(space, coords):
     """The matrix of the member of a bimodule hom space with the given
     coordinates: coords @ rows, reshaped to dim A x dim power(n)."""

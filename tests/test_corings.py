@@ -23,7 +23,8 @@ from coringlab.algebras import generating_indices, matrix_algebra, one_dim_algeb
 from coringlab.corpus import extension_names, hopf_names, load_corpus_extension, load_corpus_hopf
 from coringlab.tensors import balanced_pair, balanced_power
 
-from conftest import hom_matrix, naive_rank, pure_tensor, s3_c2_extension
+from conftest import (concat_section_failures, hom_matrix, naive_rank, pure_tensor,
+                      s3_c2_extension)
 from test_algebras import ut2_diag_extension
 from test_homspaces import brute_hom_dim
 
@@ -241,10 +242,16 @@ def test_large_carrier_power_dims(corpus_corings):
     assert [s3.power(n).dim for n in (1, 2, 3)] == [18, 54, 162]
 
 
+def test_concat_sections_invert_concat(corpus_corings):
+    # up to power(3), which every corpus coring builds in well under a second
+    for name, c in corpus_corings.items():
+        assert concat_section_failures(c, 3) == [], name
+
+
 def test_base_generators_balance_like_the_whole_basis(corpus_corings):
     # power(n) is balanced over algebra generators of the base only; the
-    # relation span, hence its canonical echelon basis, is the same as
-    # over every basis element
+    # relation span, hence its canonical echelon basis and the projection
+    # read off it, is the same as over every basis element
     for name, c in corpus_corings.items():
         if c.carrier_dim > 9:
             continue
@@ -252,7 +259,7 @@ def test_base_generators_balance_like_the_whole_basis(corpus_corings):
             full = balanced_pair(c.p, c.power(n - 1).dim, c.carrier_dim,
                                  [m.a for m in c.right_on(n - 1)],
                                  [m.a for m in c.left_mats])
-            assert np.array_equal(full.relations.rows, c.power(n).relations.rows), (name, n)
+            assert full.projection == c.power(n).projection, (name, n)
 
 
 def test_generating_indices():

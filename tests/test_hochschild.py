@@ -134,7 +134,7 @@ def test_cup_refuses_a_product_that_does_not_descend():
     c = build_complex(ut2_diag_extension(5), 2)
     c.tower._sections[(1, 1)] = Matrix(5, np.zeros_like(c.tower.concat_section(1, 1).a))
     ident = c.homs[1].coords_of(Matrix.identity(5, 3)).reshape(-1, 1)
-    with pytest.raises(NotWellDefinedError, match="degrees 1 and 1"):
+    with pytest.raises(NotWellDefinedError, match="does not kill the relations: ambient coordinate"):
         cup(c, 1, 1, ident, ident)
 
 

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coringlab.errors import NotWellDefinedError
 from coringlab.linalg import (
     Field,
     Matrix,
+    QuotientSpace,
     RrefAccumulator,
     Subspace,
     check_prime,
+    descend,
     induced_map,
     inverse,
     is_prime,
@@ -236,6 +239,63 @@ def test_quotient_projection_section_contract(rng):
         # lifting then projecting is the identity on quotient coordinates
         v = rng.integers(0, p, size=7, dtype=np.int64)
         assert np.array_equal(q.project(q.section.apply(q.project(v))), q.project(v))
+
+
+@st.composite
+def quotients_and_maps(draw):
+    """A quotient of GF(p)^n by a random span and a map from GF(p)^n:
+    random, or a random map on the quotient composed with the projection
+    (so it kills the relations), perhaps moved by one unit entry."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 6))
+
+    def matrix(rows, cols):
+        flat = st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols)
+        return draw(flat.map(lambda v: np.array(v, dtype=np.int64).reshape(rows, cols)))
+
+    rel = Subspace.from_spanning(p, n, matrix(draw(st.integers(0, n)), n))
+    q = quotient_of(n, rel)
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return rel, q, matrix(k, n)
+    m = mul_mod(matrix(k, q.dim), q.projection.a, p)
+    if draw(st.booleans()):
+        m[draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))] += 1
+    return rel, q, m % p
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(quotients_and_maps())
+def test_descend_raises_exactly_when_a_relation_survives(case):
+    rel, q, m = case
+    p = q.p
+    if mul_mod(m, rel.rows.T, p).any():
+        with pytest.raises(NotWellDefinedError):
+            descend(q, m)
+    else:
+        assert np.array_equal(descend(q, m), mul_mod(m, q.section.a, p))
+
+
+def test_every_section_descends_alike(rng):
+    for p in (3, 7):
+        rel = Subspace.from_spanning(p, 7, random_matrix(rng, 3, 7, p))
+        q = quotient_of(7, rel)
+        # s + K X is a section too when the columns of K span the relations
+        moved = mul_mod(rel.rows.T, random_matrix(rng, rel.dim, q.dim, p), p)
+        assert moved.any()
+        other = QuotientSpace(p, q.projection, Matrix(p, (q.section.a + moved) % p))
+        assert other.projection @ other.section == Matrix.identity(p, q.dim)
+        # maps that kill the relations are the maps through the projection
+        maps = mul_mod(random_matrix(rng, 5, q.dim, p), q.projection.a, p)
+        assert np.array_equal(descend(other, maps), descend(q, maps))
+
+
+def test_descend_names_the_first_failing_coordinate():
+    # (x, y, z) -> y on GF(5)^3 modulo y = z: coordinates 0 and 2 are
+    # their own representatives, and coordinate 1 is represented by 2
+    q = quotient_of(3, Subspace.from_spanning(5, 3, [[0, 1, -1]]))
+    with pytest.raises(NotWellDefinedError, match="ambient coordinate 1 "):
+        descend(q, np.array([[0, 1, 0]]))
 
 
 def test_trivial_quotient_is_identity():

@@ -19,7 +19,7 @@ from coringlab.tensors import (
     relation_entries,
 )
 
-from conftest import pure_tensor, s3_c2_extension
+from conftest import concat_section_failures, pure_tensor, s3_c2_extension
 from test_algebras import ut2_diag_extension
 
 
@@ -59,7 +59,7 @@ def test_trivial_base_gives_plain_powers():
     e = trivial_extension(matrix_algebra(Field(5), 2))
     t = build_power(e, 2)
     assert t.dim == 16
-    assert t.space.relations.dim == 0
+    assert t.space.ambient_dim - t.space.dim == 0
 
 
 def test_ut2_diag_power_dims():
@@ -77,7 +77,7 @@ def test_structured_relations_match_bruteforce():
     m2 = self_extension(matrix_algebra(Field(3), 2))
     t = build_power(m2, 2)
     assert t.dim == 4  # A tensor_A A is A itself
-    assert t.space.relations.dim == brute_relation_rank(m2, 2) == 12
+    assert t.space.ambient_dim - t.space.dim == brute_relation_rank(m2, 2) == 12
 
 
 def test_embed_pure_balanced(rng):
@@ -231,8 +231,8 @@ def test_balanced_pair_is_the_dense_square():
     lefts = [a.left_mul(b).a for b in e.sub_images()]
     pair = balanced_pair(5, a.dim, a.dim, rights, lefts)
     square = balanced_power(5, a.dim, rights, lefts, 2)
-    assert np.array_equal(pair.relations.rows, square.relations.rows)
-    assert np.array_equal(pair.projection.a, square.projection.a)
+    assert pair.projection == square.projection
+    assert pair.section == square.section
 
 
 # -- the extension tower ------------------------------------------------------
@@ -253,6 +253,11 @@ def test_extension_powers_grow_by_one_factor(corpus_towers):
         for n in range(2, TOP + 1):
             assert tower.power(n).ambient_dim == tower.power(n - 1).dim * tower.carrier_dim, (
                 name, n)
+
+
+def test_concat_sections_invert_concat(corpus_towers):
+    for name, tower in corpus_towers.items():
+        assert concat_section_failures(tower, TOP) == [], name
 
 
 # the dense reference stays under a second up to this ambient size; the
