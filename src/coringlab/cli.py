@@ -218,7 +218,7 @@ def cmd_verify_iso(cfg: RunConfig) -> Report:
 
 def cmd_gs(cfg: RunConfig) -> Report:
     text = Path(cfg.paths[0]).read_text(encoding="utf-8")
-    s = parse_complex(text)
+    s = parse_complex(text, cap=cfg.cap)
     return gs_compare(s, Field(cfg.prime), max_n=cfg.max_degree, cap=cfg.cap)
 
 

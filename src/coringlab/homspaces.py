@@ -4,10 +4,14 @@ A hom element is a matrix from quotient coordinates of the tensor power
 to A.  The space is cut out by two families of intertwining constraints,
 one per algebra generator of B: its left action on the first factor
 (the tower's ``concat(0, n)``) and its right action on the last
-(``right_on(n)``).  They stream, block by block, into one row
-reduction whose kernel is the canonical basis: basis element t has a 1
-in the t-th free coordinate of the flattened matrix, so re-expressing a
-member is a single gather plus one verification product.  The solve
+(``right_on(n)``).  The space is their common kernel in its canonical
+basis: basis element t has a 1 in the t-th free coordinate of the
+flattened matrix, so re-expressing a member is a single gather plus one
+verification product.  When every generator acts diagonally on A and on
+the power, as the vertex idempotents of an incidence algebra do, each
+constraint block is diagonal and the kernel is the unit vectors where
+every block vanishes, read off the diagonals.  Otherwise the blocks
+stream, one by one, into a single row reduction.  Either way the solve
 first estimates its constraint matrix as if every block were stacked,
 and refuses one above ``tensors.RELATION_ENTRY_BUDGET``.
 """
@@ -18,7 +22,7 @@ import numpy as np
 
 from .algebras import Extension, generating_indices
 from .errors import ElementNotInSpaceError
-from .linalg import Matrix, RrefAccumulator, member_coords
+from .linalg import Matrix, RrefAccumulator, diagonal_kept, member_coords, unit_rows
 from .tensors import RelativeTensorPower, check_entry_budget
 
 
@@ -62,15 +66,21 @@ def build_hom(e: Extension, t: RelativeTensorPower) -> BimoduleHomSpace:
     check_entry_budget(2 * len(gens), nvars,
                        f"a bimodule hom space with {nvars} unknowns needs a dense constraint matrix")
     tower = t.tower
+    # B on the first factor is concat(0, n), on the last right_on(n);
+    # algebra generators of B constrain as much as its basis does.  Each
+    # (L, M) is the block kron(L, I_q) - kron(I_a, M)
+    lefts, rights = tower.concat(0, t.n).a, tower.right_on(t.n)
+    blocks = []
+    for j in gens:
+        blocks.append((tower.left_mats[j].a, lefts[:, j * q:(j + 1) * q].T))
+        blocks.append((tower.right_mats[j].a, rights[j].a.T))
+    kept = diagonal_kept(p, d_a, q, blocks)
+    if kept is not None:
+        return BimoduleHomSpace(e, t, unit_rows(kept), np.flatnonzero(kept).tolist())
     eye_a = np.eye(d_a, dtype=np.int64)
     eye_q = np.eye(q, dtype=np.int64)
-    # B on the first factor is concat(0, n), on the last right_on(n);
-    # algebra generators of B constrain as much as its basis does
-    lefts, rights = tower.concat(0, t.n).a, tower.right_on(t.n)
     acc = RrefAccumulator(nvars, p)
-    for j in gens:
-        lq = lefts[:, j * q:(j + 1) * q]
-        acc.add(np.kron(tower.left_mats[j].a, eye_q) - np.kron(eye_a, lq.T))
-        acc.add(np.kron(tower.right_mats[j].a, eye_q) - np.kron(eye_a, rights[j].a.T))
+    for left, right in blocks:
+        acc.add(np.kron(left, eye_q) - np.kron(eye_a, right))
     rows, free = acc.kernel()
     return BimoduleHomSpace(e, t, rows, free)

@@ -11,6 +11,9 @@ dense integer matrix of residues.  This module supplies the primitives:
 * reduced row echelon forms with deterministic first-nonzero pivoting,
   including an incremental accumulator for large relation spans,
 * kernels and inverses,
+* ``diagonal_kept``, which reads the kernel of commutator-shaped
+  blocks kron(L, I) - kron(I, M) off the diagonals when every L and M is
+  diagonal, with no elimination,
 * ``QuotientSpace``, a (projection, section) pair with projection @
   section = identity, and ``descend``, the one well-definedness check
   (``induced_map`` goes through it).
@@ -197,6 +200,43 @@ def _kernel_of_rref(rows: np.ndarray, pivots: Sequence[int], ncols: int,
     if len(pivots):
         k[:, list(pivots)] = (-rows[:, free].T) % p
     return k, free
+
+
+def diagonal_kept(p: int, dim_left: int, dim_right: int, pairs) -> np.ndarray | None:
+    """The kernel of the blocks kron(L, I) - kron(I, M), one per (L, M)
+    in ``pairs``, when every L and M is diagonal mod p; None otherwise.
+
+    Each block is then diagonal, with entry L[l, l] - M[m, m] at index
+    l * dim_right + m, so its kernel and its column span are spanned by
+    unit vectors.  The result is the boolean mask of the coordinates
+    where every block's entry vanishes: the kernel's unit vectors, and
+    the coordinates a quotient by the column spans keeps.
+    """
+    kept = np.ones((dim_left, dim_right), dtype=bool)
+    for left, right in pairs:
+        dl, dr = _diagonal_of(left, p), _diagonal_of(right, p)
+        if dl is None or dr is None:
+            return None
+        kept &= dl[:, None] == dr[None, :]
+    return kept.reshape(-1)
+
+
+def unit_rows(kept: np.ndarray) -> np.ndarray:
+    """The rows of the identity at a boolean mask's kept positions."""
+    at = np.flatnonzero(kept)
+    rows = np.zeros((at.size, len(kept)), dtype=np.int64)
+    rows[np.arange(at.size), at] = 1
+    return rows
+
+
+def _diagonal_of(m, p: int) -> np.ndarray | None:
+    """The diagonal of a square matrix mod p, or None if an entry off it
+    is nonzero mod p."""
+    m = np.asarray(m, dtype=np.int64) % p
+    diag = np.diagonal(m)
+    if np.count_nonzero(m) != np.count_nonzero(diag):
+        return None
+    return diag
 
 
 def member_coords(basis_rows: np.ndarray, positions: Sequence[int], x: np.ndarray, p: int):
@@ -399,10 +439,18 @@ def quotient_of(ambient_dim: int, relations: Subspace) -> QuotientSpace:
     return QuotientSpace(p, Matrix(p, proj), Matrix(p, sect))
 
 
+def selection_quotient(p: int, kept: np.ndarray) -> QuotientSpace:
+    """The quotient by the unit vectors off a boolean mask: the projection
+    reads the kept coordinates and the section is its transpose.  This is
+    ``quotient_of`` the span of those unit vectors, whose RREF is the
+    vectors themselves."""
+    proj = unit_rows(kept)
+    return QuotientSpace(p, Matrix(p, proj), Matrix(p, np.ascontiguousarray(proj.T)))
+
+
 def trivial_quotient(p: int, n: int) -> QuotientSpace:
-    """The identity quotient (no relations)."""
-    eye = Matrix.identity(p, n)
-    return QuotientSpace(p, eye, eye)
+    """The identity quotient (no relations): every coordinate kept."""
+    return selection_quotient(p, np.ones(n, dtype=bool))
 
 
 def induced_map(q_dom: QuotientSpace, q_cod: QuotientSpace, ambient_map: Matrix) -> Matrix:

@@ -55,9 +55,13 @@ class SimplicialComplex:
         return f"SimplicialComplex({len(self.faces)} faces, {self.n_vertices} vertices)"
 
 
-def parse_complex(text: str) -> SimplicialComplex:
+def parse_complex(text: str, cap: int | None = None) -> SimplicialComplex:
     """Read the facet-list format: one facet per line as whitespace-separated
-    vertex ids, '#' starting a comment, blank lines skipped."""
+    vertex ids, '#' starting a comment, blank lines skipped.
+
+    With a ``cap`` on the incidence-algebra dimension, a facet whose own
+    pairs already exceed it is refused before any face is enumerated.
+    """
     facets = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
@@ -72,6 +76,16 @@ def parse_complex(text: str) -> SimplicialComplex:
         facets.append(verts)
     if not facets:
         raise FacetParseError("no facets in input")
+    if cap is not None:
+        # a k-vertex facet alone spans 3^k - 2^k pairs sigma <= tau: each
+        # vertex lies outside tau, in tau only, or in sigma, and sigma is
+        # nonempty.  The count is named, not printed: it can run to more
+        # digits than an int may be converted to
+        k = max(len(set(f)) for f in facets)
+        if 3**k - 2**k > cap:
+            raise SizeLimitError(
+                f"incidence algebra dimension exceeds the cap {cap}: a facet of "
+                f"{k} vertices alone spans 3^{k} - 2^{k} pairs of faces")
     return SimplicialComplex(facets)
 
 
@@ -138,10 +152,12 @@ def gs_compare(s: SimplicialComplex, field: Field, max_n: int = 1,
     if not 0 <= max_n <= GS_DEGREE_CAP:
         raise SizeLimitError(
             f"gs-compare degree {max_n} is outside 0..{GS_DEGREE_CAP}")
+    # the pairs sigma <= tau, counted before the algebra's dense
+    # structure tensor is allocated: 2^|tau| - 1 faces below each tau
+    dim = sum(2 ** len(tau) - 1 for tau in s.faces)
+    if dim > cap:
+        raise SizeLimitError(f"incidence algebra dimension {dim} exceeds the cap {cap}")
     e = incidence_extension(s, field)
-    if e.ambient.dim > cap:
-        raise SizeLimitError(
-            f"incidence algebra dimension {e.ambient.dim} exceeds the cap {cap}")
     rep = Report("gs-compare")
     algebra_side = cohomology_dims(build_complex(e, max_n + 1))[:max_n + 1]
     space_side = simplicial_cohomology(s, field, max_n)

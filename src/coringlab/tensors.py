@@ -1,14 +1,18 @@
 """Tensor powers over a subring, grown one factor at a time.
 
 V ⊗_R W is the plain product GF(p)^(dim V * dim W), index v * dim W + w,
-modulo the balancing relations (v·b) ⊗ w − v ⊗ (b·w); ``balanced_pair``
-builds it in one row reduction.  ``TensorTower`` grows the powers of a
-carrier C from it, power(n) = power(n-1) ⊗_R C, so no power is built in
-the dense dim**n ambient.  Each power is a (projection, section) pair
-on its plain product, and every structure map on power(n), a map on
-power(n-1) tensored with the identity of the last factor or one on the
-last factor alone, descends through ``linalg.descend``; so can maps out
-of power(m) ⊗ power(n), with ``concat_section`` as concat(m, n)'s section.
+modulo the balancing relations (v·b) ⊗ w − v ⊗ (b·w).  ``balanced_pair``
+builds it: when every base generator acts diagonally on both factors
+(an incidence algebra over its vertex idempotents, say) the relations
+are unit vectors and the quotient is a selection of coordinates, read
+off the diagonals; otherwise it is one row reduction.  ``TensorTower``
+grows the powers of a carrier C from it, power(n) = power(n-1) ⊗_R C,
+so no power is built in the dense dim**n ambient.  Each power is a
+(projection, section) pair on its plain product, and every structure map
+on power(n), a map on power(n-1) tensored with the identity of the last
+factor or one on the last factor alone, descends through
+``linalg.descend``; so can maps out of power(m) ⊗ power(n), with
+``concat_section`` as concat(m, n)'s section.
 A coring's S ⊗_R ... ⊗_R S and an extension's A ⊗_B ... ⊗_B A
 (``build_power``, B acting by multiplication) are both towers.
 ``balanced_power`` is the dense reference the tests check them against.
@@ -28,9 +32,11 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     descend,
+    diagonal_kept,
     mul_mod,
     quotient_of,
     rref_rows,
+    selection_quotient,
     trivial_quotient,
 )
 
@@ -98,10 +104,15 @@ def balanced_pair(p: int, dim_left: int, dim_right: int, rights, lefts) -> Quoti
 
     ``rights[b]`` is the matrix of v -> v·b on V and ``lefts[b]`` that of
     w -> b·w on W, for each b in a set that generates the base as an
-    algebra (a basis does).
+    algebra (a basis does).  When all of them are diagonal the relation
+    span is spanned by unit vectors, and the quotient keeps the other
+    coordinates; RREF is canonical, so this is the reduction's quotient.
     """
     ambient = dim_left * dim_right
     _check_relation_budget(len(rights), ambient)
+    kept = diagonal_kept(p, dim_left, dim_right, zip(rights, lefts))
+    if kept is not None:
+        return selection_quotient(p, kept)
     rows, piv = rref_rows(pair_relation_rows(p, dim_left, dim_right, rights, lefts), p)
     return quotient_of(ambient, Subspace(p, ambient, rows, piv))
 

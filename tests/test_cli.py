@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -173,6 +174,23 @@ def test_gs_compare_respects_cap(capsys):
     assert code == 2
     assert out == ""
     assert "exceeds the cap 10" in err
+
+
+@pytest.mark.parametrize("k", [6, 10, 30])
+def test_gs_compare_refuses_a_large_facet_before_enumerating_faces(capsys, tmp_path, k):
+    # one k-vertex facet: 2**k - 1 faces and 3**k - 2**k pairs, refused
+    # from the facet size alone, before a face or the structure tensor
+    # (665**3 entries at k = 6) exists
+    simplex = tmp_path / f"simplex{k}.facets"
+    simplex.write_text(" ".join(map(str, range(k))) + "\n", encoding="utf-8")
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "gs-compare", str(simplex))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: incidence algebra dimension exceeds the cap 20")
+    assert f"a facet of {k} vertices" in err
 
 
 def test_gs_compare_parse_error(capsys, tmp_path):

@@ -41,6 +41,9 @@ COMMANDS.update({f"gs-compare-{n}": ["gs-compare", f"{n}.facets"] for n in facet
 # a degree-3 Hochschild build over the 7 vertex idempotents of the filled triangle
 COMMANDS["gs-compare-filled_triangle-deg2"] = ["gs-compare", "filled_triangle.facets",
                                                "--max-degree", "2"]
+# and a degree-4 one, every tower step and hom space a coordinate selection
+COMMANDS["gs-compare-filled_triangle-deg3"] = ["gs-compare", "filled_triangle.facets",
+                                               "--max-degree", "3"]
 
 
 def render(argv) -> tuple[int, str]:

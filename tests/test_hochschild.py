@@ -205,3 +205,26 @@ def test_degree_cap_enforced():
     with pytest.raises(ValueError):
         build_complex(ut2_diag_extension(3), max_degree=0)
 
+
+
+def test_incidence_complex_builds_without_reducing_a_power_or_hom(monkeypatch):
+    # every vertex idempotent acts diagonally, so each tower step and hom
+    # space is a coordinate selection.  Only the reductions of the base's
+    # generators and of the centralizer, at most dim A = 19 columns wide,
+    # may run; a power (361 or more) or a hom solve (19 or more times a
+    # power) would fail here
+    from coringlab import homspaces, linalg
+    from coringlab.corpus import read_facets
+    from coringlab.simplicial import incidence_extension, parse_complex
+
+    e = incidence_extension(parse_complex(read_facets("filled_triangle")), Field(5))
+
+    class NarrowOnly(linalg.RrefAccumulator):
+        def __init__(self, ncols, p, *args, **kwargs):
+            if ncols > e.ambient.dim:
+                raise AssertionError(f"a {ncols}-column row reduction ran")
+            super().__init__(ncols, p, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "RrefAccumulator", NarrowOnly)
+    monkeypatch.setattr(homspaces, "RrefAccumulator", NarrowOnly)
+    assert build_complex(e, 3).dims() == [7, 19, 37, 61]

@@ -1,14 +1,24 @@
 """B-bimodule hom spaces: dimensions against brute-force constraint solving."""
 
+import random
+import re
+
 import numpy as np
 import pytest
 
 from coringlab import tensors
-from coringlab.algebras import diagonal_algebra, matrix_algebra, trivial_extension
+from coringlab.algebras import (
+    diagonal_algebra,
+    generating_indices,
+    matrix_algebra,
+    trivial_extension,
+)
+from coringlab.corpus import facet_names, read_facets
 from coringlab.errors import ElementNotInSpaceError, SizeLimitError
 from coringlab.homspaces import build_hom
-from coringlab.linalg import Field, Matrix
-from coringlab.tensors import balanced_power, build_power
+from coringlab.linalg import Field, Matrix, kernel_rows_with_free
+from coringlab.simplicial import SimplicialComplex, incidence_extension, parse_complex
+from coringlab.tensors import balanced_power, build_power, relation_entries
 
 from conftest import hom_matrix, naive_rank, pure_tensor
 from test_algebras import ut2_diag_extension
@@ -192,4 +202,63 @@ def test_oversized_hom_solve_is_refused_before_allocating(monkeypatch, make, ent
     assert build_hom(e, t).dim > 0
     monkeypatch.setattr(tensors, "RELATION_ENTRY_BUDGET", entries - 1)
     with pytest.raises(SizeLimitError, match=f"{e.ambient.dim * t.dim} unknowns"):
+        build_hom(e, t)
+
+
+# -- diagonal actions: the hom space as a selection ---------------------------
+
+
+def stacked_constraint_kernel(e, t):
+    """The canonical kernel of every intertwining block stacked into one
+    matrix, two blocks for each basis element of B (its generators
+    constrain no more): the solve a base acting off the diagonal takes,
+    without the streaming."""
+    p, d_a, q, tower = e.p, e.ambient.dim, t.dim, t.tower
+    lefts, rights = tower.concat(0, t.n).a, tower.right_on(t.n)
+    eye_a, eye_q = np.eye(d_a, dtype=np.int64), np.eye(q, dtype=np.int64)
+    blocks = []
+    for j in range(e.sub.dim):
+        blocks.append(np.kron(tower.left_mats[j].a, eye_q)
+                      - np.kron(eye_a, lefts[:, j * q:(j + 1) * q].T))
+        blocks.append(np.kron(tower.right_mats[j].a, eye_q) - np.kron(eye_a, rights[j].a.T))
+    return kernel_rows_with_free(np.vstack(blocks) % p, p)
+
+
+def seeded_graph(seed, n_vertices, n_edges):
+    """A simple graph with exactly n_edges edges, isolated vertices kept."""
+    pairs = [(a, b) for a in range(n_vertices) for b in range(a + 1, n_vertices)]
+    edges = random.Random(seed).sample(pairs, n_edges)
+    used = {v for edge in edges for v in edge}
+    return SimplicialComplex(edges + [(v,) for v in range(n_vertices) if v not in used])
+
+
+INCIDENCE_CASES = {name: (lambda name=name: parse_complex(read_facets(name)))
+                   for name in facet_names()}
+INCIDENCE_CASES["graph-seed1"] = lambda: seeded_graph(1, 5, 4)
+INCIDENCE_CASES["graph-seed2"] = lambda: seeded_graph(2, 6, 3)
+
+
+@pytest.mark.parametrize("name", sorted(INCIDENCE_CASES))
+def test_incidence_hom_selection_is_the_stacked_kernel(name):
+    e = incidence_extension(INCIDENCE_CASES[name](), Field(5))
+    for n in (1, 2):
+        t = build_power(e, n)
+        hom = build_hom(e, t)
+        rows, free = stacked_constraint_kernel(e, t)
+        assert np.array_equal(hom.rows, rows), (name, n)
+        assert hom.free == free, (name, n)
+
+
+def test_incidence_hom_selection_is_budgeted_like_the_reduction(monkeypatch):
+    # Hom_{B-B}(power(2), A) of the filled triangle: 19 * 37 unknowns
+    # under two blocks for each of 6 generating vertex idempotents
+    e = incidence_extension(parse_complex(read_facets("filled_triangle")), Field(5))
+    t = build_power(e, 2)
+    estimate = relation_entries(2 * len(generating_indices(e.sub)), 19 * 37)
+    monkeypatch.setattr(tensors, "RELATION_ENTRY_BUDGET", estimate)
+    assert build_hom(e, t).dim == 37
+    monkeypatch.setattr(tensors, "RELATION_ENTRY_BUDGET", estimate - 1)
+    with pytest.raises(SizeLimitError, match=re.escape(
+            "a bimodule hom space with 703 unknowns needs a dense constraint matrix "
+            f"of about {estimate:.2e} entries, over the budget of {estimate - 1:.0e}")):
         build_hom(e, t)

@@ -133,3 +133,23 @@ def test_gs_match_on_corpus(text, expected):
 def test_gs_size_cap():
     with pytest.raises(SizeLimitError, match="exceeds the cap"):
         gs_compare(parse_complex(FILLED), F5, 1, cap=10)
+
+
+def test_gs_size_cap_counts_pairs_before_building_the_algebra(monkeypatch):
+    import coringlab.simplicial as simplicial
+
+    def unbuilt(*args):
+        raise AssertionError("the incidence algebra was built")
+
+    monkeypatch.setattr(simplicial, "incidence_extension", unbuilt)
+    with pytest.raises(SizeLimitError, match="dimension 19 exceeds the cap 18"):
+        gs_compare(parse_complex(FILLED), F5, 1, cap=18)
+
+
+def test_parse_cap_bounds_each_facet_by_its_own_pairs():
+    # the filled triangle's one facet spans all 3**3 - 2**3 = 19 pairs
+    assert len(parse_complex(FILLED, cap=19).faces) == 7
+    with pytest.raises(SizeLimitError, match="a facet of 3 vertices"):
+        parse_complex(FILLED, cap=18)
+    # the hollow triangle's 12 pairs are more than any one edge's 5
+    assert len(parse_complex(HOLLOW, cap=5).faces) == 6

@@ -1,13 +1,31 @@
 """Relative tensor powers: dimensions, balancedness, multiplication maps,
 and the shape of the tower they are grown in."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coringlab.algebras import diagonal_algebra, matrix_algebra, self_extension, trivial_extension
+from coringlab import tensors
+from coringlab.algebras import (
+    diagonal_algebra,
+    generating_indices,
+    matrix_algebra,
+    self_extension,
+    trivial_extension,
+)
 from coringlab.corpus import extension_names, facet_names, load_corpus_extension, read_facets
 from coringlab.errors import SizeLimitError
-from coringlab.linalg import Field, rref_rows
+from coringlab.hochschild import build_complex
+from coringlab.linalg import (
+    Field,
+    Subspace,
+    diagonal_kept,
+    quotient_of,
+    rref_rows,
+    selection_quotient,
+)
 from coringlab.simplicial import incidence_extension, parse_complex
 from coringlab.tensors import (
     RELATION_ENTRY_BUDGET,
@@ -235,6 +253,84 @@ def test_balanced_pair_is_the_dense_square():
     assert pair.section == square.section
 
 
+# -- diagonal actions: the quotient as a selection -----------------------------
+
+
+def dense_pair_quotient(p, dim_left, dim_right, rights, lefts):
+    """V (x)_R W by reducing every balancing relation, the path a base
+    acting off the diagonal takes."""
+    ambient = dim_left * dim_right
+    rows = pair_relation_rows(p, dim_left, dim_right, rights, lefts)
+    return quotient_of(ambient, Subspace.from_spanning(p, ambient, rows))
+
+
+@st.composite
+def diagonal_actions(draw):
+    """(p, dims, rights, lefts) for a base whose generators act by
+    diagonal matrices, drawn from a few values so that diagonal entries
+    repeat across the factors, some equal only mod p; an entry p off the
+    diagonal is zero mod p and keeps a matrix diagonal."""
+    p = draw(st.sampled_from([2, 5, 2**31 - 1]))
+    dim_left, dim_right = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    value = st.sampled_from([0, 1, 2, p - 1, p + 1])
+
+    def diagonal(dim):
+        m = np.diag(np.array(draw(st.lists(value, min_size=dim, max_size=dim)), dtype=np.int64))
+        if dim > 1 and draw(st.booleans()):
+            m[0, dim - 1] = p
+        return m
+
+    n = draw(st.integers(0, 3))
+    return (p, dim_left, dim_right, [diagonal(dim_left) for _ in range(n)],
+            [diagonal(dim_right) for _ in range(n)])
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(diagonal_actions())
+def test_diagonal_selection_is_the_dense_quotient(case):
+    p, dim_left, dim_right, rights, lefts = case
+    assert diagonal_kept(p, dim_left, dim_right, zip(rights, lefts)) is not None
+    pair = balanced_pair(p, dim_left, dim_right, rights, lefts)
+    dense = dense_pair_quotient(p, dim_left, dim_right, rights, lefts)
+    assert pair.projection == dense.projection
+    assert pair.section == dense.section
+
+
+@pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
+def test_one_entry_off_the_diagonal_takes_the_reduction(p):
+    rights = [np.diag([1, 0, 1]).astype(np.int64), np.diag([0, 1, 1]).astype(np.int64)]
+    lefts = [np.diag([1, 1]).astype(np.int64), np.diag([0, 1]).astype(np.int64)]
+    rights[1][2, 0] = 1
+    assert diagonal_kept(p, 3, 2, zip(rights, lefts)) is None
+    pair = balanced_pair(p, 3, 2, rights, lefts)
+    dense = dense_pair_quotient(p, 3, 2, rights, lefts)
+    assert pair.projection == dense.projection
+    assert pair.section == dense.section
+    # the entry ties a relation coordinate to a kept one, so the quotient
+    # is no longer the selection its diagonals alone give
+    diagonals = [np.diag(np.diag(r)) for r in rights]
+    selection = selection_quotient(p, diagonal_kept(p, 3, 2, zip(diagonals, lefts)))
+    assert pair.projection != selection.projection
+
+
+def test_selection_is_budgeted_like_the_reduction(monkeypatch):
+    # power(2) of the filled triangle's incidence algebra: 361 ambient
+    # coordinates under 6 generating vertex idempotents
+    e = incidence_extension(parse_complex(read_facets("filled_triangle")), Field(5))
+    a, subs = e.ambient, e.sub_images()
+    gens = generating_indices(e.sub)
+    rights = [a.right_mul(subs[j]).a for j in gens]
+    lefts = [a.left_mul(subs[j]).a for j in gens]
+    estimate = relation_entries(len(gens), a.dim**2)
+    monkeypatch.setattr(tensors, "RELATION_ENTRY_BUDGET", estimate)
+    assert balanced_pair(5, a.dim, a.dim, rights, lefts).dim == 37
+    monkeypatch.setattr(tensors, "RELATION_ENTRY_BUDGET", estimate - 1)
+    with pytest.raises(SizeLimitError, match=re.escape(
+            "a tensor power with ambient dimension 361 needs a dense relation matrix "
+            f"of about {estimate:.2e} entries, over the budget of {estimate - 1:.0e}")):
+        balanced_pair(5, a.dim, a.dim, rights, lefts)
+
+
 # -- the extension tower ------------------------------------------------------
 
 TOP = 4
@@ -292,11 +388,18 @@ def multichain_count(faces, n):
 
 def test_facet_complex_powers_count_multichains():
     # e[s0|s1] (x) e[s1|s2] (x) ... spans A^(x_B n) of an incidence
-    # algebra over its diagonal, one basis tensor per multichain
+    # algebra over its diagonal, one basis tensor per multichain.  A
+    # B-bimodule map sends each into the line of e[s0|sn], so the cochain
+    # space C^n has one basis element per multichain s0 <= ... <= sn too,
+    # and C^0, the diagonal, one per face
     for name in facet_names():
         s = parse_complex(read_facets(name))
-        t = build_power(incidence_extension(s, Field(5)), TOP)
+        e = incidence_extension(s, Field(5))
+        t = build_power(e, TOP)
         dims = [t.tower.power(n).dim for n in range(1, TOP + 1)]
         assert dims == [multichain_count(s.faces, n) for n in range(1, TOP + 1)], name
+        cochains = build_complex(e, 3).dims()
+        assert cochains == [multichain_count(s.faces, n) for n in range(4)], name
         if name == "filled_triangle":
             assert dims == [19, 37, 61, 91]
+            assert cochains == [7, 19, 37, 61]
