@@ -45,7 +45,7 @@ from .linalg import (
     mul_mod,
     rank_of,
 )
-from .tensors import TensorTower, balanced_pair, build_power, mult_at
+from .tensors import RelativeTensorPower, TensorTower, balanced_pair, build_power, mult_at
 
 
 class CoringWithGrouplike(TensorTower):
@@ -295,7 +295,7 @@ def sweedler_coring(e: Extension) -> CoringWithGrouplike:
     into_left = mul_mod(q.projection.a, np.kron(eye_d, a.unit.reshape(d, 1)), p)
     into_right = mul_mod(q.projection.a, np.kron(a.unit.reshape(d, 1), eye_d), p)
     coproduct = induced_map(q, sq, Matrix(p, np.kron(into_left, into_right)))
-    counit = mult_at(t2, build_power(e, 1), 1)
+    counit = mult_at(t2, RelativeTensorPower(e, t2.tower, 1), 1)
     grouplike = q.project(np.kron(a.unit, a.unit))
     return CoringWithGrouplike(a, q.dim, left_mats, right_mats, coproduct,
                                counit, grouplike, powers={2: sq})

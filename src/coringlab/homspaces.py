@@ -2,27 +2,24 @@
 
 A hom element is a matrix from quotient coordinates of the tensor power
 to A.  The space is cut out by two families of intertwining constraints,
-one per algebra generator of B: its left action on the first factor
-(the tower's ``concat(0, n)``) and its right action on the last
-(``right_on(n)``).  The space is their common kernel in its canonical
-basis: basis element t has a 1 in the t-th free coordinate of the
-flattened matrix, so re-expressing a member is a single gather plus one
-verification product.  When every generator acts diagonally on A and on
-the power, as the vertex idempotents of an incidence algebra do, each
-constraint block is diagonal and the kernel is the unit vectors where
-every block vanishes, read off the diagonals.  Otherwise the blocks
-stream, one by one, into a single row reduction.  Either way the solve
-first estimates its constraint matrix as if every block were stacked,
-and refuses one above ``tensors.RELATION_ENTRY_BUDGET``.
+one per algebra generator of B that the tower picked: its left action on
+the first factor (the tower's ``concat(0, n)``) and its right action on
+the last (``right_on(n)``).  Each is a block kron(L, I) - kron(I, M), so
+the space is their ``linalg.commutant`` in its canonical basis: basis
+element t has a 1 in the t-th free coordinate of the flattened matrix,
+so re-expressing a member is a single gather plus one verification
+product.  The solve first estimates its constraint matrix as if every
+block were stacked, and refuses one above
+``tensors.RELATION_ENTRY_BUDGET``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebras import Extension, generating_indices
+from .algebras import Extension
 from .errors import ElementNotInSpaceError
-from .linalg import Matrix, RrefAccumulator, diagonal_kept, member_coords, unit_rows
+from .linalg import Matrix, commutant, member_coords
 from .tensors import RelativeTensorPower, check_entry_budget
 
 
@@ -56,31 +53,18 @@ class BimoduleHomSpace:
 
 def build_hom(e: Extension, t: RelativeTensorPower) -> BimoduleHomSpace:
     """Solve the intertwining constraints for Hom_{B-B}(power, A)."""
-    a = e.ambient
-    p, d_a, q = a.p, a.dim, t.dim
-    gens = generating_indices(e.sub)
+    tower = t.tower
+    d_a, q = e.ambient.dim, t.dim
     nvars = d_a * q
     # budgeted as the two nvars-square blocks of every generator stacked;
     # they stream into one reduction instead, so one block and the
     # echelon rows are all that is held at once
-    check_entry_budget(2 * len(gens), nvars,
+    check_entry_budget(2 * len(tower.gens), nvars,
                        f"a bimodule hom space with {nvars} unknowns needs a dense constraint matrix")
-    tower = t.tower
-    # B on the first factor is concat(0, n), on the last right_on(n);
-    # algebra generators of B constrain as much as its basis does.  Each
-    # (L, M) is the block kron(L, I_q) - kron(I_a, M)
+    # B on the first factor is concat(0, n), on the last right_on(n)
     lefts, rights = tower.concat(0, t.n).a, tower.right_on(t.n)
-    blocks = []
-    for j in gens:
-        blocks.append((tower.left_mats[j].a, lefts[:, j * q:(j + 1) * q].T))
-        blocks.append((tower.right_mats[j].a, rights[j].a.T))
-    kept = diagonal_kept(p, d_a, q, blocks)
-    if kept is not None:
-        return BimoduleHomSpace(e, t, unit_rows(kept), np.flatnonzero(kept).tolist())
-    eye_a = np.eye(d_a, dtype=np.int64)
-    eye_q = np.eye(q, dtype=np.int64)
-    acc = RrefAccumulator(nvars, p)
-    for left, right in blocks:
-        acc.add(np.kron(left, eye_q) - np.kron(eye_a, right))
-    rows, free = acc.kernel()
-    return BimoduleHomSpace(e, t, rows, free)
+    pairs = []
+    for j in tower.gens:
+        pairs.append((tower.left_mats[j].a, lefts[:, j * q:(j + 1) * q].T))
+        pairs.append((tower.right_mats[j].a, rights[j].a.T))
+    return BimoduleHomSpace(e, t, *commutant(e.p, d_a, q, pairs))

@@ -11,16 +11,20 @@ dense integer matrix of residues.  This module supplies the primitives:
 * reduced row echelon forms with deterministic first-nonzero pivoting,
   including an incremental accumulator for large relation spans,
 * kernels and inverses,
-* ``diagonal_kept``, which reads the kernel of commutator-shaped
-  blocks kron(L, I) - kron(I, M) off the diagonals when every L and M is
-  diagonal, with no elimination,
+* ``commutant``, the one solve for the common kernel of blocks
+  kron(L, I) - kron(I, M): the balancing relations of a tensor product
+  over a subring and the intertwining constraints of a bimodule-hom
+  space both have this shape.  When every L and M is diagonal the
+  kernel is read off the diagonals with no elimination; otherwise the
+  blocks stream, one at a time, into one row reduction,
 * ``QuotientSpace``, a (projection, section) pair with projection @
   section = identity, and ``descend``, the one well-definedness check
   (``induced_map`` goes through it).
 
 Everything is deterministic: the RREF of a row span is unique, kernel
-bases are the canonical free-column bases, and ``quotient_of``'s
-sections pick the free-coordinate unit representatives.
+bases are the canonical free-column bases, and a quotient built from
+one (``QuotientSpace.from_kernel``) lifts to the free-coordinate unit
+representatives.
 """
 
 from __future__ import annotations
@@ -202,15 +206,39 @@ def _kernel_of_rref(rows: np.ndarray, pivots: Sequence[int], ncols: int,
     return k, free
 
 
+def commutant(p: int, dim_left: int, dim_right: int, pairs) -> tuple[np.ndarray, list[int]]:
+    """The common kernel of the blocks kron(L, I) - kron(I, M), one per
+    (L, M) in the list ``pairs``, as ``kernel_rows_with_free`` gives it.
+
+    When every L and M is diagonal mod p the kernel is the unit vectors
+    that ``diagonal_kept`` finds, with ``free`` their positions: RREF is
+    canonical, so these are the rows a reduction would give.  Otherwise
+    the nonzero blocks stream, one at a time, into one reduction.
+    """
+    kept = diagonal_kept(p, dim_left, dim_right, pairs)
+    if kept is not None:
+        free = np.flatnonzero(kept)
+        rows = np.zeros((free.size, kept.size), dtype=np.int64)
+        rows[np.arange(free.size), free] = 1
+        return rows, free.tolist()
+    eye_l = np.eye(dim_left, dtype=np.int64)
+    eye_r = np.eye(dim_right, dtype=np.int64)
+    acc = RrefAccumulator(dim_left * dim_right, p)
+    for left, right in pairs:
+        block = (np.kron(left, eye_r) - np.kron(eye_l, right)) % p
+        if block.any():
+            acc.add(block)
+    return acc.kernel()
+
+
 def diagonal_kept(p: int, dim_left: int, dim_right: int, pairs) -> np.ndarray | None:
     """The kernel of the blocks kron(L, I) - kron(I, M), one per (L, M)
     in ``pairs``, when every L and M is diagonal mod p; None otherwise.
 
     Each block is then diagonal, with entry L[l, l] - M[m, m] at index
-    l * dim_right + m, so its kernel and its column span are spanned by
-    unit vectors.  The result is the boolean mask of the coordinates
-    where every block's entry vanishes: the kernel's unit vectors, and
-    the coordinates a quotient by the column spans keeps.
+    l * dim_right + m, so its kernel is spanned by unit vectors.  The
+    result is the boolean mask of the coordinates where every block's
+    entry vanishes.
     """
     kept = np.ones((dim_left, dim_right), dtype=bool)
     for left, right in pairs:
@@ -219,14 +247,6 @@ def diagonal_kept(p: int, dim_left: int, dim_right: int, pairs) -> np.ndarray | 
             return None
         kept &= dl[:, None] == dr[None, :]
     return kept.reshape(-1)
-
-
-def unit_rows(kept: np.ndarray) -> np.ndarray:
-    """The rows of the identity at a boolean mask's kept positions."""
-    at = np.flatnonzero(kept)
-    rows = np.zeros((at.size, len(kept)), dtype=np.int64)
-    rows[np.arange(at.size), at] = 1
-    return rows
 
 
 def _diagonal_of(m, p: int) -> np.ndarray | None:
@@ -398,8 +418,8 @@ class QuotientSpace:
     ``projection`` (dim x ambient) and ``section`` (ambient x dim)
     satisfy projection @ section = identity; the relations are the
     kernel of the projection, and section @ projection fixes the
-    section's image and kills that kernel.  ``quotient_of`` builds the
-    pair from a relation span, ``trivial_quotient`` the identity pair.
+    section's image and kills that kernel.  ``from_kernel`` builds the
+    pair from a canonical kernel basis.
     """
 
     __slots__ = ("p", "projection", "section")
@@ -408,6 +428,15 @@ class QuotientSpace:
         self.p = p
         self.projection = projection
         self.section = section
+
+    @classmethod
+    def from_kernel(cls, p: int, rows: np.ndarray, free) -> "QuotientSpace":
+        """The projection is a canonical kernel basis (``rows``, with the
+        identity at the ``free`` columns); the section lifts to the unit
+        representatives on those columns."""
+        sect = np.zeros((rows.shape[1], len(free)), dtype=np.int64)
+        sect[free, range(len(free))] = 1
+        return cls(p, Matrix(p, rows), Matrix(p, sect))
 
     @property
     def ambient_dim(self) -> int:
@@ -426,31 +455,19 @@ class QuotientSpace:
 
 def quotient_of(ambient_dim: int, relations: Subspace) -> QuotientSpace:
     """Quotient of GF(p)^ambient_dim by the span of ``relations``: the
-    projection is the canonical kernel basis of their RREF, the section
-    lifts to the representatives on its free (non-pivot) columns."""
+    projection is the canonical kernel basis of their RREF."""
     if relations.ambient_dim != ambient_dim:
         raise ValueError(
             f"relations live in dim {relations.ambient_dim}, expected {ambient_dim}"
         )
     p = relations.p
-    proj, free = _kernel_of_rref(relations.rows, relations.pivots, ambient_dim, p)
-    sect = np.zeros((ambient_dim, len(free)), dtype=np.int64)
-    sect[free, range(len(free))] = 1
-    return QuotientSpace(p, Matrix(p, proj), Matrix(p, sect))
-
-
-def selection_quotient(p: int, kept: np.ndarray) -> QuotientSpace:
-    """The quotient by the unit vectors off a boolean mask: the projection
-    reads the kept coordinates and the section is its transpose.  This is
-    ``quotient_of`` the span of those unit vectors, whose RREF is the
-    vectors themselves."""
-    proj = unit_rows(kept)
-    return QuotientSpace(p, Matrix(p, proj), Matrix(p, np.ascontiguousarray(proj.T)))
+    return QuotientSpace.from_kernel(
+        p, *_kernel_of_rref(relations.rows, relations.pivots, ambient_dim, p))
 
 
 def trivial_quotient(p: int, n: int) -> QuotientSpace:
-    """The identity quotient (no relations): every coordinate kept."""
-    return selection_quotient(p, np.ones(n, dtype=bool))
+    """The identity quotient (no relations): the kernel of nothing."""
+    return QuotientSpace.from_kernel(p, np.eye(n, dtype=np.int64), range(n))
 
 
 def induced_map(q_dom: QuotientSpace, q_cod: QuotientSpace, ambient_map: Matrix) -> Matrix:

@@ -2,16 +2,16 @@
 
 V ⊗_R W is the plain product GF(p)^(dim V * dim W), index v * dim W + w,
 modulo the balancing relations (v·b) ⊗ w − v ⊗ (b·w).  ``balanced_pair``
-builds it: when every base generator acts diagonally on both factors
-(an incidence algebra over its vertex idempotents, say) the relations
-are unit vectors and the quotient is a selection of coordinates, read
-off the diagonals; otherwise it is one row reduction.  ``TensorTower``
-grows the powers of a carrier C from it, power(n) = power(n-1) ⊗_R C,
-so no power is built in the dense dim**n ambient.  Each power is a
-(projection, section) pair on its plain product, and every structure map
-on power(n), a map on power(n-1) tensored with the identity of the last
-factor or one on the last factor alone, descends through
-``linalg.descend``; so can maps out of power(m) ⊗ power(n), with
+builds it: the relations are the columns of kron(r, I) − kron(I, l), so
+the projection, which kills them, is ``linalg.commutant`` of the
+transposed actions, and the section lifts to its unit representatives.
+``TensorTower`` grows the powers of a carrier C from it, power(n) =
+power(n-1) ⊗_R C, balanced over algebra generators of the base that the
+tower picks once, so no power is built in the dense dim**n ambient.
+Each power is a (projection, section) pair on its plain product, and
+every structure map on power(n), a map on power(n-1) tensored with the
+identity of the last factor or one on the last factor alone, descends
+through ``linalg.descend``; so can maps out of power(m) ⊗ power(n), with
 ``concat_section`` as concat(m, n)'s section.
 A coring's S ⊗_R ... ⊗_R S and an extension's A ⊗_B ... ⊗_B A
 (``build_power``, B acting by multiplication) are both towers.
@@ -30,13 +30,10 @@ from .algebras import Extension, FinDimAlgebra, generating_indices
 from .linalg import (
     Matrix,
     QuotientSpace,
-    Subspace,
+    commutant,
     descend,
-    diagonal_kept,
+    kernel_rows_with_free,
     mul_mod,
-    quotient_of,
-    rref_rows,
-    selection_quotient,
     trivial_quotient,
 )
 
@@ -79,7 +76,8 @@ def _check_relation_budget(n_blocks: int, ambient: int) -> None:
 
 
 def pair_relation_rows(p: int, dim_left: int, dim_right: int, rights, lefts) -> np.ndarray:
-    """Generators (as rows) of the balancing span inside V ⊗ W.
+    """Generators (as rows) of the balancing span inside V ⊗ W, the
+    input of the dense reference ``balanced_power``.
 
     ``rights[b]`` is the matrix of v -> v·b on V and ``lefts[b]`` the
     matrix of w -> b·w on W, for each base basis element b.  The span is
@@ -104,17 +102,13 @@ def balanced_pair(p: int, dim_left: int, dim_right: int, rights, lefts) -> Quoti
 
     ``rights[b]`` is the matrix of v -> v·b on V and ``lefts[b]`` that of
     w -> b·w on W, for each b in a set that generates the base as an
-    algebra (a basis does).  When all of them are diagonal the relation
-    span is spanned by unit vectors, and the quotient keeps the other
-    coordinates; RREF is canonical, so this is the reduction's quotient.
+    algebra (a basis does).  The relations are the columns of the blocks
+    kron(r, I) − kron(I, l), so the projection is the commutant of the
+    transposes (rᵀ, lᵀ).
     """
-    ambient = dim_left * dim_right
-    _check_relation_budget(len(rights), ambient)
-    kept = diagonal_kept(p, dim_left, dim_right, zip(rights, lefts))
-    if kept is not None:
-        return selection_quotient(p, kept)
-    rows, piv = rref_rows(pair_relation_rows(p, dim_left, dim_right, rights, lefts), p)
-    return quotient_of(ambient, Subspace(p, ambient, rows, piv))
+    _check_relation_budget(len(rights), dim_left * dim_right)
+    pairs = [(np.asarray(r).T, np.asarray(l).T) for r, l in zip(rights, lefts)]
+    return QuotientSpace.from_kernel(p, *commutant(p, dim_left, dim_right, pairs))
 
 
 def balanced_power(p: int, dim: int, rights, lefts, n: int) -> QuotientSpace:
@@ -128,8 +122,8 @@ def balanced_power(p: int, dim: int, rights, lefts, n: int) -> QuotientSpace:
     gens = [np.kron(np.kron(np.eye(dim ** (slot - 1), dtype=np.int64), core),
                     np.eye(dim ** (n - slot - 1), dtype=np.int64))
             for slot in range(1, n)]
-    rows, piv = rref_rows(np.vstack([np.zeros((0, ambient), dtype=np.int64)] + gens), p)
-    return quotient_of(ambient, Subspace(p, ambient, rows, piv))
+    rows = np.vstack([np.zeros((0, ambient), dtype=np.int64)] + gens)
+    return QuotientSpace.from_kernel(p, *kernel_rows_with_free(rows, p))
 
 
 def _side_by_side(mats) -> np.ndarray:
@@ -144,15 +138,20 @@ class TensorTower:
     sides, and the maps between them, all cached.
 
     ``left_mats[j]`` / ``right_mats[j]`` are the carrier matrices of the
-    j-th base basis element acting on the left / right.
+    j-th base basis element acting on the left / right.  ``gens`` are
+    the basis indices of algebra generators of the base: they balance
+    every power and constrain every hom space on it as much as the whole
+    basis does (the relation of a product a·b is the sum of
+    ((x·a)·b) ⊗ v − (x·a) ⊗ (b·v) and (x·a) ⊗ (b·v) − x ⊗ (a·(b·v))).
     """
 
-    __slots__ = ("base", "carrier_dim", "left_mats", "right_mats", "_powers", "_rights",
-                 "_concats", "_sections")
+    __slots__ = ("base", "gens", "carrier_dim", "left_mats", "right_mats", "_powers",
+                 "_rights", "_concats", "_sections")
 
     def __init__(self, base: FinDimAlgebra, carrier_dim: int, left_mats, right_mats,
                  powers=None):
         self.base = base
+        self.gens = generating_indices(base)
         self.carrier_dim = int(carrier_dim)
         self.left_mats = list(left_mats)
         self.right_mats = list(right_mats)
@@ -179,14 +178,10 @@ class TensorTower:
             if n == 1:
                 q = trivial_quotient(self.p, self.carrier_dim)
             else:
-                # algebra generators of the base balance as much as its
-                # basis does: the relation of a product a·b is the sum of
-                # ((x·a)·b) ⊗ v − (x·a) ⊗ (b·v) and (x·a) ⊗ (b·v) − x ⊗ (a·(b·v))
-                gens = generating_indices(self.base)
                 rights = self.right_on(n - 1)
                 q = balanced_pair(self.p, self.power(n - 1).dim, self.carrier_dim,
-                                  [rights[j].a for j in gens],
-                                  [self.left_mats[j].a for j in gens])
+                                  [rights[j].a for j in self.gens],
+                                  [self.left_mats[j].a for j in self.gens])
             self._powers[n] = q
         return q
 

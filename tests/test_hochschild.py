@@ -213,7 +213,7 @@ def test_incidence_complex_builds_without_reducing_a_power_or_hom(monkeypatch):
     # generators and of the centralizer, at most dim A = 19 columns wide,
     # may run; a power (361 or more) or a hom solve (19 or more times a
     # power) would fail here
-    from coringlab import homspaces, linalg
+    from coringlab import linalg
     from coringlab.corpus import read_facets
     from coringlab.simplicial import incidence_extension, parse_complex
 
@@ -226,5 +226,4 @@ def test_incidence_complex_builds_without_reducing_a_power_or_hom(monkeypatch):
             super().__init__(ncols, p, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "RrefAccumulator", NarrowOnly)
-    monkeypatch.setattr(homspaces, "RrefAccumulator", NarrowOnly)
     assert build_complex(e, 3).dims() == [7, 19, 37, 61]

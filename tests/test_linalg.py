@@ -12,6 +12,7 @@ from coringlab.linalg import (
     RrefAccumulator,
     Subspace,
     check_prime,
+    commutant,
     descend,
     induced_map,
     inverse,
@@ -303,6 +304,49 @@ def test_trivial_quotient_is_identity():
     assert q.dim == 4
     assert q.projection == Matrix.identity(3, 4)
     assert q.section == Matrix.identity(3, 4)
+
+
+@st.composite
+def commutant_pairs(draw):
+    """(p, dim_left, dim_right, pairs) for ``commutant``: diagonals drawn
+    from a few values, so that entries repeat and some agree only mod p;
+    the entry at the top right is zero, p (zero mod p) or 1, the one
+    entry off the diagonal that sends the solve to the reduction; a pair
+    of equal scalars gives an all-zero block."""
+    p = draw(st.sampled_from([2, 5, 2**31 - 1]))
+    dim_left, dim_right = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    value = st.sampled_from([0, 1, 2, p - 1, p + 1])
+
+    def matrix(dim):
+        m = np.diag(np.array(draw(st.lists(value, min_size=dim, max_size=dim)), dtype=np.int64))
+        if dim > 1:
+            m[0, dim - 1] = draw(st.sampled_from([0, p, 1]))
+        return m
+
+    pairs = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            c = draw(value)
+            pairs.append((c * np.eye(dim_left, dtype=np.int64),
+                          c * np.eye(dim_right, dtype=np.int64)))
+        else:
+            pairs.append((matrix(dim_left), matrix(dim_right)))
+    return p, dim_left, dim_right, pairs
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(commutant_pairs())
+def test_commutant_is_the_kernel_of_the_stacked_blocks(case):
+    p, dim_left, dim_right, pairs = case
+    n = dim_left * dim_right
+    blocks = [np.zeros((0, n), dtype=np.int64)]
+    for left, right in pairs:
+        blocks.append(np.kron(left, np.eye(dim_right, dtype=np.int64))
+                      - np.kron(np.eye(dim_left, dtype=np.int64), right))
+    rows, free = commutant(p, dim_left, dim_right, pairs)
+    expected_rows, expected_free = kernel_rows_with_free(np.vstack(blocks) % p, p)
+    assert np.array_equal(rows, expected_rows)
+    assert free == expected_free
 
 
 def test_primality_gate():

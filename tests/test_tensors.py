@@ -2,12 +2,13 @@
 and the shape of the tower they are grown in."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coringlab import tensors
+from coringlab import algebras, tensors
 from coringlab.algebras import (
     diagonal_algebra,
     generating_indices,
@@ -15,6 +16,8 @@ from coringlab.algebras import (
     self_extension,
     trivial_extension,
 )
+from coringlab.amitsur import build_amitsur
+from coringlab.corings import endo_coring, sweedler_coring
 from coringlab.corpus import extension_names, facet_names, load_corpus_extension, read_facets
 from coringlab.errors import SizeLimitError
 from coringlab.hochschild import build_complex
@@ -24,7 +27,6 @@ from coringlab.linalg import (
     diagonal_kept,
     quotient_of,
     rref_rows,
-    selection_quotient,
 )
 from coringlab.simplicial import incidence_extension, parse_complex
 from coringlab.tensors import (
@@ -309,7 +311,7 @@ def test_one_entry_off_the_diagonal_takes_the_reduction(p):
     # the entry ties a relation coordinate to a kept one, so the quotient
     # is no longer the selection its diagonals alone give
     diagonals = [np.diag(np.diag(r)) for r in rights]
-    selection = selection_quotient(p, diagonal_kept(p, 3, 2, zip(diagonals, lefts)))
+    selection = balanced_pair(p, 3, 2, diagonals, lefts)
     assert pair.projection != selection.projection
 
 
@@ -340,6 +342,30 @@ TOP = 4
 def corpus_towers():
     return {name: build_power(load_corpus_extension(name), TOP).tower
             for name in extension_names()}
+
+
+@pytest.mark.parametrize("build, calls", [
+    # one extension tower
+    (lambda: build_complex(incidence_extension(
+        parse_complex(read_facets("filled_triangle")), Field(5)), 3), 1),
+    # the extension's tower, then the coring's
+    (lambda: build_amitsur(endo_coring(load_corpus_extension("m2_gf5")), 3), 2),
+    (lambda: sweedler_coring(load_corpus_extension("s3_c2_gf7")), 2),
+], ids=["incidence complex", "endo amitsur", "sweedler coring"])
+def test_generators_are_picked_once_per_tower(monkeypatch, build, calls):
+    picked = []
+    original = algebras.generating_indices
+
+    def counted(a):
+        picked.append(a.dim)
+        return original(a)
+
+    # every coringlab module that holds the function gets the counter
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "coringlab" and vars(module).get("generating_indices") is original:
+            monkeypatch.setattr(module, "generating_indices", counted)
+    build()
+    assert len(picked) == calls, picked
 
 
 def test_extension_powers_grow_by_one_factor(corpus_towers):

@@ -3,8 +3,9 @@
 ``perfbench/spans.py`` wraps each of its ``TARGETS`` by looking the name
 up in its owner's namespace (``owner.__dict__[attr]``); a refactor that
 drops or renames a traced function fails here rather than only in the
-benchmark's own tests.  The README's library example runs as written,
-and every name the package exports resolves.
+benchmark's own tests, and so does one that changes the arguments or
+results its span counters read.  The README's library example runs as
+written, and every name the package exports resolves.
 """
 
 import importlib.util
@@ -13,22 +14,44 @@ import sys
 from pathlib import Path
 
 import coringlab
+from coringlab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
+CORPUS = ROOT / "src" / "coringlab" / "corpus"
 
 
-def test_every_span_target_resolves(monkeypatch):
+def load_spans(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     # dataclasses look their module up while the file executes
     monkeypatch.setitem(sys.modules, spec.name, spans)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_span_target_resolves(monkeypatch):
+    spans = load_spans(monkeypatch)
     assert spans.TARGETS
     for target in spans.TARGETS:
         owner, attr = spans._resolve(target)
         assert attr in owner.__dict__, target
         assert callable(owner.__dict__[attr]), target
+
+
+def test_span_counters_read_what_the_package_passes(monkeypatch):
+    spans = load_spans(monkeypatch)
+    recorder = spans.Recorder()
+    with spans.install(recorder):
+        assert cli.main(["gs-compare", str(CORPUS / "filled_triangle.facets")]) == 0
+        assert cli.main(["amitsur", str(CORPUS / "c3_gf3.json"), "--trials", "5"]) == 0
+    recorded = recorder.take()
+    homs = [s for s in recorded if s.name == "homspaces.build_hom"]
+    rrefs = [s for s in recorded if s.name == "linalg.rref"]
+    assert homs and rrefs
+    assert all({"vars", "hom_dim"} <= s.counters.keys() for s in homs)
+    assert all("rows_in" in s.counters for s in rrefs)
+    assert spans.layer_metrics(recorded)["homspaces.hom_dim.sum"] > 0
 
 
 def test_readme_library_example_runs():
