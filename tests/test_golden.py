@@ -30,6 +30,8 @@ COMMANDS = {
     "cohomology-s3_c2_gf7": ["cohomology", "s3_c2_gf7.json"],
     "amitsur-gf25_gf5": ["amitsur", "gf25_gf5.json", "--trials", "25"],
     "amitsur-c3_gf3": ["amitsur", "c3_gf3.json"],
+    # the largest coring power(3): ambient 64 * 16 over M2
+    "amitsur-m2_gf5": ["amitsur", "m2_gf5.json"],
     "amitsur-s3_c2_gf7": ["amitsur", "s3_c2_gf7.json", "--max-degree", "2",
                           "--trials", "10"],
     "verify-iso-c2_gf2": ["verify-iso", "c2_gf2.json", "--trials", "25"],
