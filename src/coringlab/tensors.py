@@ -8,6 +8,13 @@ transposed actions, and the section lifts to its unit representatives.
 ``TensorTower`` grows the powers of a carrier C from it, power(n) =
 power(n-1) ⊗_R C, balanced over algebra generators of the base that the
 tower picks once, so no power is built in the dense dim**n ambient.
+When the carrier is free as a left base module, on w_1..w_m, a step
+needs no relations at all: power(n) is power(n-1)^m, x ⊗ v -> (x·φ_j(v))_j
+for the coordinate maps φ_j of ``dual_basis``.  ``free_pair`` builds
+that projection, checks that it kills exactly the relations, and puts
+it in the canonical form ``balanced_pair`` gives, so either path yields
+the same arrays.  Carriers on which every generator acts diagonally keep
+``commutant``'s coordinate selection, and the rest its reduction.
 Each power is a (projection, section) pair on its plain product, and
 every structure map on power(n), a map on power(n-1) tensored with the
 identity of the last factor or one on the last factor alone, descends
@@ -32,8 +39,11 @@ from .linalg import (
     QuotientSpace,
     commutant,
     descend,
+    diagonal_kept,
+    inverse,
     kernel_rows_with_free,
     mul_mod,
+    span_with_free,
     trivial_quotient,
 )
 
@@ -46,6 +56,13 @@ DEFAULT_MAX_POWER = 4
 # --max-degree 3); the fourth power of an 11-dim algebra over the ground
 # field (ambient 11**4, about 2.1e8) is refused.
 RELATION_ENTRY_BUDGET = 10**8
+
+# Draws of a candidate dual basis.  Over GF(2), 4 random vectors of the
+# M2 carrier (16 = 4 * 4) are a basis about 29% of the time, so 32 draws
+# all miss with odds under 2e-5.
+DUAL_BASIS_DRAWS = 32
+
+_UNSEARCHED = object()
 
 
 def relation_entries(n_blocks: int, ambient: int) -> int:
@@ -111,6 +128,85 @@ def balanced_pair(p: int, dim_left: int, dim_right: int, rights, lefts) -> Quoti
     return QuotientSpace.from_kernel(p, *commutant(p, dim_left, dim_right, pairs))
 
 
+def dual_basis(base: FinDimAlgebra, gens, left_mats) -> np.ndarray | None:
+    """Coordinate maps of a basis of the carrier as a free left module
+    over the base, or None when none is found or it fails its check.
+
+    Say the carrier is c-dimensional and free on w_1..w_m, m = c / dim R:
+    the c x (m * dim R) matrix M with column (j, b) the vector b·w_j is
+    then invertible.  The w_j are drawn at random, with a fixed seed, at
+    most ``DUAL_BASIS_DRAWS`` times; a greedy pass over basis vectors
+    would miss the M2 carriers, which need combinations.  The result is
+    M⁻¹ as an (m, dim R, c) array Φ: v = Σ_j φ_j(v)·w_j with
+    φ_j(v) = Σ_b Φ[j, b, v] e_b.  It is returned only when each φ_j is
+    left-linear over every generator, φ_j(g·v) = g·φ_j(v), and
+    1·w_j = w_j: ``free_pair`` needs both.
+    """
+    p, dim_r = base.p, base.dim
+    c = left_mats[0].rows
+    if not gens or c % dim_r:
+        return None
+    m = c // dim_r
+    stack = np.stack([mat.a for mat in left_mats])
+    rng = np.random.default_rng(0)  # a fixed seed: every run draws the same basis
+    for _ in range(DUAL_BASIS_DRAWS):
+        w = rng.integers(0, p, size=(c, m), dtype=np.int64)
+        # column (j, b) of M is b·w_j
+        big = mul_mod(stack, w, p).transpose(1, 2, 0).reshape(c, m * dim_r)
+        try:
+            phi = inverse(Matrix(p, big)).a.reshape(m, dim_r, c)
+        except ValueError:  # singular: these w_j are not a basis
+            continue
+        break
+    else:
+        return None
+    for g in gens:
+        # φ(g·v) against g·φ(v), with g acting on R by left multiplication
+        lhs = mul_mod(phi.reshape(-1, c), stack[g], p)
+        rhs = mul_mod(base.left_mul(np.eye(dim_r, dtype=np.int64)[g]).a, phi, p)
+        if not np.array_equal(lhs, rhs.reshape(-1, c)):
+            return None
+    unit = mul_mod(base.unit.reshape(1, -1), stack.reshape(dim_r, -1), p).reshape(c, c)
+    if not np.array_equal(mul_mod(unit, w, p), w):
+        return None
+    return phi
+
+
+def free_pair(base: FinDimAlgebra, gens, rights, phi: np.ndarray) -> QuotientSpace | None:
+    """V ⊗_R C for a carrier C with the dual basis Φ of ``dual_basis``, or
+    None when V's right action fails the step's check.
+
+    ``rights[k]`` is V's matrix of x -> x·e_k, one per base basis element.
+    The projection is x ⊗ v -> (x·φ_j(v))_j, the sum over b of
+    kron(R_b, Φ[:, b, :]), put in ``span_with_free``'s canonical form.
+    Its rows span the annihilator of the generators' relations (the
+    quotient ``balanced_pair`` gives, byte for byte) once
+    (x·g)·k = x·(g·k) for every generator g and basis element k, and
+    x·1 = x:
+    - with φ_j left-linear over g, it kills (x·g) ⊗ v − x ⊗ g·v;
+    - words in the generators, reached from 1, span R, so by induction
+      x ⊗ r·w_j is x·r ⊗ w_j modulo the relations for every r, and
+      every x ⊗ v is x·φ_j(v) ⊗ w_j summed over j: the projection's
+      kernel is no larger than the relations.
+    """
+    p, dim_r = base.p, base.dim
+    m, _, c = phi.shape
+    d = rights[0].rows
+    stack = np.stack([mat.a for mat in rights]).reshape(dim_r, d * d)
+    for g in gens:
+        # R_k R_g = R_{g·k} for every k at once
+        if not np.array_equal(mul_mod(stack.reshape(dim_r, d, d), rights[g].a, p),
+                              mul_mod(base.tensor[g], stack, p).reshape(dim_r, d, d)):
+            return None
+    if not np.array_equal(mul_mod(base.unit.reshape(1, -1), stack, p).reshape(d, d),
+                          np.eye(d, dtype=np.int64)):
+        return None
+    # rows (j, y), columns (x, v): Σ_b Φ[j, b, v] R_b[y, x]
+    proj = mul_mod(phi.transpose(0, 2, 1).reshape(m * c, dim_r), stack, p)
+    proj = proj.reshape(m, c, d, d).transpose(0, 2, 3, 1).reshape(m * d, d * c)
+    return QuotientSpace.from_kernel(p, *span_with_free(proj, p))
+
+
 def balanced_power(p: int, dim: int, rights, lefts, n: int) -> QuotientSpace:
     """The n-fold power of a carrier as a quotient of the dense ambient
     GF(p)^(dim^n) by every slot's pair relations, reduced at once: the
@@ -146,7 +242,7 @@ class TensorTower:
     """
 
     __slots__ = ("base", "gens", "carrier_dim", "left_mats", "right_mats", "_powers",
-                 "_rights", "_concats", "_sections")
+                 "_rights", "_concats", "_sections", "_dual")
 
     def __init__(self, base: FinDimAlgebra, carrier_dim: int, left_mats, right_mats,
                  powers=None):
@@ -159,17 +255,36 @@ class TensorTower:
         self._rights = {}
         self._concats = {}
         self._sections = {}
+        self._dual = _UNSEARCHED
 
     @property
     def p(self) -> int:
         return self.base.p
+
+    @property
+    def dual(self) -> np.ndarray | None:
+        """The carrier's ``dual_basis``, searched for once, on first use.
+
+        There is no search when every generator acts diagonally on the
+        carrier from both sides: ``commutant`` selects those steps'
+        coordinates without elimination.
+        """
+        if self._dual is _UNSEARCHED:
+            pairs = [(self.right_mats[j].a, self.left_mats[j].a) for j in self.gens]
+            diagonal = diagonal_kept(self.p, self.carrier_dim, self.carrier_dim, pairs)
+            self._dual = (None if diagonal is not None
+                          else dual_basis(self.base, self.gens, self.left_mats))
+        return self._dual
 
     def power(self, n: int) -> QuotientSpace:
         """The carrier's n-fold tensor power over the base.
 
         power(n) is power(n-1) ⊗_R carrier: a quotient of the plain
         product whose index is x * carrier_dim + v, for x a power(n-1)
-        coordinate and v a carrier coordinate.
+        coordinate and v a carrier coordinate.  It is read off the
+        carrier's dual basis when there is one and the step passes its
+        check (``free_pair``), and is the commutant of the generators'
+        relations otherwise; both give the same arrays.
         """
         if n < 1:
             raise ValueError("tensor powers start at n = 1")
@@ -179,9 +294,15 @@ class TensorTower:
                 q = trivial_quotient(self.p, self.carrier_dim)
             else:
                 rights = self.right_on(n - 1)
-                q = balanced_pair(self.p, self.power(n - 1).dim, self.carrier_dim,
-                                  [rights[j].a for j in self.gens],
-                                  [self.left_mats[j].a for j in self.gens])
+                dim = self.power(n - 1).dim
+                # the budget refuses a step before it picks a path
+                _check_relation_budget(len(self.gens), dim * self.carrier_dim)
+                if self.dual is not None:
+                    q = free_pair(self.base, self.gens, rights, self.dual)
+                if q is None:
+                    q = balanced_pair(self.p, dim, self.carrier_dim,
+                                      [rights[j].a for j in self.gens],
+                                      [self.left_mats[j].a for j in self.gens])
             self._powers[n] = q
         return q
 

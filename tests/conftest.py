@@ -201,6 +201,26 @@ def concat_section_failures(tower, top):
             != Matrix.identity(tower.p, tower.power(m + n).dim)]
 
 
+def dual_step_mismatches(tower, top):
+    """The n in 2..top at which power(n-1) (x)_R carrier read off the
+    tower's dual basis (``tensors.free_pair``) is refused by its check or
+    differs, in projection or section, from the quotient the commutant
+    gives (``tensors.balanced_pair``)."""
+    from coringlab.tensors import balanced_pair, free_pair
+
+    out = []
+    for n in range(2, top + 1):
+        rights = tower.right_on(n - 1)
+        dual = free_pair(tower.base, tower.gens, rights, tower.dual)
+        reduced = balanced_pair(tower.p, tower.power(n - 1).dim, tower.carrier_dim,
+                                [rights[j].a for j in tower.gens],
+                                [tower.left_mats[j].a for j in tower.gens])
+        if (dual is None or dual.projection != reduced.projection
+                or dual.section != reduced.section):
+            out.append(n)
+    return out
+
+
 def hom_matrix(space, coords):
     """The matrix of the member of a bimodule hom space with the given
     coordinates: coords @ rows, reshaped to dim A x dim power(n)."""

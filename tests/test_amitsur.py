@@ -194,3 +194,30 @@ def test_products_check_their_batches(ut2_omega):
     with pytest.raises(ValueError, match="do not pair"):
         x.products(0, 0, one[:, 0], one[:, 0])
     assert np.array_equal(x.products(0, 0, one, one), one)
+
+
+def test_m2_complex_reduces_power_three_only_to_canonicalize(monkeypatch):
+    # the M2 carrier is free of rank 4 over M2, so power(3) = power(2)^4:
+    # the one reduction in its 1024-wide ambient puts the 256 rows of the
+    # dual-basis projection in canonical form.  The 3072 relation rows of
+    # the commutant's three generator blocks would fail here
+    from coringlab import linalg
+    from coringlab.corpus import load_corpus_extension
+
+    wide = []
+
+    class Counted(linalg.RrefAccumulator):
+        def __init__(self, ncols, p, *args, **kwargs):
+            super().__init__(ncols, p, *args, **kwargs)
+            self.fed = 0
+            if ncols == 1024:
+                wide.append(self)
+
+        def add(self, block):
+            self.fed += np.atleast_2d(block).shape[0]
+            super().add(block)
+
+    monkeypatch.setattr(linalg, "RrefAccumulator", Counted)
+    x = build_amitsur(endo_coring(load_corpus_extension("m2_gf5")), 3)
+    assert x.dims() == [4, 16, 64, 256]
+    assert [acc.fed for acc in wide] == [256]

@@ -23,8 +23,8 @@ from coringlab.algebras import generating_indices, matrix_algebra, one_dim_algeb
 from coringlab.corpus import extension_names, hopf_names, load_corpus_extension, load_corpus_hopf
 from coringlab.tensors import balanced_pair, balanced_power
 
-from conftest import (concat_section_failures, hom_matrix, naive_rank, pure_tensor,
-                      s3_c2_extension)
+from conftest import (concat_section_failures, dual_step_mismatches, hom_matrix, naive_rank,
+                      pure_tensor, s3_c2_extension)
 from test_algebras import ut2_diag_extension
 from test_homspaces import brute_hom_dim
 
@@ -224,6 +224,17 @@ def test_iterated_powers_match_the_dense_oracle(corpus_corings):
                 assert c.power(n).dim == dense.dim, (name, n)
                 checked.append((name, n))
     assert len(checked) >= 20
+
+
+def test_dual_basis_steps_are_the_commutant_quotients(corpus_corings):
+    # every corpus carrier is free over its base but the ut2/diag ones
+    # (3 over 2, 4 over 3) and the Hopf coalgebras, over the ground field
+    # with no generators
+    free = sorted(name for name, c in corpus_corings.items() if c.dual is not None)
+    assert free == sorted(name for name in corpus_corings
+                          if "ut2" not in name and "hopf" not in name)
+    for name in free:
+        assert dual_step_mismatches(corpus_corings[name], 3) == [], name
 
 
 def test_powers_grow_by_one_carrier_factor(corpus_corings):

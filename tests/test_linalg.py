@@ -22,6 +22,7 @@ from coringlab.linalg import (
     quotient_of,
     rank_of,
     rref_rows,
+    span_with_free,
     trivial_quotient,
 )
 
@@ -347,6 +348,21 @@ def test_commutant_is_the_kernel_of_the_stacked_blocks(case):
     expected_rows, expected_free = kernel_rows_with_free(np.vstack(blocks) % p, p)
     assert np.array_equal(rows, expected_rows)
     assert free == expected_free
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from([2, 5, 2**31 - 1]), st.integers(1, 5), st.integers(1, 7),
+       st.integers(0, 2**32 - 1))
+def test_span_with_free_is_the_kernel_basis_it_spans(p, nrows, ncols, seed):
+    rng = np.random.default_rng(seed)
+    a = random_matrix(rng, nrows, ncols, p)
+    a[rng.random(nrows) < 0.3] = 0
+    rows, free = kernel_rows_with_free(a, p)
+    # the same span, scrambled: random combinations, then the rows backwards
+    mixed = np.vstack([mul_mod(random_matrix(rng, 2, len(free), p), rows, p), rows[::-1]])
+    got_rows, got_free = span_with_free(mixed, p)
+    assert np.array_equal(got_rows, rows)
+    assert got_free == free
 
 
 def test_primality_gate():

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from coringlab import algebras, tensors
 from coringlab.algebras import (
+    FinDimAlgebra,
     diagonal_algebra,
     generating_indices,
+    group_algebra,
     matrix_algebra,
     self_extension,
     trivial_extension,
@@ -23,24 +25,31 @@ from coringlab.errors import SizeLimitError
 from coringlab.hochschild import build_complex
 from coringlab.linalg import (
     Field,
+    Matrix,
     Subspace,
     diagonal_kept,
+    inverse,
+    mul_mod,
     quotient_of,
+    rank_of,
     rref_rows,
 )
 from coringlab.simplicial import incidence_extension, parse_complex
 from coringlab.tensors import (
     RELATION_ENTRY_BUDGET,
+    TensorTower,
     balanced_pair,
     balanced_power,
     build_power,
+    dual_basis,
+    free_pair,
     mult_at,
     pair_relation_rows,
     relation_entries,
 )
 
-from conftest import concat_section_failures, pure_tensor, s3_c2_extension
-from test_algebras import ut2_diag_extension
+from conftest import concat_section_failures, dual_step_mismatches, pure_tensor, s3_c2_extension
+from test_algebras import C3, ut2_diag_extension
 
 
 def brute_relation_rank(e, n):
@@ -400,6 +409,131 @@ def test_extension_powers_match_the_dense_oracle(corpus_towers):
                 checked.append((name, n))
     # every corpus power up to the top fits
     assert len(checked) == (TOP - 1) * len(corpus_towers)
+
+
+def test_dual_basis_steps_on_extension_towers(corpus_towers):
+    # the other corpus extensions are over the ground field, with no
+    # generators, or ut2 over its diagonal (3 over 2)
+    assert sorted(name for name, t in corpus_towers.items() if t.dual is not None) == [
+        "s3_c2_gf7"]
+    assert dual_step_mismatches(corpus_towers["s3_c2_gf7"], 3) == []
+
+
+# -- free carriers: a dual basis ----------------------------------------------
+
+
+def dual_numbers(f):
+    """k[x]/x^2 on the basis 1, x."""
+    return FinDimAlgebra(f, ("1", "x"), [[[(0, 1)], [(1, 1)]], [[(1, 1)], []]], [1, 0])
+
+
+FREE_BASES = {
+    "M2": lambda f: matrix_algebra(f, 2),
+    "k[C3]": lambda f: group_algebra(f, C3),
+    "k[x]/x^2": dual_numbers,
+}
+
+
+@st.composite
+def free_towers(draw):
+    """(tower, n): the tower of R^m, R acting on each copy by left and by
+    right multiplication, in coordinates changed by a random invertible
+    matrix so that no dual basis is made of unit vectors; n is the top
+    power to check, 3 while the dense ambient carrier^3 stays small."""
+    p = draw(st.sampled_from([2, 5, 2**31 - 1]))
+    base = FREE_BASES[draw(st.sampled_from(sorted(FREE_BASES)))](Field(p))
+    m = draw(st.integers(1, 8 // base.dim))
+    c = base.dim * m
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    change = rng.integers(0, p, size=(c, c), dtype=np.int64)
+    while rank_of(change, p) < c:
+        change = rng.integers(0, p, size=(c, c), dtype=np.int64)
+    change = Matrix(p, change)
+    back = inverse(change)
+
+    def moved(mat):
+        return change @ Matrix(p, np.kron(np.eye(m, dtype=np.int64), mat.a)) @ back
+
+    eye = np.eye(base.dim, dtype=np.int64)
+    tower = TensorTower(base, c, [moved(base.left_mul(b)) for b in eye],
+                        [moved(base.right_mul(b)) for b in eye])
+    return tower, 3 if c <= 6 else 2
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(free_towers())
+def test_dual_basis_powers_match_the_dense_oracle(case):
+    tower, n = case
+    p, c = tower.p, tower.carrier_dim
+    assert tower.dual is not None
+    for k in range(2, n + 1):
+        assert free_pair(tower.base, tower.gens, tower.right_on(k - 1), tower.dual) is not None
+    dense = balanced_power(p, c, [m.a for m in tower.right_mats],
+                           [m.a for m in tower.left_mats], n)
+    # the tower's power(n) read on the dense ambient, projecting one
+    # factor at a time, kills exactly the dense relations
+    onto = tower.power(2).projection.a
+    for k in range(3, n + 1):
+        onto = mul_mod(tower.power(k).projection.a, np.kron(onto, np.eye(c, dtype=np.int64)), p)
+    assert tower.power(n).dim == dense.dim
+    assert np.array_equal(Subspace.from_spanning(p, c**n, onto).rows,
+                          Subspace.from_spanning(p, c**n, dense.projection.a).rows)
+
+
+def test_a_left_action_that_is_no_module_gets_no_dual_basis():
+    p = 5
+    base = dual_numbers(Field(p))
+    gens = generating_indices(base)
+    one, x = (base.left_mul(b) for b in np.eye(2, dtype=np.int64))
+    assert dual_basis(base, gens, [one, x]) is not None
+    # x acting as a nonzero idempotent: 1, x·1 is a basis, but x·x is not 0
+    assert dual_basis(base, gens, [one, Matrix(p, [[0, 0], [1, 1]])]) is None
+
+
+@pytest.mark.parametrize("right_one, right_x, dim", [
+    # x acting as a nonzero idempotent: (v·x)·x is not v·(x·x), and the
+    # relations leave 1 dimension of the 2 the dual basis would read off
+    ([[1, 0], [0, 1]], [[0, 0], [1, 1]], 1),
+    # nothing acting, not even 1: the dual basis would read off 0
+    ([[0, 0], [0, 0]], [[0, 0], [0, 0]], 2),
+], ids=["not associative", "not unital"])
+def test_a_right_action_that_fails_the_check_takes_the_commutant(right_one, right_x, dim):
+    p = 5
+    base = dual_numbers(Field(p))
+    lefts = [base.left_mul(b) for b in np.eye(2, dtype=np.int64)]
+    rights = [Matrix(p, right_one), Matrix(p, right_x)]
+    tower = TensorTower(base, 2, lefts, rights)
+    assert tower.dual is not None
+    assert free_pair(base, tower.gens, tower.right_on(1), tower.dual) is None
+    reduced = balanced_pair(p, 2, 2, [rights[j].a for j in tower.gens],
+                            [lefts[j].a for j in tower.gens])
+    assert tower.power(2).projection == reduced.projection
+    assert tower.power(2).section == reduced.section
+    assert reduced.dim == dim
+
+
+def test_dual_steps_are_budgeted_like_the_reduction(monkeypatch, m2_gf5_endo):
+    # power(3) of the M2 endomorphism coring: 64 * 16 ambient coordinates
+    # under 3 generators of M2
+    c = m2_gf5_endo
+
+    def fresh_power_three():
+        tower = TensorTower(c.base, c.carrier_dim, c.left_mats, c.right_mats,
+                            powers={2: c.power(2)})
+        return tower.power(3)
+
+    def reduction(*args):
+        raise AssertionError("the commutant ran")
+
+    estimate = relation_entries(len(c.gens), 1024)
+    monkeypatch.setattr(tensors, "balanced_pair", reduction)
+    monkeypatch.setattr(tensors, "RELATION_ENTRY_BUDGET", estimate)
+    assert fresh_power_three().dim == 256
+    monkeypatch.setattr(tensors, "RELATION_ENTRY_BUDGET", estimate - 1)
+    with pytest.raises(SizeLimitError, match=re.escape(
+            "a tensor power with ambient dimension 1024 needs a dense relation matrix "
+            f"of about {estimate:.2e} entries, over the budget of {estimate - 1:.0e}")):
+        fresh_power_three()
 
 
 def multichain_count(faces, n):
