@@ -34,6 +34,9 @@ COMMANDS = {
     "amitsur-m2_gf5": ["amitsur", "m2_gf5.json"],
     "amitsur-s3_c2_gf7": ["amitsur", "s3_c2_gf7.json", "--max-degree", "2",
                           "--trials", "10"],
+    # power(4) of the Sweedler carrier, with concat leads above 1
+    "amitsur-s3_c2_gf7-deg4": ["amitsur", "s3_c2_gf7.json", "--max-degree", "4",
+                               "--trials", "10"],
     "verify-iso-c2_gf2": ["verify-iso", "c2_gf2.json", "--trials", "25"],
     "verify-iso-s3_c2_gf7": ["verify-iso", "s3_c2_gf7.json"],
     "hopf-check-hopf_c2_gf2": ["hopf-check", "hopf_c2_gf2.json", "--max-degree", "4"],
