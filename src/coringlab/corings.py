@@ -45,7 +45,7 @@ from .linalg import (
     mul_mod,
     rank_of,
 )
-from .tensors import RelativeTensorPower, TensorTower, balanced_pair, build_power, mult_at
+from .tensors import RelativeTensorPower, TensorTower, build_power, mult_at
 
 
 class CoringWithGrouplike(TensorTower):
@@ -55,15 +55,22 @@ class CoringWithGrouplike(TensorTower):
     j-th base basis element acting on the left / right.  ``coproduct``
     maps carrier coordinates into ``power(2)`` coordinates, ``counit``
     maps them to base coordinates.  The coring is the tower of its
-    carrier's powers over the base.
+    carrier's powers over the base.  A builder that has already grown
+    that tower, to find the coproduct's codomain, passes it as ``tower``:
+    the coring takes over its generators, dual basis and built powers
+    instead of picking and building them again.
     """
 
     __slots__ = ("coproduct", "counit", "grouplike", "_coproducts")
 
     def __init__(self, base: FinDimAlgebra, carrier_dim: int, left_mats,
                  right_mats, coproduct: Matrix, counit: Matrix, grouplike,
-                 powers=None):
-        super().__init__(base, carrier_dim, left_mats, right_mats, powers)
+                 tower: TensorTower | None = None):
+        if tower is None:
+            super().__init__(base, carrier_dim, left_mats, right_mats)
+        else:
+            for name in TensorTower.__slots__:
+                setattr(self, name, getattr(tower, name))
         self.coproduct = coproduct
         self.counit = counit
         self.grouplike = np.asarray(grouplike, dtype=np.int64) % base.p
@@ -95,10 +102,13 @@ class CoringWithGrouplike(TensorTower):
             else:
                 # slots before the last act as (the map on power(n-1)) ⊗ id
                 maps = [self.then_identity(m, n, n + 1) for m in self.coproducts(n - 1)]
-                # the last slot: x ⊗ v -> x ⊗ coproduct(v), concatenated
-                eye = np.eye(self.power(n - 1).dim, dtype=np.int64)
-                last = mul_mod(self.concat(n - 1, 2).a, np.kron(eye, self.coproduct.a), self.p)
-                maps.append(Matrix(self.p, descend(self.power(n), last)))
+                # the last slot: x ⊗ v -> x ⊗ coproduct(v), concatenated;
+                # concat(n-1, 2) @ kron(I, coproduct), without forming the kron
+                rows, d_prev = self.power(n + 1).dim, self.power(n - 1).dim
+                concat = self.concat(n - 1, 2).a.reshape(rows * d_prev, self.power(2).dim)
+                last = mul_mod(concat, self.coproduct.a, self.p)
+                maps.append(Matrix(self.p, descend(self.power(n),
+                                                   last.reshape(rows, d_prev * self.carrier_dim))))
             self._coproducts[n] = maps
         return maps
 
@@ -195,6 +205,7 @@ class D2Certificate:
     s_space: BimoduleHomSpace
     r_space: Subspace
     hom_space: BimoduleHomSpace
+    tower: TensorTower
     square: QuotientSpace
     left_mats: list
     right_mats: list
@@ -212,7 +223,8 @@ def build_f2(e: Extension) -> D2Certificate:
     R = C^0, S = C^1, the hom space C^2 and every product come from the
     cochain complex to degree 2: r . alpha is r ∪ alpha, alpha . r is
     alpha ∪ r, and f2 is the cup product of S with itself, descended to
-    S (x)_R S.
+    S (x)_R S, power 2 of the tower of S over R that the endomorphism
+    coring then grows further.
     """
     cc = build_complex(e, 2)
     p = e.p
@@ -222,13 +234,15 @@ def build_f2(e: Extension) -> D2Certificate:
     rights = cc.products(1, 0, *every_pair(eye_s, eye_r))   # column j * r + i: alpha_j ∪ r_i
     left_mats = [Matrix(p, lefts[:, i * s:(i + 1) * s]) for i in range(r)]
     right_mats = [Matrix(p, rights[:, i::r]) for i in range(r)]
-    square = balanced_pair(p, s, s, [m.a for m in right_mats], [m.a for m in left_mats])
+    base, _ = subalgebra_on(e.ambient, cc.r_space, [f"r{i}" for i in range(r)])
+    tower = TensorTower(base, s, left_mats, right_mats)
+    square = tower.power(2)
     f2 = Matrix(p, descend(square, cc.products(1, 1, *every_pair(eye_s, eye_s))))
     hom_space = cc.homs[2]
     bijective = hom_space.dim == square.dim and rank_of(f2.a, p) == square.dim
     return D2Certificate(
         extension=e, s_space=cc.homs[1], r_space=cc.r_space, hom_space=hom_space,
-        square=square, left_mats=left_mats, right_mats=right_mats, f2=f2,
+        tower=tower, square=square, left_mats=left_mats, right_mats=right_mats, f2=f2,
         s_dim=s, r_dim=r, square_dim=square.dim,
         hom_dim=hom_space.dim, bijective=bijective)
 
@@ -248,7 +262,6 @@ def endo_coring(e: Extension, cert: D2Certificate | None = None) -> CoringWithGr
             f"{rank_of(cert.f2.a, e.ambient.p)}; the depth-two certificate fails")
     a = e.ambient
     p, d = a.p, a.dim
-    base, _ = subalgebra_on(a, cert.r_space, [f"r{i}" for i in range(cert.r_dim)])
     # the basis of S, stacked as dim A x dim A matrices
     alphas = cert.s_space.rows.reshape(-1, d, d)
     mu = mul_mod(a.mult.a, cert.hom_space.source.space.section.a, p)
@@ -260,9 +273,9 @@ def endo_coring(e: Extension, cert: D2Certificate | None = None) -> CoringWithGr
         raise AssertionError("evaluation at the unit lands in the centralizer")
     counit = Matrix(p, np.stack(at_unit, axis=1))
     grouplike = cert.s_space.coords_of(Matrix.identity(p, a.dim))
-    coring = CoringWithGrouplike(base, cert.s_dim, cert.left_mats, cert.right_mats,
-                                 coproduct, counit, grouplike,
-                                 powers={2: cert.square})
+    coring = CoringWithGrouplike(cert.tower.base, cert.s_dim, cert.left_mats,
+                                 cert.right_mats, coproduct, counit, grouplike,
+                                 tower=cert.tower)
     # the two splitting laws particular to this coring
     for i, r in enumerate(cert.r_space.rows):
         lam = cert.s_space.coords_of(a.left_mul(r))
@@ -291,14 +304,15 @@ def sweedler_coring(e: Extension) -> CoringWithGrouplike:
     lefts = t2.tower.then_identity(a.mult, 2, 2, d).a
     left_mats = [Matrix(p, lefts[:, j * q.dim:(j + 1) * q.dim]) for j in range(d)]
     right_mats = t2.tower.on_last(2, [a.right_mul(x) for x in eye_d])
-    sq = balanced_pair(p, q.dim, q.dim, [m.a for m in right_mats], [m.a for m in left_mats])
+    tower = TensorTower(a, q.dim, left_mats, right_mats)
+    sq = tower.power(2)
     into_left = mul_mod(q.projection.a, np.kron(eye_d, a.unit.reshape(d, 1)), p)
     into_right = mul_mod(q.projection.a, np.kron(a.unit.reshape(d, 1), eye_d), p)
     coproduct = induced_map(q, sq, Matrix(p, np.kron(into_left, into_right)))
     counit = mult_at(t2, RelativeTensorPower(e, t2.tower, 1), 1)
     grouplike = q.project(np.kron(a.unit, a.unit))
     return CoringWithGrouplike(a, q.dim, left_mats, right_mats, coproduct,
-                               counit, grouplike, powers={2: sq})
+                               counit, grouplike, tower=tower)
 
 
 def hopf_coring(h: HopfData) -> CoringWithGrouplike:
@@ -308,8 +322,7 @@ def hopf_coring(h: HopfData) -> CoringWithGrouplike:
     p = h.algebra.p
     d = h.algebra.dim
     ident = Matrix.identity(p, d)
-    sq = balanced_pair(p, d, d, [ident.a], [ident.a])
-    coproduct = Matrix(p, mul_mod(sq.projection.a, h.coproduct.a, p))
+    tower = TensorTower(base, d, [ident], [ident])
+    coproduct = Matrix(p, mul_mod(tower.power(2).projection.a, h.coproduct.a, p))
     return CoringWithGrouplike(base, d, [ident], [ident], coproduct,
-                               Matrix(p, h.counit.a), h.algebra.unit,
-                               powers={2: sq})
+                               Matrix(p, h.counit.a), h.algebra.unit, tower=tower)

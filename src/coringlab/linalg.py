@@ -23,7 +23,10 @@ dense integer matrix of residues.  This module supplies the primitives:
   projection's rows this way,
 * ``QuotientSpace``, a (projection, section) pair with projection @
   section = identity, and ``descend``, the one well-definedness check
-  (``induced_map`` goes through it).
+  (``induced_map`` goes through it).  A quotient built from a canonical
+  kernel basis records its ``free`` columns: its section is the unit
+  columns there and its projection is the identity on them, so
+  ``descend`` is a gather plus a check of the other columns.
 
 Everything is deterministic: the RREF of a row span is unique, kernel
 bases are the canonical free-column bases, and a quotient built from
@@ -438,24 +441,28 @@ class QuotientSpace:
     satisfy projection @ section = identity; the relations are the
     kernel of the projection, and section @ projection fixes the
     section's image and kills that kernel.  ``from_kernel`` builds the
-    pair from a canonical kernel basis.
+    pair from a canonical kernel basis and records its ``free`` columns
+    (an int array, or None for a pair built otherwise): there the
+    projection is the identity and the section has its unit columns.
     """
 
-    __slots__ = ("p", "projection", "section")
+    __slots__ = ("p", "projection", "section", "free")
 
-    def __init__(self, p: int, projection: Matrix, section: Matrix):
+    def __init__(self, p: int, projection: Matrix, section: Matrix, free=None):
         self.p = p
         self.projection = projection
         self.section = section
+        self.free = free
 
     @classmethod
     def from_kernel(cls, p: int, rows: np.ndarray, free) -> "QuotientSpace":
         """The projection is a canonical kernel basis (``rows``, with the
         identity at the ``free`` columns); the section lifts to the unit
         representatives on those columns."""
-        sect = np.zeros((rows.shape[1], len(free)), dtype=np.int64)
-        sect[free, range(len(free))] = 1
-        return cls(p, Matrix(p, rows), Matrix(p, sect))
+        free = np.asarray(free, dtype=np.int64)
+        sect = np.zeros((rows.shape[1], free.size), dtype=np.int64)
+        sect[free, np.arange(free.size)] = 1
+        return cls(p, Matrix(p, rows), Matrix(p, sect), free)
 
     @property
     def ambient_dim(self) -> int:
@@ -508,12 +515,25 @@ def descend(q: QuotientSpace, m: np.ndarray) -> np.ndarray:
     quotient coordinates.  m kills the relations, ker(projection),
     exactly when h @ projection = m; otherwise NotWellDefinedError
     names the first ambient coordinate whose image differs from its
-    representative's."""
+    representative's.
+
+    When q records its ``free`` columns, h is m gathered at them, and
+    h @ projection = m needs checking only off them, where the
+    projection is not the identity; the failing coordinate is the same.
+    """
     p = q.p
-    h = mul_mod(m, q.section.a, p)
-    bad = mul_mod(h, q.projection.a, p) != m
+    if q.free is None:
+        h = mul_mod(m, q.section.a, p)
+        bad = (mul_mod(h, q.projection.a, p) != m).any(axis=0)
+    else:
+        h = m[:, q.free] % p
+        rest = np.ones(q.ambient_dim, dtype=bool)
+        rest[q.free] = False
+        bad = np.empty(q.ambient_dim, dtype=bool)
+        bad[q.free] = (h != m[:, q.free]).any(axis=0)
+        bad[rest] = (mul_mod(h, q.projection.a[:, rest], p) != m[:, rest]).any(axis=0)
     if bad.any():
-        col = int(np.flatnonzero(bad.any(axis=0))[0])
+        col = int(np.flatnonzero(bad)[0])
         raise NotWellDefinedError(
             f"the map does not kill the relations: ambient coordinate {col} "
             f"and its representative have different images")

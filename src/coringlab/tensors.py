@@ -16,10 +16,17 @@ it in the canonical form ``balanced_pair`` gives, so either path yields
 the same arrays.  Carriers on which every generator acts diagonally keep
 ``commutant``'s coordinate selection, and the rest its reduction.
 Each power is a (projection, section) pair on its plain product, and
-every structure map on power(n), a map on power(n-1) tensored with the
-identity of the last factor or one on the last factor alone, descends
-through ``linalg.descend``; so can maps out of power(m) ⊗ power(n), with
-``concat_section`` as concat(m, n)'s section.
+every structure map on power(n) is a map on power(n-1) tensored with the
+identity of the last factor (``then_identity``) or one on the last
+factor alone (``on_last``).  The first is well defined when it is
+right-linear over the generators, the second when it is left-linear
+over them, since the generators' relations span power(n)'s; each map
+checks that certificate with one product a side, and then computes only
+the columns of power(n)'s free coordinates, a gather of the projection.
+A map that fails it is formed on the whole plain product and checked by
+``linalg.descend``, which names the first coordinate it fails on.  Maps
+out of power(m) ⊗ power(n) descend with ``concat_section`` as
+concat(m, n)'s section.
 A coring's S ⊗_R ... ⊗_R S and an extension's A ⊗_B ... ⊗_B A
 (``build_power``, B acting by multiplication) are both towers.
 ``balanced_power`` is the dense reference the tests check them against.
@@ -308,14 +315,36 @@ class TensorTower:
 
     def on_last(self, n: int, mats) -> list[Matrix]:
         """x ⊗ v -> x ⊗ m(v) on power(n), for each carrier matrix m: the
-        map id ⊗ m, descended; m must commute with the base's left action."""
+        map id ⊗ m, descended; m must commute with the base's left action.
+
+        When every m commutes with the generators' left actions,
+        m·L_g = L_g·m, id ⊗ m sends each relation (x·g) ⊗ v − x ⊗ g·v to
+        (x·g) ⊗ m(v) − x ⊗ g·m(v), another relation, and those span the
+        relations of power(n); so it descends, and only the columns of
+        power(n)'s free coordinates are computed.  Otherwise the map is
+        formed on the whole plain product and ``descend`` checks it.
+        """
         if n == 1:
             return list(mats)
-        # projection @ kron(I, m), without forming the kron
+        p, c = self.p, self.carrier_dim
+        stack = np.stack([m.a for m in mats])
+        k = stack.shape[0]
+        lefts = [self.left_mats[g].a for g in self.gens]
+        if lefts:
+            # m_j L_g against L_g m_j for every j and g, one product a side
+            after = mul_mod(stack.reshape(k * c, c), np.hstack(lefts), p)
+            before = mul_mod(np.vstack(lefts), stack.transpose(1, 0, 2).reshape(c, k * c), p)
+            if not np.array_equal(after.reshape(k, c, len(lefts), c).transpose(2, 1, 0, 3),
+                                  before.reshape(len(lefts), c, k, c)):
+                return [Matrix(p, h) for h in _on_last_dense(self, n, stack)]
         q = self.power(n)
-        proj = q.projection.a.reshape(-1, self.carrier_dim)
-        return [Matrix(self.p, descend(q, mul_mod(proj, m.a, self.p).reshape(q.dim, -1)))
-                for m in mats]
+        proj = q.projection.a.reshape(q.dim, self.power(n - 1).dim, c)
+        out = np.empty((k, q.dim, q.dim), dtype=np.int64)
+        # free column t is the plain coordinate x_t ⊗ v_t: P[:, x_t, :] @ m(v_t)
+        for v, ts, xs in _by_last_factor(q.free, c):
+            cols = mul_mod(proj[:, xs, :].reshape(q.dim * ts.size, c), stack[:, :, v].T, p)
+            out[:, :, ts] = cols.reshape(q.dim, ts.size, k).transpose(2, 0, 1)
+        return [Matrix(p, h) for h in out]
 
     def right_on(self, n: int) -> list[Matrix]:
         """x -> x·b on power(n), one matrix per base basis element."""
@@ -365,13 +394,15 @@ class TensorTower:
             else:
                 p, c = self.p, self.carrier_dim
                 d_m, d_prev = self.power(m).dim, self.power(n - 1).dim
+                d_n, d_top = self.power(n).dim, self.power(m + n - 1).dim
                 # rows (x, y), columns (v, z): x ⊗ y ⊗ v lifts z
                 lifted = mul_mod(self.concat_section(m, n - 1).a,
-                                 q.section.a.reshape(-1, c * q.dim), p)
+                                 q.section.a.reshape(d_top, c * q.dim), p)
                 lifted = lifted.reshape(d_m, d_prev * c, q.dim).transpose(1, 0, 2)
-                joined = mul_mod(self.power(n).projection.a, lifted.reshape(d_prev * c, -1), p)
-                joined = joined.reshape(-1, d_m, q.dim).transpose(1, 0, 2)
-                sec = Matrix(p, joined.reshape(-1, q.dim))
+                joined = mul_mod(self.power(n).projection.a,
+                                 lifted.reshape(d_prev * c, d_m * q.dim), p)
+                joined = joined.reshape(d_n, d_m, q.dim).transpose(1, 0, 2)
+                sec = Matrix(p, joined.reshape(d_m * d_n, q.dim))
             self._sections[key] = sec
         return sec
 
@@ -380,18 +411,73 @@ class TensorTower:
 
         phi maps the plain product of ``lead`` coordinates with power(n-1)
         into power(k-1).  Each of the ``lead`` slices must kill the
-        relations of power(n); one ``descend`` checks them all.
+        relations of power(n).  They do when every slice phi_x is
+        right-linear over the generators, phi_x·R_g = R_g·phi_x with R_g
+        the right actions on power(n-1) and power(k-1): phi_x ⊗ id then
+        sends (y·g) ⊗ v − y ⊗ g·v to (phi_x(y)·g) ⊗ v − phi_x(y) ⊗ g·v,
+        a relation of power(k), and those relations span power(n)'s.  So
+        only the columns of power(n)'s free coordinates are computed.  A
+        phi that fails the check is tensored on the whole plain product,
+        and one ``descend`` checks every slice.
         """
         p, c = self.p, self.carrier_dim
         src, dst = self.power(n), self.power(k)
         d_in, d_out = self.power(n - 1).dim, self.power(k - 1).dim
-        # dst.projection @ kron(phi slice x, I_c), for every x at once
-        proj = dst.projection.a.reshape(dst.dim, d_out, c).transpose(0, 2, 1)
-        b = mul_mod(proj.reshape(-1, d_out), phi.a, p)
-        b = b.reshape(dst.dim, c, lead, d_in).transpose(2, 0, 3, 1)
-        out = descend(src, b.reshape(lead * dst.dim, d_in * c))
-        out = out.reshape(lead, dst.dim, src.dim).transpose(1, 0, 2)
+        g = len(self.gens)
+        if g:
+            # phi_x R_g against R_g phi_x for every x and g, one product a side
+            ins = np.hstack([self.right_on(n - 1)[j].a for j in self.gens])
+            outs = np.vstack([self.right_on(k - 1)[j].a for j in self.gens])
+            after = mul_mod(phi.a.reshape(d_out * lead, d_in), ins, p)
+            before = mul_mod(outs, phi.a, p)
+            if not np.array_equal(after.reshape(d_out, lead, g, d_in).transpose(2, 0, 1, 3),
+                                  before.reshape(g, d_out, lead, d_in)):
+                return _then_identity_dense(self, phi, n, k, lead)
+        slices = phi.a.reshape(d_out, lead, d_in)
+        proj = dst.projection.a.reshape(dst.dim, d_out, c)
+        out = np.empty((dst.dim, lead, src.dim), dtype=np.int64)
+        # free column t is the plain coordinate y_t ⊗ v_t: P[:, :, v_t] @ phi_x(y_t)
+        for v, ts, ys in _by_last_factor(src.free, c):
+            cols = mul_mod(proj[:, :, v], slices[:, :, ys].reshape(d_out, lead * ts.size), p)
+            out[:, :, ts] = cols.reshape(dst.dim, lead, ts.size)
         return Matrix(p, out.reshape(dst.dim, lead * src.dim))
+
+
+def _by_last_factor(free, c: int):
+    """The free coordinates x * c + v of a power, grouped by v: for each v
+    that occurs, their positions in ``free`` and their x's."""
+    xs, vs = np.divmod(free, c)
+    for v in np.unique(vs):
+        ts = np.flatnonzero(vs == v)
+        yield int(v), ts, xs[ts]
+
+
+def _on_last_dense(tower: TensorTower, n: int, stack: np.ndarray) -> np.ndarray:
+    """``TensorTower.on_last`` for a stack of carrier matrices, formed on
+    the whole plain product and descended: the path for maps that fail
+    the left-linearity check."""
+    p, c = tower.p, tower.carrier_dim
+    q = tower.power(n)
+    d_prev = tower.power(n - 1).dim
+    # projection @ kron(I, m), without forming the kron
+    proj = q.projection.a.reshape(q.dim * d_prev, c)
+    return np.stack([descend(q, mul_mod(proj, m, p).reshape(q.dim, d_prev * c))
+                     for m in stack])
+
+
+def _then_identity_dense(tower: TensorTower, phi: Matrix, n: int, k: int, lead: int) -> Matrix:
+    """``TensorTower.then_identity`` formed on the whole plain product and
+    descended: the path for a phi that fails the right-linearity check."""
+    p, c = tower.p, tower.carrier_dim
+    src, dst = tower.power(n), tower.power(k)
+    d_in, d_out = tower.power(n - 1).dim, tower.power(k - 1).dim
+    # dst.projection @ kron(phi slice x, I_c), for every x at once
+    proj = dst.projection.a.reshape(dst.dim, d_out, c).transpose(0, 2, 1)
+    b = mul_mod(proj.reshape(dst.dim * c, d_out), phi.a, p)
+    b = b.reshape(dst.dim, c, lead, d_in).transpose(2, 0, 3, 1)
+    out = descend(src, b.reshape(lead * dst.dim, d_in * c))
+    out = out.reshape(lead, dst.dim, src.dim).transpose(1, 0, 2)
+    return Matrix(p, out.reshape(dst.dim, lead * src.dim))
 
 
 def extension_tower(e: Extension) -> TensorTower:

@@ -221,6 +221,71 @@ def dual_step_mismatches(tower, top):
     return out
 
 
+def dense_descend(q, m):
+    """``linalg.descend`` through the section and projection as matrices,
+    h = m @ section checked by h @ projection = m on every column: the
+    reference for the gather on a quotient's free columns."""
+    from coringlab.linalg import QuotientSpace, descend
+
+    return descend(QuotientSpace(q.p, q.projection, q.section), m)
+
+
+def dense_on_last(tower, n, m):
+    """id ⊗ m on power(n), formed on the whole plain product with an
+    explicit kron and descended by ``dense_descend``."""
+    from coringlab.linalg import mul_mod
+
+    q = tower.power(n)
+    eye = np.eye(tower.power(n - 1).dim, dtype=np.int64)
+    return dense_descend(q, mul_mod(q.projection.a, np.kron(eye, m.a), tower.p))
+
+
+def dense_then_identity(tower, phi, n, k, lead=1):
+    """phi ⊗ id_carrier from lead ⊗ power(n) to power(k), one slice of phi
+    at a time on the whole plain product with an explicit kron, each
+    descended by ``dense_descend``; columns x * dim power(n) + t."""
+    from coringlab.linalg import mul_mod
+
+    p, dst = tower.p, tower.power(k)
+    eye = np.eye(tower.carrier_dim, dtype=np.int64)
+    slices = phi.a.reshape(tower.power(k - 1).dim, lead, tower.power(n - 1).dim)
+    return np.hstack([
+        dense_descend(tower.power(n),
+                      mul_mod(dst.projection.a, np.kron(slices[:, x, :], eye), p))
+        for x in range(lead)])
+
+
+def gathered_map_mismatches(tower, top):
+    """The tower maps up to power(top) whose gathered columns differ from
+    the map formed densely (``dense_on_last``, ``dense_then_identity``)
+    or from the tower's own dense path: right_on(n), phi ⊗ id for
+    phi = concat(m, n - 1) into power(m + n), and, on a coring, the
+    coproduct in each slot but the last."""
+    from coringlab import tensors
+
+    out = []
+    for n in range(2, top + 1):
+        stack = np.stack([m.a for m in tower.right_mats])
+        want = np.stack([dense_on_last(tower, n, m) for m in tower.right_mats])
+        got = np.stack([m.a for m in tower.on_last(n, tower.right_mats)])
+        if not (np.array_equal(got, want)
+                and np.array_equal(tensors._on_last_dense(tower, n, stack), want)):
+            out.append(("on_last", n))
+        phis = [(f"concat({m}, {n - 1})", tower.concat(m, n - 1), m + n,
+                 tower.base.dim if m == 0 else tower.power(m).dim)
+                for m in range(0, top - n + 1)]
+        if hasattr(tower, "coproducts") and n < top:
+            phis += [(f"coproduct slot {i}", phi, n + 1, 1)
+                     for i, phi in enumerate(tower.coproducts(n - 1), start=1)]
+        for name, phi, k, lead in phis:
+            want = dense_then_identity(tower, phi, n, k, lead)
+            if not (np.array_equal(tower.then_identity(phi, n, k, lead).a, want)
+                    and np.array_equal(tensors._then_identity_dense(tower, phi, n, k, lead).a,
+                                       want)):
+                out.append((name, n))
+    return out
+
+
 def hom_matrix(space, coords):
     """The matrix of the member of a bimodule hom space with the given
     coordinates: coords @ rows, reshaped to dim A x dim power(n)."""

@@ -221,3 +221,31 @@ def test_m2_complex_reduces_power_three_only_to_canonicalize(monkeypatch):
     x = build_amitsur(endo_coring(load_corpus_extension("m2_gf5")), 3)
     assert x.dims() == [4, 16, 64, 256]
     assert [acc.fed for acc in wide] == [256]
+
+
+def test_m2_tower_maps_are_gathered(monkeypatch):
+    # every structure map of the M2 coring and of the extension tower
+    # under its f2 certificate passes its linearity check, so none is
+    # formed on a whole plain product; and every descent in the tower
+    # code is onto a power with free coordinates, a gather with no
+    # product by a section
+    from coringlab import corings, linalg, tensors
+    from coringlab.corpus import load_corpus_extension
+
+    def dense(*args):
+        raise AssertionError("a tower map took the dense path")
+
+    descents = []
+
+    def gathered(q, m):
+        assert q.free is not None, "a descent multiplied by a section"
+        descents.append(q.dim)
+        return linalg.descend(q, m)
+
+    monkeypatch.setattr(tensors, "_then_identity_dense", dense)
+    monkeypatch.setattr(tensors, "_on_last_dense", dense)
+    for module in (tensors, corings):
+        monkeypatch.setattr(module, "descend", gathered)
+    x = build_amitsur(endo_coring(load_corpus_extension("m2_gf5")), 3)
+    assert x.dims() == [4, 16, 64, 256]
+    assert descents

@@ -23,8 +23,8 @@ from coringlab.algebras import generating_indices, matrix_algebra, one_dim_algeb
 from coringlab.corpus import extension_names, hopf_names, load_corpus_extension, load_corpus_hopf
 from coringlab.tensors import balanced_pair, balanced_power
 
-from conftest import (concat_section_failures, dual_step_mismatches, hom_matrix, naive_rank,
-                      pure_tensor, s3_c2_extension)
+from conftest import (concat_section_failures, dual_step_mismatches, gathered_map_mismatches,
+                      hom_matrix, naive_rank, pure_tensor, s3_c2_extension)
 from test_algebras import ut2_diag_extension
 from test_homspaces import brute_hom_dim
 
@@ -257,6 +257,11 @@ def test_concat_sections_invert_concat(corpus_corings):
     # up to power(3), which every corpus coring builds in well under a second
     for name, c in corpus_corings.items():
         assert concat_section_failures(c, 3) == [], name
+
+
+def test_coring_maps_gather_the_dense_maps(corpus_corings):
+    for name, c in corpus_corings.items():
+        assert gathered_map_mismatches(c, 3) == [], name
 
 
 def test_base_generators_balance_like_the_whole_basis(corpus_corings):

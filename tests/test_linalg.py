@@ -1,5 +1,7 @@
 """Exact linear algebra over GF(p): frozen examples and random cross-checks."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -298,6 +300,30 @@ def test_descend_names_the_first_failing_coordinate():
     q = quotient_of(3, Subspace.from_spanning(5, 3, [[0, 1, -1]]))
     with pytest.raises(NotWellDefinedError, match="ambient coordinate 1 "):
         descend(q, np.array([[0, 1, 0]]))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from([2, 5, 2**31 - 1]), st.integers(1, 7), st.integers(0, 7),
+       st.integers(1, 3), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_descent_gathers_the_product_by_the_section(p, n, n_rel, k, moved, seed):
+    # a map through the projection, with up to two entries moved: the
+    # gather on the free columns returns m @ section, or refuses at the
+    # coordinate the products by the section and projection name
+    rng = np.random.default_rng(seed)
+    q = quotient_of(n, Subspace.from_spanning(p, n, random_matrix(rng, n_rel, n, p)))
+    assert q.free is not None
+    m = mul_mod(random_matrix(rng, k, q.dim, p), q.projection.a, p)
+    for _ in range(moved):
+        m[rng.integers(k), rng.integers(n)] = rng.integers(p)
+    dense = QuotientSpace(p, q.projection, q.section)
+    try:
+        want = descend(dense, m)
+    except NotWellDefinedError as err:
+        with pytest.raises(NotWellDefinedError, match=re.escape(str(err))):
+            descend(q, m)
+    else:
+        assert np.array_equal(want, mul_mod(m, q.section.a, p))
+        assert np.array_equal(descend(q, m), want)
 
 
 def test_trivial_quotient_is_identity():

@@ -21,7 +21,7 @@ from coringlab.algebras import (
 from coringlab.amitsur import build_amitsur
 from coringlab.corings import endo_coring, sweedler_coring
 from coringlab.corpus import extension_names, facet_names, load_corpus_extension, read_facets
-from coringlab.errors import SizeLimitError
+from coringlab.errors import NotWellDefinedError, SizeLimitError
 from coringlab.hochschild import build_complex
 from coringlab.linalg import (
     Field,
@@ -42,13 +42,16 @@ from coringlab.tensors import (
     balanced_power,
     build_power,
     dual_basis,
+    extension_tower,
     free_pair,
     mult_at,
     pair_relation_rows,
     relation_entries,
 )
 
-from conftest import concat_section_failures, dual_step_mismatches, pure_tensor, s3_c2_extension
+from conftest import (concat_section_failures, dense_on_last, dense_then_identity,
+                      dual_step_mismatches, gathered_map_mismatches, pure_tensor,
+                      s3_c2_extension)
 from test_algebras import C3, ut2_diag_extension
 
 
@@ -417,6 +420,49 @@ def test_dual_basis_steps_on_extension_towers(corpus_towers):
     assert sorted(name for name, t in corpus_towers.items() if t.dual is not None) == [
         "s3_c2_gf7"]
     assert dual_step_mismatches(corpus_towers["s3_c2_gf7"], 3) == []
+
+
+def test_tower_maps_gather_the_dense_maps(corpus_towers):
+    # the extension towers, and the selection towers of the incidence
+    # algebras over their vertex idempotents
+    towers = dict(corpus_towers)
+    for name in facet_names():
+        e = incidence_extension(parse_complex(read_facets(name)), Field(5))
+        towers[f"{name} incidence"] = extension_tower(e)
+    for name, tower in towers.items():
+        assert gathered_map_mismatches(tower, 3) == [], name
+
+
+def test_maps_that_fail_their_certificate_are_refused_like_the_dense_maps(m2_gf5_endo):
+    # x -> x·e12 is not right-linear over M2 and v -> e12·v is not
+    # left-linear: neither, tensored with an identity, descends, and the
+    # refusal names the coordinate that the map formed densely fails on
+    c = m2_gf5_endo
+    cases = [
+        (lambda: c.then_identity(c.right_mats[1], 2, 2),
+         lambda: dense_then_identity(c, c.right_mats[1], 2, 2)),
+        (lambda: c.on_last(2, [c.left_mats[1]]),
+         lambda: dense_on_last(c, 2, c.left_mats[1])),
+    ]
+    for tower_map, dense in cases:
+        with pytest.raises(NotWellDefinedError) as want:
+            dense()
+        with pytest.raises(NotWellDefinedError, match=re.escape(str(want.value))):
+            tower_map()
+
+
+def test_a_tower_holds_zero_dimensional_powers():
+    # one arrow a = e0·a·e1 over k x k: a ⊗ a = a·e1 ⊗ a = a ⊗ e1·a = 0,
+    # so power(2) and every power above it are zero
+    p = 5
+    tower = TensorTower(diagonal_algebra(Field(p), 2), 1,
+                        [Matrix(p, [[1]]), Matrix(p, [[0]])],
+                        [Matrix(p, [[0]]), Matrix(p, [[1]])])
+    assert tower.power(2).dim == 0
+    assert [m.shape for m in tower.right_on(2)] == [(0, 0), (0, 0)]
+    assert tower.power(3).projection.shape == (0, 0)
+    assert tower.concat(1, 2).shape == (0, 0)
+    assert tower.concat_section(1, 2).shape == (0, 0)
 
 
 # -- free carriers: a dual basis ----------------------------------------------
