@@ -329,20 +329,17 @@ class TensorTower:
         p, c = self.p, self.carrier_dim
         stack = np.stack([m.a for m in mats])
         k = stack.shape[0]
+        # row w of map j at [w, j]
+        maps = stack.transpose(1, 0, 2)
         lefts = [self.left_mats[g].a for g in self.gens]
-        if lefts:
-            # m_j L_g against L_g m_j for every j and g, one product a side
-            after = mul_mod(stack.reshape(k * c, c), np.hstack(lefts), p)
-            before = mul_mod(np.vstack(lefts), stack.transpose(1, 0, 2).reshape(c, k * c), p)
-            if not np.array_equal(after.reshape(k, c, len(lefts), c).transpose(2, 1, 0, 3),
-                                  before.reshape(len(lefts), c, k, c)):
-                return [Matrix(p, h) for h in _on_last_dense(self, n, stack)]
+        if not _intertwines(p, maps, lefts, lefts):
+            return [Matrix(p, h) for h in _on_last_dense(self, n, stack)]
         q = self.power(n)
         proj = q.projection.a.reshape(q.dim, self.power(n - 1).dim, c)
         out = np.empty((k, q.dim, q.dim), dtype=np.int64)
         # free column t is the plain coordinate x_t ⊗ v_t: P[:, x_t, :] @ m(v_t)
         for v, ts, xs in _by_last_factor(q.free, c):
-            cols = mul_mod(proj[:, xs, :].reshape(q.dim * ts.size, c), stack[:, :, v].T, p)
+            cols = mul_mod(proj[:, xs, :].reshape(q.dim * ts.size, c), maps[:, :, v], p)
             out[:, :, ts] = cols.reshape(q.dim, ts.size, k).transpose(2, 0, 1)
         return [Matrix(p, h) for h in out]
 
@@ -423,17 +420,10 @@ class TensorTower:
         p, c = self.p, self.carrier_dim
         src, dst = self.power(n), self.power(k)
         d_in, d_out = self.power(n - 1).dim, self.power(k - 1).dim
-        g = len(self.gens)
-        if g:
-            # phi_x R_g against R_g phi_x for every x and g, one product a side
-            ins = np.hstack([self.right_on(n - 1)[j].a for j in self.gens])
-            outs = np.vstack([self.right_on(k - 1)[j].a for j in self.gens])
-            after = mul_mod(phi.a.reshape(d_out * lead, d_in), ins, p)
-            before = mul_mod(outs, phi.a, p)
-            if not np.array_equal(after.reshape(d_out, lead, g, d_in).transpose(2, 0, 1, 3),
-                                  before.reshape(g, d_out, lead, d_in)):
-                return _then_identity_dense(self, phi, n, k, lead)
         slices = phi.a.reshape(d_out, lead, d_in)
+        if not _intertwines(p, slices, [self.right_on(n - 1)[j].a for j in self.gens],
+                            [self.right_on(k - 1)[j].a for j in self.gens]):
+            return _then_identity_dense(self, phi, n, k, lead)
         proj = dst.projection.a.reshape(dst.dim, d_out, c)
         out = np.empty((dst.dim, lead, src.dim), dtype=np.int64)
         # free column t is the plain coordinate y_t ⊗ v_t: P[:, :, v_t] @ phi_x(y_t)
@@ -441,6 +431,19 @@ class TensorTower:
             cols = mul_mod(proj[:, :, v], slices[:, :, ys].reshape(d_out, lead * ts.size), p)
             out[:, :, ts] = cols.reshape(dst.dim, lead, ts.size)
         return Matrix(p, out.reshape(dst.dim, lead * src.dim))
+
+
+def _intertwines(p: int, maps: np.ndarray, ins, outs) -> bool:
+    """Whether m·A = B·m for every map m and every pair (A, B) of ``ins``
+    and ``outs``, with one product a side.  ``maps`` is d_out x k x d_in,
+    map j at [:, j, :]."""
+    if not ins:
+        return True
+    d_out, k, d_in = maps.shape
+    after = mul_mod(maps.reshape(d_out * k, d_in), np.hstack(ins), p)
+    before = mul_mod(np.vstack(outs), maps.reshape(d_out, k * d_in), p)
+    return np.array_equal(after.reshape(d_out, k, len(ins), d_in).transpose(2, 0, 1, 3),
+                          before.reshape(len(outs), d_out, k, d_in))
 
 
 def _by_last_factor(free, c: int):
