@@ -11,7 +11,8 @@ base are grown one factor at a time, power(n) = power(n-1) (x)_R
 carrier, and the tower caches them with the right base action on each
 and the concatenation products between them.  The coring adds the
 slotwise coproducts, each a map on power(n-1) tensored with the
-identity of the last factor or the coproduct on the last factor alone,
+identity of the last factor (well defined because it is right-linear,
+which the tower checks) or the coproduct on the last factor alone,
 descended through the mandatory well-definedness check.  The Amitsur
 complex and the axiom check share them.  The Sweedler coring's carrier
 is itself power 2 of an extension's tower, and A acts on it through the
@@ -20,7 +21,9 @@ same two kinds of tower map.
 Three builders produce the corings the theory needs: the endomorphism
 coring of a depth-two extension (with its f2 certificate), the
 canonical coring on A (x)_B A, and the coalgebra of a Hopf algebra
-viewed as a coring over the ground field.
+viewed as a coring over the ground field.  Each grows power(2) as a step
+of the carrier's tower before the coproduct exists, and the coring
+takes that tower over.
 """
 
 from __future__ import annotations

@@ -249,19 +249,19 @@ class TensorTower:
     """
 
     __slots__ = ("base", "gens", "carrier_dim", "left_mats", "right_mats", "_powers",
-                 "_rights", "_concats", "_sections", "_dual")
+                 "_rights", "_concats", "_sections", "_blocks", "_dual")
 
-    def __init__(self, base: FinDimAlgebra, carrier_dim: int, left_mats, right_mats,
-                 powers=None):
+    def __init__(self, base: FinDimAlgebra, carrier_dim: int, left_mats, right_mats):
         self.base = base
         self.gens = generating_indices(base)
         self.carrier_dim = int(carrier_dim)
         self.left_mats = list(left_mats)
         self.right_mats = list(right_mats)
-        self._powers = dict(powers) if powers else {}
+        self._powers = {}
         self._rights = {}
         self._concats = {}
         self._sections = {}
+        self._blocks = {}
         self._dual = _UNSEARCHED
 
     @property
@@ -337,11 +337,20 @@ class TensorTower:
         q = self.power(n)
         proj = q.projection.a.reshape(q.dim, self.power(n - 1).dim, c)
         out = np.empty((k, q.dim, q.dim), dtype=np.int64)
-        # free column t is the plain coordinate x_t ⊗ v_t: P[:, x_t, :] @ m(v_t)
-        for v, ts, xs in _by_last_factor(q.free, c):
+        # free column t is the plain coordinate x_t ⊗ v_t: P[:, x_t, :] @ m(v_t),
+        # one product per v (a stack of these thin products is slower)
+        for v, ts, xs in zip(*self._free_by_last(n)):
             cols = mul_mod(proj[:, xs, :].reshape(q.dim * ts.size, c), maps[:, :, v], p)
             out[:, :, ts] = cols.reshape(q.dim, ts.size, k).transpose(2, 0, 1)
         return [Matrix(p, h) for h in out]
+
+    def _free_by_last(self, n: int):
+        """power(n)'s free coordinates grouped by their carrier factor
+        (``_by_last_factor``), worked out once per power."""
+        blocks = self._blocks.get(n)
+        if blocks is None:
+            blocks = self._blocks[n] = _by_last_factor(self.power(n).free, self.carrier_dim)
+        return blocks
 
     def right_on(self, n: int) -> list[Matrix]:
         """x -> x·b on power(n), one matrix per base basis element."""
@@ -425,11 +434,14 @@ class TensorTower:
                             [self.right_on(k - 1)[j].a for j in self.gens]):
             return _then_identity_dense(self, phi, n, k, lead)
         proj = dst.projection.a.reshape(dst.dim, d_out, c)
+        # free column t is the plain coordinate y_t ⊗ v_t: P[:, :, v_t] @ phi_x(y_t),
+        # one product per v in a stack
+        vs, ts, ys = self._free_by_last(n)
+        g, w = ts.shape
+        cols = mul_mod(proj[:, :, vs].transpose(2, 0, 1),
+                       slices[:, :, ys].transpose(2, 0, 1, 3).reshape(g, d_out, lead * w), p)
         out = np.empty((dst.dim, lead, src.dim), dtype=np.int64)
-        # free column t is the plain coordinate y_t ⊗ v_t: P[:, :, v_t] @ phi_x(y_t)
-        for v, ts, ys in _by_last_factor(src.free, c):
-            cols = mul_mod(proj[:, :, v], slices[:, :, ys].reshape(d_out, lead * ts.size), p)
-            out[:, :, ts] = cols.reshape(dst.dim, lead, ts.size)
+        out[:, :, ts] = cols.reshape(g, dst.dim, lead, w).transpose(1, 2, 0, 3)
         return Matrix(p, out.reshape(dst.dim, lead * src.dim))
 
 
@@ -447,12 +459,15 @@ def _intertwines(p: int, maps: np.ndarray, ins, outs) -> bool:
 
 
 def _by_last_factor(free, c: int):
-    """The free coordinates x * c + v of a power, grouped by v: for each v
-    that occurs, their positions in ``free`` and their x's."""
+    """The free coordinates x * c + v of a power, grouped by v, as
+    (vs, ts, xs): row i of ts holds the positions in ``free`` of the
+    coordinates whose v is vs[i], and xs their x's.  Rows shorter than
+    the longest repeat their last position, so that the groups stack."""
     xs, vs = np.divmod(free, c)
-    for v in np.unique(vs):
-        ts = np.flatnonzero(vs == v)
-        yield int(v), ts, xs[ts]
+    order = np.argsort(vs, kind="stable")
+    groups, start, count = np.unique(vs[order], return_index=True, return_counts=True)
+    ts = order[start[:, None] + np.minimum(np.arange(count.max(initial=0)), count[:, None] - 1)]
+    return groups, ts, xs[ts]
 
 
 def _on_last_dense(tower: TensorTower, n: int, stack: np.ndarray) -> np.ndarray:

@@ -564,8 +564,7 @@ def test_dual_steps_are_budgeted_like_the_reduction(monkeypatch, m2_gf5_endo):
     c = m2_gf5_endo
 
     def fresh_power_three():
-        tower = TensorTower(c.base, c.carrier_dim, c.left_mats, c.right_mats,
-                            powers={2: c.power(2)})
+        tower = TensorTower(c.base, c.carrier_dim, c.left_mats, c.right_mats)
         return tower.power(3)
 
     def reduction(*args):
