@@ -345,11 +345,19 @@ class TensorTower:
         return [Matrix(p, h) for h in out]
 
     def _free_by_last(self, n: int):
-        """power(n)'s free coordinates grouped by their carrier factor
-        (``_by_last_factor``), worked out once per power."""
+        """power(n)'s free coordinates x * c + v grouped by v, worked out
+        once per power, as (vs, ts, xs): row i of ts holds the positions in
+        ``free`` of the coordinates whose v is vs[i], and xs their x's.
+        Rows shorter than the longest repeat their last position, so that
+        the groups stack."""
         blocks = self._blocks.get(n)
         if blocks is None:
-            blocks = self._blocks[n] = _by_last_factor(self.power(n).free, self.carrier_dim)
+            xs, vs = np.divmod(self.power(n).free, self.carrier_dim)
+            order = np.argsort(vs, kind="stable")
+            groups, start, count = np.unique(vs[order], return_index=True, return_counts=True)
+            width = np.arange(count.max(initial=0))
+            ts = order[start[:, None] + np.minimum(width, count[:, None] - 1)]
+            blocks = self._blocks[n] = (groups, ts, xs[ts])
         return blocks
 
     def right_on(self, n: int) -> list[Matrix]:
@@ -456,18 +464,6 @@ def _intertwines(p: int, maps: np.ndarray, ins, outs) -> bool:
     before = mul_mod(np.vstack(outs), maps.reshape(d_out, k * d_in), p)
     return np.array_equal(after.reshape(d_out, k, len(ins), d_in).transpose(2, 0, 1, 3),
                           before.reshape(len(outs), d_out, k, d_in))
-
-
-def _by_last_factor(free, c: int):
-    """The free coordinates x * c + v of a power, grouped by v, as
-    (vs, ts, xs): row i of ts holds the positions in ``free`` of the
-    coordinates whose v is vs[i], and xs their x's.  Rows shorter than
-    the longest repeat their last position, so that the groups stack."""
-    xs, vs = np.divmod(free, c)
-    order = np.argsort(vs, kind="stable")
-    groups, start, count = np.unique(vs[order], return_index=True, return_counts=True)
-    ts = order[start[:, None] + np.minimum(np.arange(count.max(initial=0)), count[:, None] - 1)]
-    return groups, ts, xs[ts]
 
 
 def _on_last_dense(tower: TensorTower, n: int, stack: np.ndarray) -> np.ndarray:
