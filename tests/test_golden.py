@@ -32,6 +32,8 @@ COMMANDS = {
     "amitsur-c3_gf3": ["amitsur", "c3_gf3.json"],
     # the largest coring power(3): ambient 64 * 16 over M2
     "amitsur-m2_gf5": ["amitsur", "m2_gf5.json"],
+    # power(4) of the M2 carrier: ambient 256 * 16, concat(2, 2) with lead 64
+    "amitsur-m2_gf5-deg4": ["amitsur", "m2_gf5.json", "--max-degree", "4"],
     "amitsur-s3_c2_gf7": ["amitsur", "s3_c2_gf7.json", "--max-degree", "2",
                           "--trials", "10"],
     # power(4) of the Sweedler carrier, with concat leads above 1
