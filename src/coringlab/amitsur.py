@@ -6,7 +6,8 @@ power(n-1) (x)_R carrier, not a quotient of the dense carrier**n.  The
 product concatenates tensor factors, with degree-zero elements acting
 through the base actions: ``omega_product`` forms it on column-paired
 batches, as the coring's ``concat(m, n)`` applied to the Khatri-Rao
-product of the two batches, and is the complex's ``products``.  The
+product of the two batches (``TensorTower.concat_batches``, blockwise
+on dual steps), and is the complex's ``products``.  The
 differential is the shared ``dga.coboundaries`` with the grouplike as
 unit and the coring's slotwise ``coproducts`` as slot maps; in degree
 zero it sends r to ``right_action(r)(g) - left_action(r)(g)``, which
@@ -24,7 +25,7 @@ from .corings import CoringWithGrouplike
 from .dga import DGA, coboundaries, paired
 # this complex's cohomology and law check are the shared ones
 from .dga import cohomology_dims as amitsur_cohomology, verify_dga as verify_amitsur_dga
-from .linalg import Matrix, QuotientSpace, mul_mod, trivial_quotient
+from .linalg import Matrix, QuotientSpace, trivial_quotient
 
 
 class AmitsurComplex(DGA):
@@ -47,10 +48,7 @@ class AmitsurComplex(DGA):
 def omega_product(x: AmitsurComplex, m: int, n: int, xs, ys) -> np.ndarray:
     """The concatenation product of column-paired batches (see
     ``DGA.products``); degree-zero factors act via the base actions."""
-    xs, ys = paired(x, m, n, xs, ys)
-    # column i of the Khatri-Rao product is kron(xs[:, i], ys[:, i])
-    pairs = (xs[:, None, :] * ys[None, :, :]).reshape(-1, xs.shape[1]) % x.p
-    return mul_mod(x.coring.concat(m, n).a, pairs, x.p)
+    return x.coring.concat_batches(m, n, *paired(x, m, n, xs, ys))
 
 
 def build_amitsur(c: CoringWithGrouplike, max_degree: int = 3) -> AmitsurComplex:

@@ -18,6 +18,7 @@ that break their own laws).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -247,7 +248,10 @@ HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing argv
+    leaves it as it was, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="coringlab",
         description="exact finite-field checks for ring extensions and corings")

@@ -105,15 +105,29 @@ class CoringWithGrouplike(TensorTower):
             else:
                 # slots before the last act as (the map on power(n-1)) ⊗ id
                 maps = [self.then_identity(m, n, n + 1) for m in self.coproducts(n - 1)]
-                # the last slot: x ⊗ v -> x ⊗ coproduct(v), concatenated;
-                # concat(n-1, 2) @ kron(I, coproduct), without forming the kron
-                rows, d_prev = self.power(n + 1).dim, self.power(n - 1).dim
-                concat = self.concat(n - 1, 2).a.reshape(rows * d_prev, self.power(2).dim)
-                last = mul_mod(concat, self.coproduct.a, self.p)
-                maps.append(Matrix(self.p, descend(self.power(n),
-                                                   last.reshape(rows, d_prev * self.carrier_dim))))
+                maps.append(self._last_coproduct(n))
             self._coproducts[n] = maps
         return maps
+
+    def _last_coproduct(self, n: int) -> Matrix:
+        """The coproduct in the last slot of power(n), n >= 2: x ⊗ v ->
+        x ⊗ coproduct(v), concatenated.
+
+        When power(2) and power(n+1) are dual steps, the coproduct is
+        v -> Σ_j Δ_j(v) ⊗ w_j with Δ_j its block j, each left-linear with
+        it, so block j of the image is ``on_last(n, Δ_j)``.  Otherwise it
+        is concat(n-1, 2) @ kron(I, coproduct), without forming the kron,
+        descended.
+        """
+        p, c = self.p, self.carrier_dim
+        if self.is_dual_step(2) and self.is_dual_step(n + 1):
+            blocks = self.coproduct.a.reshape(-1, c, c)
+            last = self.on_last(n, [Matrix(p, b) for b in blocks])
+            return Matrix(p, np.vstack([h.a for h in last]))
+        rows, d_prev = self.power(n + 1).dim, self.power(n - 1).dim
+        concat = self.concat(n - 1, 2).a.reshape(rows * d_prev, self.power(2).dim)
+        last = mul_mod(concat, self.coproduct.a, p)
+        return Matrix(p, descend(self.power(n), last.reshape(rows, d_prev * c)))
 
     # -- construction-time verification ------------------------------------
 

@@ -17,16 +17,14 @@ dense integer matrix of residues.  This module supplies the primitives:
   space both have this shape.  When every L and M is diagonal the
   kernel is read off the diagonals with no elimination; otherwise the
   blocks stream, one at a time, into one row reduction,
-* ``span_with_free``, the same canonical form for a kernel known by a
-  spanning set rather than by its equations: the RREF of the columns
-  read backwards.  A tensor step over a free carrier knows its
-  projection's rows this way,
 * ``QuotientSpace``, a (projection, section) pair with projection @
   section = identity, and ``descend``, the one well-definedness check
   (``induced_map`` goes through it).  A quotient built from a canonical
   kernel basis records its ``free`` columns: its section is the unit
   columns there and its projection is the identity on them, so
-  ``descend`` is a gather plus a check of the other columns.
+  ``descend`` is a gather plus a check of the other columns.  Any other
+  pair (a tensor step read off a dual basis, say) descends through
+  products by its section and projection.
 
 Everything is deterministic: the RREF of a row span is unique, kernel
 bases are the canonical free-column bases, and a quotient built from
@@ -199,21 +197,6 @@ def kernel_rows_with_free(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.int64))
     return _kernel_of_rref(*rref_rows(a, p), a.shape[1], p)
-
-
-def span_with_free(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """The row space of ``a`` in ``kernel_rows_with_free``'s form.
-
-    This is the RREF of the columns read backwards: row t ends in a 1 at
-    column free[t], which every other row has zero.  A subspace has one
-    such basis, so when the row space is the kernel of some matrix these
-    are exactly the rows and free columns ``kernel_rows_with_free`` gives
-    for it.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    rows, pivots = rref_rows(a[:, ::-1], p)
-    last = a.shape[1] - 1
-    return rows[::-1, ::-1], [last - c for c in reversed(pivots)]
 
 
 def _kernel_of_rref(rows: np.ndarray, pivots: Sequence[int], ncols: int,

@@ -10,10 +10,11 @@ power(n-1) ⊗_R C, balanced over algebra generators of the base that the
 tower picks once, so no power is built in the dense dim**n ambient.
 When the carrier is free as a left base module, on w_1..w_m, a step
 needs no relations at all: power(n) is power(n-1)^m, x ⊗ v -> (x·φ_j(v))_j
-for the coordinate maps φ_j of ``dual_basis``.  ``free_pair`` builds
-that projection, checks that it kills exactly the relations, and puts
-it in the canonical form ``balanced_pair`` gives, so either path yields
-the same arrays.  Carriers on which every generator acts diagonally keep
+for the coordinate maps φ_j of ``dual_basis``, with index j * dim
+power(n-1) + y.  ``free_pair`` builds that projection and the section
+e_y ⊗ w_j, and checks that the projection kills exactly the relations;
+such a dual step keeps these coordinates, which are not ``commutant``'s
+canonical ones.  Carriers on which every generator acts diagonally keep
 ``commutant``'s coordinate selection, and the rest its reduction.
 Each power is a (projection, section) pair on its plain product, and
 every structure map on power(n) is a map on power(n-1) tensored with the
@@ -21,12 +22,16 @@ identity of the last factor (``then_identity``) or one on the last
 factor alone (``on_last``).  The first is well defined when it is
 right-linear over the generators, the second when it is left-linear
 over them, since the generators' relations span power(n)'s; each map
-checks that certificate with one product a side, and then computes only
-the columns of power(n)'s free coordinates, a gather of the projection.
-A map that fails it is formed on the whole plain product and checked by
-``linalg.descend``, which names the first coordinate it fails on.  Maps
-out of power(m) ⊗ power(n) descend with ``concat_section`` as
-concat(m, n)'s section.
+checks that certificate with one product a side.  Between dual steps
+the map is then a block matrix: phi ⊗ id is phi on each of the m
+blocks, and id ⊗ m mixes the blocks through power(n-1)'s right actions.
+Otherwise only the columns of power(n)'s free coordinates are computed,
+a gather of the projection.  A map that fails its certificate is formed
+on the whole plain product and checked by ``linalg.descend``, which
+names the first coordinate it fails on.  Maps out of power(m) ⊗ power(n)
+descend with ``concat_section`` as concat(m, n)'s section, and
+``concat_batches`` multiplies batches of pairs blockwise, without
+forming concat(m, n) where the steps are dual.
 A coring's S ⊗_R ... ⊗_R S and an extension's A ⊗_B ... ⊗_B A
 (``build_power``, B acting by multiplication) are both towers.
 ``balanced_power`` is the dense reference the tests check them against.
@@ -36,6 +41,8 @@ of ``homspaces`` are held to the same budget.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +57,6 @@ from .linalg import (
     inverse,
     kernel_rows_with_free,
     mul_mod,
-    span_with_free,
     trivial_quotient,
 )
 
@@ -135,19 +141,28 @@ def balanced_pair(p: int, dim_left: int, dim_right: int, rights, lefts) -> Quoti
     return QuotientSpace.from_kernel(p, *commutant(p, dim_left, dim_right, pairs))
 
 
-def dual_basis(base: FinDimAlgebra, gens, left_mats) -> np.ndarray | None:
-    """Coordinate maps of a basis of the carrier as a free left module
-    over the base, or None when none is found or it fails its check.
+class DualBasis(NamedTuple):
+    """A basis w_1..w_m of a carrier as a free left base module, and its
+    coordinate maps: ``w`` is c x m with column j the vector w_j, and
+    ``phi`` the (m, dim R, c) array Φ with v = Σ_j φ_j(v)·w_j for
+    φ_j(v) = Σ_b Φ[j, b, v] e_b."""
+
+    w: np.ndarray
+    phi: np.ndarray
+
+
+def dual_basis(base: FinDimAlgebra, gens, left_mats) -> DualBasis | None:
+    """A basis of the carrier as a free left module over the base, with
+    its coordinate maps, or None when none is found or it fails its check.
 
     Say the carrier is c-dimensional and free on w_1..w_m, m = c / dim R:
     the c x (m * dim R) matrix M with column (j, b) the vector b·w_j is
     then invertible.  The w_j are drawn at random, with a fixed seed, at
     most ``DUAL_BASIS_DRAWS`` times; a greedy pass over basis vectors
-    would miss the M2 carriers, which need combinations.  The result is
-    M⁻¹ as an (m, dim R, c) array Φ: v = Σ_j φ_j(v)·w_j with
-    φ_j(v) = Σ_b Φ[j, b, v] e_b.  It is returned only when each φ_j is
-    left-linear over every generator, φ_j(g·v) = g·φ_j(v), and
-    1·w_j = w_j: ``free_pair`` needs both.
+    would miss the M2 carriers, which need combinations.  Φ is M⁻¹,
+    reshaped.  The pair is returned only when each φ_j is left-linear
+    over every generator, φ_j(g·v) = g·φ_j(v), and 1·w_j = w_j:
+    ``free_pair`` needs both.
     """
     p, dim_r = base.p, base.dim
     c = left_mats[0].rows
@@ -176,18 +191,20 @@ def dual_basis(base: FinDimAlgebra, gens, left_mats) -> np.ndarray | None:
     unit = mul_mod(base.unit.reshape(1, -1), stack.reshape(dim_r, -1), p).reshape(c, c)
     if not np.array_equal(mul_mod(unit, w, p), w):
         return None
-    return phi
+    return DualBasis(w, phi)
 
 
-def free_pair(base: FinDimAlgebra, gens, rights, phi: np.ndarray) -> QuotientSpace | None:
-    """V ⊗_R C for a carrier C with the dual basis Φ of ``dual_basis``, or
-    None when V's right action fails the step's check.
+def free_pair(base: FinDimAlgebra, gens, rights, dual: DualBasis) -> QuotientSpace | None:
+    """V ⊗_R C for a carrier C with the ``dual_basis`` w, Φ, or None when
+    V's right action fails the step's check.
 
     ``rights[k]`` is V's matrix of x -> x·e_k, one per base basis element.
-    The projection is x ⊗ v -> (x·φ_j(v))_j, the sum over b of
-    kron(R_b, Φ[:, b, :]), put in ``span_with_free``'s canonical form.
-    Its rows span the annihilator of the generators' relations (the
-    quotient ``balanced_pair`` gives, byte for byte) once
+    The quotient is V^m, index j * dim V + y.  The projection is
+    x ⊗ v -> (x·φ_j(v))_j, the sum over b of kron(R_b, Φ[:, b, :]), and
+    the section sends coordinate (j, y) to e_y ⊗ w_j; projection @
+    section is the identity because φ_i(w_j) = δ_ij·1 and x·1 = x.  The
+    projection's kernel is exactly the generators' relations, the
+    quotient ``balanced_pair`` gives in other coordinates, once
     (x·g)·k = x·(g·k) for every generator g and basis element k, and
     x·1 = x:
     - with φ_j left-linear over g, it kills (x·g) ⊗ v − x ⊗ g·v;
@@ -197,6 +214,7 @@ def free_pair(base: FinDimAlgebra, gens, rights, phi: np.ndarray) -> QuotientSpa
       kernel is no larger than the relations.
     """
     p, dim_r = base.p, base.dim
+    w, phi = dual
     m, _, c = phi.shape
     d = rights[0].rows
     stack = np.stack([mat.a for mat in rights]).reshape(dim_r, d * d)
@@ -211,7 +229,11 @@ def free_pair(base: FinDimAlgebra, gens, rights, phi: np.ndarray) -> QuotientSpa
     # rows (j, y), columns (x, v): Σ_b Φ[j, b, v] R_b[y, x]
     proj = mul_mod(phi.transpose(0, 2, 1).reshape(m * c, dim_r), stack, p)
     proj = proj.reshape(m, c, d, d).transpose(0, 2, 3, 1).reshape(m * d, d * c)
-    return QuotientSpace.from_kernel(p, *span_with_free(proj, p))
+    # rows (x, v), columns (j, y): w_j[v] where x = y
+    sect = np.zeros((d, c, m, d), dtype=np.int64)
+    diag = np.arange(d)
+    sect[diag, :, :, diag] = w
+    return QuotientSpace(p, Matrix(p, proj), Matrix(p, sect.reshape(d * c, m * d)))
 
 
 def balanced_power(p: int, dim: int, rights, lefts, n: int) -> QuotientSpace:
@@ -249,7 +271,8 @@ class TensorTower:
     """
 
     __slots__ = ("base", "gens", "carrier_dim", "left_mats", "right_mats", "_powers",
-                 "_rights", "_concats", "_sections", "_blocks", "_dual")
+                 "_rights", "_concats", "_sections", "_blocks", "_dual", "_dual_steps",
+                 "_left_linear")
 
     def __init__(self, base: FinDimAlgebra, carrier_dim: int, left_mats, right_mats):
         self.base = base
@@ -263,13 +286,15 @@ class TensorTower:
         self._sections = {}
         self._blocks = {}
         self._dual = _UNSEARCHED
+        self._dual_steps = set()
+        self._left_linear = {}
 
     @property
     def p(self) -> int:
         return self.base.p
 
     @property
-    def dual(self) -> np.ndarray | None:
+    def dual(self) -> DualBasis | None:
         """The carrier's ``dual_basis``, searched for once, on first use.
 
         There is no search when every generator acts diagonally on the
@@ -290,8 +315,9 @@ class TensorTower:
         product whose index is x * carrier_dim + v, for x a power(n-1)
         coordinate and v a carrier coordinate.  It is read off the
         carrier's dual basis when there is one and the step passes its
-        check (``free_pair``), and is the commutant of the generators'
-        relations otherwise; both give the same arrays.
+        check (``free_pair``), in the dual step's coordinates
+        power(n-1)^m; otherwise it is the commutant of the generators'
+        relations, in canonical coordinates with ``free`` columns.
         """
         if n < 1:
             raise ValueError("tensor powers start at n = 1")
@@ -310,8 +336,16 @@ class TensorTower:
                     q = balanced_pair(self.p, dim, self.carrier_dim,
                                       [rights[j].a for j in self.gens],
                                       [self.left_mats[j].a for j in self.gens])
+                else:
+                    self._dual_steps.add(n)
             self._powers[n] = q
         return q
+
+    def is_dual_step(self, n: int) -> bool:
+        """Whether power(n) was read off the dual basis, so that it is
+        power(n-1)^m with coordinate (j, y) the tensor e_y ⊗ w_j."""
+        self.power(n)
+        return n in self._dual_steps
 
     def on_last(self, n: int, mats) -> list[Matrix]:
         """x ⊗ v -> x ⊗ m(v) on power(n), for each carrier matrix m: the
@@ -320,22 +354,37 @@ class TensorTower:
         When every m commutes with the generators' left actions,
         m·L_g = L_g·m, id ⊗ m sends each relation (x·g) ⊗ v − x ⊗ g·v to
         (x·g) ⊗ m(v) − x ⊗ g·m(v), another relation, and those span the
-        relations of power(n); so it descends, and only the columns of
-        power(n)'s free coordinates are computed.  Otherwise the map is
-        formed on the whole plain product and ``descend`` checks it.
+        relations of power(n); so it descends.  That certificate depends
+        on the carrier matrices alone and is kept for the tower.  On a
+        dual step, e_y ⊗ w_j goes to Σ_i e_y·φ_i(m(w_j)) ⊗ w_i, the block
+        matrix Σ_b Ψ[i, j, b]·R_b with Ψ[i, j] = φ_i(m(w_j)) and R_b
+        power(n-1)'s right actions; otherwise only the columns of
+        power(n)'s free coordinates are computed.  A map that fails the
+        certificate is formed on the whole plain product and ``descend``
+        checks it.
         """
         if n == 1:
             return list(mats)
         p, c = self.p, self.carrier_dim
         stack = np.stack([m.a for m in mats])
         k = stack.shape[0]
-        # row w of map j at [w, j]
-        maps = stack.transpose(1, 0, 2)
-        lefts = [self.left_mats[g].a for g in self.gens]
-        if not _intertwines(p, maps, lefts, lefts):
+        if not self._commutes_with_left(stack):
             return [Matrix(p, h) for h in _on_last_dense(self, n, stack)]
         q = self.power(n)
-        proj = q.projection.a.reshape(q.dim, self.power(n - 1).dim, c)
+        d_prev = self.power(n - 1).dim
+        if self.is_dual_step(n):
+            w, phi = self.dual
+            m, dim_r, _ = phi.shape
+            # psi[t, (i, b), j]: coefficient b of φ_i(mats[t](w_j))
+            psi = mul_mod(phi.reshape(m * dim_r, c), mul_mod(stack, w, p), p)
+            psi = psi.reshape(k, m, dim_r, m).transpose(0, 1, 3, 2).reshape(k * m * m, dim_r)
+            rights = np.stack([r.a for r in self.right_on(n - 1)])
+            out = mul_mod(psi, rights.reshape(dim_r, d_prev * d_prev), p)
+            out = out.reshape(k, m, m, d_prev, d_prev).transpose(0, 1, 3, 2, 4)
+            return [Matrix(p, h) for h in out.reshape(k, q.dim, q.dim)]
+        # row w of map j at [w, j]
+        maps = stack.transpose(1, 0, 2)
+        proj = q.projection.a.reshape(q.dim, d_prev, c)
         out = np.empty((k, q.dim, q.dim), dtype=np.int64)
         # free column t is the plain coordinate x_t ⊗ v_t: P[:, x_t, :] @ m(v_t),
         # one product per v (a stack of these thin products is slower)
@@ -343,6 +392,17 @@ class TensorTower:
             cols = mul_mod(proj[:, xs, :].reshape(q.dim * ts.size, c), maps[:, :, v], p)
             out[:, :, ts] = cols.reshape(q.dim, ts.size, k).transpose(2, 0, 1)
         return [Matrix(p, h) for h in out]
+
+    def _commutes_with_left(self, stack: np.ndarray) -> bool:
+        """Whether every carrier matrix in the stack commutes with the
+        generators' left actions, checked once per stack and tower."""
+        key = stack.tobytes()
+        ok = self._left_linear.get(key)
+        if ok is None:
+            lefts = [self.left_mats[g].a for g in self.gens]
+            ok = self._left_linear[key] = _intertwines(self.p, stack.transpose(1, 0, 2),
+                                                       lefts, lefts)
+        return ok
 
     def _free_by_last(self, n: int):
         """power(n)'s free coordinates x * c + v grouped by v, worked out
@@ -393,6 +453,28 @@ class TensorTower:
             self._concats[key] = prod
         return prod
 
+    def concat_batches(self, m: int, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """concat(m, n) of column-paired batches: column i is the product
+        of xs[:, i] in power(m) and ys[:, i] in power(n).
+
+        Where power(n) and power(m+n) are dual steps, concat(m, n) is
+        concat(m, n-1) on each of the m blocks, so the batch is applied
+        blockwise to the first power below that is not, and
+        concat(m, n) itself is never formed.  concat(m, n-1) is
+        right-linear because every power's right action is id ⊗ R_b,
+        which ``on_last`` certified, so the blocks need no check.
+        """
+        p, k = self.p, xs.shape[1]
+        blocks = 1
+        while n >= 2 and self.is_dual_step(n) and self.is_dual_step(m + n):
+            blocks *= self.dual.w.shape[1]
+            n -= 1
+        ys = ys.reshape(blocks, -1, k)
+        # column (J, i) is kron(xs[:, i], ys[J, :, i])
+        pairs = (xs[:, None, None, :] * ys[None]).transpose(0, 2, 1, 3) % p
+        out = mul_mod(self.concat(m, n).a, pairs.reshape(-1, blocks * k), p)
+        return out.reshape(-1, blocks, k).transpose(1, 0, 2).reshape(-1, k)
+
     def concat_section(self, m: int, n: int) -> Matrix:
         """A section of concat(m, n) for m, n >= 1, built from the powers'
         own pairs: power(m+n)'s section lifts z to w ⊗ v with w in
@@ -429,10 +511,13 @@ class TensorTower:
         right-linear over the generators, phi_x·R_g = R_g·phi_x with R_g
         the right actions on power(n-1) and power(k-1): phi_x ⊗ id then
         sends (y·g) ⊗ v − y ⊗ g·v to (phi_x(y)·g) ⊗ v − phi_x(y) ⊗ g·v,
-        a relation of power(k), and those relations span power(n)'s.  So
-        only the columns of power(n)'s free coordinates are computed.  A
-        phi that fails the check is tensored on the whole plain product,
-        and one ``descend`` checks every slice.
+        a relation of power(k), and those relations span power(n)'s.
+        Then, between two dual steps, block j of the image is phi applied
+        to block j, e_y ⊗ w_j -> phi(e_y) ⊗ w_j, placed by index with no
+        product; otherwise only the columns of power(n)'s free coordinates
+        are computed.  A phi that fails the check, or a dual power(n)
+        with a power(k) that is not, is tensored on the whole plain
+        product, and one ``descend`` checks every slice.
         """
         p, c = self.p, self.carrier_dim
         src, dst = self.power(n), self.power(k)
@@ -440,6 +525,14 @@ class TensorTower:
         slices = phi.a.reshape(d_out, lead, d_in)
         if not _intertwines(p, slices, [self.right_on(n - 1)[j].a for j in self.gens],
                             [self.right_on(k - 1)[j].a for j in self.gens]):
+            return _then_identity_dense(self, phi, n, k, lead)
+        if self.is_dual_step(n) and self.is_dual_step(k):
+            m = self.dual.w.shape[1]
+            out = np.zeros((m, d_out, lead, m, d_in), dtype=np.int64)
+            diag = np.arange(m)
+            out[diag, :, :, diag, :] = slices
+            return Matrix(p, out.reshape(dst.dim, lead * src.dim))
+        if src.free is None:
             return _then_identity_dense(self, phi, n, k, lead)
         proj = dst.projection.a.reshape(dst.dim, d_out, c)
         # free column t is the plain coordinate y_t ⊗ v_t: P[:, :, v_t] @ phi_x(y_t),

@@ -201,22 +201,57 @@ def concat_section_failures(tower, top):
             != Matrix.identity(tower.p, tower.power(m + n).dim)]
 
 
+def span_with_free(a, p):
+    """The row space of ``a`` in ``kernel_rows_with_free``'s form: the
+    RREF of the columns read backwards, so row t ends in a 1 at column
+    free[t], which every other row has zero.  A subspace has one such
+    basis, so when the row space is the kernel of some matrix these are
+    exactly the rows and free columns ``kernel_rows_with_free`` gives
+    for it: the canonical pair of a quotient known by its projection."""
+    from coringlab.linalg import rref_rows
+
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
+    rows, pivots = rref_rows(a[:, ::-1], p)
+    last = a.shape[1] - 1
+    return rows[::-1, ::-1], [last - c for c in reversed(pivots)]
+
+
 def dual_step_mismatches(tower, top):
     """The n in 2..top at which power(n-1) (x)_R carrier read off the
-    tower's dual basis (``tensors.free_pair``) is refused by its check or
-    differs, in projection or section, from the quotient the commutant
-    gives (``tensors.balanced_pair``)."""
+    tower's dual basis (``tensors.free_pair``) is refused by its check,
+    is not the tower's power(n), or is not the quotient the commutant
+    gives (``tensors.balanced_pair``) in other coordinates.  Byte for
+    byte: the dual projection and section compose to the identity, the
+    canonical form of the dual projection's rows is the commutant's
+    projection, T = canonical projection @ dual section is invertible,
+    and the canonical projection is T @ dual projection."""
+    from coringlab.linalg import Matrix, inverse
     from coringlab.tensors import balanced_pair, free_pair
 
     out = []
     for n in range(2, top + 1):
         rights = tower.right_on(n - 1)
         dual = free_pair(tower.base, tower.gens, rights, tower.dual)
-        reduced = balanced_pair(tower.p, tower.power(n - 1).dim, tower.carrier_dim,
-                                [rights[j].a for j in tower.gens],
-                                [tower.left_mats[j].a for j in tower.gens])
-        if (dual is None or dual.projection != reduced.projection
-                or dual.section != reduced.section):
+        canon = balanced_pair(tower.p, tower.power(n - 1).dim, tower.carrier_dim,
+                              [rights[j].a for j in tower.gens],
+                              [tower.left_mats[j].a for j in tower.gens])
+        if dual is None:
+            out.append(n)
+            continue
+        mine = tower.power(n)
+        rows, free = span_with_free(dual.projection.a, tower.p)
+        change = canon.projection @ dual.section
+        try:
+            inverse(change)
+            invertible = True
+        except ValueError:
+            invertible = False
+        if not (mine.projection == dual.projection and mine.section == dual.section
+                and dual.projection @ dual.section == Matrix.identity(tower.p, dual.dim)
+                and np.array_equal(rows, canon.projection.a)
+                and free == canon.free.tolist()
+                and invertible
+                and change @ dual.projection == canon.projection):
             out.append(n)
     return out
 
@@ -256,13 +291,18 @@ def dense_then_identity(tower, phi, n, k, lead=1):
 
 
 def gathered_map_mismatches(tower, top):
-    """The tower maps up to power(top) whose gathered columns differ from
-    the map formed densely (``dense_on_last``, ``dense_then_identity``)
-    or from the tower's own dense path: right_on(n), phi ⊗ id for
-    phi = concat(m, n - 1) into power(m + n), and, on a coring, the
-    coproduct in each slot but the last."""
+    """The tower maps up to power(top) whose block or gathered columns
+    differ from the map formed densely (``dense_on_last``,
+    ``dense_then_identity``) or from the tower's own dense path:
+    right_on(n), phi ⊗ id for phi = concat(m, n - 1) into power(m + n),
+    ``concat_batches`` against that dense concat(m, n) on a Khatri-Rao
+    batch, and, on a coring, the coproduct in every slot, the last one
+    against concat(n - 1, 2) @ kron(I, coproduct) descended densely."""
     from coringlab import tensors
+    from coringlab.linalg import mul_mod
 
+    p = tower.p
+    rng = np.random.default_rng(top)
     out = []
     for n in range(2, top + 1):
         stack = np.stack([m.a for m in tower.right_mats])
@@ -283,6 +323,20 @@ def gathered_map_mismatches(tower, top):
                     and np.array_equal(tensors._then_identity_dense(tower, phi, n, k, lead).a,
                                        want)):
                 out.append((name, n))
+            if name.startswith("concat"):
+                # want is concat(m, n) formed densely
+                m = k - n
+                xs = rng.integers(0, p, size=(lead, 5), dtype=np.int64)
+                ys = rng.integers(0, p, size=(tower.power(n).dim, 5), dtype=np.int64)
+                pairs = (xs[:, None, :] * ys[None, :, :]).reshape(-1, 5) % p
+                if not np.array_equal(tower.concat_batches(m, n, xs, ys), mul_mod(want, pairs, p)):
+                    out.append((f"concat_batches({m}, {n})", n))
+        if hasattr(tower, "coproducts") and n < top:
+            d_prev = tower.power(n - 1).dim
+            concat = dense_then_identity(tower, tower.concat(n - 1, 1), 2, n + 1, d_prev)
+            last = mul_mod(concat, np.kron(np.eye(d_prev, dtype=np.int64), tower.coproduct.a), p)
+            if not np.array_equal(tower.coproducts(n)[-1].a, dense_descend(tower.power(n), last)):
+                out.append(("coproduct last slot", n))
     return out
 
 

@@ -196,56 +196,41 @@ def test_products_check_their_batches(ut2_omega):
     assert np.array_equal(x.products(0, 0, one, one), one)
 
 
-def test_m2_complex_reduces_power_three_only_to_canonicalize(monkeypatch):
-    # the M2 carrier is free of rank 4 over M2, so power(3) = power(2)^4:
-    # the one reduction in its 1024-wide ambient puts the 256 rows of the
-    # dual-basis projection in canonical form.  The 3072 relation rows of
-    # the commutant's three generator blocks would fail here
+def test_m2_complex_reduces_nothing_wider_than_the_carrier(monkeypatch):
+    # the M2 carrier is free of rank 4 over M2, so every power above it is
+    # read off the dual basis, power(n) = power(n-1)^4, in the dual step's
+    # own coordinates: no 256- or 1024-wide reduction of a power runs.
+    # The one reduction wider than the 16-dim carrier is the rank of the
+    # 64 x 64 f2 of the depth-two certificate
     from coringlab import linalg
     from coringlab.corpus import load_corpus_extension
 
-    wide = []
+    widths = []
 
     class Counted(linalg.RrefAccumulator):
         def __init__(self, ncols, p, *args, **kwargs):
             super().__init__(ncols, p, *args, **kwargs)
-            self.fed = 0
-            if ncols == 1024:
-                wide.append(self)
-
-        def add(self, block):
-            self.fed += np.atleast_2d(block).shape[0]
-            super().add(block)
+            widths.append(ncols)
 
     monkeypatch.setattr(linalg, "RrefAccumulator", Counted)
     x = build_amitsur(endo_coring(load_corpus_extension("m2_gf5")), 3)
     assert x.dims() == [4, 16, 64, 256]
-    assert [acc.fed for acc in wide] == [256]
+    assert x.coring.carrier_dim == 16
+    assert [w for w in widths if w > 16] == [64]
 
 
-def test_m2_tower_maps_are_gathered(monkeypatch):
+def test_m2_tower_maps_take_no_dense_path(monkeypatch):
     # every structure map of the M2 coring and of the extension tower
     # under its f2 certificate passes its linearity check, so none is
-    # formed on a whole plain product; and every descent in the tower
-    # code is onto a power with free coordinates, a gather with no
-    # product by a section
-    from coringlab import corings, linalg, tensors
+    # formed on a whole plain product
+    from coringlab import tensors
     from coringlab.corpus import load_corpus_extension
 
     def dense(*args):
         raise AssertionError("a tower map took the dense path")
 
-    descents = []
-
-    def gathered(q, m):
-        assert q.free is not None, "a descent multiplied by a section"
-        descents.append(q.dim)
-        return linalg.descend(q, m)
-
     monkeypatch.setattr(tensors, "_then_identity_dense", dense)
     monkeypatch.setattr(tensors, "_on_last_dense", dense)
-    for module in (tensors, corings):
-        monkeypatch.setattr(module, "descend", gathered)
     x = build_amitsur(endo_coring(load_corpus_extension("m2_gf5")), 3)
     assert x.dims() == [4, 16, 64, 256]
-    assert descents
+    assert all(x.coring.is_dual_step(n) for n in (2, 3))

@@ -294,6 +294,20 @@ def test_json_reports_are_byte_stable(capsys):
     assert "elapsed" not in first[1]
 
 
+def test_calls_in_one_process_report_as_separate_processes(capsys):
+    # main shares one parser across calls: options and defaults of one
+    # call must not leak into the next
+    runs = [["amitsur", str(corpus_path("c2_gf3.json")), "--max-degree", "2",
+             "--trials", "7", "--seed", "3", "--format", "markdown"],
+            ["amitsur", str(corpus_path("c2_gf3.json"))],
+            ["gs-compare", str(corpus_path("point.facets"))]]
+    for argv in runs:
+        code, out, _ = run_cli(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-m", "coringlab.cli"] + argv,
+                              capture_output=True, text=True)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+
+
 def test_timing_flag_opts_in(capsys):
     base = ["gs-compare", str(corpus_path("point.facets"))]
     _, payload = run_json(capsys, *base)

@@ -24,7 +24,6 @@ from coringlab.linalg import (
     quotient_of,
     rank_of,
     rref_rows,
-    span_with_free,
     trivial_quotient,
 )
 
@@ -34,6 +33,7 @@ from conftest import (
     naive_solve,
     random_matrix,
     span_from_vectors,
+    span_with_free,
 )
 
 

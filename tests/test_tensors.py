@@ -526,6 +526,62 @@ def test_dual_basis_powers_match_the_dense_oracle(case):
                           Subspace.from_spanning(p, c**n, dense.projection.a).rows)
 
 
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(free_towers())
+def test_dual_step_maps_are_the_dense_maps(case):
+    # on_last, then_identity, concat and concat_batches between dual
+    # steps are built block by block; formed instead with an explicit
+    # kron and descended through the same dual pair, they agree byte for
+    # byte, and each dual pair is the commutant's quotient in coordinates
+    # changed by an invertible T
+    tower, n = case
+    assert all(tower.is_dual_step(k) for k in range(2, n + 1))
+    assert dual_step_mismatches(tower, n) == []
+    assert gathered_map_mismatches(tower, n) == []
+
+
+def test_dual_steps_run_no_row_reduction(monkeypatch, m2_gf5_endo):
+    # power(2) and power(3) of the M2 carrier, with their right actions and
+    # products, are read off the dual basis: no RrefAccumulator is made
+    from coringlab import linalg
+
+    c = m2_gf5_endo
+    tower = TensorTower(c.base, c.carrier_dim, c.left_mats, c.right_mats)
+
+    def reduction(*args, **kwargs):
+        raise AssertionError("a row reduction ran")
+
+    monkeypatch.setattr(linalg, "RrefAccumulator", reduction)
+    assert [tower.power(n).dim for n in (2, 3)] == [64, 256]
+    assert all(tower.is_dual_step(n) for n in (2, 3))
+    tower.right_on(3)
+    ones = np.ones((16, 1), dtype=np.int64)
+    assert tower.concat_batches(1, 2, ones, np.ones((64, 1), dtype=np.int64)).shape == (256, 1)
+    assert tower.concat(1, 2).shape == (256, 16 * 64)
+
+
+def test_the_left_linearity_certificate_runs_once_per_action_list(monkeypatch):
+    # the right actions on power(2..4) of an extension tower share one
+    # certificate, and so do the last-slot multiplications of mult_at
+    e = load_corpus_extension("s3_c2_gf7")
+    tower = extension_tower(e)
+    calls = []
+    original = tensors._intertwines
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return original(*args)
+
+    monkeypatch.setattr(tensors, "_intertwines", counted)
+    tower.power(4)
+    assert calls == [(6, len(tower.right_mats), 6)]
+    calls.clear()
+    powers = {n: tensors.RelativeTensorPower(e, tower, n) for n in (2, 3, 4)}
+    mult_at(powers[3], powers[2], 2)
+    mult_at(powers[4], powers[3], 3)
+    assert calls == [(6, 6, 6)]
+
+
 def test_a_left_action_that_is_no_module_gets_no_dual_basis():
     p = 5
     base = dual_numbers(Field(p))
