@@ -113,14 +113,14 @@ class CoringWithGrouplike(TensorTower):
         """The coproduct in the last slot of power(n), n >= 2: x ⊗ v ->
         x ⊗ coproduct(v), concatenated.
 
-        When power(2) and power(n+1) are dual steps, the coproduct is
-        v -> Σ_j Δ_j(v) ⊗ w_j with Δ_j its block j, each left-linear with
-        it, so block j of the image is ``on_last(n, Δ_j)``.  Otherwise it
+        On a dual tower, the coproduct is v -> Σ_j Δ_j(v) ⊗ w_j with Δ_j
+        its block j, each left-linear with it, so block j of the image is
+        ``on_last(n, Δ_j)``.  Otherwise it
         is concat(n-1, 2) @ kron(I, coproduct), without forming the kron,
         descended.
         """
         p, c = self.p, self.carrier_dim
-        if self.is_dual_step(2) and self.is_dual_step(n + 1):
+        if self.dual is not None:
             blocks = self.coproduct.a.reshape(-1, c, c)
             last = self.on_last(n, [Matrix(p, b) for b in blocks])
             return Matrix(p, np.vstack([h.a for h in last]))

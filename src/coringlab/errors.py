@@ -10,7 +10,8 @@ class NotWellDefinedError(CoringLabError):
 
     Raised by ``linalg.descend``, the one check every map onto a
     quotient goes through (``induced_map`` included), when the map does
-    not kill the kernel of the quotient's projection.
+    not kill the kernel of the quotient's projection, and by the tensor
+    tower's maps when one fails its linearity certificate.
     """
 
 

@@ -98,8 +98,9 @@ def cup(c: CochainComplex, m: int, n: int, xs, ys) -> np.ndarray:
     # f_i ∪ g_i on the plain product of power(m) and power(n)
     plain = mul_mod(t, g, p).reshape(k * d, qm * qn)
     if m and n:
-        # power(m+n) as a retract of that plain product
-        concat = QuotientSpace(p, c.tower.concat(m, n), c.tower.concat_section(m, n))
+        # power(m+n) as a retract of that plain product, power(m+1) itself for n = 1
+        concat = (c.tower.power(m + 1) if n == 1 else
+                  QuotientSpace(p, c.tower.concat(m, n), c.tower.concat_section(m, n)))
         plain = descend(concat, plain)
     return c._coords(m + n, plain.reshape(k, d * plain.shape[1]))
 

@@ -462,18 +462,6 @@ class QuotientSpace:
         return f"QuotientSpace(p={self.p}, ambient={self.ambient_dim}, dim={self.dim})"
 
 
-def quotient_of(ambient_dim: int, relations: Subspace) -> QuotientSpace:
-    """Quotient of GF(p)^ambient_dim by the span of ``relations``: the
-    projection is the canonical kernel basis of their RREF."""
-    if relations.ambient_dim != ambient_dim:
-        raise ValueError(
-            f"relations live in dim {relations.ambient_dim}, expected {ambient_dim}"
-        )
-    p = relations.p
-    return QuotientSpace.from_kernel(
-        p, *_kernel_of_rref(relations.rows, relations.pivots, ambient_dim, p))
-
-
 def trivial_quotient(p: int, n: int) -> QuotientSpace:
     """The identity quotient (no relations): the kernel of nothing."""
     return QuotientSpace.from_kernel(p, np.eye(n, dtype=np.int64), range(n))

@@ -12,26 +12,26 @@ When the carrier is free as a left base module, on w_1..w_m, a step
 needs no relations at all: power(n) is power(n-1)^m, x ⊗ v -> (x·φ_j(v))_j
 for the coordinate maps φ_j of ``dual_basis``, with index j * dim
 power(n-1) + y.  ``free_pair`` builds that projection and the section
-e_y ⊗ w_j, and checks that the projection kills exactly the relations;
-such a dual step keeps these coordinates, which are not ``commutant``'s
-canonical ones.  Carriers on which every generator acts diagonally keep
-``commutant``'s coordinate selection, and the rest its reduction.
+e_y ⊗ w_j.  A tower decides once (``TensorTower.dual``) whether every
+step is such a dual step or none is; dual coordinates are not
+``commutant``'s canonical ones.  Carriers on which every generator acts
+diagonally keep ``commutant``'s coordinate selection, and the rest its
+reduction.
 Each power is a (projection, section) pair on its plain product, and
 every structure map on power(n) is a map on power(n-1) tensored with the
 identity of the last factor (``then_identity``) or one on the last
 factor alone (``on_last``).  The first is well defined when it is
 right-linear over the generators, the second when it is left-linear
 over them, since the generators' relations span power(n)'s; each map
-checks that certificate with one product a side.  Between dual steps
-the map is then a block matrix: phi ⊗ id is phi on each of the m
-blocks, and id ⊗ m mixes the blocks through power(n-1)'s right actions.
-Otherwise only the columns of power(n)'s free coordinates are computed,
-a gather of the projection.  A map that fails its certificate is formed
-on the whole plain product and checked by ``linalg.descend``, which
-names the first coordinate it fails on.  Maps out of power(m) ⊗ power(n)
+checks that certificate with one product a side, and a map that fails
+it raises NotWellDefinedError at the first entry where it fails.  On a
+dual tower the map is then a block matrix: phi ⊗ id is phi on each of
+the m blocks, and id ⊗ m mixes the blocks through power(n-1)'s right
+actions.  Otherwise only the columns of power(n)'s free coordinates are
+computed, a gather of the projection.  Maps out of power(m) ⊗ power(n)
 descend with ``concat_section`` as concat(m, n)'s section, and
 ``concat_batches`` multiplies batches of pairs blockwise, without
-forming concat(m, n) where the steps are dual.
+forming concat(m, n) on a dual tower.
 A coring's S ⊗_R ... ⊗_R S and an extension's A ⊗_B ... ⊗_B A
 (``build_power``, B acting by multiplication) are both towers.
 ``balanced_power`` is the dense reference the tests check them against.
@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SizeLimitError
+from .errors import NotWellDefinedError, SizeLimitError
 from .algebras import Extension, FinDimAlgebra, generating_indices
 from .linalg import (
     Matrix,
@@ -194,9 +194,24 @@ def dual_basis(base: FinDimAlgebra, gens, left_mats) -> DualBasis | None:
     return DualBasis(w, phi)
 
 
-def free_pair(base: FinDimAlgebra, gens, rights, dual: DualBasis) -> QuotientSpace | None:
-    """V ⊗_R C for a carrier C with the ``dual_basis`` w, Φ, or None when
-    V's right action fails the step's check.
+def _is_right_module(base: FinDimAlgebra, gens, rights) -> bool:
+    """Whether ``rights[k]``, the matrices of x -> x·e_k, make a unital
+    right module over the generators: R_k·R_g = R_{g·k} for every
+    generator g and basis element k, and R_1 = I."""
+    p, dim_r = base.p, base.dim
+    d = rights[0].rows
+    stack = np.stack([mat.a for mat in rights]).reshape(dim_r, d * d)
+    for g in gens:
+        # R_k R_g = R_{g·k} for every k at once
+        if not np.array_equal(mul_mod(stack.reshape(dim_r, d, d), rights[g].a, p),
+                              mul_mod(base.tensor[g], stack, p).reshape(dim_r, d, d)):
+            return False
+    return np.array_equal(mul_mod(base.unit.reshape(1, -1), stack, p).reshape(d, d),
+                          np.eye(d, dtype=np.int64))
+
+
+def free_pair(base: FinDimAlgebra, rights, dual: DualBasis) -> QuotientSpace:
+    """V ⊗_R C for a carrier C with the ``dual_basis`` w, Φ.
 
     ``rights[k]`` is V's matrix of x -> x·e_k, one per base basis element.
     The quotient is V^m, index j * dim V + y.  The projection is
@@ -206,7 +221,7 @@ def free_pair(base: FinDimAlgebra, gens, rights, dual: DualBasis) -> QuotientSpa
     projection's kernel is exactly the generators' relations, the
     quotient ``balanced_pair`` gives in other coordinates, once
     (x·g)·k = x·(g·k) for every generator g and basis element k, and
-    x·1 = x:
+    x·1 = x, which ``TensorTower.dual`` makes sure of for every power:
     - with φ_j left-linear over g, it kills (x·g) ⊗ v − x ⊗ g·v;
     - words in the generators, reached from 1, span R, so by induction
       x ⊗ r·w_j is x·r ⊗ w_j modulo the relations for every r, and
@@ -218,14 +233,6 @@ def free_pair(base: FinDimAlgebra, gens, rights, dual: DualBasis) -> QuotientSpa
     m, _, c = phi.shape
     d = rights[0].rows
     stack = np.stack([mat.a for mat in rights]).reshape(dim_r, d * d)
-    for g in gens:
-        # R_k R_g = R_{g·k} for every k at once
-        if not np.array_equal(mul_mod(stack.reshape(dim_r, d, d), rights[g].a, p),
-                              mul_mod(base.tensor[g], stack, p).reshape(dim_r, d, d)):
-            return None
-    if not np.array_equal(mul_mod(base.unit.reshape(1, -1), stack, p).reshape(d, d),
-                          np.eye(d, dtype=np.int64)):
-        return None
     # rows (j, y), columns (x, v): Σ_b Φ[j, b, v] R_b[y, x]
     proj = mul_mod(phi.transpose(0, 2, 1).reshape(m * c, dim_r), stack, p)
     proj = proj.reshape(m, c, d, d).transpose(0, 2, 3, 1).reshape(m * d, d * c)
@@ -271,8 +278,7 @@ class TensorTower:
     """
 
     __slots__ = ("base", "gens", "carrier_dim", "left_mats", "right_mats", "_powers",
-                 "_rights", "_concats", "_sections", "_blocks", "_dual", "_dual_steps",
-                 "_left_linear")
+                 "_rights", "_concats", "_sections", "_blocks", "_dual", "_left_linear")
 
     def __init__(self, base: FinDimAlgebra, carrier_dim: int, left_mats, right_mats):
         self.base = base
@@ -286,8 +292,7 @@ class TensorTower:
         self._sections = {}
         self._blocks = {}
         self._dual = _UNSEARCHED
-        self._dual_steps = set()
-        self._left_linear = {}
+        self._left_linear = set()
 
     @property
     def p(self) -> int:
@@ -295,17 +300,27 @@ class TensorTower:
 
     @property
     def dual(self) -> DualBasis | None:
-        """The carrier's ``dual_basis``, searched for once, on first use.
+        """The carrier's ``dual_basis``, searched for once, on first use:
+        the tower's one choice of coordinates, dual at every step or at
+        none.
 
         There is no search when every generator acts diagonally on the
         carrier from both sides: ``commutant`` selects those steps'
-        coordinates without elimination.
+        coordinates without elimination.  Nor is there one unless the
+        carrier's right action is a unital module action over the
+        generators, R_k·R_g = R_{g·k} and R_1 = I, which ``free_pair``
+        needs of every power(n-1).  The carrier alone is checked: the
+        right action on power(n) is ``on_last(n, right_mats)``, and
+        ``on_last`` is linear and, on maps that pass its certificate,
+        multiplicative, so both identities carry up to every power.
         """
         if self._dual is _UNSEARCHED:
             pairs = [(self.right_mats[j].a, self.left_mats[j].a) for j in self.gens]
             diagonal = diagonal_kept(self.p, self.carrier_dim, self.carrier_dim, pairs)
-            self._dual = (None if diagonal is not None
-                          else dual_basis(self.base, self.gens, self.left_mats))
+            self._dual = (dual_basis(self.base, self.gens, self.left_mats)
+                          if diagonal is None
+                          and _is_right_module(self.base, self.gens, self.right_mats)
+                          else None)
         return self._dual
 
     def power(self, n: int) -> QuotientSpace:
@@ -313,11 +328,11 @@ class TensorTower:
 
         power(n) is power(n-1) ⊗_R carrier: a quotient of the plain
         product whose index is x * carrier_dim + v, for x a power(n-1)
-        coordinate and v a carrier coordinate.  It is read off the
-        carrier's dual basis when there is one and the step passes its
-        check (``free_pair``), in the dual step's coordinates
-        power(n-1)^m; otherwise it is the commutant of the generators'
-        relations, in canonical coordinates with ``free`` columns.
+        coordinate and v a carrier coordinate.  On a tower with a
+        ``dual`` basis it is read off that basis (``free_pair``), in the
+        coordinates power(n-1)^m; otherwise it is the commutant of the
+        generators' relations, in canonical coordinates with ``free``
+        columns.
         """
         if n < 1:
             raise ValueError("tensor powers start at n = 1")
@@ -331,21 +346,13 @@ class TensorTower:
                 # the budget refuses a step before it picks a path
                 _check_relation_budget(len(self.gens), dim * self.carrier_dim)
                 if self.dual is not None:
-                    q = free_pair(self.base, self.gens, rights, self.dual)
-                if q is None:
+                    q = free_pair(self.base, rights, self.dual)
+                else:
                     q = balanced_pair(self.p, dim, self.carrier_dim,
                                       [rights[j].a for j in self.gens],
                                       [self.left_mats[j].a for j in self.gens])
-                else:
-                    self._dual_steps.add(n)
             self._powers[n] = q
         return q
-
-    def is_dual_step(self, n: int) -> bool:
-        """Whether power(n) was read off the dual basis, so that it is
-        power(n-1)^m with coordinate (j, y) the tensor e_y ⊗ w_j."""
-        self.power(n)
-        return n in self._dual_steps
 
     def on_last(self, n: int, mats) -> list[Matrix]:
         """x ⊗ v -> x ⊗ m(v) on power(n), for each carrier matrix m: the
@@ -355,24 +362,22 @@ class TensorTower:
         m·L_g = L_g·m, id ⊗ m sends each relation (x·g) ⊗ v − x ⊗ g·v to
         (x·g) ⊗ m(v) − x ⊗ g·m(v), another relation, and those span the
         relations of power(n); so it descends.  That certificate depends
-        on the carrier matrices alone and is kept for the tower.  On a
-        dual step, e_y ⊗ w_j goes to Σ_i e_y·φ_i(m(w_j)) ⊗ w_i, the block
-        matrix Σ_b Ψ[i, j, b]·R_b with Ψ[i, j] = φ_i(m(w_j)) and R_b
+        on the carrier matrices alone and is kept for the tower; a stack
+        that fails it raises NotWellDefinedError.  On a dual tower,
+        e_y ⊗ w_j goes to Σ_i e_y·φ_i(m(w_j)) ⊗ w_i, the block matrix
+        Σ_b Ψ[i, j, b]·R_b with Ψ[i, j] = φ_i(m(w_j)) and R_b
         power(n-1)'s right actions; otherwise only the columns of
-        power(n)'s free coordinates are computed.  A map that fails the
-        certificate is formed on the whole plain product and ``descend``
-        checks it.
+        power(n)'s free coordinates are computed.
         """
         if n == 1:
             return list(mats)
         p, c = self.p, self.carrier_dim
         stack = np.stack([m.a for m in mats])
         k = stack.shape[0]
-        if not self._commutes_with_left(stack):
-            return [Matrix(p, h) for h in _on_last_dense(self, n, stack)]
+        self._check_left_linear(stack)
         q = self.power(n)
         d_prev = self.power(n - 1).dim
-        if self.is_dual_step(n):
+        if self.dual is not None:
             w, phi = self.dual
             m, dim_r, _ = phi.shape
             # psi[t, (i, b), j]: coefficient b of φ_i(mats[t](w_j))
@@ -393,16 +398,16 @@ class TensorTower:
             out[:, :, ts] = cols.reshape(q.dim, ts.size, k).transpose(2, 0, 1)
         return [Matrix(p, h) for h in out]
 
-    def _commutes_with_left(self, stack: np.ndarray) -> bool:
-        """Whether every carrier matrix in the stack commutes with the
-        generators' left actions, checked once per stack and tower."""
+    def _check_left_linear(self, stack: np.ndarray) -> None:
+        """Raise NotWellDefinedError unless every carrier matrix in the
+        stack commutes with the generators' left actions; checked once
+        per stack and tower."""
         key = stack.tobytes()
-        ok = self._left_linear.get(key)
-        if ok is None:
+        if key not in self._left_linear:
             lefts = [self.left_mats[g].a for g in self.gens]
-            ok = self._left_linear[key] = _intertwines(self.p, stack.transpose(1, 0, 2),
-                                                       lefts, lefts)
-        return ok
+            _intertwines(self.p, stack.transpose(1, 0, 2), lefts, lefts, self.gens,
+                         "left-linear")
+            self._left_linear.add(key)
 
     def _free_by_last(self, n: int):
         """power(n)'s free coordinates x * c + v grouped by v, worked out
@@ -457,18 +462,17 @@ class TensorTower:
         """concat(m, n) of column-paired batches: column i is the product
         of xs[:, i] in power(m) and ys[:, i] in power(n).
 
-        Where power(n) and power(m+n) are dual steps, concat(m, n) is
-        concat(m, n-1) on each of the m blocks, so the batch is applied
-        blockwise to the first power below that is not, and
-        concat(m, n) itself is never formed.  concat(m, n-1) is
+        On a dual tower, power(n) is the carrier^(r^(n-1)) for the rank r
+        of the dual basis, and concat(m, n) is concat(m, 1) on each of
+        those r^(n-1) blocks, so the batch is applied blockwise and
+        concat(m, n) itself is never formed.  Each concat(m, j) is
         right-linear because every power's right action is id ⊗ R_b,
         which ``on_last`` certified, so the blocks need no check.
         """
         p, k = self.p, xs.shape[1]
         blocks = 1
-        while n >= 2 and self.is_dual_step(n) and self.is_dual_step(m + n):
-            blocks *= self.dual.w.shape[1]
-            n -= 1
+        if self.dual is not None and n >= 2:
+            blocks, n = self.dual.w.shape[1] ** (n - 1), 1
         ys = ys.reshape(blocks, -1, k)
         # column (J, i) is kron(xs[:, i], ys[J, :, i])
         pairs = (xs[:, None, None, :] * ys[None]).transpose(0, 2, 1, 3) % p
@@ -511,29 +515,25 @@ class TensorTower:
         right-linear over the generators, phi_x·R_g = R_g·phi_x with R_g
         the right actions on power(n-1) and power(k-1): phi_x ⊗ id then
         sends (y·g) ⊗ v − y ⊗ g·v to (phi_x(y)·g) ⊗ v − phi_x(y) ⊗ g·v,
-        a relation of power(k), and those relations span power(n)'s.
-        Then, between two dual steps, block j of the image is phi applied
-        to block j, e_y ⊗ w_j -> phi(e_y) ⊗ w_j, placed by index with no
-        product; otherwise only the columns of power(n)'s free coordinates
-        are computed.  A phi that fails the check, or a dual power(n)
-        with a power(k) that is not, is tensored on the whole plain
-        product, and one ``descend`` checks every slice.
+        a relation of power(k), and those relations span power(n)'s.  A
+        phi that fails the check raises NotWellDefinedError.  On a dual
+        tower, block j of the image is then phi applied to block j,
+        e_y ⊗ w_j -> phi(e_y) ⊗ w_j, placed by index with no product;
+        otherwise only the columns of power(n)'s free coordinates are
+        computed.
         """
         p, c = self.p, self.carrier_dim
         src, dst = self.power(n), self.power(k)
         d_in, d_out = self.power(n - 1).dim, self.power(k - 1).dim
         slices = phi.a.reshape(d_out, lead, d_in)
-        if not _intertwines(p, slices, [self.right_on(n - 1)[j].a for j in self.gens],
-                            [self.right_on(k - 1)[j].a for j in self.gens]):
-            return _then_identity_dense(self, phi, n, k, lead)
-        if self.is_dual_step(n) and self.is_dual_step(k):
+        _intertwines(p, slices, [self.right_on(n - 1)[j].a for j in self.gens],
+                     [self.right_on(k - 1)[j].a for j in self.gens], self.gens, "right-linear")
+        if self.dual is not None:
             m = self.dual.w.shape[1]
             out = np.zeros((m, d_out, lead, m, d_in), dtype=np.int64)
             diag = np.arange(m)
             out[diag, :, :, diag, :] = slices
             return Matrix(p, out.reshape(dst.dim, lead * src.dim))
-        if src.free is None:
-            return _then_identity_dense(self, phi, n, k, lead)
         proj = dst.projection.a.reshape(dst.dim, d_out, c)
         # free column t is the plain coordinate y_t ⊗ v_t: P[:, :, v_t] @ phi_x(y_t),
         # one product per v in a stack
@@ -546,45 +546,24 @@ class TensorTower:
         return Matrix(p, out.reshape(dst.dim, lead * src.dim))
 
 
-def _intertwines(p: int, maps: np.ndarray, ins, outs) -> bool:
-    """Whether m·A = B·m for every map m and every pair (A, B) of ``ins``
-    and ``outs``, with one product a side.  ``maps`` is d_out x k x d_in,
-    map j at [:, j, :]."""
+def _intertwines(p: int, maps: np.ndarray, ins, outs, gens, kind: str) -> None:
+    """Raise NotWellDefinedError unless m·A = B·m for every map m and
+    every pair (A, B) of ``ins`` and ``outs``, one per generator in
+    ``gens``, naming the ``kind`` of linearity, the generator's base
+    index and the first entry that differs; one product a side.
+    ``maps`` is d_out x k x d_in, map j at [:, j, :]."""
     if not ins:
-        return True
+        return
     d_out, k, d_in = maps.shape
     after = mul_mod(maps.reshape(d_out * k, d_in), np.hstack(ins), p)
     before = mul_mod(np.vstack(outs), maps.reshape(d_out, k * d_in), p)
-    return np.array_equal(after.reshape(d_out, k, len(ins), d_in).transpose(2, 0, 1, 3),
-                          before.reshape(len(outs), d_out, k, d_in))
-
-
-def _on_last_dense(tower: TensorTower, n: int, stack: np.ndarray) -> np.ndarray:
-    """``TensorTower.on_last`` for a stack of carrier matrices, formed on
-    the whole plain product and descended: the path for maps that fail
-    the left-linearity check."""
-    p, c = tower.p, tower.carrier_dim
-    q = tower.power(n)
-    d_prev = tower.power(n - 1).dim
-    # projection @ kron(I, m), without forming the kron
-    proj = q.projection.a.reshape(q.dim * d_prev, c)
-    return np.stack([descend(q, mul_mod(proj, m, p).reshape(q.dim, d_prev * c))
-                     for m in stack])
-
-
-def _then_identity_dense(tower: TensorTower, phi: Matrix, n: int, k: int, lead: int) -> Matrix:
-    """``TensorTower.then_identity`` formed on the whole plain product and
-    descended: the path for a phi that fails the right-linearity check."""
-    p, c = tower.p, tower.carrier_dim
-    src, dst = tower.power(n), tower.power(k)
-    d_in, d_out = tower.power(n - 1).dim, tower.power(k - 1).dim
-    # dst.projection @ kron(phi slice x, I_c), for every x at once
-    proj = dst.projection.a.reshape(dst.dim, d_out, c).transpose(0, 2, 1)
-    b = mul_mod(proj.reshape(dst.dim * c, d_out), phi.a, p)
-    b = b.reshape(dst.dim, c, lead, d_in).transpose(2, 0, 3, 1)
-    out = descend(src, b.reshape(lead * dst.dim, d_in * c))
-    out = out.reshape(lead, dst.dim, src.dim).transpose(1, 0, 2)
-    return Matrix(p, out.reshape(dst.dim, lead * src.dim))
+    bad = (after.reshape(d_out, k, len(ins), d_in).transpose(2, 0, 1, 3)
+           != before.reshape(len(outs), d_out, k, d_in))
+    if bad.any():
+        g, row, j, col = np.argwhere(bad)[0]
+        raise NotWellDefinedError(
+            f"the map is not {kind} over the base: for generator {gens[g]}, "
+            f"entry ({row}, {col}) of map {j} differs between m·A and B·m")
 
 
 def extension_tower(e: Extension) -> TensorTower:

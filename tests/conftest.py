@@ -218,9 +218,9 @@ def span_with_free(a, p):
 
 def dual_step_mismatches(tower, top):
     """The n in 2..top at which power(n-1) (x)_R carrier read off the
-    tower's dual basis (``tensors.free_pair``) is refused by its check,
-    is not the tower's power(n), or is not the quotient the commutant
-    gives (``tensors.balanced_pair``) in other coordinates.  Byte for
+    tower's dual basis (``tensors.free_pair``) is not the tower's
+    power(n), or is not the quotient the commutant gives
+    (``tensors.balanced_pair``) in other coordinates.  Byte for
     byte: the dual projection and section compose to the identity, the
     canonical form of the dual projection's rows is the commutant's
     projection, T = canonical projection @ dual section is invertible,
@@ -231,13 +231,10 @@ def dual_step_mismatches(tower, top):
     out = []
     for n in range(2, top + 1):
         rights = tower.right_on(n - 1)
-        dual = free_pair(tower.base, tower.gens, rights, tower.dual)
+        dual = free_pair(tower.base, rights, tower.dual)
         canon = balanced_pair(tower.p, tower.power(n - 1).dim, tower.carrier_dim,
                               [rights[j].a for j in tower.gens],
                               [tower.left_mats[j].a for j in tower.gens])
-        if dual is None:
-            out.append(n)
-            continue
         mine = tower.power(n)
         rows, free = span_with_free(dual.projection.a, tower.p)
         change = canon.projection @ dual.section
@@ -254,6 +251,56 @@ def dual_step_mismatches(tower, top):
                 and change @ dual.projection == canon.projection):
             out.append(n)
     return out
+
+
+def quotient_of(ambient_dim, relations):
+    """GF(p)^ambient_dim modulo the span of the Subspace ``relations``:
+    the projection is the canonical kernel basis of their rows."""
+    from coringlab.linalg import QuotientSpace, kernel_rows_with_free
+
+    rows = relations.rows.reshape(-1, ambient_dim)
+    return QuotientSpace.from_kernel(relations.p, *kernel_rows_with_free(rows, relations.p))
+
+
+def right_module_failures(tower, top):
+    """The n in 1..top at which the right action on power(n) is not a
+    unital module action over the whole base basis: R_k R_j = R_{j·k}
+    for every pair of basis elements, and R_1 = I."""
+    from coringlab.linalg import mul_mod
+
+    base, p = tower.base, tower.p
+    out = []
+    for n in range(1, top + 1):
+        rights = np.stack([m.a for m in tower.right_on(n)])
+        d = rights.shape[1]
+        flat = rights.reshape(base.dim, d * d)
+        ok = np.array_equal(mul_mod(base.unit.reshape(1, -1), flat, p).reshape(d, d),
+                            np.eye(d, dtype=np.int64))
+        for j in range(base.dim):
+            ok = ok and np.array_equal(mul_mod(rights, rights[j], p),
+                                       mul_mod(base.tensor[j], flat, p).reshape(-1, d, d))
+        if not ok:
+            out.append(n)
+    return out
+
+
+def off_choice_steps(tower, top):
+    """The n in 2..top at which power(n) is not in the coordinates the
+    tower chose once: read off its dual basis by ``tensors.free_pair``
+    when it has one, canonical with ``free`` columns otherwise.  On a
+    dual tower also the n at which power(n-1)'s right action, which
+    ``free_pair`` needs to be a unital module action, is not one."""
+    from coringlab.tensors import free_pair
+
+    if tower.dual is None:
+        return [n for n in range(2, top + 1) if tower.power(n).free is None]
+    out = [n + 1 for n in right_module_failures(tower, top - 1)]
+    for n in range(2, top + 1):
+        dual = free_pair(tower.base, tower.right_on(n - 1), tower.dual)
+        q = tower.power(n)
+        if not (q.projection == dual.projection and q.section == dual.section):
+            out.append(n)
+    return sorted(set(out))
 
 
 def dense_descend(q, m):
@@ -293,23 +340,20 @@ def dense_then_identity(tower, phi, n, k, lead=1):
 def gathered_map_mismatches(tower, top):
     """The tower maps up to power(top) whose block or gathered columns
     differ from the map formed densely (``dense_on_last``,
-    ``dense_then_identity``) or from the tower's own dense path:
-    right_on(n), phi ⊗ id for phi = concat(m, n - 1) into power(m + n),
+    ``dense_then_identity``): right_on(n), phi ⊗ id for
+    phi = concat(m, n - 1) into power(m + n),
     ``concat_batches`` against that dense concat(m, n) on a Khatri-Rao
     batch, and, on a coring, the coproduct in every slot, the last one
     against concat(n - 1, 2) @ kron(I, coproduct) descended densely."""
-    from coringlab import tensors
     from coringlab.linalg import mul_mod
 
     p = tower.p
     rng = np.random.default_rng(top)
     out = []
     for n in range(2, top + 1):
-        stack = np.stack([m.a for m in tower.right_mats])
         want = np.stack([dense_on_last(tower, n, m) for m in tower.right_mats])
         got = np.stack([m.a for m in tower.on_last(n, tower.right_mats)])
-        if not (np.array_equal(got, want)
-                and np.array_equal(tensors._on_last_dense(tower, n, stack), want)):
+        if not np.array_equal(got, want):
             out.append(("on_last", n))
         phis = [(f"concat({m}, {n - 1})", tower.concat(m, n - 1), m + n,
                  tower.base.dim if m == 0 else tower.power(m).dim)
@@ -319,9 +363,7 @@ def gathered_map_mismatches(tower, top):
                      for i, phi in enumerate(tower.coproducts(n - 1), start=1)]
         for name, phi, k, lead in phis:
             want = dense_then_identity(tower, phi, n, k, lead)
-            if not (np.array_equal(tower.then_identity(phi, n, k, lead).a, want)
-                    and np.array_equal(tensors._then_identity_dense(tower, phi, n, k, lead).a,
-                                       want)):
+            if not np.array_equal(tower.then_identity(phi, n, k, lead).a, want):
                 out.append((name, n))
             if name.startswith("concat"):
                 # want is concat(m, n) formed densely

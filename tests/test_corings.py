@@ -24,7 +24,8 @@ from coringlab.corpus import extension_names, hopf_names, load_corpus_extension,
 from coringlab.tensors import balanced_pair, balanced_power
 
 from conftest import (concat_section_failures, dual_step_mismatches, gathered_map_mismatches,
-                      hom_matrix, naive_rank, pure_tensor, s3_c2_extension, span_with_free)
+                      hom_matrix, naive_rank, off_choice_steps, pure_tensor, s3_c2_extension,
+                      span_with_free)
 from test_algebras import ut2_diag_extension
 from test_homspaces import brute_hom_dim
 
@@ -171,6 +172,20 @@ def test_tampered_coproduct_is_rejected():
                             good.right_mats, bad, good.counit, good.grouplike)
 
 
+def test_tampered_coproduct_on_a_dual_tower_is_rejected(m2_gf5_endo):
+    # the M2 coring's tower is dual; a coproduct that is not right-linear
+    # fails the certificate of coproduct ⊗ id there, which the axiom
+    # check reports instead of raising it
+    good = m2_gf5_endo
+    assert good.dual is not None
+    bad = Matrix(5, (good.coproduct.a + np.eye(good.coproduct.shape[0],
+                                               good.carrier_dim, dtype=np.int64)) % 5)
+    with pytest.raises(AxiomError, match="structure maps do not descend to the base quotient: "
+                                         "the map is not right-linear over the base"):
+        CoringWithGrouplike(good.base, good.carrier_dim, good.left_mats,
+                            good.right_mats, bad, good.counit, good.grouplike)
+
+
 def test_non_coassociative_coproduct_is_rejected():
     """Over k with basis {1, x, y}: counital, k-linear, 1 grouplike, but
     (cop (x) id) cop(y) - (id (x) cop) cop(y) = -x (x) x (x) y."""
@@ -235,6 +250,11 @@ def test_dual_basis_steps_are_the_commutant_quotients(corpus_corings):
                           if "ut2" not in name and "hopf" not in name)
     for name in free:
         assert dual_step_mismatches(corpus_corings[name], 3) == [], name
+
+
+def test_every_corpus_coring_is_dual_at_every_step_or_at_none(corpus_corings):
+    for name, c in corpus_corings.items():
+        assert off_choice_steps(c, 3) == [], name
 
 
 def test_powers_grow_by_one_carrier_factor(corpus_corings):

@@ -129,13 +129,14 @@ def test_degree_two_coboundary_and_cups_pointwise(make, rng):
 
 
 def test_cup_refuses_a_product_that_does_not_descend():
-    # with a section that does not invert concat(1, 1), id ∪ id fails the
-    # descent check instead of returning a wrong cochain
-    c = build_complex(ut2_diag_extension(5), 2)
-    c.tower._sections[(1, 1)] = Matrix(5, np.zeros_like(c.tower.concat_section(1, 1).a))
+    # with a section that does not invert concat(1, 2), id ∪ (id ∪ id)
+    # fails the descent check instead of returning a wrong cochain
+    c = build_complex(ut2_diag_extension(5), 3)
     ident = c.homs[1].coords_of(Matrix.identity(5, 3)).reshape(-1, 1)
+    square = cup(c, 1, 1, ident, ident)
+    c.tower._sections[(1, 2)] = Matrix(5, np.zeros_like(c.tower.concat_section(1, 2).a))
     with pytest.raises(NotWellDefinedError, match="does not kill the relations: ambient coordinate"):
-        cup(c, 1, 1, ident, ident)
+        cup(c, 1, 2, ident, square)
 
 
 def test_cup_unit_laws(m2_complex, rng):

@@ -21,7 +21,6 @@ from coringlab.linalg import (
     is_prime,
     kernel_rows_with_free,
     mul_mod,
-    quotient_of,
     rank_of,
     rref_rows,
     trivial_quotient,
@@ -31,6 +30,7 @@ from conftest import (
     enumerate_kernel,
     naive_rank,
     naive_solve,
+    quotient_of,
     random_matrix,
     span_from_vectors,
     span_with_free,

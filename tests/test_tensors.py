@@ -30,7 +30,6 @@ from coringlab.linalg import (
     diagonal_kept,
     inverse,
     mul_mod,
-    quotient_of,
     rank_of,
     rref_rows,
 )
@@ -43,7 +42,6 @@ from coringlab.tensors import (
     build_power,
     dual_basis,
     extension_tower,
-    free_pair,
     mult_at,
     pair_relation_rows,
     relation_entries,
@@ -51,7 +49,7 @@ from coringlab.tensors import (
 
 from conftest import (concat_section_failures, dense_on_last, dense_then_identity,
                       dual_step_mismatches, gathered_map_mismatches, pure_tensor,
-                      s3_c2_extension)
+                      off_choice_steps, quotient_of, s3_c2_extension)
 from test_algebras import C3, ut2_diag_extension
 
 
@@ -414,6 +412,11 @@ def test_extension_powers_match_the_dense_oracle(corpus_towers):
     assert len(checked) == (TOP - 1) * len(corpus_towers)
 
 
+def test_every_corpus_tower_is_dual_at_every_step_or_at_none(corpus_towers):
+    for name, tower in corpus_towers.items():
+        assert off_choice_steps(tower, TOP) == [], name
+
+
 def test_dual_basis_steps_on_extension_towers(corpus_towers):
     # the other corpus extensions are over the ground field, with no
     # generators, or ut2 over its diagonal (3 over 2)
@@ -435,20 +438,27 @@ def test_tower_maps_gather_the_dense_maps(corpus_towers):
 
 def test_maps_that_fail_their_certificate_are_refused_like_the_dense_maps(m2_gf5_endo):
     # x -> x·e12 is not right-linear over M2 and v -> e12·v is not
-    # left-linear: neither, tensored with an identity, descends, and the
-    # refusal names the coordinate that the map formed densely fails on
+    # left-linear: neither, tensored with an identity, descends.  The
+    # tower refuses each at its certificate, naming the generator and
+    # the first entry at which m·A and A·m differ, and the map formed
+    # densely is refused too
     c = m2_gf5_endo
     cases = [
         (lambda: c.then_identity(c.right_mats[1], 2, 2),
-         lambda: dense_then_identity(c, c.right_mats[1], 2, 2)),
+         lambda: dense_then_identity(c, c.right_mats[1], 2, 2),
+         c.right_mats[1], c.right_mats[c.gens[0]], "right-linear"),
         (lambda: c.on_last(2, [c.left_mats[1]]),
-         lambda: dense_on_last(c, 2, c.left_mats[1])),
+         lambda: dense_on_last(c, 2, c.left_mats[1]),
+         c.left_mats[1], c.left_mats[c.gens[0]], "left-linear"),
     ]
-    for tower_map, dense in cases:
-        with pytest.raises(NotWellDefinedError) as want:
-            dense()
-        with pytest.raises(NotWellDefinedError, match=re.escape(str(want.value))):
+    for tower_map, dense, m, a, kind in cases:
+        row, col = np.argwhere((m.a @ a.a - a.a @ m.a) % c.p)[0]
+        with pytest.raises(NotWellDefinedError, match=re.escape(
+                f"the map is not {kind} over the base: for generator {c.gens[0]}, "
+                f"entry ({row}, {col}) of map 0 differs between m·A and B·m")):
             tower_map()
+        with pytest.raises(NotWellDefinedError, match="does not kill the relations"):
+            dense()
 
 
 def test_a_tower_holds_zero_dimensional_powers():
@@ -512,8 +522,9 @@ def test_dual_basis_powers_match_the_dense_oracle(case):
     tower, n = case
     p, c = tower.p, tower.carrier_dim
     assert tower.dual is not None
-    for k in range(2, n + 1):
-        assert free_pair(tower.base, tower.gens, tower.right_on(k - 1), tower.dual) is not None
+    # every step is read off the dual basis, and every power's right
+    # action passes the module check the tower ran on the carrier alone
+    assert off_choice_steps(tower, n) == []
     dense = balanced_power(p, c, [m.a for m in tower.right_mats],
                            [m.a for m in tower.left_mats], n)
     # the tower's power(n) read on the dense ambient, projecting one
@@ -535,7 +546,7 @@ def test_dual_step_maps_are_the_dense_maps(case):
     # byte, and each dual pair is the commutant's quotient in coordinates
     # changed by an invertible T
     tower, n = case
-    assert all(tower.is_dual_step(k) for k in range(2, n + 1))
+    assert tower.dual is not None
     assert dual_step_mismatches(tower, n) == []
     assert gathered_map_mismatches(tower, n) == []
 
@@ -553,7 +564,7 @@ def test_dual_steps_run_no_row_reduction(monkeypatch, m2_gf5_endo):
 
     monkeypatch.setattr(linalg, "RrefAccumulator", reduction)
     assert [tower.power(n).dim for n in (2, 3)] == [64, 256]
-    assert all(tower.is_dual_step(n) for n in (2, 3))
+    assert tower.dual is not None
     tower.right_on(3)
     ones = np.ones((16, 1), dtype=np.int64)
     assert tower.concat_batches(1, 2, ones, np.ones((64, 1), dtype=np.int64)).shape == (256, 1)
@@ -605,8 +616,9 @@ def test_a_right_action_that_fails_the_check_takes_the_commutant(right_one, righ
     lefts = [base.left_mul(b) for b in np.eye(2, dtype=np.int64)]
     rights = [Matrix(p, right_one), Matrix(p, right_x)]
     tower = TensorTower(base, 2, lefts, rights)
-    assert tower.dual is not None
-    assert free_pair(base, tower.gens, tower.right_on(1), tower.dual) is None
+    # the left action alone has a dual basis, but the tower keeps none
+    assert dual_basis(base, tower.gens, lefts) is not None
+    assert tower.dual is None
     reduced = balanced_pair(p, 2, 2, [rights[j].a for j in tower.gens],
                             [lefts[j].a for j in tower.gens])
     assert tower.power(2).projection == reduced.projection
