@@ -41,6 +41,9 @@ COMMANDS = {
                                "--trials", "10"],
     "verify-iso-c2_gf2": ["verify-iso", "c2_gf2.json", "--trials", "25"],
     "verify-iso-s3_c2_gf7": ["verify-iso", "s3_c2_gf7.json"],
+    # the full comparison onto a dual coring (M2) and a selection coring (ut2/diag)
+    "verify-iso-m2_gf5": ["verify-iso", "m2_gf5.json"],
+    "verify-iso-ut2_diag_gf5": ["verify-iso", "ut2_diag_gf5.json"],
     "hopf-check-hopf_c2_gf2": ["hopf-check", "hopf_c2_gf2.json", "--max-degree", "4"],
     "hopf-check-hopf_c2_gf3": ["hopf-check", "hopf_c2_gf3.json", "--max-degree", "4"],
 }
