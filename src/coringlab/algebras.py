@@ -16,7 +16,8 @@ from itertools import product as iproduct
 import numpy as np
 
 from .errors import AxiomError, ElementNotInSpaceError
-from .linalg import Field, Matrix, Subspace, kernel_rows_with_free, mul_mod, rank_of
+from .linalg import (Field, Matrix, Subspace, kernel_rows_with_free, mul_mod, rank_of,
+                     span_coords)
 
 
 class FinDimAlgebra:
@@ -394,25 +395,21 @@ def subalgebra_on(a: FinDimAlgebra, span: Subspace, names=None) -> tuple[FinDimA
     ElementNotInSpaceError if the span is not closed under the product
     or does not contain the unit.
     """
+    p, d, k = a.p, a.dim, span.dim
     rows = span.rows
-    k = span.dim
-    tensor = np.zeros((k, k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            prod = a.multiply(rows[i], rows[j])
-            coords = span.coords_of(prod)
-            if coords is None:
-                raise ElementNotInSpaceError(
-                    f"product of span vectors {i} and {j} leaves the span"
-                )
-            tensor[i, j] = coords
+    # [i, j] is the product of span vectors i and j
+    left = mul_mod(rows, a.tensor.reshape(d, d * d), p).reshape(k, d, d)
+    tensor, off = span_coords(rows, span.at, mul_mod(rows, left, p).reshape(k * k, d), p)
+    if off.any():
+        i, j = divmod(int(np.flatnonzero(off.any(axis=1))[0]), k)
+        raise ElementNotInSpaceError(f"product of span vectors {i} and {j} leaves the span")
     unit_coords = span.coords_of(a.unit)
     if unit_coords is None:
         raise ElementNotInSpaceError("span does not contain the unit")
     if names is None:
         names = [f"r{i}" for i in range(k)]
-    sub = FinDimAlgebra.from_tensor(a.field, names, tensor, unit_coords)
-    return sub, Matrix(a.p, rows.T)
+    sub = FinDimAlgebra.from_tensor(a.field, names, tensor.reshape(k, k, k), unit_coords)
+    return sub, Matrix(p, rows.T)
 
 
 def trivial_extension(a: FinDimAlgebra) -> Extension:

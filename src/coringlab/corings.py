@@ -251,14 +251,14 @@ def build_f2(e: Extension) -> D2Certificate:
     rights = cc.products(1, 0, *every_pair(eye_s, eye_r))   # column j * r + i: alpha_j ∪ r_i
     left_mats = [Matrix(p, lefts[:, i * s:(i + 1) * s]) for i in range(r)]
     right_mats = [Matrix(p, rights[:, i::r]) for i in range(r)]
-    base, _ = subalgebra_on(e.ambient, cc.r_space, [f"r{i}" for i in range(r)])
+    base, _ = subalgebra_on(e.ambient, cc.homs[0], [f"r{i}" for i in range(r)])
     tower = TensorTower(base, s, left_mats, right_mats)
     square = tower.power(2)
     f2 = Matrix(p, descend(square, cc.products(1, 1, *every_pair(eye_s, eye_s))))
     hom_space = cc.homs[2]
     bijective = hom_space.dim == square.dim and rank_of(f2.a, p) == square.dim
     return D2Certificate(
-        extension=e, s_space=cc.homs[1], r_space=cc.r_space, hom_space=hom_space,
+        extension=e, s_space=cc.homs[1], r_space=cc.homs[0], hom_space=hom_space,
         tower=tower, square=square, left_mats=left_mats, right_mats=right_mats, f2=f2,
         s_dim=s, r_dim=r, square_dim=square.dim,
         hom_dim=hom_space.dim, bijective=bijective)
@@ -279,28 +279,30 @@ def endo_coring(e: Extension, cert: D2Certificate | None = None) -> CoringWithGr
             f"{rank_of(cert.f2.a, e.ambient.p)}; the depth-two certificate fails")
     a = e.ambient
     p, d = a.p, a.dim
+    s_space, r_space = cert.s_space, cert.r_space
     # the basis of S, stacked as dim A x dim A matrices
-    alphas = cert.s_space.rows.reshape(-1, d, d)
+    alphas = s_space.rows.reshape(-1, d, d)
     mu = mul_mod(a.mult.a, cert.hom_space.source.space.section.a, p)
-    after_mult = [cert.hom_space.coords_of(Matrix(p, m)) for m in mul_mod(alphas, mu, p)]
-    coproduct = inverse(cert.f2) @ Matrix(p, np.stack(after_mult, axis=1))
-    values = mul_mod(alphas, a.unit.reshape(d, 1), p)[..., 0]
-    at_unit = [cert.r_space.coords_of(v) for v in values]
-    if any(c is None for c in at_unit):
-        raise AssertionError("evaluation at the unit lands in the centralizer")
-    counit = Matrix(p, np.stack(at_unit, axis=1))
-    grouplike = cert.s_space.coords_of(Matrix.identity(p, a.dim))
+    after_mult = cert.hom_space.coords(mul_mod(alphas, mu, p).reshape(cert.s_dim, -1),
+                                       "alpha after the multiplication is not a B-bimodule map")
+    coproduct = inverse(cert.f2) @ Matrix(p, after_mult.T)
+    at_unit = r_space.coords(mul_mod(alphas, a.unit.reshape(d, 1), p)[..., 0],
+                             "evaluation at the unit does not land in the centralizer")
+    counit = Matrix(p, at_unit.T)
+    grouplike = s_space.coords_of(Matrix.identity(p, a.dim))
     coring = CoringWithGrouplike(cert.tower.base, cert.s_dim, cert.left_mats,
                                  cert.right_mats, coproduct, counit, grouplike,
                                  tower=cert.tower)
-    # the two splitting laws particular to this coring
-    for i, r in enumerate(cert.r_space.rows):
-        lam = cert.s_space.coords_of(a.left_mul(r))
+    # the two splitting laws particular to this coring, on lambda_r and
+    # rho_r for each basis element r of R
+    mults = [a.left_mul(r).a for r in r_space.rows] + [a.right_mul(r).a for r in r_space.rows]
+    split = s_space.coords(np.stack(mults).reshape(len(mults), -1),
+                           "a multiplication by the centralizer is not in S")
+    for i, (lam, rho) in enumerate(zip(*np.split(split, 2))):
         if not np.array_equal(coproduct.apply(lam),
                               cert.square.project(np.kron(lam, grouplike))):
             raise AxiomError(
                 f"coproduct of a left multiplication is not lambda (x) identity (index {i})")
-        rho = cert.s_space.coords_of(a.right_mul(r))
         if not np.array_equal(coproduct.apply(rho),
                               cert.square.project(np.kron(grouplike, rho))):
             raise AxiomError(

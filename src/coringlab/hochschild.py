@@ -3,15 +3,18 @@
 Degree 0 is the centralizer R; degree n >= 1 is the bimodule hom space
 on A^(⊗_B n), power n of the extension's tensor tower.  A cochain is
 handled as its matrix from power(n) to A; a degree-0 cochain is its
-value r, a matrix on the one-dimensional power(0).  The cup product
+value r, a matrix on the one-dimensional power(0).  Each degree is a
+``linalg.Subspace`` of such matrices, flattened, in one list, and
+``span_coords`` reads every product and pullback back into its
+coordinates.  The cup product
 concatenates arguments: f ∪ g is mult·kron(f, g) on the plain product
 of power(m) and power(n), descended onto power(m+n) through the pair
 (``concat(m, n)``, ``concat_section(m, n)``) when both degrees are
 positive, so r ∪ g = r·g and f ∪ r = f·r.  ``cup`` forms it on
 column-paired batches, f_i ∪ g_i for every column i, and is the
-complex's ``products``.  The coboundary is
-the shared ``dga.coboundaries`` with iota, the identity 1-cochain, as
-unit and the pullbacks f -> f∘mu_i along the slot multiplications
+complex's ``products``.  The coboundary is the shared
+``dga.coboundaries`` with iota, the identity 1-cochain, as unit and the
+pullbacks f -> f∘mu_i along the slot multiplications
 ``tensors.mult_at`` as slot maps:
 
     delta f = iota ∪ f + sum_i (-1)^i f∘mu_i + (-1)^{n+1} f ∪ iota,
@@ -31,7 +34,6 @@ from .algebras import Extension, centralizer
 from .dga import DGA, coboundaries, paired
 # this complex's cohomology and law check are the shared ones
 from .dga import cohomology_dims, verify_dga as verify_hochschild_dga
-from .errors import ElementNotInSpaceError
 from .linalg import Matrix, QuotientSpace, descend, mul_mod
 from .homspaces import build_hom
 from .tensors import RelativeTensorPower, extension_tower, mult_at
@@ -43,41 +45,28 @@ HARD_DEGREE_CAP = 4
 class CochainComplex(DGA):
     """Cochain spaces C^0..C^N and coboundaries delta^0..delta^{N-1}."""
 
-    __slots__ = ("extension", "r_space", "tower", "powers", "homs")
+    __slots__ = ("extension", "tower", "powers", "homs")
     symbol = "delta"
     title = "hochschild-dga"
 
-    def __init__(self, extension, max_degree, r_space, powers, homs, delta):
-        dims = [r_space.dim] + [homs[n].dim for n in range(1, max_degree + 1)]
-        super().__init__(extension.p, max_degree, dims, delta)
+    def __init__(self, extension, max_degree, homs, powers, delta):
+        super().__init__(extension.p, max_degree, [h.dim for h in homs], delta)
         self.extension = extension
-        self.r_space = r_space          # Subspace of A: degree-0 coordinates
+        self.homs = homs                # [Subspace]: C^n at n, the centralizer R at 0
         self.powers = powers            # {n: RelativeTensorPower}, n = 1..N
         self.tower = powers[1].tower    # the one tower all powers come from
-        self.homs = homs                # {n: BimoduleHomSpace}, n = 1..N
-
-    def _basis(self, n: int):
-        """Basis rows of degree n, each a flattened dim A x dim power(n)
-        matrix, and the positions of their identity pattern."""
-        if n == 0:
-            return self.r_space.rows, self.r_space.pivots
-        return self.homs[n].rows, self.homs[n].free
 
     def _matrices(self, n: int, xs: np.ndarray) -> np.ndarray:
         """The cochains in the columns of xs, stacked: k x dim A x dim power(n)."""
-        rows, _ = self._basis(n)
+        rows = self.homs[n].rows
         d = self.extension.ambient.dim
         return mul_mod(xs.T, rows, self.p).reshape(xs.shape[1], d, rows.shape[1] // d)
 
     def _coords(self, n: int, flat: np.ndarray) -> np.ndarray:
         """Degree-n coordinates, as columns, of cochain matrices given as
         flattened rows."""
-        rows, at = self._basis(n)
-        coords = flat[:, list(at)]
-        if not np.array_equal(mul_mod(coords, rows, self.p), flat):
-            raise ElementNotInSpaceError(
-                f"a degree-{n} matrix does not satisfy the B-bimodule constraints")
-        return coords.T
+        return self.homs[n].coords(
+            flat, f"a degree-{n} matrix does not satisfy the B-bimodule constraints").T
 
     def products(self, m: int, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return cup(self, m, n, xs, ys)
@@ -121,14 +110,13 @@ def build_complex(e: Extension, max_degree: int = DEFAULT_DEGREE) -> CochainComp
     if not (1 <= max_degree <= HARD_DEGREE_CAP):
         raise ValueError(f"max_degree must be between 1 and {HARD_DEGREE_CAP}")
     a = e.ambient
-    r_space = centralizer(e)
     # top power first: it is the largest, so an oversized request fails
     # its size check before any hom space is solved
     tower = extension_tower(e)
     tower.power(max_degree)
     powers = {n: RelativeTensorPower(e, tower, n) for n in range(1, max_degree + 1)}
-    homs = {n: build_hom(e, powers[n]) for n in range(1, max_degree + 1)}
-    c = CochainComplex(e, max_degree, r_space, powers, homs, [])
+    homs = [centralizer(e)] + [build_hom(e, powers[n]) for n in range(1, max_degree + 1)]
+    c = CochainComplex(e, max_degree, homs, powers, [])
     iota = homs[1].coords_of(Matrix.identity(a.p, a.dim))
     c.d = coboundaries(c, iota, lambda n: _pullbacks(c, n))
     return c

@@ -6,10 +6,11 @@ one per algebra generator of B that the tower picked: its left action on
 the first factor (the tower's ``concat(0, n)``) and its right action on
 the last (``right_on(n)``).  Each is a block kron(L, I) - kron(I, M), so
 the space is their ``linalg.commutant`` in its canonical basis: basis
-element t has a 1 in the t-th free coordinate of the flattened matrix,
-so re-expressing a member is a single gather plus one verification
-product.  The solve first estimates its constraint matrix as if every
-block were stacked, and refuses one above
+element t has a 1 in the t-th free coordinate of the flattened matrix.
+So a hom space is a ``linalg.Subspace`` with its identity there, and
+members are re-expressed by ``linalg.span_coords``, a gather plus one
+verification product.  The solve first estimates its constraint matrix
+as if every block were stacked, and refuses one above
 ``tensors.RELATION_ENTRY_BUDGET``.
 """
 
@@ -18,34 +19,26 @@ from __future__ import annotations
 import numpy as np
 
 from .algebras import Extension
-from .errors import ElementNotInSpaceError
-from .linalg import Matrix, commutant, member_coords
+from .linalg import Matrix, Subspace, commutant
 from .tensors import RelativeTensorPower, check_entry_budget
 
 
-class BimoduleHomSpace:
-    """Hom_{B-B}(A^(⊗_B n), A) with its echelon coordinate system."""
+class BimoduleHomSpace(Subspace):
+    """Hom_{B-B}(A^(⊗_B n), A) in its canonical basis: each row a
+    flattened dim A x dim power(n) matrix, with the identity at the free
+    coordinates of the commutant."""
 
-    __slots__ = ("extension", "source", "rows", "free")
+    __slots__ = ("extension", "source")
 
     def __init__(self, extension, source, rows, free):
+        super().__init__(extension.p, rows, free)
         self.extension = extension
         self.source = source
-        self.rows = rows          # dim x (dim A * source.dim), kernel-canonical
-        self.free = free          # identity positions in the flattened matrix
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[0]
 
     def coords_of(self, mat: Matrix) -> np.ndarray:
         """Echelon coordinates of a B-bimodule map; raises if not one."""
-        coords = member_coords(self.rows, self.free, mat.a.reshape(-1), self.extension.p)
-        if coords is None:
-            raise ElementNotInSpaceError(
-                "matrix does not satisfy the B-bimodule constraints"
-            )
-        return coords
+        return self.coords(mat.a.reshape(1, -1),
+                           "matrix does not satisfy the B-bimodule constraints")[0]
 
     def __repr__(self):
         return f"BimoduleHomSpace(n={self.source.n}, dim={self.dim})"

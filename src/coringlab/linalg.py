@@ -11,6 +11,9 @@ dense integer matrix of residues.  This module supplies the primitives:
 * reduced row echelon forms with deterministic first-nonzero pivoting,
   including an incremental accumulator for large relation spans,
 * kernels and inverses,
+* ``span_coords``, the one coordinate reader, for a basis with the
+  identity at known columns; ``Subspace`` is a space held in one (the
+  centralizer, each hom space of ``homspaces``),
 * ``commutant``, the one solve for the common kernel of blocks
   kron(L, I) - kron(I, M): the balancing relations of a tensor product
   over a subring and the intertwining constraints of a bimodule-hom
@@ -22,7 +25,7 @@ dense integer matrix of residues.  This module supplies the primitives:
   (``induced_map`` goes through it).  A quotient built from a canonical
   kernel basis records its ``free`` columns: its section is the unit
   columns there and its projection is the identity on them, so
-  ``descend`` is a gather plus a check of the other columns.  Any other
+  ``descend`` reads the map's rows with ``span_coords``.  Any other
   pair (a tensor step read off a dual basis, say) descends through
   products by its section and projection.
 
@@ -38,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotWellDefinedError
+from .errors import ElementNotInSpaceError, NotWellDefinedError
 
 _INT64_BUDGET = 2**62
 
@@ -264,21 +267,6 @@ def _diagonal_of(m, p: int) -> np.ndarray | None:
     return diag
 
 
-def member_coords(basis_rows: np.ndarray, positions: Sequence[int], x: np.ndarray, p: int):
-    """Coordinates of ``x`` in a basis with identity pattern at ``positions``.
-
-    Works for both canonical basis shapes used in this package: RREF rows
-    (identity at the pivot columns) and kernel rows (identity at the free
-    columns).  Returns None when ``x`` is not in the span.
-    """
-    x = np.asarray(x, dtype=np.int64) % p
-    coords = x[list(positions)]
-    back = mul_mod(coords.reshape(1, -1), basis_rows, p)[0] if len(positions) else np.zeros_like(x)
-    if not np.array_equal(back, x):
-        return None
-    return coords
-
-
 class Field:
     """A prime field GF(p), validated at construction."""
 
@@ -349,56 +337,76 @@ class Matrix:
         return f"Matrix(p={self.p}, shape={self.a.shape})"
 
 
+def span_coords(rows: np.ndarray, at, xs: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of the rows of ``xs`` in the span of ``rows``, a basis
+    with the identity at the columns ``at`` (RREF rows at their pivots,
+    kernel rows at their free columns): a member's entries there, checked
+    on the other columns with one product.  Returns them, k x dim, and
+    the k x n mask of the entries where a row and its combination differ;
+    a row is a member exactly when its row of the mask is all False."""
+    at = np.asarray(at, dtype=np.intp)
+    coords = xs[:, at] % p
+    rest = np.ones(xs.shape[1], dtype=bool)
+    rest[at] = False
+    off = np.empty(xs.shape, dtype=bool)
+    off[:, at] = coords != xs[:, at]
+    off[:, rest] = mul_mod(coords, rows[:, rest], p) != xs[:, rest]
+    return coords, off
+
+
 class Subspace:
-    """A subspace of GF(p)^n held as canonical RREF rows.
+    """A subspace of GF(p)^n in a canonical basis: ``rows[i]`` is the
+    i-th basis vector, and the rows carry the identity at the columns
+    ``at`` (an int array), the pivots of an RREF or the free columns of a
+    kernel basis, where ``span_coords`` reads a member's coordinates."""
 
-    ``rows[i]`` is the i-th basis vector; ``pivots`` are its leading
-    columns.  Because the rows are an RREF, the coordinates of a member
-    vector are simply its entries at the pivot positions.
-    """
+    __slots__ = ("p", "rows", "at")
 
-    __slots__ = ("p", "ambient_dim", "rows", "pivots")
-
-    def __init__(self, p: int, ambient_dim: int, rows: np.ndarray, pivots: tuple[int, ...]):
+    def __init__(self, p: int, rows: np.ndarray, at):
         self.p = p
-        self.ambient_dim = ambient_dim
         r = np.ascontiguousarray(rows, dtype=np.int64) % p
         r.setflags(write=False)
         self.rows = r
-        self.pivots = tuple(int(c) for c in pivots)
+        self.at = np.asarray(at, dtype=np.int64)
 
     @classmethod
     def from_spanning(cls, p: int, ambient_dim: int, vectors) -> "Subspace":
-        """Subspace spanned by the given vectors (rows)."""
+        """Subspace spanned by the given vectors (rows), in RREF."""
         vectors = np.asarray(vectors, dtype=np.int64)
         if vectors.size == 0:
             vectors = vectors.reshape(0, ambient_dim)
         vectors = np.atleast_2d(vectors)
         if vectors.shape[1] != ambient_dim:
             raise ValueError(f"vectors live in dim {vectors.shape[1]}, expected {ambient_dim}")
-        rows, piv = rref_rows(vectors, p)
-        return cls(p, ambient_dim, rows, piv)
+        return cls(p, *rref_rows(vectors, p))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.rows.shape[1]
 
     @property
     def dim(self) -> int:
         return self.rows.shape[0]
 
-    def reduce(self, v) -> np.ndarray:
-        """Residual of v after subtracting its component in this subspace."""
-        v = np.asarray(v, dtype=np.int64) % self.p
-        if self.dim == 0:
-            return v
-        coef = v[list(self.pivots)]
-        return (v - mul_mod(coef.reshape(1, -1), self.rows, self.p)[0]) % self.p
-
-    def contains(self, v) -> bool:
-        return not self.reduce(v).any()
+    def coords(self, xs: np.ndarray, what: str) -> np.ndarray:
+        """The coordinates of the rows of xs (residues), as rows; raises
+        ElementNotInSpaceError(what) unless every row is a member."""
+        coords, off = span_coords(self.rows, self.at, xs, self.p)
+        if off.any():
+            raise ElementNotInSpaceError(what)
+        return coords
 
     def coords_of(self, v):
-        return member_coords(self.rows, self.pivots, np.asarray(v), self.p)
+        """The coordinates of the vector v, or None if it is not a member."""
+        v = np.asarray(v, dtype=np.int64).reshape(1, -1) % self.p
+        coords, off = span_coords(self.rows, self.at, v, self.p)
+        return None if off.any() else coords[0]
+
+    def contains(self, v) -> bool:
+        return self.coords_of(v) is not None
 
     def __repr__(self):
-        return f"Subspace(p={self.p}, ambient={self.ambient_dim}, dim={self.dim})"
+        return f"{type(self).__name__}(p={self.p}, ambient={self.ambient_dim}, dim={self.dim})"
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -488,21 +496,16 @@ def descend(q: QuotientSpace, m: np.ndarray) -> np.ndarray:
     names the first ambient coordinate whose image differs from its
     representative's.
 
-    When q records its ``free`` columns, h is m gathered at them, and
-    h @ projection = m needs checking only off them, where the
-    projection is not the identity; the failing coordinate is the same.
+    When q records its ``free`` columns, its projection is a canonical
+    basis with the identity there, and h is ``span_coords`` of m's rows.
     """
     p = q.p
     if q.free is None:
         h = mul_mod(m, q.section.a, p)
         bad = (mul_mod(h, q.projection.a, p) != m).any(axis=0)
     else:
-        h = m[:, q.free] % p
-        rest = np.ones(q.ambient_dim, dtype=bool)
-        rest[q.free] = False
-        bad = np.empty(q.ambient_dim, dtype=bool)
-        bad[q.free] = (h != m[:, q.free]).any(axis=0)
-        bad[rest] = (mul_mod(h, q.projection.a[:, rest], p) != m[:, rest]).any(axis=0)
+        h, off = span_coords(q.projection.a, q.free, m, p)
+        bad = off.any(axis=0)
     if bad.any():
         col = int(np.flatnonzero(bad)[0])
         raise NotWellDefinedError(

@@ -142,7 +142,7 @@ def test_cup_refuses_a_product_that_does_not_descend():
 def test_cup_unit_laws(m2_complex, rng):
     c = m2_complex
     # 1_R as a degree-0 cochain, once per column
-    ones = np.repeat(c.r_space.coords_of(c.extension.ambient.unit).reshape(-1, 1), 4, axis=1)
+    ones = np.repeat(c.homs[0].coords_of(c.extension.ambient.unit).reshape(-1, 1), 4, axis=1)
     for degree in range(c.max_degree + 1):
         f = rng.integers(0, c.p, size=(c.dim(degree), 4))
         assert np.array_equal(cup(c, 0, degree, ones, f), f)

@@ -246,7 +246,7 @@ def test_incidence_hom_selection_is_the_stacked_kernel(name):
         hom = build_hom(e, t)
         rows, free = stacked_constraint_kernel(e, t)
         assert np.array_equal(hom.rows, rows), (name, n)
-        assert hom.free == free, (name, n)
+        assert hom.at.tolist() == free, (name, n)
 
 
 def test_incidence_hom_selection_is_budgeted_like_the_reduction(monkeypatch):

@@ -23,6 +23,7 @@ from coringlab.linalg import (
     mul_mod,
     rank_of,
     rref_rows,
+    span_coords,
     trivial_quotient,
 )
 
@@ -208,11 +209,30 @@ def test_subspace_membership_and_coords(rng):
     assert coords is not None
     back = mul_mod(coords.reshape(1, -1), sp.rows, p)[0]
     assert np.array_equal(back, combo)
-    # a vector outside the span (if the span is proper) has no coordinates
-    if sp.dim < 6:
-        outside = sp.reduce(np.eye(6, dtype=np.int64)[0])
-        if outside.any():
-            assert sp.coords_of((combo + outside) % p) is None
+    # a unit vector off the pivots lies outside the span: its pivot
+    # entries are 0, so its combination is 0
+    for col in sorted(set(range(6)) - set(sp.at.tolist())):
+        outside = np.eye(6, dtype=np.int64)[col]
+        assert not sp.contains(outside)
+        assert sp.coords_of((combo + outside) % p) is None
+
+
+@pytest.mark.parametrize("p", [2, 5, 31])
+def test_span_coords_reads_members_and_marks_the_rest(rng, p):
+    # RREF rows (identity at the pivots) and kernel rows (identity at the
+    # free columns), each read against members and random vectors
+    a = random_matrix(rng, 4, 9, p)
+    bases = [rref_rows(a, p), kernel_rows_with_free(a, p)]
+    for rows, at in bases:
+        members = mul_mod(rng.integers(0, p, size=(5, rows.shape[0])), rows, p)
+        xs = np.vstack([members, random_matrix(rng, 5, 9, p)])
+        coords, off = span_coords(rows, at, xs, p)
+        assert np.array_equal(coords, xs[:, list(at)])
+        # the mask is exactly where the combination misses the row
+        assert np.array_equal(off, mul_mod(coords, rows, p) != xs)
+        for x, row_off in zip(xs, off):
+            inside = naive_rank(np.vstack([rows, x]), p) == rows.shape[0]
+            assert inside == (not row_off.any())
 
 
 def test_induced_map_identity(rng):
