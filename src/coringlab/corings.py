@@ -1,10 +1,11 @@
 """Corings with a grouplike element over a finite-dimensional base.
 
-A coring is handed to the constructor as raw data — base algebra,
-carrier dimension, commuting left/right base actions, coproduct into
-the carrier's tensor square over the base, counit, grouplike vector —
-and every axiom is checked exactly before the constructor returns, so a
-CoringWithGrouplike value in hand is itself a certificate.
+A coring is handed to the constructor as the tower of its carrier over
+the base (which holds the base algebra and the commuting left/right
+base actions), the coproduct into the carrier's tensor square, the
+counit and the grouplike vector, and every axiom is checked exactly
+before the constructor returns, so a CoringWithGrouplike value in hand
+is itself a certificate.
 
 A coring is a ``tensors.TensorTower``: its carrier's powers over the
 base are grown one factor at a time, power(n) = power(n-1) (x)_R
@@ -32,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import (Extension, FinDimAlgebra, HopfData, one_dim_algebra,
-                       subalgebra_on)
+from .algebras import Extension, HopfData, one_dim_algebra, subalgebra_on
 from .dga import every_pair
 from .errors import AxiomError, NoD2CertificateError, NotWellDefinedError
 from .hochschild import build_complex
@@ -52,31 +52,25 @@ from .tensors import RelativeTensorPower, TensorTower, build_power, mult_at
 
 
 class CoringWithGrouplike(TensorTower):
-    """Verified (base, carrier, actions, coproduct, counit, grouplike) data.
+    """Verified (tower, coproduct, counit, grouplike) data.
 
+    The coring is the tower of its carrier's powers over the base, whose
     ``left_mats[j]`` / ``right_mats[j]`` are the carrier matrices of the
     j-th base basis element acting on the left / right.  ``coproduct``
     maps carrier coordinates into ``power(2)`` coordinates, ``counit``
-    maps them to base coordinates.  The coring is the tower of its
-    carrier's powers over the base.  A builder that has already grown
-    that tower, to find the coproduct's codomain, passes it as ``tower``:
-    the coring takes over its generators, dual basis and built powers
-    instead of picking and building them again.
+    maps them to base coordinates.  The coring takes over the tower it
+    is given, with its generators, dual basis and built powers, instead
+    of picking and building them again.
     """
 
     __slots__ = ("coproduct", "counit", "grouplike", "_coproducts")
 
-    def __init__(self, base: FinDimAlgebra, carrier_dim: int, left_mats,
-                 right_mats, coproduct: Matrix, counit: Matrix, grouplike,
-                 tower: TensorTower | None = None):
-        if tower is None:
-            super().__init__(base, carrier_dim, left_mats, right_mats)
-        else:
-            for name in TensorTower.__slots__:
-                setattr(self, name, getattr(tower, name))
+    def __init__(self, tower: TensorTower, coproduct: Matrix, counit: Matrix, grouplike):
+        for name in TensorTower.__slots__:
+            setattr(self, name, getattr(tower, name))
         self.coproduct = coproduct
         self.counit = counit
-        self.grouplike = np.asarray(grouplike, dtype=np.int64) % base.p
+        self.grouplike = np.asarray(grouplike, dtype=np.int64) % self.p
         self._coproducts = {}
         failures = self._axiom_failures()
         if failures:
@@ -290,9 +284,7 @@ def endo_coring(e: Extension, cert: D2Certificate | None = None) -> CoringWithGr
                              "evaluation at the unit does not land in the centralizer")
     counit = Matrix(p, at_unit.T)
     grouplike = s_space.coords_of(Matrix.identity(p, a.dim))
-    coring = CoringWithGrouplike(cert.tower.base, cert.s_dim, cert.left_mats,
-                                 cert.right_mats, coproduct, counit, grouplike,
-                                 tower=cert.tower)
+    coring = CoringWithGrouplike(cert.tower, coproduct, counit, grouplike)
     # the two splitting laws particular to this coring, on lambda_r and
     # rho_r for each basis element r of R
     mults = [a.left_mul(r).a for r in r_space.rows] + [a.right_mul(r).a for r in r_space.rows]
@@ -330,8 +322,7 @@ def sweedler_coring(e: Extension) -> CoringWithGrouplike:
     coproduct = induced_map(q, sq, Matrix(p, np.kron(into_left, into_right)))
     counit = mult_at(t2, RelativeTensorPower(e, t2.tower, 1), 1)
     grouplike = q.project(np.kron(a.unit, a.unit))
-    return CoringWithGrouplike(a, q.dim, left_mats, right_mats, coproduct,
-                               counit, grouplike, tower=tower)
+    return CoringWithGrouplike(tower, coproduct, counit, grouplike)
 
 
 def hopf_coring(h: HopfData) -> CoringWithGrouplike:
@@ -343,5 +334,4 @@ def hopf_coring(h: HopfData) -> CoringWithGrouplike:
     ident = Matrix.identity(p, d)
     tower = TensorTower(base, d, [ident], [ident])
     coproduct = Matrix(p, mul_mod(tower.power(2).projection.a, h.coproduct.a, p))
-    return CoringWithGrouplike(base, d, [ident], [ident], coproduct,
-                               Matrix(p, h.counit.a), h.algebra.unit, tower=tower)
+    return CoringWithGrouplike(tower, coproduct, Matrix(p, h.counit.a), h.algebra.unit)

@@ -600,12 +600,12 @@ class RelativeTensorPower:
         return f"RelativeTensorPower(n={self.n}, dim={self.dim})"
 
 
-def build_power(e: Extension, n: int, max_n: int = DEFAULT_MAX_POWER) -> RelativeTensorPower:
+def build_power(e: Extension, n: int) -> RelativeTensorPower:
     """The n-fold relative tensor power of the extension."""
     if n < 1:
         raise ValueError("tensor powers start at n = 1")
-    if n > max_n:
-        raise SizeLimitError(f"power {n} exceeds the configured maximum {max_n}")
+    if n > DEFAULT_MAX_POWER:
+        raise SizeLimitError(f"power {n} exceeds the configured maximum {DEFAULT_MAX_POWER}")
     t = RelativeTensorPower(e, extension_tower(e), n)
     t.tower.power(n)
     return t

@@ -21,7 +21,7 @@ from coringlab import (
 )
 from coringlab.algebras import generating_indices, matrix_algebra, one_dim_algebra
 from coringlab.corpus import extension_names, hopf_names, load_corpus_extension, load_corpus_hopf
-from coringlab.tensors import balanced_pair, balanced_power
+from coringlab.tensors import TensorTower, balanced_pair, balanced_power
 
 from conftest import (concat_section_failures, dual_step_mismatches, gathered_map_mismatches,
                       hom_matrix, naive_rank, off_choice_steps, pure_tensor, s3_c2_extension,
@@ -30,6 +30,11 @@ from test_algebras import ut2_diag_extension
 from test_homspaces import brute_hom_dim
 
 C2_TABLE = [[0, 1], [1, 0]]
+
+
+def tower_of(coring):
+    """A fresh tower on the coring's base, carrier and actions."""
+    return TensorTower(coring.base, coring.carrier_dim, coring.left_mats, coring.right_mats)
 
 
 def test_ut2_certificate():
@@ -168,8 +173,7 @@ def test_tampered_coproduct_is_rejected():
     bad = Matrix(3, (good.coproduct.a + np.eye(good.coproduct.shape[0],
                                                good.carrier_dim, dtype=np.int64)) % 3)
     with pytest.raises(AxiomError):
-        CoringWithGrouplike(good.base, good.carrier_dim, good.left_mats,
-                            good.right_mats, bad, good.counit, good.grouplike)
+        CoringWithGrouplike(tower_of(good), bad, good.counit, good.grouplike)
 
 
 def test_tampered_coproduct_on_a_dual_tower_is_rejected(m2_gf5_endo):
@@ -182,8 +186,7 @@ def test_tampered_coproduct_on_a_dual_tower_is_rejected(m2_gf5_endo):
                                                good.carrier_dim, dtype=np.int64)) % 5)
     with pytest.raises(AxiomError, match="structure maps do not descend to the base quotient: "
                                          "the map is not right-linear over the base"):
-        CoringWithGrouplike(good.base, good.carrier_dim, good.left_mats,
-                            good.right_mats, bad, good.counit, good.grouplike)
+        CoringWithGrouplike(tower_of(good), bad, good.counit, good.grouplike)
 
 
 def test_non_coassociative_coproduct_is_rejected():
@@ -196,8 +199,8 @@ def test_non_coassociative_coproduct_is_rejected():
 
     def coring(cop_y):
         cop = np.stack([np.kron(one, one), np.kron(x, one) + np.kron(one, x), cop_y], axis=1)
-        return CoringWithGrouplike(one_dim_algebra(Field(p)), 3, [ident], [ident],
-                                   Matrix(p, cop), counit, one)
+        tower = TensorTower(one_dim_algebra(Field(p)), 3, [ident], [ident])
+        return CoringWithGrouplike(tower, Matrix(p, cop), counit, one)
 
     coring(np.kron(y, one) + np.kron(one, y))  # primitive y: a coring
     with pytest.raises(AxiomError) as exc:
