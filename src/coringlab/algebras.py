@@ -16,8 +16,8 @@ from itertools import product as iproduct
 import numpy as np
 
 from .errors import AxiomError, ElementNotInSpaceError
-from .linalg import (Field, Matrix, Subspace, kernel_rows_with_free, mul_mod, rank_of,
-                     span_coords)
+from .linalg import (RELATION_ENTRY_BUDGET, Field, Matrix, Subspace, check_entries,
+                     kernel_rows_with_free, mul_mod, rank_of, span_coords)
 
 
 class FinDimAlgebra:
@@ -87,6 +87,14 @@ class FinDimAlgebra:
         y = np.asarray(y, dtype=np.int64) % self.p
         return self.mult.apply(np.kron(x, y))
 
+    def pair_products(self, xs) -> np.ndarray:
+        """x_i * x_j at [i, j] for every pair of rows of xs, by two
+        contractions with the structure tensor."""
+        xs = np.asarray(xs, dtype=np.int64) % self.p
+        k, d = xs.shape
+        left = mul_mod(xs, self.tensor.reshape(d, d * d), self.p).reshape(k, d, d)
+        return mul_mod(xs, left, self.p)
+
     def left_mul(self, x) -> Matrix:
         """Matrix of y -> x*y."""
         x = np.asarray(x, dtype=np.int64).reshape(1, -1) % self.p
@@ -124,19 +132,26 @@ class ValidationReport:
 
 
 def algebra_violations(a: FinDimAlgebra) -> list[str]:
-    """Every violated associativity or unit identity, as readable strings."""
+    """Every violated associativity or unit identity, as readable strings.
+
+    Associativity is checked on every basis triple by contracting the
+    structure tensor t with itself, two arrays of d**4 entries; above
+    ``RELATION_ENTRY_BUDGET`` the check refuses with SizeLimitError.
+    """
     p, d = a.p, a.dim
     out: list[str] = []
-    m = a.mult.a
+    check_entries(d**4, RELATION_ENTRY_BUDGET,
+                  f"the associativity check of a {d}-dimensional algebra needs two arrays")
+    t = a.tensor
+    # (e_i e_j) e_k = sum_m t[i, j, m] t[m, k, :] at [i, j, k, l]
+    lhs = mul_mod(t.reshape(d * d, d), t.reshape(d, d * d), p).reshape(d, d, d, d)
+    # e_i (e_j e_k) = sum_m t[j, k, m] t[i, m, :], computed at [j, k, i, l]
+    rhs = mul_mod(t.reshape(d * d, d), t.transpose(1, 0, 2).reshape(d, d * d), p)
+    rhs = rhs.reshape(d, d, d, d).transpose(2, 0, 1, 3)
+    # listed by l first, then (i, j, k)
+    for l, i, j, k in np.argwhere((lhs != rhs).transpose(3, 0, 1, 2)):
+        out.append(f"associativity fails at (i={i}, j={j}, k={k}, l={l})")
     eye = np.eye(d, dtype=np.int64)
-    # (e_i e_j) e_k vs e_i (e_j e_k), all triples at once
-    lhs = mul_mod(m, np.kron(m, eye), p)
-    rhs = mul_mod(m, np.kron(eye, m), p)
-    bad = np.argwhere(lhs != rhs)
-    for l, col in bad:
-        i, rem = divmod(int(col), d * d)
-        j, k = divmod(rem, d)
-        out.append(f"associativity fails at (i={i}, j={j}, k={k}, l={int(l)})")
     lu = a.left_mul(a.unit).a
     ru = a.right_mul(a.unit).a
     for i in range(d):
@@ -174,15 +189,13 @@ class Extension:
             raise AxiomError("inclusion matrix is not injective")
         if not np.array_equal(inclusion.apply(sub.unit), ambient.unit):
             raise AxiomError("inclusion does not send the unit of B to the unit of A")
-        images = inclusion.a.T  # row b = iota(e_b)
-        for i in range(sub.dim):
-            for j in range(sub.dim):
-                want = inclusion.apply(sub.tensor[i, j])
-                got = ambient.multiply(images[i], images[j])
-                if not np.array_equal(got, want):
-                    raise AxiomError(
-                        f"inclusion is not multiplicative at basis pair (i={i}, j={j})"
-                    )
+        # iota(e_i) iota(e_j) against iota(e_i e_j), every pair at [i, j]
+        got = ambient.pair_products(inclusion.a.T)
+        want = mul_mod(sub.tensor, inclusion.a.T, p)
+        bad = np.argwhere((got != want).any(axis=2))
+        if bad.size:
+            i, j = bad[0]
+            raise AxiomError(f"inclusion is not multiplicative at basis pair (i={i}, j={j})")
         self.ambient = ambient
         self.sub = sub
         self.inclusion = inclusion
@@ -397,9 +410,7 @@ def subalgebra_on(a: FinDimAlgebra, span: Subspace, names=None) -> tuple[FinDimA
     """
     p, d, k = a.p, a.dim, span.dim
     rows = span.rows
-    # [i, j] is the product of span vectors i and j
-    left = mul_mod(rows, a.tensor.reshape(d, d * d), p).reshape(k, d, d)
-    tensor, off = span_coords(rows, span.at, mul_mod(rows, left, p).reshape(k * k, d), p)
+    tensor, off = span_coords(rows, span.at, a.pair_products(rows).reshape(k * k, d), p)
     if off.any():
         i, j = divmod(int(np.flatnonzero(off.any(axis=1))[0]), k)
         raise ElementNotInSpaceError(f"product of span vectors {i} and {j} leaves the span")
@@ -452,26 +463,41 @@ class HopfData:
             raise AxiomError("bialgebra axioms fail: " + "; ".join(problems))
 
     def _violations(self) -> list[str]:
+        """The violated axioms, each checked on every basis element or
+        pair by contracting the structure tensors, in arrays of d**4
+        entries at most; above ``RELATION_ENTRY_BUDGET`` the check
+        refuses with SizeLimitError."""
         a, cop, eps = self.algebra, self.coproduct.a, self.counit.a
         d, p = a.dim, a.p
+        check_entries(d**4, RELATION_ENTRY_BUDGET,
+                      f"the bialgebra check of a {d}-dimensional coproduct needs arrays")
         out = []
         eye = np.eye(d, dtype=np.int64)
-        left = mul_mod(np.kron(cop, eye), cop, p)
-        right = mul_mod(np.kron(eye, cop), cop, p)
-        if not np.array_equal(left, right):
+        # c[u, v, x]: coefficient of e_u ⊗ e_v in Delta(e_x); t the product
+        c, t = cop.reshape(d, d, d), a.tensor
+        # (Delta ⊗ id) Delta at [u, v, w, x] against (id ⊗ Delta) Delta,
+        # computed at [v, w, u, x]
+        right = mul_mod(cop, c.transpose(1, 0, 2).reshape(d, d * d), p)
+        if not np.array_equal(mul_mod(cop, cop.reshape(d, d * d), p).reshape(d, d, d, d),
+                              right.reshape(d, d, d, d).transpose(2, 0, 1, 3)):
             out.append("coproduct is not coassociative")
+        del right
         if not np.array_equal(mul_mod(np.kron(eps, eye), cop, p), eye):
             out.append("left counit law fails")
         if not np.array_equal(mul_mod(np.kron(eye, eps), cop, p), eye):
             out.append("right counit law fails")
         m = a.mult.a
-        # Delta is an algebra map: Delta(xy) = Delta(x)Delta(y) with the
-        # componentwise product on the tensor square (middle-swap shuffle)
-        lhs = mul_mod(cop, m, p)
-        dd = np.kron(cop, cop) % p
-        dd = dd.reshape(d, d, d, d, d * d).transpose(0, 2, 1, 3, 4).reshape(d**4, d * d)
-        rhs = mul_mod(np.kron(m, m), dd, p)
-        if not np.array_equal(lhs, rhs):
+        # Delta is an algebra map: Delta(xy) at [u, v, x, y] against
+        # Delta(x)Delta(y) = sum c[i, j, x] c[k, l, y] t[i, k, u] t[j, l, v],
+        # contracted over i, then l, then (j, k) at once
+        over_i = mul_mod(c.reshape(d, d * d).T, t.reshape(d, d * d), p)        # [j, x, k, u]
+        over_i = over_i.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+        over_l = mul_mod(c.transpose(0, 2, 1).reshape(d * d, d),
+                         t.transpose(1, 0, 2).reshape(d, d * d), p)           # [k, y, j, v]
+        over_l = over_l.reshape(d, d, d, d).transpose(2, 0, 1, 3).reshape(d * d, d * d)
+        rhs = mul_mod(over_i, over_l, p).reshape(d, d, d, d)                  # [x, u, y, v]
+        del over_i, over_l
+        if not np.array_equal(mul_mod(cop, m, p).reshape(d, d, d, d).transpose(2, 0, 3, 1), rhs):
             out.append("coproduct is not an algebra map")
         if not np.array_equal(mul_mod(eps, m, p), np.kron(eps, eps)):
             out.append("counit is not an algebra map")

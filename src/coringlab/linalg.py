@@ -41,9 +41,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ElementNotInSpaceError, NotWellDefinedError
+from .errors import ElementNotInSpaceError, NotWellDefinedError, SizeLimitError
 
 _INT64_BUDGET = 2**62
+
+# Entries of the largest dense array a build or an axiom check may form:
+# 0.8 GB as int64.  The largest tower step in use is the fourth power of
+# the filled triangle's 19-dim incidence algebra over its 6 generating
+# vertex idempotents (ambient 61 * 19, about 8.1e6 entries, gs-compare
+# --max-degree 3); the fourth power of an 11-dim algebra over the ground
+# field (ambient 11**4, about 2.1e8) is refused, and so are the d**4
+# entries of the associativity check of an algebra of dimension d > 100.
+RELATION_ENTRY_BUDGET = 10**8
 
 
 def is_prime(n: int) -> bool:
@@ -78,6 +87,14 @@ def check_prime(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p
+
+
+def check_entries(entries: int, budget: int, what: str) -> None:
+    """Raise SizeLimitError before forming an array of ``entries``
+    entries above ``budget``; ``what`` names the array."""
+    if entries > budget:
+        raise SizeLimitError(
+            f"{what} of about {entries:.2e} entries, over the budget of {budget:.0e}")
 
 
 def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -48,9 +48,12 @@ import numpy as np
 
 from .errors import NotWellDefinedError, SizeLimitError
 from .algebras import Extension, FinDimAlgebra, generating_indices
+# this module's budget checks read its own binding of the budget
 from .linalg import (
+    RELATION_ENTRY_BUDGET,
     Matrix,
     QuotientSpace,
+    check_entries,
     commutant,
     descend,
     diagonal_kept,
@@ -61,14 +64,6 @@ from .linalg import (
 )
 
 DEFAULT_MAX_POWER = 4
-
-# Entries of the largest dense matrix a build may hold: 0.8 GB as int64.
-# The largest tower step in use is the fourth power of the filled
-# triangle's 19-dim incidence algebra over its 6 generating vertex
-# idempotents (ambient 61 * 19, about 8.1e6 entries, gs-compare
-# --max-degree 3); the fourth power of an 11-dim algebra over the ground
-# field (ambient 11**4, about 2.1e8) is refused.
-RELATION_ENTRY_BUDGET = 10**8
 
 # Draws of a candidate dual basis.  Over GF(2), 4 random vectors of the
 # M2 carrier (16 = 4 * 4) are a basis about 29% of the time, so 32 draws
@@ -92,11 +87,7 @@ def check_entry_budget(n_blocks: int, ambient: int, what: str) -> None:
     """Raise SizeLimitError before a build whose largest dense matrix,
     ``relation_entries(n_blocks, ambient)`` entries, is above the budget;
     ``what`` names the build and its matrix."""
-    entries = relation_entries(n_blocks, ambient)
-    if entries > RELATION_ENTRY_BUDGET:
-        raise SizeLimitError(
-            f"{what} of about {entries:.2e} entries, over the budget "
-            f"of {RELATION_ENTRY_BUDGET:.0e}")
+    check_entries(relation_entries(n_blocks, ambient), RELATION_ENTRY_BUDGET, what)
 
 
 def _check_relation_budget(n_blocks: int, ambient: int) -> None:

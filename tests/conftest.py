@@ -382,6 +382,63 @@ def gathered_map_mismatches(tower, top):
     return out
 
 
+def kron_algebra_violations(a):
+    """``algebra_violations`` with associativity checked as
+    m·kron(m, I) = m·kron(I, m), d x d**3 products of d**2 x d**3 krons:
+    the reference for the contracted check."""
+    from coringlab.linalg import mul_mod
+
+    p, d = a.p, a.dim
+    out = []
+    m = a.mult.a
+    eye = np.eye(d, dtype=np.int64)
+    lhs = mul_mod(m, np.kron(m, eye), p)
+    rhs = mul_mod(m, np.kron(eye, m), p)
+    for l, col in np.argwhere(lhs != rhs):
+        i, rem = divmod(int(col), d * d)
+        j, k = divmod(rem, d)
+        out.append(f"associativity fails at (i={i}, j={j}, k={k}, l={int(l)})")
+    lu, ru = a.left_mul(a.unit).a, a.right_mul(a.unit).a
+    for i in range(d):
+        if not np.array_equal(lu[:, i], eye[:, i]):
+            out.append(f"left unit law fails at basis index {i}")
+        if not np.array_equal(ru[:, i], eye[:, i]):
+            out.append(f"right unit law fails at basis index {i}")
+    return out
+
+
+def kron_bialgebra_violations(algebra, cop, eps):
+    """``HopfData._violations`` of the algebra with coproduct ``cop``
+    (d**2 x d) and counit ``eps`` (1 x d), with the coproduct's laws
+    checked through kron(cop, I), kron(I, cop), kron(cop, cop) and
+    kron(m, m): the reference for the contracted check."""
+    from coringlab.linalg import mul_mod
+
+    d, p = algebra.dim, algebra.p
+    out = []
+    eye = np.eye(d, dtype=np.int64)
+    if not np.array_equal(mul_mod(np.kron(cop, eye), cop, p), mul_mod(np.kron(eye, cop), cop, p)):
+        out.append("coproduct is not coassociative")
+    if not np.array_equal(mul_mod(np.kron(eps, eye), cop, p), eye):
+        out.append("left counit law fails")
+    if not np.array_equal(mul_mod(np.kron(eye, eps), cop, p), eye):
+        out.append("right counit law fails")
+    m = algebra.mult.a
+    # componentwise product on the tensor square: a middle-swap shuffle
+    dd = np.kron(cop, cop) % p
+    dd = dd.reshape(d, d, d, d, d * d).transpose(0, 2, 1, 3, 4).reshape(d**4, d * d)
+    if not np.array_equal(mul_mod(cop, m, p), mul_mod(np.kron(m, m), dd, p)):
+        out.append("coproduct is not an algebra map")
+    if not np.array_equal(mul_mod(eps, m, p), np.kron(eps, eps)):
+        out.append("counit is not an algebra map")
+    if not np.array_equal(mul_mod(cop, algebra.unit.reshape(-1, 1), p)[:, 0],
+                          np.kron(algebra.unit, algebra.unit)):
+        out.append("unit is not grouplike under the coproduct")
+    if int(mul_mod(eps, algebra.unit.reshape(-1, 1), p)[0, 0]) != 1:
+        out.append("counit does not send the unit to 1")
+    return out
+
+
 def hom_matrix(space, coords):
     """The matrix of the member of a bimodule hom space with the given
     coordinates: coords @ rows, reshaped to dim A x dim power(n)."""

@@ -1,10 +1,13 @@
 """Structure-constant algebras: constructors, validation, centralizers, duals."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from coringlab import algebras
 from coringlab.algebras import (
     Extension,
     FinDimAlgebra,
@@ -19,14 +22,15 @@ from coringlab.algebras import (
     one_dim_algebra,
     self_extension,
     subalgebra_on,
+    algebra_violations,
     trivial_extension,
     upper_triangular,
     validate,
 )
-from coringlab.errors import AxiomError, ElementNotInSpaceError
+from coringlab.errors import AxiomError, ElementNotInSpaceError, SizeLimitError
 from coringlab.linalg import Field, Matrix, Subspace
 
-from conftest import span_from_vectors
+from conftest import kron_algebra_violations, kron_bialgebra_violations, span_from_vectors
 
 C2 = [[0, 1], [1, 0]]
 C3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -239,6 +243,58 @@ def test_hopf_rejects_broken_coproduct():
     cop[1, 1] = 1  # not coassociative / wrong counit behavior
     with pytest.raises(AxiomError):
         HopfData(a, Matrix(2, cop), Matrix(2, np.ones((1, 2), dtype=np.int64)))
+
+
+@st.composite
+def bialgebra_data(draw):
+    """A small algebra with a coproduct and counit: the group bialgebra of
+    a cyclic group, its product replaced by a random one half the time,
+    and up to two entries of each structure array changed, so that most
+    draws break some law, associativity included."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 4))
+    h = group_hopf(Field(p), [[(i + j) % d for j in range(d)] for i in range(d)])
+    tensor, cop, eps = h.algebra.tensor.copy(), h.coproduct.a.copy(), h.counit.a.copy()
+    if draw(st.booleans()):
+        tensor = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, p, tensor.shape)
+    for arr in (tensor, cop, eps):
+        for at, by in draw(st.lists(st.tuples(st.integers(0, arr.size - 1),
+                                              st.integers(1, p - 1)), max_size=2)):
+            arr.flat[at] = (arr.flat[at] + by) % p
+    algebra = FinDimAlgebra.from_tensor(Field(p), h.algebra.basis_names, tensor, h.algebra.unit)
+    return algebra, cop, eps
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(bialgebra_data())
+def test_contracted_algebra_check_matches_the_kron_reference(data):
+    algebra, _, _ = data
+    assert algebra_violations(algebra) == kron_algebra_violations(algebra)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(bialgebra_data())
+def test_contracted_bialgebra_check_matches_the_kron_reference(data):
+    algebra, cop, eps = data
+    h = HopfData.__new__(HopfData)  # the constructor would raise on the broken ones
+    h.algebra, h.coproduct, h.counit = algebra, Matrix(algebra.p, cop), Matrix(algebra.p, eps)
+    assert h._violations() == kron_bialgebra_violations(algebra, cop, eps)
+
+
+def test_axiom_checks_refuse_above_the_budget(monkeypatch):
+    # both checks form arrays of d**4 entries: dimension 3 fits a budget
+    # of 81, dimension 4 does not
+    monkeypatch.setattr(algebras, "RELATION_ENTRY_BUDGET", 3**4)
+    assert validate(group_algebra(Field(5), C3)).ok
+    group_hopf(Field(5), C3)
+    with pytest.raises(SizeLimitError, match=re.escape(
+            "the associativity check of a 4-dimensional algebra needs two arrays "
+            "of about 2.56e+02 entries, over the budget of 8e+01")):
+        validate(matrix_algebra(Field(5), 2))
+    with pytest.raises(SizeLimitError, match=re.escape(
+            "the bialgebra check of a 4-dimensional coproduct needs arrays "
+            "of about 2.56e+02 entries, over the budget of 8e+01")):
+        group_hopf(Field(5), [[(i + j) % 4 for j in range(4)] for i in range(4)])
 
 
 def test_one_dim_algebra():

@@ -276,6 +276,69 @@ def test_oversized_tensor_power_is_a_usage_error(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+# runs one command and prints the peak resident size (kB) of its own
+# memory last: VmHWM, since ru_maxrss also counts the test runner's
+# memory, which a child started from it inherits on Linux
+PEAK_RSS_PROBE = ("import sys\n"
+                  "from coringlab.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+                  "           if line.startswith('VmHWM')))\n"
+                  "sys.exit(code)\n")
+
+
+def zero_algebra(d):
+    """A d-dimensional algebra object over GF(5) whose only nonzero
+    product is e0 * e0 = e0, with e0 as its claimed unit."""
+    structure = [[[] for _ in range(d)] for _ in range(d)]
+    structure[0][0] = [[0, 1]]
+    return {"field": {"prime": 5}, "dim": d, "basis": [f"e{i}" for i in range(d)],
+            "structure": structure, "unit": [1] + [0] * (d - 1)}
+
+
+def cyclic_bialgebra(n):
+    """The group bialgebra of the cyclic group of order n over GF(5)."""
+    obj = {"field": {"prime": 5}, "dim": n, "basis": [f"g{i}" for i in range(n)],
+           "structure": [[[[(i + j) % n, 1]] for j in range(n)] for i in range(n)],
+           "unit": [1] + [0] * (n - 1), "counit": [1] * n}
+    obj["coproduct"] = [[int(u == v == x) for x in range(n)]
+                        for u in range(n) for v in range(n)]
+    return obj
+
+
+def over_the_budget(command):
+    if command == "validate":
+        obj = zero_algebra(200)
+        obj["structure"][0][0] = []  # every product zero
+    elif command == "cohomology":
+        # over k: iota(1) = e0 is multiplicative, so the file loads
+        obj = zero_algebra(200)
+        obj["sub"] = {"field": {"prime": 5}, "dim": 1, "basis": ["1"],
+                      "structure": [[[[0, 1]]]], "unit": [1]}
+        obj["inclusion"] = [[1]] + [[0]] * 199
+    else:
+        # 101**4 entries, just over the budget of 1e8
+        obj = cyclic_bialgebra(101)
+    return obj
+
+
+@pytest.mark.parametrize("command,refusal", [
+    ("validate", "the associativity check of a 200-dimensional algebra needs two arrays"),
+    ("cohomology", "the associativity check of a 200-dimensional algebra needs two arrays"),
+    ("hopf-check", "the bialgebra check of a 101-dimensional coproduct needs arrays"),
+])
+def test_oversized_axiom_checks_are_refused_in_bounded_memory(tmp_path, command, refusal):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(over_the_budget(command)), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, command, str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {refusal} of about ")
+    assert proc.stderr.count("\n") == 1
+    assert int(proc.stdout) < 200 * 1024
+
+
 def test_markdown_format(capsys):
     code, out, _ = run_cli(capsys, "cohomology", str(corpus_path("ut2_diag_gf5.json")),
                            "--format", "markdown")
