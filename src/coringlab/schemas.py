@@ -37,6 +37,9 @@ def _require(obj: dict, key: str, where: str):
 def _int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{where}: expected an integer, got {type(value).__name__}")
+    # every integer is stored as int64, with a residue mod p < 2**31 added
+    if not -2**62 < value < 2**62:
+        raise SchemaError(f"{where}: integer out of the range -2**62..2**62")
     return value
 
 

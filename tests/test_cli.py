@@ -1,11 +1,16 @@
 """End-to-end command tests: exit codes, report payloads, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coringlab.algebras import diagonal_algebra, trivial_extension
 from coringlab.cli import main
@@ -337,6 +342,51 @@ def test_oversized_axiom_checks_are_refused_in_bounded_memory(tmp_path, command,
     assert proc.stderr.startswith(f"error: {refusal} of about ")
     assert proc.stderr.count("\n") == 1
     assert int(proc.stdout) < 200 * 1024
+
+
+# the small corpus files: every command on them takes milliseconds
+SMALL_INPUTS = ["c2_gf2.json", "c3_gf3.json", "gf25_gf5.json", "ut2_diag_gf5.json",
+                "hopf_c2_gf2.json", "hopf_c2_gf3.json"]
+
+
+@st.composite
+def corrupted_inputs(draw):
+    """A small corpus extension or bialgebra with one corruption, in its
+    top-level algebra or its subalgebra: a key dropped, a value of the
+    wrong type, a basis index out of range, a bad dim, a structure
+    constant changed (which breaks associativity as a rule) or an
+    integer past 64 bits."""
+    obj = json.loads(corpus_path(draw(st.sampled_from(SMALL_INPUTS))).read_text(encoding="utf-8"))
+    target = obj["sub"] if "sub" in obj and draw(st.booleans()) else obj
+    terms = [term for row in target["structure"] for cell in row for term in cell]
+    kind = draw(st.sampled_from(["drop", "type", "index", "dim", "flip", "huge"]))
+    if kind == "drop":
+        del target[draw(st.sampled_from(sorted(target)))]
+    elif kind == "type":
+        target[draw(st.sampled_from(sorted(target)))] = draw(
+            st.sampled_from(["x", 1.5, None, True, [], {}]))
+    elif kind == "index":
+        draw(st.sampled_from(terms))[0] = draw(st.sampled_from([-1, target["dim"], 10**6]))
+    elif kind == "dim":
+        target["dim"] = draw(st.sampled_from([-1, 0, 10**9]))
+    elif kind == "flip":
+        draw(st.sampled_from(terms))[1] += 1
+    else:
+        draw(st.sampled_from([draw(st.sampled_from(terms)), target["unit"]]))[-1] = 2**70
+    return obj
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(corrupted_inputs())
+def test_corrupted_inputs_end_in_an_exit_code(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        for command in ("validate", "cohomology", "hopf-check"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, str(path), "--max-degree", "1"])
+            assert code in (0, 1, 2), command
 
 
 def test_markdown_format(capsys):
