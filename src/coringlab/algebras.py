@@ -5,7 +5,10 @@ An algebra is a dense structure tensor ``t[i, j, k]`` (coefficient of
 standard example constructors (matrix algebras, group algebras,
 upper-triangular algebras, simple field extensions), extensions B -> A
 with an explicit inclusion matrix, centralizer computation, and
-finite-dimensional Hopf data with dualization.
+finite-dimensional Hopf data with dualization.  The algebra and
+bialgebra laws are checked on every basis triple or pair by contracting
+the structure tensors, in arrays of d**4 entries that are held to
+``linalg.RELATION_ENTRY_BUDGET``.
 """
 
 from __future__ import annotations

@@ -29,6 +29,10 @@ dense integer matrix of residues.  This module supplies the primitives:
   pair (a tensor step read off a dual basis, say) descends through
   products by its section and projection.
 
+A build or an axiom check that would form a dense array above
+``RELATION_ENTRY_BUDGET`` entries refuses first, through
+``check_entries``.
+
 Everything is deterministic: the RREF of a row span is unique, kernel
 bases are the canonical free-column bases, and a quotient built from
 one (``QuotientSpace.from_kernel``) lifts to the free-coordinate unit
@@ -423,7 +427,7 @@ class Subspace:
         return self.coords_of(v) is not None
 
     def __repr__(self):
-        return f"{type(self).__name__}(p={self.p}, ambient={self.ambient_dim}, dim={self.dim})"
+        return f"Subspace(p={self.p}, ambient={self.ambient_dim}, dim={self.dim})"
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -36,8 +36,9 @@ A coring's S ⊗_R ... ⊗_R S and an extension's A ⊗_B ... ⊗_B A
 (``build_power``, B acting by multiplication) are both towers.
 ``balanced_power`` is the dense reference the tests check them against.
 Every build estimates its largest dense matrix first and raises
-SizeLimitError above ``RELATION_ENTRY_BUDGET``; the bimodule-hom solves
-of ``homspaces`` are held to the same budget.
+SizeLimitError above ``RELATION_ENTRY_BUDGET`` (``linalg``'s, bound
+here); the bimodule-hom solves of ``homspaces`` are held to the same
+budget.
 """
 
 from __future__ import annotations
