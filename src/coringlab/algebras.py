@@ -85,11 +85,6 @@ class FinDimAlgebra:
             self._mult = Matrix(self.p, self.tensor.reshape(d * d, d).T)
         return self._mult
 
-    def multiply(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64) % self.p
-        y = np.asarray(y, dtype=np.int64) % self.p
-        return self.mult.apply(np.kron(x, y))
-
     def pair_products(self, xs) -> np.ndarray:
         """x_i * x_j at [i, j] for every pair of rows of xs, by two
         contractions with the structure tensor."""

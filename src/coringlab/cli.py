@@ -169,9 +169,10 @@ def cmd_validate(cfg: RunConfig) -> Report:
 def cmd_cohomology(cfg: RunConfig) -> Report:
     e = _load_extension(cfg)
     report = Report("cohomology")
-    hoch = cohomology_dims(build_complex(e, cfg.max_degree))
+    cc = build_complex(e, max(2, cfg.max_degree))
+    hoch = cohomology_dims(cc)[:cfg.max_degree]
     report.add("hochschild cohomology", True, dims=hoch)
-    cert = build_f2(e)
+    cert = build_f2(e, cc)
     if cert.bijective:
         x = build_amitsur(endo_coring(e, cert), cfg.max_degree)
         amit = cohomology_dims(x)
@@ -274,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="top tensor degree "
                              f"(hard cap {DEGREE_CAPS.get(name, HARD_DEGREE_CAP)})")
         sp.add_argument("--trials", type=int, default=50,
-                        help="random pairs per law check")
+                        help="law-check pairs per degree pair: all basis pairs if at "
+                             "most TRIALS of them, else TRIALS random pairs")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for the random trials")
         sp.add_argument("--format", choices=("json", "markdown"),

@@ -36,7 +36,7 @@ import numpy as np
 from .algebras import Extension, HopfData, one_dim_algebra, subalgebra_on
 from .dga import every_pair
 from .errors import AxiomError, NoD2CertificateError, NotWellDefinedError
-from .hochschild import build_complex
+from .hochschild import CochainComplex, build_complex
 from .homspaces import BimoduleHomSpace
 from .linalg import (
     Matrix,
@@ -228,16 +228,18 @@ class D2Certificate:
     bijective: bool
 
 
-def build_f2(e: Extension) -> D2Certificate:
+def build_f2(e: Extension, cc: CochainComplex | None = None) -> D2Certificate:
     """Evaluate alpha (x) beta |-> (x (x) y |-> alpha(x) beta(y)) and test rank.
 
     R = C^0, S = C^1, the hom space C^2 and every product come from the
     cochain complex to degree 2: r . alpha is r ∪ alpha, alpha . r is
     alpha ∪ r, and f2 is the cup product of S with itself, descended to
     S (x)_R S, power 2 of the tower of S over R that the endomorphism
-    coring then grows further.
+    coring then grows further.  A cochain complex of ``e`` to degree 2 or
+    more already in hand can be passed in to avoid rebuilding it.
     """
-    cc = build_complex(e, 2)
+    if cc is None:
+        cc = build_complex(e, 2)
     p = e.p
     s, r = cc.dim(1), cc.dim(0)
     eye_s, eye_r = np.eye(s, dtype=np.int64), np.eye(r, dtype=np.int64)

@@ -18,11 +18,13 @@ grouplike) and the slot maps the pullbacks along the slot
 multiplications, or the slotwise coproducts.  ``coboundaries`` builds
 d^0..d^{N-1} from it; d^0 is its n = 0 case, r -> u·r - r·u.
 
-Products are checked on seeded random pairs of homogeneous elements,
-drawn a before b, trial by trial, and stacked as the columns of batches
-of at most ``LAW_BATCH`` trials; a failing check carries its first
-failing pair, and the nonzero positions of that pair's residual, as a
-``witness``.
+The product laws are bilinear, so a degree pair (m, n) with
+dim(m)·dim(n) <= ``trials`` is proved on every basis pair, and its check
+reports ``basis_pairs``; any other pair is checked on ``trials`` seeded
+random pairs of homogeneous elements, drawn a before b, trial by trial.
+Either way the pairs are the columns of batches of at most ``LAW_BATCH``;
+a failing check carries its first failing pair, and the nonzero
+positions of that pair's residual, as a ``witness``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .linalg import Matrix, mul_mod, rank_of
 from .reporting import Report
 
-# trials per batch of a sampled law check: a constant, so --trials sizes no allocation
+# pairs per batch of a law check: a constant, so --trials sizes no allocation
 LAW_BATCH = 64
 
 
@@ -110,19 +112,26 @@ def cohomology_dims(x: DGA) -> list[int]:
             for n in range(x.max_degree)]
 
 
-def _sample_law(rep: Report, label: str, x: DGA, pairs, residual, trials: int,
-                seed: int) -> None:
+def _check_law(rep: Report, label: str, x: DGA, pairs, residual, trials: int,
+               seed: int) -> None:
     """Add one check per degree pair (m, n): ``residual(m, n, xs, ys)`` has a
-    zero column for each of ``trials`` random pairs, a of degree m drawn
-    before b of degree n, stacked ``LAW_BATCH`` trials at a time."""
+    zero column for every basis pair, in ``every_pair`` order, when
+    dim(m)·dim(n) <= ``trials``, and otherwise for ``trials`` random pairs."""
     rng = np.random.default_rng(seed)
     for m, n in pairs:
         bad, witness = 0, None
-        for start in range(0, trials, LAW_BATCH):
-            draws = [(rng.integers(0, x.p, size=x.dim(m), dtype=np.int64),
-                      rng.integers(0, x.p, size=x.dim(n), dtype=np.int64))
-                     for _ in range(min(LAW_BATCH, trials - start))]
-            xs, ys = (np.stack(column, axis=1) for column in zip(*draws))
+        dm, dn = x.dim(m), x.dim(n)
+        basis = dm * dn <= trials
+        for start in range(0, dm * dn if basis else trials, LAW_BATCH):
+            if basis:   # columns start.. of every_pair(eye(dm), eye(dn))
+                at = np.arange(start, min(start + LAW_BATCH, dm * dn))
+                xs = np.eye(dm, dtype=np.int64)[:, at // dn]
+                ys = np.eye(dn, dtype=np.int64)[:, at % dn]
+            else:
+                draws = [(rng.integers(0, x.p, size=dm, dtype=np.int64),
+                          rng.integers(0, x.p, size=dn, dtype=np.int64))
+                         for _ in range(min(LAW_BATCH, trials - start))]
+                xs, ys = (np.stack(column, axis=1) for column in zip(*draws))
             r = residual(m, n, xs, ys)
             failing = np.flatnonzero(r.any(axis=0))
             bad += failing.size
@@ -132,13 +141,15 @@ def _sample_law(rep: Report, label: str, x: DGA, pairs, residual, trials: int,
                            "inputs": [xs[:, i].tolist(), ys[:, i].tolist()],
                            "residual_at": np.flatnonzero(r[:, i]).tolist()}
         check = rep.add(f"{label} deg ({m},{n})", bad == 0, trials=trials, failures=bad)
+        if basis:
+            check.detail["basis_pairs"] = dm * dn
         if witness:
             check.detail["witness"] = witness
 
 
 def verify_dga(x: DGA, trials: int = 50, seed: int = 0) -> Report:
     """Exact d-squared checks, then the graded Leibniz rule per degree
-    pair, d(ab) = d(a)b + (-1)^m a d(b), on batches of sampled pairs."""
+    pair, d(ab) = d(a)b + (-1)^m a d(b), on basis or sampled pairs."""
     rep = Report(x.title)
     s, p = x.symbol, x.p
     for n in range(len(x.d) - 1):
@@ -154,14 +165,14 @@ def verify_dga(x: DGA, trials: int = 50, seed: int = 0) -> Report:
 
     top = x.max_degree
     pairs = [(m, n) for m in range(top) for n in range(top - m)]
-    _sample_law(rep, "leibniz", x, pairs, leibniz, trials, seed)
+    _check_law(rep, "leibniz", x, pairs, leibniz, trials, seed)
     return rep
 
 
 def verify_morphism(f: list[Matrix], src: DGA, dst: DGA, trials: int = 50,
                     seed: int = 0) -> Report:
     """Exact chain squares f^{n+1} d^n = d^n f^n, then f(xy) = f(x) f(y)
-    per degree pair on batches of sampled pairs; ``f[n]`` maps degree n
+    per degree pair on basis or sampled pairs; ``f[n]`` maps degree n
     of src to degree n of dst."""
     rep = Report("morphism")
     for n in range(src.max_degree):
@@ -178,5 +189,5 @@ def verify_morphism(f: list[Matrix], src: DGA, dst: DGA, trials: int = 50,
 
     top = src.max_degree
     pairs = [(m, k) for m in range(top + 1) for k in range(top + 1 - m)]
-    _sample_law(rep, "multiplicative", src, pairs, multiplicative, trials, seed)
+    _check_law(rep, "multiplicative", src, pairs, multiplicative, trials, seed)
     return rep

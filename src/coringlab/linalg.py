@@ -111,7 +111,9 @@ def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     # an empty inner dimension takes this path too, and gives zeros
     if inner * top < 2**53:
         prod = a.astype(np.float64) @ b.astype(np.float64)
-        return np.rint(prod).astype(np.int64) % p
+        out = np.rint(prod, out=prod).astype(np.int64)
+        out %= p
+        return out
     out = 0
     step = max(1, _INT64_BUDGET // top)
     for lo in range(0, inner, step):

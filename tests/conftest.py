@@ -449,6 +449,13 @@ def hom_matrix(space, coords):
     return Matrix(p, flat.reshape(-1, space.source.dim))
 
 
+def multiply(a, x, y):
+    """x·y in the algebra ``a``: its multiplication matrix applied to kron(x, y)."""
+    x = np.asarray(x, dtype=np.int64) % a.p
+    y = np.asarray(y, dtype=np.int64) % a.p
+    return a.mult.apply(np.kron(x, y))
+
+
 def leibniz_residual(x, m, n, a, b):
     """d(ab) - d(a)b - (-1)^m a d(b) for one pair, a of degree m and b of
     degree n, from one-column products."""

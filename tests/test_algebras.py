@@ -30,7 +30,8 @@ from coringlab.algebras import (
 from coringlab.errors import AxiomError, ElementNotInSpaceError, SizeLimitError
 from coringlab.linalg import Field, Matrix, Subspace
 
-from conftest import kron_algebra_violations, kron_bialgebra_violations, span_from_vectors
+from conftest import (kron_algebra_violations, kron_bialgebra_violations, multiply,
+                      span_from_vectors)
 
 C2 = [[0, 1], [1, 0]]
 C3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -53,7 +54,7 @@ def test_matrix_algebra_units():
     e21 = np.eye(4, dtype=np.int64)[2]
     e11 = np.eye(4, dtype=np.int64)[0]
     assert np.array_equal(a.left_mul(e12).apply(e21), e11)
-    assert np.array_equal(a.multiply(e12, e21), e11)
+    assert np.array_equal(multiply(a, e12, e21), e11)
     assert np.array_equal(a.left_mul(a.unit).a, np.eye(4, dtype=np.int64))
 
 
@@ -75,7 +76,7 @@ def test_group_algebra_c3_commutative():
         for j in range(3):
             ei = np.eye(3, dtype=np.int64)[i]
             ej = np.eye(3, dtype=np.int64)[j]
-            assert np.array_equal(a.multiply(ei, ej), a.multiply(ej, ei))
+            assert np.array_equal(multiply(a, ei, ej), multiply(a, ej, ei))
 
 
 def test_group_algebra_c2_gf2():
@@ -106,7 +107,7 @@ def test_field_ext_algebra_sqrt2():
     assert a.dim == 2
     assert validate(a).ok
     x = np.array([0, 1], dtype=np.int64)
-    assert np.array_equal(a.multiply(x, x), np.array([2, 0]))
+    assert np.array_equal(multiply(a, x, x), np.array([2, 0]))
 
 
 def test_field_ext_algebra_rejects_reducible():
@@ -126,7 +127,7 @@ def test_centralizer_ut2_diag_is_diagonal():
     for v in itertools.product(range(5), repeat=3):
         x = np.array(v, dtype=np.int64)
         if all(
-            np.array_equal(e.ambient.multiply(x, b), e.ambient.multiply(b, x))
+            np.array_equal(multiply(e.ambient, x, b), multiply(e.ambient, b, x))
             for b in ims
         ):
             want.add(v)
@@ -144,7 +145,7 @@ def test_center_matrix_algebra_is_scalars():
     for v in itertools.product(range(3), repeat=4):
         x = np.array(v, dtype=np.int64)
         eye = np.eye(4, dtype=np.int64)
-        if all(np.array_equal(a.multiply(x, eye[i]), a.multiply(eye[i], x)) for i in range(4)):
+        if all(np.array_equal(multiply(a, x, eye[i]), multiply(a, eye[i], x)) for i in range(4)):
             want.add(v)
     assert span_from_vectors(z.rows, 3) == want
     assert z.contains(a.unit)
@@ -170,8 +171,8 @@ def test_left_right_mul_laws(rng):
     for _ in range(10):
         x = rng.integers(0, 7, size=3, dtype=np.int64)
         y = rng.integers(0, 7, size=3, dtype=np.int64)
-        assert a.left_mul(x) @ a.left_mul(y) == a.left_mul(a.multiply(x, y))
-        assert a.right_mul(x) @ a.right_mul(y) == a.right_mul(a.multiply(y, x))
+        assert a.left_mul(x) @ a.left_mul(y) == a.left_mul(multiply(a, x, y))
+        assert a.right_mul(x) @ a.right_mul(y) == a.right_mul(multiply(a, y, x))
         assert a.left_mul(x) @ a.right_mul(y) == a.right_mul(y) @ a.left_mul(x)
 
 
@@ -202,11 +203,11 @@ def test_subalgebra_on_centralizer():
     assert r_alg.dim == 2
     assert validate(r_alg).ok
     # componentwise product on the two diagonal idempotents
-    assert np.array_equal(r_alg.multiply([1, 0], [1, 0]), np.array([1, 0]))
-    assert np.array_equal(r_alg.multiply([1, 0], [0, 1]), np.array([0, 0]))
+    assert np.array_equal(multiply(r_alg, [1, 0], [1, 0]), np.array([1, 0]))
+    assert np.array_equal(multiply(r_alg, [1, 0], [0, 1]), np.array([0, 0]))
     # inclusion reproduces ambient products
     x = incl.apply([1, 0])
-    assert np.array_equal(e.ambient.multiply(x, x), x)
+    assert np.array_equal(multiply(e.ambient, x, x), x)
 
 
 def test_subalgebra_on_rejects_unclosed_span():
@@ -223,9 +224,9 @@ def test_group_hopf_and_dual_c2():
     # dual of k[C2] is functions on two points: orthogonal idempotents
     e0 = np.array([1, 0], dtype=np.int64)
     e1 = np.array([0, 1], dtype=np.int64)
-    assert np.array_equal(dual.algebra.multiply(e0, e0), e0)
-    assert np.array_equal(dual.algebra.multiply(e1, e1), e1)
-    assert np.array_equal(dual.algebra.multiply(e0, e1), np.zeros(2, dtype=np.int64))
+    assert np.array_equal(multiply(dual.algebra, e0, e0), e0)
+    assert np.array_equal(multiply(dual.algebra, e1, e1), e1)
+    assert np.array_equal(multiply(dual.algebra, e0, e1), np.zeros(2, dtype=np.int64))
     # counit of the dual is the unit of h
     assert np.array_equal(dual.counit.a[0], h.algebra.unit)
     # double dual gives back the original structure tensors

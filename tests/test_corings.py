@@ -24,8 +24,8 @@ from coringlab.corpus import extension_names, hopf_names, load_corpus_extension,
 from coringlab.tensors import TensorTower, balanced_pair, balanced_power
 
 from conftest import (concat_section_failures, dual_step_mismatches, gathered_map_mismatches,
-                      hom_matrix, naive_rank, off_choice_steps, pure_tensor, s3_c2_extension,
-                      span_with_free)
+                      hom_matrix, multiply, naive_rank, off_choice_steps, pure_tensor,
+                      s3_c2_extension, span_with_free)
 from test_algebras import ut2_diag_extension
 from test_homspaces import brute_hom_dim
 
@@ -109,7 +109,7 @@ def test_endo_measuring_identity(m2_gf5_extension, m2_gf5_cert, m2_gf5_endo, rng
         alpha = rng.integers(0, 5, size=s.dim)
         x = rng.integers(0, 5, size=a.dim)
         y = rng.integers(0, 5, size=a.dim)
-        lhs = hom_matrix(s, alpha).apply(a.multiply(x, y))
+        lhs = hom_matrix(s, alpha).apply(multiply(a, x, y))
         lift = sq.section.apply(c.coproduct.apply(alpha))
         rhs = np.zeros(a.dim, dtype=np.int64)
         for k in range(s.dim):
@@ -117,7 +117,7 @@ def test_endo_measuring_identity(m2_gf5_extension, m2_gf5_cert, m2_gf5_endo, rng
             for l in range(s.dim):
                 coeff = int(lift[k * s.dim + l])
                 if coeff:
-                    rhs = (rhs + coeff * a.multiply(xk, basis[l].apply(y))) % 5
+                    rhs = (rhs + coeff * multiply(a, xk, basis[l].apply(y))) % 5
         assert np.array_equal(lhs, rhs)
 
 

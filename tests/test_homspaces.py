@@ -20,7 +20,7 @@ from coringlab.linalg import Field, Matrix, kernel_rows_with_free
 from coringlab.simplicial import SimplicialComplex, incidence_extension, parse_complex
 from coringlab.tensors import balanced_power, build_power, relation_entries
 
-from conftest import hom_matrix, naive_rank, pure_tensor
+from conftest import hom_matrix, multiply, naive_rank, pure_tensor
 from test_algebras import ut2_diag_extension
 
 
@@ -99,11 +99,11 @@ def test_basis_elements_satisfy_constraints(rng):
             y = rng.integers(0, 5, size=3, dtype=np.int64)
             bc = rng.integers(0, 5, size=2, dtype=np.int64)
             b = e.inclusion.apply(bc)
-            lhs = mat.apply(pure_tensor(t2, [a.multiply(b, x), y]))
-            rhs = a.multiply(b, mat.apply(pure_tensor(t2, [x, y])))
+            lhs = mat.apply(pure_tensor(t2, [multiply(a, b, x), y]))
+            rhs = multiply(a, b, mat.apply(pure_tensor(t2, [x, y])))
             assert np.array_equal(lhs, rhs)
-            lhs = mat.apply(pure_tensor(t2, [x, a.multiply(y, b)]))
-            rhs = a.multiply(mat.apply(pure_tensor(t2, [x, y])), b)
+            lhs = mat.apply(pure_tensor(t2, [x, multiply(a, y, b)]))
+            rhs = multiply(a, mat.apply(pure_tensor(t2, [x, y])), b)
             assert np.array_equal(lhs, rhs)
 
 

@@ -15,10 +15,11 @@ from coringlab import (
 )
 from coringlab import dga, isomorphism
 from coringlab.amitsur import build_amitsur
+from coringlab.corpus import load_corpus_extension
 from coringlab.dga import verify_dga, verify_morphism
 from coringlab.isomorphism import build_fn, verify_main_theorem
 
-from conftest import hom_matrix, leibniz_residual, pure_tensor, s3_c2_extension
+from conftest import hom_matrix, leibniz_residual, multiply, pure_tensor, s3_c2_extension
 from test_algebras import ut2_diag_extension
 
 
@@ -119,9 +120,9 @@ def test_chain_identity_pointwise(rng):
         a1 = rng.integers(0, 5, size=a.dim)
         a2 = rng.integers(0, 5, size=a.dim)
         lhs = image.apply(pure_tensor(cc.powers[2], [a1, a2]))
-        rhs = (a.multiply(a1, mat.apply(a2))
-               - mat.apply(a.multiply(a1, a2))
-               + a.multiply(mat.apply(a1), a2)) % 5
+        rhs = (multiply(a, a1, mat.apply(a2))
+               - mat.apply(multiply(a, a1, a2))
+               + multiply(a, mat.apply(a1), a2)) % 5
         assert np.array_equal(lhs, rhs)
 
 
@@ -173,68 +174,102 @@ def test_corrupted_comparison_map_carries_witnesses(monkeypatch):
     assert np.flatnonzero((lhs - rhs) % 5).tolist() == witness["residual_at"] != []
 
 
-def ut2_comparison(tamper):
-    """The ut2/diag comparison at p = 5 to degree 3; with ``tamper``, one
-    entry of delta^1 and one row of f2 are corrupted, so Leibniz,
-    the chain squares and multiplicativity all fail."""
-    e = ut2_diag_extension(5)
+def comparison(e, tamper):
+    """The comparison of ``e`` to degree 3; with ``tamper``, entry [0, 0]
+    of delta^1 and row 0 of f2 are corrupted, so d squared, Leibniz, the
+    chain squares and multiplicativity all fail."""
     ac, cc = build_amitsur(endo_coring(e), 3), build_complex(e, 3)
     f = build_fn(e, ac, cc, 3)
     if tamper:
-        j = int(np.flatnonzero(cc.d[0].a.any(axis=1))[0])
         d1 = cc.d[1].a.copy()
-        d1[0, j] = (d1[0, j] + 1) % 5
-        cc.d[1] = Matrix(5, d1)
+        d1[0, 0] = (d1[0, 0] + 1) % e.p
+        cc.d[1] = Matrix(e.p, d1)
         f2 = f[2].a.copy()
         f2[0] = 0
-        f[2] = Matrix(5, f2)
+        f[2] = Matrix(e.p, f2)
     return ac, cc, f
 
 
 def test_witness_is_the_first_failing_draw():
-    """Each trial draws a before b from one seeded stream, as a check of
-    one pair at a time did; every witness is that order's first failing
-    pair, and every failure count its number of failing pairs."""
-    _, cc, _ = ut2_comparison(True)
+    """A degree pair with dim(m)·dim(n) <= trials is checked on its basis
+    pairs, in every_pair order, and draws nothing; every other pair draws
+    a before b, trial by trial, from one seeded stream, as a check of one
+    pair at a time did.  Every witness is that order's first failing pair,
+    and every failure count its number of failing pairs, recounted here
+    one pair at a time."""
+    _, cc, _ = comparison(load_corpus_extension("c3_gf3"), True)
     trials, seed = 70, 11
     checks = {c.name: c.detail for c in verify_dga(cc, trials=trials, seed=seed).checks}
     rng = np.random.default_rng(seed)
-    witnesses = 0
+    witnesses = {True: 0, False: 0}
     for m in range(3):
         for n in range(3 - m):
-            failing = []
-            for _ in range(trials):
-                a = rng.integers(0, 5, size=cc.dim(m), dtype=np.int64)
-                b = rng.integers(0, 5, size=cc.dim(n), dtype=np.int64)
-                if leibniz_residual(cc, m, n, a, b).any():
-                    failing.append([a.tolist(), b.tolist()])
+            dm, dn = cc.dim(m), cc.dim(n)
+            proof = dm * dn <= trials
+            if proof:
+                pairs = [(a, b) for a in np.eye(dm, dtype=np.int64)
+                         for b in np.eye(dn, dtype=np.int64)]
+            else:
+                pairs = [(rng.integers(0, 3, size=dm, dtype=np.int64),
+                          rng.integers(0, 3, size=dn, dtype=np.int64)) for _ in range(trials)]
+            failing = [[a.tolist(), b.tolist()] for a, b in pairs
+                       if leibniz_residual(cc, m, n, a, b).any()]
             detail = checks[f"leibniz deg ({m},{n})"]
+            assert detail.get("basis_pairs") == (dm * dn if proof else None)
+            assert detail["trials"] == trials
             assert detail["failures"] == len(failing)
             if failing:
-                witnesses += 1
+                witnesses[proof] += 1
                 assert detail["witness"]["inputs"] == failing[0]
             else:
                 assert "witness" not in detail
-    assert witnesses
+    assert witnesses[True] and witnesses[False]
+
+
+def test_a_one_entry_tamper_is_proved_at_every_seed():
+    """One corrupted entry of delta^1 on ut2/diag breaks Leibniz at one
+    basis pair of degrees (1, 1).  With trials at every basis-pair count
+    each Leibniz check is a proof, so every seed reports that pair."""
+    _, cc, _ = comparison(ut2_diag_extension(5), True)
+    reports = [[(c.name, c.ok, c.detail) for c in verify_dga(cc, trials=9, seed=seed).checks]
+               for seed in range(20)]
+    assert all(r == reports[0] for r in reports)
+    laws = {name: detail for name, _, detail in reports[0] if "deg (" in name}
+    assert all("basis_pairs" in detail for detail in laws.values())
+    assert {name: d["failures"] for name, d in laws.items() if d["failures"]} == \
+        {"leibniz deg (1,1)": 1}
+
+
+def test_basis_pairs_appear_exactly_when_the_basis_fits_the_trials():
+    ac, cc, f = comparison(ut2_diag_extension(5), False)
+    for trials in (1, 4, 8, 9, 12, 50):
+        reports = (verify_dga(cc, trials=trials), verify_morphism(f, ac, cc, trials=trials))
+        for check in (c for r in reports for c in r.checks if "deg (" in c.name):
+            m, n = (int(k) for k in check.name[-4:-1].split(","))
+            size = cc.dim(m) * cc.dim(n)
+            assert check.detail == {"trials": trials, "failures": 0,
+                                    **({"basis_pairs": size} if size <= trials else {})}
 
 
 @pytest.mark.parametrize("tamper", [False, True], ids=["passing", "broken"])
 def test_law_checks_do_not_depend_on_the_batch_size(monkeypatch, tamper):
-    ac, cc, f = ut2_comparison(tamper)
+    ac, cc, f = comparison(load_corpus_extension("c3_gf3"), tamper)
 
     def run():
         reports = (verify_dga(cc, trials=130, seed=3),
                    verify_morphism(f, ac, cc, trials=130, seed=3))
         return [(c.name, c.ok, c.detail) for r in reports for c in r.checks]
 
-    batched = run()    # batches of 64, 64 and 2 trials
+    batched = run()    # batches of 64, 64 and 2 trials, or 64 and 17 basis pairs
     monkeypatch.setattr(dga, "LAW_BATCH", 130)
     assert run() == batched
-    sampled = [detail for name, _, detail in batched if "deg (" in name]
-    assert all(detail["trials"] == 130 for detail in sampled)
-    failures = [detail["failures"] for detail in sampled]
+    laws = [detail for name, _, detail in batched if "deg (" in name]
+    assert all(detail["trials"] == 130 for detail in laws)
+    # dims 3, 9, 27, 81: some checks are proofs over more than one batch, some sampled
+    assert max(detail.get("basis_pairs", 0) for detail in laws) == 81
+    sampled = [detail["failures"] for detail in laws if "basis_pairs" not in detail]
     if tamper:
-        # some check fails in more than one batch
-        assert max(failures) > 64
+        # some sampled check fails in more than one batch
+        assert max(sampled) > 64
     else:
-        assert not any(failures)
+        assert sampled and not any(detail["failures"] for detail in laws)
