@@ -8,7 +8,8 @@ with an explicit inclusion matrix, centralizer computation, and
 finite-dimensional Hopf data with dualization.  The algebra and
 bialgebra laws are checked on every basis triple or pair by contracting
 the structure tensors, in arrays of d**4 entries that are held to
-``linalg.RELATION_ENTRY_BUDGET``.
+``linalg.RELATION_ENTRY_BUDGET``; a failing algebra check lists its
+first ``VIOLATIONS_SHOWN`` violations and counts the rest.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from itertools import product as iproduct
 import numpy as np
 
 from .errors import AxiomError, ElementNotInSpaceError
-from .linalg import (RELATION_ENTRY_BUDGET, Field, Matrix, Subspace, check_entries,
-                     kernel_rows_with_free, mul_mod, rank_of, span_coords)
+from .linalg import (RELATION_ENTRY_BUDGET, Field, Matrix, RrefAccumulator, Subspace,
+                     check_entries, kernel_rows_with_free, mul_mod, rank_of, span_coords)
 
 
 class FinDimAlgebra:
@@ -129,8 +130,13 @@ class ValidationReport:
         return self.ok
 
 
+# a report lists this many violations, in order, then counts the rest
+VIOLATIONS_SHOWN = 20
+
+
 def algebra_violations(a: FinDimAlgebra) -> list[str]:
-    """Every violated associativity or unit identity, as readable strings.
+    """The violated associativity or unit identities, as readable strings:
+    the first ``VIOLATIONS_SHOWN``, then one line counting the rest.
 
     Associativity is checked on every basis triple by contracting the
     structure tensor t with itself, two arrays of d**4 entries; above
@@ -147,16 +153,25 @@ def algebra_violations(a: FinDimAlgebra) -> list[str]:
     rhs = mul_mod(t.reshape(d * d, d), t.transpose(1, 0, 2).reshape(d, d * d), p)
     rhs = rhs.reshape(d, d, d, d).transpose(2, 0, 1, 3)
     # listed by l first, then (i, j, k)
-    for l, i, j, k in np.argwhere((lhs != rhs).transpose(3, 0, 1, 2)):
-        out.append(f"associativity fails at (i={i}, j={j}, k={k}, l={l})")
+    bad = (lhs != rhs).transpose(3, 0, 1, 2)
+    for l in range(d):
+        if len(out) == VIOLATIONS_SHOWN:
+            break
+        for i, j, k in np.argwhere(bad[l])[:VIOLATIONS_SHOWN - len(out)]:
+            out.append(f"associativity fails at (i={i}, j={j}, k={k}, l={l})")
     eye = np.eye(d, dtype=np.int64)
     lu = a.left_mul(a.unit).a
     ru = a.right_mul(a.unit).a
+    units = []
     for i in range(d):
         if not np.array_equal(lu[:, i], eye[:, i]):
-            out.append(f"left unit law fails at basis index {i}")
+            units.append(f"left unit law fails at basis index {i}")
         if not np.array_equal(ru[:, i], eye[:, i]):
-            out.append(f"right unit law fails at basis index {i}")
+            units.append(f"right unit law fails at basis index {i}")
+    out += units
+    total = int(np.count_nonzero(bad)) + len(units)
+    if total > VIOLATIONS_SHOWN:
+        out[VIOLATIONS_SHOWN:] = [f"… and {total - VIOLATIONS_SHOWN} more"]
     return out
 
 
@@ -224,23 +239,27 @@ def generating_indices(a: FinDimAlgebra) -> list[int]:
 
     A basis element is picked when it lies outside the subalgebra that
     the unit and the earlier picks generate: the span of the words in the
-    picks, reached from the unit by left multiplications.
+    picks, reached from the unit by left multiplications.  One RREF of
+    that span grows as it closes: a new pick multiplies every row, and
+    each round after it multiplies only the rows at the pivots the round
+    before gained, since the others' products are in the span already.
     """
     p, d = a.p, a.dim
-    eye = np.eye(d, dtype=np.int64)
-    span = Subspace.from_spanning(p, d, a.unit.reshape(1, -1))
+    acc = RrefAccumulator(d, p)
+    acc.add(a.unit)
     picks: list[int] = []
     for i in range(d):
-        if span.contains(eye[i]):
+        if not span_coords(acc.rows, acc.pivots, np.eye(1, d, i, dtype=np.int64), p)[1].any():
             continue
         picks.append(i)
-        while True:
-            words = [span.rows] + [mul_mod(span.rows, a.left_mul(eye[j]).a.T, p)
-                                   for j in picks]
-            grown = Subspace.from_spanning(p, d, np.vstack(words))
-            if grown.dim == span.dim:
-                break
-            span = grown
+        # row v -> e_j·v is v @ t[j], for every pick j at once
+        words = a.tensor[picks].transpose(1, 0, 2).reshape(d, len(picks) * d)
+        new = mul_mod(acc.rows, a.tensor[i], p)
+        while new.size:
+            before = set(acc.pivots)
+            acc.add(new)
+            gained = [r for r, col in enumerate(acc.pivots) if col not in before]
+            new = mul_mod(acc.rows[gained], words, p).reshape(-1, d)
     return picks
 
 

@@ -4,9 +4,10 @@ A DGA here is a coordinate space in each degree 0..N, the differentials
 d^0..d^{N-1} as matrices, and the one product each concrete complex
 supplies, ``products(m, n, xs, ys)`` on column-paired batches: the cup
 product of relative Hochschild cochains, or the concatenation product
-of a coring's tensor powers.  The coboundaries, the cohomology, the DGA
-law checks and the check of a comparison morphism are written once
-here against it.
+of a coring's tensor powers.  Either side may instead be one element,
+a 1-D vector, paired with every column of the other batch.  The
+coboundaries, the cohomology, the DGA law checks and the check of a
+comparison morphism are written once here against it.
 
 Both complexes have one coboundary (the paper's cochains under cup
 product are the Amitsur complex of End(_B A_B) with grouplike 1):
@@ -16,7 +17,8 @@ product are the Amitsur complex of End(_B A_B) with grouplike 1):
 for a of degree n, with u a degree-1 unit (the identity cochain, or the
 grouplike) and the slot maps the pullbacks along the slot
 multiplications, or the slotwise coproducts.  ``coboundaries`` builds
-d^0..d^{N-1} from it; d^0 is its n = 0 case, r -> u·r - r·u.
+d^0..d^{N-1} from it, passing u as one element against the basis of
+degree n; d^0 is its n = 0 case, r -> u·r - r·u.
 
 The product laws are bilinear, so a degree pair (m, n) with
 dim(m)·dim(n) <= ``trials`` is proved on every basis pair, and its check
@@ -63,20 +65,27 @@ class DGA:
 
     def products(self, m: int, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Column i is xs[:, i]·ys[:, i], for xs of degree m and ys of degree n
-        reduced mod p; raises ValueError past max_degree or on unpaired batches."""
+        reduced mod p; a 1-D xs or ys is one element, paired with every
+        column of the other batch.  Raises ValueError past max_degree or on
+        unpaired batches."""
         raise NotImplementedError
 
 
-def paired(x: DGA, m: int, n: int, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """The batches of a product of degrees m and n, reduced mod p."""
+def paired(x: DGA, m: int, n: int, xs, ys) -> tuple[np.ndarray, np.ndarray, int]:
+    """The batches of a product of degrees m and n, reduced mod p, as
+    2-D arrays, and the number k of products: a one-element side is one
+    column."""
     if m + n > x.max_degree:
         raise ValueError(f"product degree {m}+{n} exceeds max_degree {x.max_degree}")
     xs, ys = np.asarray(xs, dtype=np.int64) % x.p, np.asarray(ys, dtype=np.int64) % x.p
-    k = xs.shape[1] if xs.ndim == 2 else -1
-    if xs.shape != (x.dim(m), k) or ys.shape != (x.dim(n), k):
+    dm, dn = x.dim(m), x.dim(n)
+    # a 1-D side against a batch takes its width; two of them pair nothing
+    one_x, one_y = xs.ndim == 1 and ys.ndim == 2, ys.ndim == 1 and xs.ndim == 2
+    k = ys.shape[1] if one_x else xs.shape[1] if xs.ndim == 2 else -1
+    if xs.shape != ((dm,) if one_x else (dm, k)) or ys.shape != ((dn,) if one_y else (dn, k)):
         raise ValueError(f"batches of shape {xs.shape} and {ys.shape} do not pair "
-                         f"degrees {m} and {n} of dimensions {x.dim(m)} and {x.dim(n)}")
-    return xs, ys
+                         f"degrees {m} and {n} of dimensions {dm} and {dn}")
+    return xs.reshape(dm, -1), ys.reshape(dn, -1), k
 
 
 def every_pair(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,12 +101,12 @@ def coboundaries(x: DGA, unit, inner) -> list[Matrix]:
     to degree n+1.
     """
     p = x.p
-    u = np.asarray(unit, dtype=np.int64).reshape(-1, 1) % p
+    u = np.asarray(unit, dtype=np.int64).reshape(-1) % p
     d = []
     for n in range(x.max_degree):
         eye = np.eye(x.dim(n), dtype=np.int64)
-        outer = x.products(n, 1, *every_pair(eye, u))
-        total = x.products(1, n, *every_pair(u, eye))
+        outer = x.products(n, 1, eye, u)
+        total = x.products(1, n, u, eye)
         total = (total + outer if n % 2 else total - outer) % p
         for i, term in enumerate(inner(n) if n else [], start=1):
             total = (total - term.a if i % 2 else total + term.a) % p

@@ -6,13 +6,18 @@ handled as its matrix from power(n) to A; a degree-0 cochain is its
 value r, a matrix on the one-dimensional power(0).  Each degree is a
 ``linalg.Subspace`` of such matrices, flattened, in one list, and
 ``span_coords`` reads every product and pullback back into its
-coordinates.  The cup product
-concatenates arguments: f ∪ g is mult·kron(f, g) on the plain product
-of power(m) and power(n), descended onto power(m+n) through the pair
-(``concat(m, n)``, ``concat_section(m, n)``) when both degrees are
-positive, so r ∪ g = r·g and f ∪ r = f·r.  ``cup`` forms it on
-column-paired batches, f_i ∪ g_i for every column i, and is the
-complex's ``products``.  The coboundary is the shared
+coordinates.  The cup product concatenates arguments: f ∪ g is
+mult(f(x) ⊗ g(y)) at x ⊗ y, and power(m+n) is power(m) ⊗_B power(n)
+through ``concat(m, n)``.  So ``cup`` reads it at power(m+n)'s own
+coordinates only, each lifted to a pure tensor e_x ⊗ y by the tower's
+``lift``: mult(f(e_x) ⊗ g(y)), with no plain product formed.  That is
+well defined because degree-m cochains are right-linear and degree-n
+ones left-linear over the tower's generators, checked once per complex
+and degree; and r ∪ g = r·g, f ∪ r = f·r in degree 0.  ``cup`` forms
+it on column-paired batches, f_i ∪ g_i for every column i, or one
+element against a batch, contracted with the structure tensor once, and
+is the complex's ``products``; it refuses an intermediate above
+``linalg.RELATION_ENTRY_BUDGET`` before forming it.  The coboundary is the shared
 ``dga.coboundaries`` with iota, the identity 1-cochain, as unit and the
 pullbacks f -> f∘mu_i along the slot multiplications
 ``tensors.mult_at`` as slot maps:
@@ -34,18 +39,23 @@ from .algebras import Extension, centralizer
 from .dga import DGA, coboundaries, paired
 # this complex's cohomology and law check are the shared ones
 from .dga import cohomology_dims, verify_dga as verify_hochschild_dga
-from .linalg import Matrix, QuotientSpace, descend, mul_mod
+from .linalg import RELATION_ENTRY_BUDGET, Matrix, check_entries, mul_mod
 from .homspaces import build_hom
-from .tensors import RelativeTensorPower, extension_tower, mult_at
+from .tensors import RelativeTensorPower, _intertwines, extension_tower, mult_at
 
 DEFAULT_DEGREE = 3
 HARD_DEGREE_CAP = 4
+
+# entries of the products with the structure tensor of one slice of
+# paired cochains, d² per cochain and coordinate: a constant, so a wide
+# batch costs slices, not a larger array
+PAIR_SLICE = 2**21
 
 
 class CochainComplex(DGA):
     """Cochain spaces C^0..C^N and coboundaries delta^0..delta^{N-1}."""
 
-    __slots__ = ("extension", "tower", "powers", "homs")
+    __slots__ = ("extension", "tower", "powers", "homs", "_lifts", "_linear")
     symbol = "delta"
     title = "hochschild-dga"
 
@@ -55,6 +65,8 @@ class CochainComplex(DGA):
         self.homs = homs                # [Subspace]: C^n at n, the centralizer R at 0
         self.powers = powers            # {n: RelativeTensorPower}, n = 1..N
         self.tower = powers[1].tower    # the one tower all powers come from
+        self._lifts = {}                # {(m, n): pairs of ``_lift``}
+        self._linear = set()            # (n, kind) checked by ``_check_balanced``
 
     def _matrices(self, n: int, xs: np.ndarray) -> np.ndarray:
         """The cochains in the columns of xs, stacked: k x dim A x dim power(n)."""
@@ -73,25 +85,110 @@ class CochainComplex(DGA):
 
 
 def cup(c: CochainComplex, m: int, n: int, xs, ys) -> np.ndarray:
-    """The cup product of column-paired batches (see ``DGA.products``)."""
-    xs, ys = paired(c, m, n, xs, ys)
+    """The cup product of column-paired batches (see ``DGA.products``),
+    read at the lifts of power(m+n)'s coordinates: at coordinate z,
+    lifted to e_x ⊗ y, f ∪ g is mult(f(e_x) ⊗ g(y)).  A one-element side
+    is contracted with the structure tensor once."""
+    xs, ys, k = paired(c, m, n, xs, ys)
     p, d = c.p, c.extension.ambient.dim
+    at, lift = _lift(c, m, n)
+    size = at.size
     f, g = c._matrices(m, xs), c._matrices(n, ys)
-    k, qm, qn = f.shape[0], f.shape[2], g.shape[2]
-    # mult[r, a, b] against f[i, a, x], rows (r, b) and columns (i, x)
-    mult = c.extension.ambient.mult.a.reshape(d, d, d).transpose(0, 2, 1)
-    t = mul_mod(mult.reshape(d * d, d), f.transpose(1, 0, 2).reshape(d, k * qm), p)
-    # then against g[i, b, y] with the same i: a stack of k products,
-    # each with rows (r, x) and columns y
-    t = t.reshape(d, d, k, qm).transpose(2, 0, 3, 1).reshape(k, d * qm, d)
-    # f_i ∪ g_i on the plain product of power(m) and power(n)
-    plain = mul_mod(t, g, p).reshape(k * d, qm * qn)
-    if m and n:
-        # power(m+n) as a retract of that plain product, power(m+1) itself for n = 1
-        concat = (c.tower.power(m + 1) if n == 1 else
-                  QuotientSpace(p, c.tower.concat(m, n), c.tower.concat_section(m, n)))
-        plain = descend(concat, plain)
-    return c._coords(m + n, plain.reshape(k, d * plain.shape[1]))
+    single = 1 in (xs.shape[1], ys.shape[1])     # one element against a batch
+    # the largest arrays: a batch, d entries per cochain and coordinate,
+    # and the products with t, d² entries for the one element or each
+    # paired cochain of a slice
+    width = max(size, f.shape[2])
+    step = max(1, PAIR_SLICE // (d * d * width))
+    slab = (1 if single else min(k, step)) * d * d * width
+    check_entries(max(slab, k * d * width), RELATION_ENTRY_BUDGET,
+                  f"the cup product of degrees {m} and {n} needs an array")
+    g = g[:, :, lift] if lift.ndim == 1 else mul_mod(g, lift, p)
+    t = c.extension.ambient.tensor     # e_a·e_b = Σ_r t[a, b, r] e_r
+    if single:
+        # one element, contracted with t at each lift z, then applied to
+        # the whole other batch: [z, r, ·] against [z, ·, i]
+        if xs.shape[1] == 1:
+            one = mul_mod(f[0].T, t.reshape(d, d * d), p).reshape(-1, d, d)[at]
+            other = g
+        else:
+            one = mul_mod(g[0].T, t.transpose(1, 0, 2).reshape(d, d * d), p).reshape(-1, d, d)
+            other = f[:, :, at]
+        out = mul_mod(one.transpose(0, 2, 1), other.transpose(2, 1, 0), p).transpose(2, 1, 0)
+    else:
+        out = np.concatenate([_each_pair(f[lo:lo + step], g[lo:lo + step], t, at, p)
+                              for lo in range(0, max(k, 1), step)])
+    return c._coords(m + n, out.reshape(k, d * size))
+
+
+def _each_pair(f: np.ndarray, g: np.ndarray, t: np.ndarray, at: np.ndarray,
+               p: int) -> np.ndarray:
+    """out[i, r, z] = Σ_{a,b} t[a, b, r]·f[i, a, at[z]]·g[i, b, z] mod p.
+
+    Each f_i is contracted with t before the gather by ``at``, then one
+    small product per pair and lift.  Every partial sum is an integer
+    below d²·(p−1)³, so where that is below 2**53 both contractions run
+    exactly in float64 and reduce once; otherwise each goes through
+    ``mul_mod``.
+    """
+    k, d, qm = f.shape
+    rows = f.transpose(0, 2, 1).reshape(k * qm, d)
+    if d * d * (p - 1) ** 3 < 2**53:
+        s = rows.astype(np.float64) @ t.reshape(d, d * d).astype(np.float64)
+        out = np.einsum("izbr,ibz->irz", s.reshape(k, qm, d, d)[:, at],
+                        g.astype(np.float64)).astype(np.int64)
+        out %= p
+        return out
+    s = mul_mod(rows, t.reshape(d, d * d), p).reshape(k, qm, d, d)[:, at]
+    return mul_mod(g.transpose(0, 2, 1)[:, :, None, :], s, p)[:, :, 0].transpose(0, 2, 1)
+
+
+def _lift(c: CochainComplex, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """power(m+n)'s coordinates as pairs: coordinate z is e_x ⊗ y for x =
+    at[z] in power(m), and y the unit vector lift[z] of power(n) when
+    ``lift`` is 1-D, column z of the matrix ``lift`` otherwise.  A degree-0
+    factor is the ground field, so nothing is lifted there; otherwise the
+    pairs are the tower's ``lift``, after the check that the product is
+    balanced over the tower's generators."""
+    key = (m, n)
+    got = c._lifts.get(key)
+    if got is None:
+        size = c.homs[m + n].rows.shape[1] // c.extension.ambient.dim
+        if not (m and n):
+            fixed, moving = np.zeros(size, dtype=np.intp), np.arange(size)
+            got = (fixed, moving) if m == 0 else (moving, fixed)
+        else:
+            _check_balanced(c, m, "right-linear")
+            _check_balanced(c, n, "left-linear")
+            at, lift = c.tower.lift(m, n)
+            units = lift.argmax(axis=0)
+            if np.array_equal(lift, np.eye(lift.shape[0], dtype=np.int64)[:, units]):
+                lift = units
+            got = (at, lift)
+        c._lifts[key] = got
+    return got
+
+
+def _check_balanced(c: CochainComplex, n: int, kind: str) -> None:
+    """Raise NotWellDefinedError unless every degree-n cochain is
+    ``kind`` (right- or left-linear) over the tower's generators, as a
+    left or a right factor of a cup must be for mult(f(x) ⊗ g(y)) to
+    kill the balancing relations (x·b) ⊗ y − x ⊗ (b·y); checked once per
+    complex, degree and kind."""
+    if (n, kind) in c._linear:
+        return
+    t, d = c.tower, c.extension.ambient.dim
+    gens, q = t.gens, t.power(n).dim
+    maps = c.homs[n].rows.reshape(-1, d, q).transpose(1, 0, 2)
+    if kind == "right-linear":      # f(x·b) = f(x)·b
+        ins = [t.right_on(n)[j].a for j in gens]
+        outs = [t.right_mats[j].a for j in gens]
+    else:                           # g(b·y) = b·g(y)
+        lefts = t.concat(0, n).a
+        ins = [lefts[:, j * q:(j + 1) * q] for j in gens]
+        outs = [t.left_mats[j].a for j in gens]
+    _intertwines(c.p, maps, ins, outs, gens, kind)
+    c._linear.add((n, kind))
 
 
 def _pullbacks(c: CochainComplex, n: int) -> list[Matrix]:

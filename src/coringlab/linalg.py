@@ -185,6 +185,8 @@ class RrefAccumulator:
             coef = c[:, self.pivots]
             if coef.any():
                 c = (c - mul_mod(coef, self.rows, p)) % p
+        if not c.any():     # the chunk lies in the span already
+            return
         new_piv = _rref_inplace(c, p)
         if not new_piv:
             return

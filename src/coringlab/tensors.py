@@ -23,13 +23,16 @@ identity of the last factor (``then_identity``) or one on the last
 factor alone (``on_last``).  The first is well defined when it is
 right-linear over the generators, the second when it is left-linear
 over them, since the generators' relations span power(n)'s; each map
-checks that certificate with one product a side, and a map that fails
-it raises NotWellDefinedError at the first entry where it fails.  On a
+checks that certificate with one product a side, or entry by entry when
+the generators act diagonally, and a map that fails it raises
+NotWellDefinedError at the first entry where it fails.  On a
 dual tower the map is then a block matrix: phi ⊗ id is phi on each of
 the m blocks, and id ⊗ m mixes the blocks through power(n-1)'s right
 actions.  Otherwise only the columns of power(n)'s free coordinates are
-computed, a gather of the projection.  Maps out of power(m) ⊗ power(n)
-descend with ``concat_section`` as concat(m, n)'s section, and
+computed, a gather of the projection.  ``lift`` lifts each coordinate
+of power(m+n) through concat(m, n) to a pure tensor e_x ⊗ y, certified
+once, so a map out of power(m) ⊗ power(n) that kills the balancing
+relations is read on power(m+n) at those pairs alone; and
 ``concat_batches`` multiplies batches of pairs blockwise, without
 forming concat(m, n) on a dual tower.
 A coring's S ⊗_R ... ⊗_R S and an extension's A ⊗_B ... ⊗_B A
@@ -61,6 +64,7 @@ from .linalg import (
     inverse,
     kernel_rows_with_free,
     mul_mod,
+    _diagonal_of,
     trivial_quotient,
 )
 
@@ -270,7 +274,7 @@ class TensorTower:
     """
 
     __slots__ = ("base", "gens", "carrier_dim", "left_mats", "right_mats", "_powers",
-                 "_rights", "_concats", "_sections", "_blocks", "_dual", "_left_linear")
+                 "_rights", "_concats", "_lifts", "_blocks", "_dual", "_left_linear")
 
     def __init__(self, base: FinDimAlgebra, carrier_dim: int, left_mats, right_mats):
         self.base = base
@@ -281,7 +285,7 @@ class TensorTower:
         self._powers = {}
         self._rights = {}
         self._concats = {}
-        self._sections = {}
+        self._lifts = {}
         self._blocks = {}
         self._dual = _UNSEARCHED
         self._left_linear = set()
@@ -465,38 +469,50 @@ class TensorTower:
         blocks = 1
         if self.dual is not None and n >= 2:
             blocks, n = self.dual.w.shape[1] ** (n - 1), 1
-        ys = ys.reshape(blocks, -1, k)
+        ys = ys.reshape(blocks, ys.shape[0] // blocks, k)
         # column (J, i) is kron(xs[:, i], ys[J, :, i])
         pairs = (xs[:, None, None, :] * ys[None]).transpose(0, 2, 1, 3) % p
-        out = mul_mod(self.concat(m, n).a, pairs.reshape(-1, blocks * k), p)
-        return out.reshape(-1, blocks, k).transpose(1, 0, 2).reshape(-1, k)
+        out = mul_mod(self.concat(m, n).a, pairs.reshape(xs.shape[0] * ys.shape[1], blocks * k), p)
+        rows = out.shape[0]
+        return out.reshape(rows, blocks, k).transpose(1, 0, 2).reshape(blocks * rows, k)
 
-    def concat_section(self, m: int, n: int) -> Matrix:
-        """A section of concat(m, n) for m, n >= 1, built from the powers'
-        own pairs: power(m+n)'s section lifts z to w ⊗ v with w in
-        power(m+n-1), the section one power down lifts w to the plain
-        product of power(m) and power(n-1), and power(n)'s projection
-        joins that power(n-1) part with v."""
+    def lift(self, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """power(m+n)'s coordinates lifted through concat(m, n) to pure
+        tensors, for m, n >= 1: coordinate z lifts to e_x ⊗ y with x = xs[z]
+        a power(m) coordinate and y = ys[:, z] in power(n).
+
+        Every power's section lifts z to a pure w ⊗ v, w in power(m+n-1):
+        a free column x * c + v, or a dual step's e_y ⊗ w_j.  For n = 1
+        that is the lift, since concat(m, 1) is power(m+1)'s projection;
+        above it w lifts to e_x ⊗ y' one power down, and y is power(n)'s
+        projection of y' ⊗ v.  The lift is certified once, concat(m, n) of
+        the pairs is the identity, and a lift that fails raises
+        NotWellDefinedError.
+        """
         key = (m, n)
-        sec = self._sections.get(key)
-        if sec is None:
-            q = self.power(m + n)
+        got = self._lifts.get(key)
+        if got is None:
+            p, q, c = self.p, self.power(m + n), self.carrier_dim
+            sect = q.section.a.reshape(self.power(m + n - 1).dim, c, q.dim)
+            # the block w of each column that is nonzero, or 0
+            w = sect.any(axis=1).argmax(axis=0) if sect.size else np.zeros(q.dim, dtype=np.intp)
+            v = sect[w, :, np.arange(q.dim)].T
             if n == 1:
-                sec = q.section
+                xs, ys = w, v
             else:
-                p, c = self.p, self.carrier_dim
-                d_m, d_prev = self.power(m).dim, self.power(n - 1).dim
-                d_n, d_top = self.power(n).dim, self.power(m + n - 1).dim
-                # rows (x, y), columns (v, z): x ⊗ y ⊗ v lifts z
-                lifted = mul_mod(self.concat_section(m, n - 1).a,
-                                 q.section.a.reshape(d_top, c * q.dim), p)
-                lifted = lifted.reshape(d_m, d_prev * c, q.dim).transpose(1, 0, 2)
-                joined = mul_mod(self.power(n).projection.a,
-                                 lifted.reshape(d_prev * c, d_m * q.dim), p)
-                joined = joined.reshape(d_n, d_m, q.dim).transpose(1, 0, 2)
-                sec = Matrix(p, joined.reshape(d_m * d_n, q.dim))
-            self._sections[key] = sec
-        return sec
+                below, lower = self.lift(m, n - 1)
+                pairs = (lower[:, None, w] * v[None]) % p
+                xs, ys = below[w], mul_mod(self.power(n).projection.a,
+                                           pairs.reshape(lower.shape[0] * c, q.dim), p)
+            ones = np.eye(self.power(m).dim, dtype=np.int64)[:, xs]
+            bad = self.concat_batches(m, n, ones, ys) != np.eye(q.dim, dtype=np.int64)
+            if bad.any():
+                row, col = np.argwhere(bad)[0]
+                raise NotWellDefinedError(
+                    f"power({m + n}) coordinate {col} does not lift through concat({m}, {n}): "
+                    f"its image differs at coordinate {row}")
+            got = self._lifts[key] = (xs, ys)
+        return got
 
     def then_identity(self, phi: Matrix, n: int, k: int, lead: int = 1) -> Matrix:
         """phi ⊗ id_carrier, descended to ``lead`` ⊗ power(n) -> power(k).
@@ -542,15 +558,22 @@ def _intertwines(p: int, maps: np.ndarray, ins, outs, gens, kind: str) -> None:
     """Raise NotWellDefinedError unless m·A = B·m for every map m and
     every pair (A, B) of ``ins`` and ``outs``, one per generator in
     ``gens``, naming the ``kind`` of linearity, the generator's base
-    index and the first entry that differs; one product a side.
+    index and the first entry that differs; one product a side, or none
+    when every A and B is diagonal (``commutant``'s selection towers):
+    m·A − B·m is then m[r, c]·(A[c, c] − B[r, r]) at [r, c].
     ``maps`` is d_out x k x d_in, map j at [:, j, :]."""
     if not ins:
         return
     d_out, k, d_in = maps.shape
-    after = mul_mod(maps.reshape(d_out * k, d_in), np.hstack(ins), p)
-    before = mul_mod(np.vstack(outs), maps.reshape(d_out, k * d_in), p)
-    bad = (after.reshape(d_out, k, len(ins), d_in).transpose(2, 0, 1, 3)
-           != before.reshape(len(outs), d_out, k, d_in))
+    diagonals = [_diagonal_of(m, p) for m in list(ins) + list(outs)]
+    if all(x is not None for x in diagonals):
+        a, b = np.stack(diagonals[:len(ins)]), np.stack(diagonals[len(ins):])
+        bad = (b[:, :, None, None] != a[:, None, None, :]) & (maps % p != 0)
+    else:
+        after = mul_mod(maps.reshape(d_out * k, d_in), np.hstack(ins), p)
+        before = mul_mod(np.vstack(outs), maps.reshape(d_out, k * d_in), p)
+        bad = (after.reshape(d_out, k, len(ins), d_in).transpose(2, 0, 1, 3)
+               != before.reshape(len(outs), d_out, k, d_in))
     if bad.any():
         g, row, j, col = np.argwhere(bad)[0]
         raise NotWellDefinedError(

@@ -190,15 +190,75 @@ def pure_tensor(t, factors):
     return vec
 
 
-def concat_section_failures(tower, top):
+def concat_lift_failures(tower, top):
     """The degree pairs (m, n), m, n >= 1 and m + n <= top, at which
-    concat(m, n) @ concat_section(m, n) is not the identity of
-    power(m + n)."""
+    concat(m, n) does not send the tower's lifts, formed densely as
+    kron(e_x, y) on the plain product of power(m) and power(n), to the
+    identity of power(m + n)."""
     from coringlab import Matrix
 
-    return [(m, n) for m in range(1, top) for n in range(1, top - m + 1)
-            if tower.concat(m, n) @ tower.concat_section(m, n)
-            != Matrix.identity(tower.p, tower.power(m + n).dim)]
+    out = []
+    for m in range(1, top):
+        for n in range(1, top - m + 1):
+            xs, ys = tower.lift(m, n)
+            eye = np.eye(tower.power(m).dim, dtype=np.int64)
+            lifts = np.zeros((eye.shape[0] * ys.shape[0], xs.size), dtype=np.int64)
+            for z, x in enumerate(xs):
+                lifts[:, z] = np.kron(eye[x], ys[:, z])
+            if (tower.concat(m, n) @ Matrix(tower.p, lifts)
+                    != Matrix.identity(tower.p, tower.power(m + n).dim)):
+                out.append((m, n))
+    return out
+
+
+def dense_cup(c, m, n, xs, ys):
+    """The cup product of column-paired batches formed on the whole plain
+    product of power(m) and power(n), f_i ∪ g_i = mult·kron(f_i, g_i),
+    then descended through concat(m, n) and a section of it read off its
+    pivot columns, which checks that every product kills the balancing
+    relations: the reference for ``hochschild.cup``."""
+    from coringlab.linalg import Matrix, QuotientSpace, descend, inverse, mul_mod, rref_rows
+
+    p, d = c.p, c.extension.ambient.dim
+    xs, ys = np.asarray(xs, dtype=np.int64) % p, np.asarray(ys, dtype=np.int64) % p
+    f, g = c._matrices(m, xs), c._matrices(n, ys)
+    k, qm, qn = f.shape[0], f.shape[2], g.shape[2]
+    # mult[r, a, b] against f[i, a, x], rows (r, b) and columns (i, x)
+    mult = c.extension.ambient.mult.a.reshape(d, d, d).transpose(0, 2, 1)
+    t = mul_mod(mult.reshape(d * d, d), f.transpose(1, 0, 2).reshape(d, k * qm), p)
+    # then against g[i, b, y] with the same i: rows (r, x), columns y
+    t = t.reshape(d, d, k, qm).transpose(2, 0, 3, 1).reshape(k, d * qm, d)
+    plain = mul_mod(t, g, p).reshape(k * d, qm * qn)
+    if m and n:
+        concat = c.tower.concat(m, n)
+        pivots = list(rref_rows(concat.a, p)[1])
+        section = np.zeros((concat.cols, concat.rows), dtype=np.int64)
+        section[pivots] = inverse(Matrix(p, concat.a[:, pivots])).a
+        plain = descend(QuotientSpace(p, concat, Matrix(p, section)), plain)
+    return c._coords(m + n, plain.reshape(k, d * plain.shape[1]))
+
+
+def rebuilt_generating_indices(a):
+    """``algebras.generating_indices`` with the span rebuilt from every
+    word on each closure round: the reference for the incremental search."""
+    from coringlab.linalg import Subspace, mul_mod
+
+    p, d = a.p, a.dim
+    eye = np.eye(d, dtype=np.int64)
+    span = Subspace.from_spanning(p, d, a.unit.reshape(1, -1))
+    picks = []
+    for i in range(d):
+        if span.contains(eye[i]):
+            continue
+        picks.append(i)
+        while True:
+            words = [span.rows] + [mul_mod(span.rows, a.left_mul(eye[j]).a.T, p)
+                                   for j in picks]
+            grown = Subspace.from_spanning(p, d, np.vstack(words))
+            if grown.dim == span.dim:
+                break
+            span = grown
+    return picks
 
 
 def span_with_free(a, p):
@@ -382,10 +442,20 @@ def gathered_map_mismatches(tower, top):
     return out
 
 
+def shown_violations(failures):
+    """A full list of violations as ``algebra_violations`` reports it: the
+    first ``VIOLATIONS_SHOWN``, then one line counting the rest."""
+    from coringlab.algebras import VIOLATIONS_SHOWN
+
+    if len(failures) <= VIOLATIONS_SHOWN:
+        return failures
+    return failures[:VIOLATIONS_SHOWN] + [f"… and {len(failures) - VIOLATIONS_SHOWN} more"]
+
+
 def kron_algebra_violations(a):
-    """``algebra_violations`` with associativity checked as
-    m·kron(m, I) = m·kron(I, m), d x d**3 products of d**2 x d**3 krons:
-    the reference for the contracted check."""
+    """Every violation ``algebra_violations`` looks for, with associativity
+    checked as m·kron(m, I) = m·kron(I, m), d x d**3 products of
+    d**2 x d**3 krons: the reference for the contracted check."""
     from coringlab.linalg import mul_mod
 
     p, d = a.p, a.dim

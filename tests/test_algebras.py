@@ -23,6 +23,7 @@ from coringlab.algebras import (
     self_extension,
     subalgebra_on,
     algebra_violations,
+    generating_indices,
     trivial_extension,
     upper_triangular,
     validate,
@@ -31,7 +32,7 @@ from coringlab.errors import AxiomError, ElementNotInSpaceError, SizeLimitError
 from coringlab.linalg import Field, Matrix, Subspace
 
 from conftest import (kron_algebra_violations, kron_bialgebra_violations, multiply,
-                      span_from_vectors)
+                      rebuilt_generating_indices, shown_violations, span_from_vectors)
 
 C2 = [[0, 1], [1, 0]]
 C3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -270,7 +271,22 @@ def bialgebra_data(draw):
 @given(bialgebra_data())
 def test_contracted_algebra_check_matches_the_kron_reference(data):
     algebra, _, _ = data
-    assert algebra_violations(algebra) == kron_algebra_violations(algebra)
+    assert algebra_violations(algebra) == shown_violations(kron_algebra_violations(algebra))
+
+
+def test_a_failing_report_lists_twenty_violations_and_counts_the_rest():
+    # a random product on 12 basis elements breaks associativity at most
+    # of its 12**4 quadruples and the unit laws too: the report keeps the
+    # reference's first 20 lines, in its order, and one line for the rest
+    p, d = 5, 12
+    tensor = np.random.default_rng(3).integers(0, p, size=(d, d, d))
+    a = FinDimAlgebra.from_tensor(Field(p), [f"e{i}" for i in range(d)], tensor,
+                                  np.eye(1, d, dtype=np.int64)[0])
+    full = kron_algebra_violations(a)
+    assert len(full) > 10_000
+    assert any("unit law" in line for line in full)
+    assert algebra_violations(a) == full[:20] + [f"… and {len(full) - 20} more"]
+    assert validate(a).failures == algebra_violations(a)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -302,3 +318,55 @@ def test_one_dim_algebra():
     k = one_dim_algebra(Field(7))
     assert validate(k).ok
     assert k.dim == 1
+
+
+# -- the greedy generator search ----------------------------------------------
+
+
+def test_generating_indices_match_the_rebuilt_search_on_corpus_and_incidence_algebras():
+    import random
+
+    from coringlab.corpus import extension_names, load_corpus_extension, read_facets
+    from coringlab.simplicial import incidence_extension, parse_complex
+
+    algebras_ = []
+    for name in extension_names():
+        e = load_corpus_extension(name)
+        algebras_ += [(name, e.ambient), (f"{name} sub", e.sub)]
+    rng = random.Random(17)
+    for p in (2, 3, 5, 7):
+        texts = {name: read_facets(name) for name in ("filled_triangle", "hollow_triangle")}
+        for v, n_edges in ((4, 3), (5, 6), (6, 6)):
+            pairs = [(i, j) for i in range(v) for j in range(i + 1, v)]
+            texts[f"graph v{v} e{n_edges}"] = "\n".join(
+                f"{i} {j}" for i, j in rng.sample(pairs, n_edges))
+        for name, text in texts.items():
+            e = incidence_extension(parse_complex(text), Field(p))
+            algebras_ += [(f"{name} p={p}", e.ambient), (f"{name} p={p} sub", e.sub)]
+    for name, a in algebras_:
+        assert generating_indices(a) == rebuilt_generating_indices(a), name
+
+
+@st.composite
+def small_algebras(draw):
+    """A diagonal, upper-triangular or cyclic or S3 group algebra over a
+    small prime."""
+    f = Field(draw(st.sampled_from([2, 3, 5, 7])))
+    kind = draw(st.sampled_from(["diagonal", "upper", "cyclic", "s3"]))
+    if kind == "diagonal":
+        return diagonal_algebra(f, draw(st.integers(1, 7)))
+    if kind == "upper":
+        return upper_triangular(f, draw(st.integers(1, 4)))
+    if kind == "cyclic":
+        n = draw(st.integers(1, 8))
+        return group_algebra(f, [[(i + j) % n for j in range(n)] for i in range(n)])
+    perms = list(itertools.permutations(range(3)))
+    index = {q: i for i, q in enumerate(perms)}
+    return group_algebra(f, [[index[tuple(a[b[i]] for i in range(3))] for b in perms]
+                             for a in perms])
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(small_algebras())
+def test_generating_indices_match_the_rebuilt_search(a):
+    assert generating_indices(a) == rebuilt_generating_indices(a)

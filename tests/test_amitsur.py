@@ -196,6 +196,30 @@ def test_products_check_their_batches(ut2_omega):
     assert np.array_equal(x.products(0, 0, one, one), one)
 
 
+def test_one_element_products_equal_every_pair_batches(ut2_omega, gf25_sweedler, rng):
+    # a 1-D side is one element against every column of the other batch,
+    # on an endomorphism coring, a dual one (s3 over c2 at p = 7 is not
+    # certified, so M2's), a Sweedler coring and a Hopf coring
+    from coringlab.corpus import load_corpus_extension
+    from coringlab.dga import every_pair
+
+    complexes = [ut2_omega, gf25_sweedler[1],
+                 build_amitsur(endo_coring(load_corpus_extension("m2_gf5")), 2),
+                 build_amitsur(hopf_coring(group_hopf(Field(3), C2_TABLE)), 3)]
+    for x in complexes:
+        for m in range(x.max_degree + 1):
+            for n in range(x.max_degree + 1 - m):
+                u = rng.integers(0, x.p, size=x.dim(m), dtype=np.int64)
+                v = rng.integers(0, x.p, size=x.dim(n), dtype=np.int64)
+                xs = rng.integers(0, x.p, size=(x.dim(m), 4), dtype=np.int64)
+                ys = rng.integers(0, x.p, size=(x.dim(n), 4), dtype=np.int64)
+                assert np.array_equal(x.products(m, n, u, ys),
+                                      x.products(m, n, *every_pair(u[:, None], ys)))
+                assert np.array_equal(x.products(m, n, xs, v),
+                                      x.products(m, n, *every_pair(xs, v[:, None])))
+                assert x.products(m, n, u, ys[:, :0]).shape == (x.dim(m + n), 0)
+
+
 def test_m2_complex_reduces_nothing_wider_than_the_carrier(monkeypatch):
     # the M2 carrier is free of rank 4 over M2, so every power above it is
     # read off the dual basis, power(n) = power(n-1)^4, in the dual step's

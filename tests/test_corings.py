@@ -23,7 +23,7 @@ from coringlab.algebras import generating_indices, matrix_algebra, one_dim_algeb
 from coringlab.corpus import extension_names, hopf_names, load_corpus_extension, load_corpus_hopf
 from coringlab.tensors import TensorTower, balanced_pair, balanced_power
 
-from conftest import (concat_section_failures, dual_step_mismatches, gathered_map_mismatches,
+from conftest import (concat_lift_failures, dual_step_mismatches, gathered_map_mismatches,
                       hom_matrix, multiply, naive_rank, off_choice_steps, pure_tensor,
                       s3_c2_extension, span_with_free)
 from test_algebras import ut2_diag_extension
@@ -276,10 +276,10 @@ def test_large_carrier_power_dims(corpus_corings):
     assert [s3.power(n).dim for n in (1, 2, 3)] == [18, 54, 162]
 
 
-def test_concat_sections_invert_concat(corpus_corings):
+def test_concat_lifts_invert_concat(corpus_corings):
     # up to power(3), which every corpus coring builds in well under a second
     for name, c in corpus_corings.items():
-        assert concat_section_failures(c, 3) == [], name
+        assert concat_lift_failures(c, 3) == [], name
 
 
 def test_coring_maps_gather_the_dense_maps(corpus_corings):

@@ -7,11 +7,13 @@ same; for the upper-triangular/diagonal pair the base is separable, so
 the relative theory must again agree with the absolute one.
 """
 
+import re
+
 import numpy as np
 import pytest
 
-from conftest import (hom_matrix, leibniz_residual, multiply, naive_absolute_hochschild_dims,
-                      pure_tensor, s3_c2_extension)
+from conftest import (dense_cup, hom_matrix, leibniz_residual, multiply,
+                      naive_absolute_hochschild_dims, pure_tensor, s3_c2_extension)
 from coringlab import (
     Field,
     Matrix,
@@ -19,12 +21,16 @@ from coringlab import (
     cohomology_dims,
     cup,
     group_algebra,
+    hochschild,
     matrix_algebra,
     trivial_extension,
     verify_dga,
 )
-from coringlab.errors import NotWellDefinedError
-from coringlab.hochschild import HARD_DEGREE_CAP
+from coringlab.dga import every_pair
+from coringlab.errors import NotWellDefinedError, SizeLimitError
+from coringlab.hochschild import HARD_DEGREE_CAP, CochainComplex
+from coringlab.linalg import QuotientSpace, Subspace
+from coringlab.tensors import RelativeTensorPower, extension_tower
 
 from test_algebras import ut2_diag_extension
 
@@ -129,14 +135,120 @@ def test_degree_two_coboundary_and_cups_pointwise(make, rng):
 
 
 def test_cup_refuses_a_product_that_does_not_descend():
-    # with a section that does not invert concat(1, 2), id ∪ (id ∪ id)
-    # fails the descent check instead of returning a wrong cochain
-    c = build_complex(ut2_diag_extension(5), 3)
+    # a power(3) whose section does not invert concat(1, 2): its
+    # coordinates lift to the wrong pure tensors, so id ∪ (id ∪ id) fails
+    # the lift's certificate instead of returning a wrong cochain
+    e = ut2_diag_extension(5)
+    c = build_complex(e, 3)
     ident = c.homs[1].coords_of(Matrix.identity(5, 3)).reshape(-1, 1)
     square = cup(c, 1, 1, ident, ident)
-    c.tower._sections[(1, 2)] = Matrix(5, np.zeros_like(c.tower.concat_section(1, 2).a))
-    with pytest.raises(NotWellDefinedError, match="does not kill the relations: ambient coordinate"):
-        cup(c, 1, 2, ident, square)
+    tower = extension_tower(e)
+    good = tower.power(3)
+    tower._powers[3] = QuotientSpace(5, good.projection,
+                                     Matrix(5, np.roll(good.section.a, 1, axis=1)))
+    broken = CochainComplex(e, 3, c.homs, {n: RelativeTensorPower(e, tower, n) for n in (1, 2, 3)},
+                            c.d)
+    assert cup(c, 1, 2, ident, square).shape == (c.dim(3), 1)
+    with pytest.raises(NotWellDefinedError,
+                       match=r"power\(3\) coordinate \d+ does not lift through concat\(1, 2\)"):
+        cup(broken, 1, 2, ident, square)
+    # power(3)'s section lifts through concat(2, 1) too
+    with pytest.raises(NotWellDefinedError, match=r"does not lift through concat\(2, 1\)"):
+        cup(broken, 2, 1, square, ident)
+
+
+@pytest.mark.parametrize("mult,kind", [("right_mul", "right-linear"), ("left_mul", "left-linear")])
+def test_cup_refuses_a_cochain_that_is_not_bilinear(mult, kind):
+    # over the diagonal of ut2, x -> x·e12 is left- but not right-linear
+    # and x -> e12·x the reverse.  With either in the C^1 basis, a cup of
+    # two 1-cochains fails the check of its left factor's right-linearity
+    # or of its right factor's left-linearity
+    e = ut2_diag_extension(5)
+    c = build_complex(e, 2)
+    eye = np.eye(c.dim(1), dtype=np.int64)
+    rows = c.homs[1].rows.copy()
+    rows[0] = getattr(e.ambient, mult)([0, 1, 0]).a.reshape(-1)
+    homs = list(c.homs)
+    homs[1] = Subspace(5, rows, c.homs[1].at)
+    tampered = CochainComplex(e, 2, homs, c.powers, c.d)
+    with pytest.raises(NotWellDefinedError, match=f"the map is not {kind} over the base"):
+        cup(tampered, 1, 1, eye, eye)
+    assert cup(c, 1, 1, eye, eye).shape == (c.dim(2), c.dim(1))
+
+
+# the corpus extensions and the two bundled triangles, to degree 3, and
+# two extensions at the largest prime, where products leave float64
+ORACLE_PRIME = 2**31 - 1
+
+
+@pytest.fixture(scope="module")
+def oracle_complexes():
+    from coringlab.corpus import extension_names, load_corpus_extension, read_facets
+    from coringlab.simplicial import incidence_extension, parse_complex
+
+    out = {name: build_complex(load_corpus_extension(name), 3) for name in extension_names()}
+    for name in ("filled_triangle", "hollow_triangle"):
+        e = incidence_extension(parse_complex(read_facets(name)), Field(5))
+        out[name] = build_complex(e, 3)
+    out["ut2_diag large p"] = build_complex(ut2_diag_extension(ORACLE_PRIME), 3)
+    out["s3_c2 large p"] = build_complex(s3_c2_extension(ORACLE_PRIME), 3)
+    return out
+
+
+def test_cup_matches_the_dense_cup_on_every_basis_pair(oracle_complexes):
+    for name, c in oracle_complexes.items():
+        for m, n in ((1, 1), (1, 2), (2, 1)):
+            xs, ys = every_pair(np.eye(c.dim(m), dtype=np.int64), np.eye(c.dim(n), dtype=np.int64))
+            for start in range(0, xs.shape[1], 256):
+                batch = xs[:, start:start + 256], ys[:, start:start + 256]
+                assert np.array_equal(cup(c, m, n, *batch), dense_cup(c, m, n, *batch)), (
+                    name, m, n, start)
+
+
+def test_paired_cups_in_slices_equal_one_slice(oracle_complexes, monkeypatch, rng):
+    # one pair a slice, 7 pairs a slice, and no pairs at all
+    for name in ("m2_gf5", "s3_c2_gf7", "filled_triangle"):
+        c = oracle_complexes[name]
+        d, width = c.extension.ambient.dim, c.tower.power(3).dim
+        xs = rng.integers(0, c.p, size=(c.dim(1), 30), dtype=np.int64)
+        ys = rng.integers(0, c.p, size=(c.dim(2), 30), dtype=np.int64)
+        whole = cup(c, 1, 2, xs, ys)
+        for entries in (1, 7 * d * d * width):
+            monkeypatch.setattr(hochschild, "PAIR_SLICE", entries)
+            assert np.array_equal(cup(c, 1, 2, xs, ys), whole), (name, entries)
+        assert cup(c, 1, 2, xs[:, :0], ys[:, :0]).shape == (c.dim(3), 0)
+
+
+def test_one_element_products_equal_every_pair_batches(oracle_complexes, rng):
+    for name, c in oracle_complexes.items():
+        for m in range(c.max_degree + 1):
+            for n in range(c.max_degree + 1 - m):
+                u = rng.integers(0, c.p, size=c.dim(m), dtype=np.int64)
+                v = rng.integers(0, c.p, size=c.dim(n), dtype=np.int64)
+                xs = rng.integers(0, c.p, size=(c.dim(m), 5), dtype=np.int64)
+                ys = rng.integers(0, c.p, size=(c.dim(n), 5), dtype=np.int64)
+                assert np.array_equal(c.products(m, n, u, ys),
+                                      c.products(m, n, *every_pair(u[:, None], ys))), (name, m, n)
+                assert np.array_equal(c.products(m, n, xs, v),
+                                      c.products(m, n, *every_pair(xs, v[:, None]))), (name, m, n)
+                assert c.products(m, n, u, ys[:, :0]).shape == (c.dim(m + n), 0)
+
+
+def test_cup_refuses_an_intermediate_above_the_budget(monkeypatch, ut2_complex):
+    # the largest array of a cup of degrees 1 and 1 on ut2 (d = 3): k·d²·D
+    # entries for k paired columns, D·d·max(d, k) for one element
+    c = ut2_complex
+    d, size = 3, c.tower.power(2).dim
+    xs = np.eye(c.dim(1), dtype=np.int64)[:, [0, 1, 2, 2]]
+    for one, entries in ((False, 4 * d * d * size), (True, 4 * d * size)):
+        x = xs[:, 0] if one else xs
+        monkeypatch.setattr(hochschild, "RELATION_ENTRY_BUDGET", entries)
+        assert cup(c, 1, 1, x, xs).shape == (c.dim(2), 4)
+        monkeypatch.setattr(hochschild, "RELATION_ENTRY_BUDGET", entries - 1)
+        with pytest.raises(SizeLimitError, match=re.escape(
+                f"the cup product of degrees 1 and 1 needs an array of about {entries:.2e} "
+                f"entries, over the budget of {entries - 1:.0e}")):
+            cup(c, 1, 1, x, xs)
 
 
 def test_cup_unit_laws(m2_complex, rng):

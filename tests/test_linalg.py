@@ -199,6 +199,32 @@ def test_accumulator_matches_oneshot(rng):
         assert np.array_equal(rows, want_rows)
 
 
+def test_accumulator_does_not_reduce_a_chunk_it_spans(rng, monkeypatch):
+    # a chunk that reduces to zero against the basis returns before the
+    # echelon pass; one that does not still runs it
+    from coringlab import linalg
+
+    p = 7
+    rows = random_matrix(rng, 4, 9, p)
+    acc = RrefAccumulator(9, p)
+    acc.add(rows)
+    before = acc.result()
+    calls = []
+    real = linalg._rref_inplace
+
+    def counted(a, p, col_stop=None):
+        calls.append(a.shape)
+        return real(a, p, col_stop)
+
+    monkeypatch.setattr(linalg, "_rref_inplace", counted)
+    acc.add(mul_mod(random_matrix(rng, 6, 4, p), rows, p))
+    assert calls == []
+    assert np.array_equal(acc.result()[0], before[0]) and acc.result()[1] == before[1]
+    acc.add(np.eye(9, dtype=np.int64)[:2])
+    assert len(calls) == 1
+    assert len(acc.pivots) == naive_rank(np.vstack([rows, np.eye(9, dtype=np.int64)[:2]]), p)
+
+
 def test_subspace_membership_and_coords(rng):
     p = 7
     vecs = random_matrix(rng, 3, 6, p)

@@ -47,7 +47,7 @@ from coringlab.tensors import (
     relation_entries,
 )
 
-from conftest import (concat_section_failures, dense_on_last, dense_then_identity,
+from conftest import (concat_lift_failures, dense_on_last, dense_then_identity,
                       dual_step_mismatches, gathered_map_mismatches, multiply, pure_tensor,
                       off_choice_steps, quotient_of, s3_c2_extension)
 from test_algebras import C3, ut2_diag_extension
@@ -387,9 +387,9 @@ def test_extension_powers_grow_by_one_factor(corpus_towers):
                 name, n)
 
 
-def test_concat_sections_invert_concat(corpus_towers):
+def test_concat_lifts_invert_concat(corpus_towers):
     for name, tower in corpus_towers.items():
-        assert concat_section_failures(tower, TOP) == [], name
+        assert concat_lift_failures(tower, TOP) == [], name
 
 
 # the dense reference stays under a second up to this ambient size; the
@@ -461,6 +461,51 @@ def test_maps_that_fail_their_certificate_are_refused_like_the_dense_maps(m2_gf5
             dense()
 
 
+@st.composite
+def intertwining_cases(draw):
+    """(p, maps, ins, outs): diagonal actions from a few values, so that
+    entries repeat across the two sides, some equal only mod p, with one
+    entry off the diagonal half the time, and maps with many zeros."""
+    p = draw(st.sampled_from([2, 5, 2**31 - 1]))
+    d_out, d_in, k, n = (draw(st.integers(1, 4)) for _ in range(4))
+    value = st.sampled_from([0, 1, 2, p - 1, p + 1])
+
+    def diagonal(dim):
+        return np.diag(np.array(draw(st.lists(value, min_size=dim, max_size=dim)), dtype=np.int64))
+
+    ins, outs = [diagonal(d_in) for _ in range(n)], [diagonal(d_out) for _ in range(n)]
+    if draw(st.booleans()) and max(d_in, d_out) > 1:
+        side = ins if d_in > 1 else outs
+        side[draw(st.integers(0, n - 1))][0, -1] = 1
+    entries = draw(st.lists(st.sampled_from([0, 0, 1, p - 1]), min_size=d_out * k * d_in,
+                            max_size=d_out * k * d_in))
+    return p, np.array(entries, dtype=np.int64).reshape(d_out, k, d_in), ins, outs
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(intertwining_cases())
+def test_the_intertwining_check_names_the_first_entry_the_products_differ_at(case):
+    # the reference multiplies in python ints, entry by entry, in the
+    # order (generator, row, map, column)
+    p, maps, ins, outs = case
+    d_out, k, d_in = maps.shape
+    gens = [7 + g for g in range(len(ins))]
+    first = next(((g, r, j, c)
+                  for g in range(len(ins)) for r in range(d_out) for j in range(k)
+                  for c in range(d_in)
+                  if sum(int(maps[r, j, t]) * int(ins[g][t, c]) for t in range(d_in)) % p
+                  != sum(int(outs[g][r, t]) * int(maps[t, j, c]) for t in range(d_out)) % p),
+                 None)
+    if first is None:
+        tensors._intertwines(p, maps, ins, outs, gens, "right-linear")
+    else:
+        g, r, j, c = first
+        with pytest.raises(NotWellDefinedError, match=re.escape(
+                f"the map is not right-linear over the base: for generator {gens[g]}, "
+                f"entry ({r}, {c}) of map {j} differs between m·A and B·m")):
+            tensors._intertwines(p, maps, ins, outs, gens, "right-linear")
+
+
 def test_a_tower_holds_zero_dimensional_powers():
     # one arrow a = e0·a·e1 over k x k: a ⊗ a = a·e1 ⊗ a = a ⊗ e1·a = 0,
     # so power(2) and every power above it are zero
@@ -472,7 +517,9 @@ def test_a_tower_holds_zero_dimensional_powers():
     assert [m.shape for m in tower.right_on(2)] == [(0, 0), (0, 0)]
     assert tower.power(3).projection.shape == (0, 0)
     assert tower.concat(1, 2).shape == (0, 0)
-    assert tower.concat_section(1, 2).shape == (0, 0)
+    # power(3) has no coordinates to lift
+    xs, ys = tower.lift(1, 2)
+    assert xs.shape == (0,) and ys.shape == (0, 0)
 
 
 # -- free carriers: a dual basis ----------------------------------------------
