@@ -427,9 +427,6 @@ class Subspace:
         coords, off = span_coords(self.rows, self.at, v, self.p)
         return None if off.any() else coords[0]
 
-    def contains(self, v) -> bool:
-        return self.coords_of(v) is not None
-
     def __repr__(self):
         return f"Subspace(p={self.p}, ambient={self.ambient_dim}, dim={self.dim})"
 

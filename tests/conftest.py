@@ -248,7 +248,7 @@ def rebuilt_generating_indices(a):
     span = Subspace.from_spanning(p, d, a.unit.reshape(1, -1))
     picks = []
     for i in range(d):
-        if span.contains(eye[i]):
+        if span.coords_of(eye[i]) is not None:
             continue
         picks.append(i)
         while True:
