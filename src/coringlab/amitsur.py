@@ -48,10 +48,10 @@ class AmitsurComplex(DGA):
 def omega_product(x: AmitsurComplex, m: int, n: int, xs, ys) -> np.ndarray:
     """The concatenation product of column-paired batches (see
     ``DGA.products``); degree-zero factors act via the base actions.  A
-    one-element side is repeated across the other batch."""
-    xs, ys, k = paired(x, m, n, xs, ys)
-    return x.coring.concat_batches(m, n, np.broadcast_to(xs, (xs.shape[0], k)),
-                                   np.broadcast_to(ys, (ys.shape[0], k)))
+    one-element side is one column, which ``concat_batches`` pairs with
+    every column of the other batch."""
+    xs, ys, _ = paired(x, m, n, xs, ys)
+    return x.coring.concat_batches(m, n, xs, ys)
 
 
 def build_amitsur(c: CoringWithGrouplike, max_degree: int = 3) -> AmitsurComplex:

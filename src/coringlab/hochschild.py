@@ -55,7 +55,7 @@ PAIR_SLICE = 2**21
 class CochainComplex(DGA):
     """Cochain spaces C^0..C^N and coboundaries delta^0..delta^{N-1}."""
 
-    __slots__ = ("extension", "tower", "powers", "homs", "_lifts", "_linear")
+    __slots__ = ("extension", "tower", "powers", "homs", "_linear")
     symbol = "delta"
     title = "hochschild-dga"
 
@@ -65,7 +65,6 @@ class CochainComplex(DGA):
         self.homs = homs                # [Subspace]: C^n at n, the centralizer R at 0
         self.powers = powers            # {n: RelativeTensorPower}, n = 1..N
         self.tower = powers[1].tower    # the one tower all powers come from
-        self._lifts = {}                # {(m, n): pairs of ``_lift``}
         self._linear = set()            # (n, kind) checked by ``_check_balanced``
 
     def _matrices(self, n: int, xs: np.ndarray) -> np.ndarray:
@@ -87,12 +86,23 @@ class CochainComplex(DGA):
 def cup(c: CochainComplex, m: int, n: int, xs, ys) -> np.ndarray:
     """The cup product of column-paired batches (see ``DGA.products``),
     read at the lifts of power(m+n)'s coordinates: at coordinate z,
-    lifted to e_x ⊗ y, f ∪ g is mult(f(e_x) ⊗ g(y)).  A one-element side
-    is contracted with the structure tensor once."""
+    lifted to e_x ⊗ y with x = at[z] and y column z of ``lift``, f ∪ g
+    is mult(f(e_x) ⊗ g(y)).  A degree-0 factor is the ground field, so
+    there the pairs are trivial; otherwise they are the tower's ``lift``,
+    after the check that the product is balanced over the tower's
+    generators.  A one-element side is contracted with the structure
+    tensor once."""
     xs, ys, k = paired(c, m, n, xs, ys)
     p, d = c.p, c.extension.ambient.dim
-    at, lift = _lift(c, m, n)
-    size = at.size
+    size = c.homs[m + n].rows.shape[1] // d
+    if m and n:
+        _check_balanced(c, m, "right-linear")
+        _check_balanced(c, n, "left-linear")
+        at, lift = c.tower.lift(m, n)
+    elif m:
+        at, lift = np.arange(size), np.ones((1, size), dtype=np.int64)
+    else:
+        at, lift = np.zeros(size, dtype=np.intp), np.eye(size, dtype=np.int64)
     f, g = c._matrices(m, xs), c._matrices(n, ys)
     single = 1 in (xs.shape[1], ys.shape[1])     # one element against a batch
     # the largest arrays: a batch, d entries per cochain and coordinate,
@@ -103,7 +113,7 @@ def cup(c: CochainComplex, m: int, n: int, xs, ys) -> np.ndarray:
     slab = (1 if single else min(k, step)) * d * d * width
     check_entries(max(slab, k * d * width), RELATION_ENTRY_BUDGET,
                   f"the cup product of degrees {m} and {n} needs an array")
-    g = g[:, :, lift] if lift.ndim == 1 else mul_mod(g, lift, p)
+    g = mul_mod(g, lift, p)
     t = c.extension.ambient.tensor     # e_a·e_b = Σ_r t[a, b, r] e_r
     if single:
         # one element, contracted with t at each lift z, then applied to
@@ -128,8 +138,9 @@ def _each_pair(f: np.ndarray, g: np.ndarray, t: np.ndarray, at: np.ndarray,
     Each f_i is contracted with t before the gather by ``at``, then one
     small product per pair and lift.  Every partial sum is an integer
     below d²·(p−1)³, so where that is below 2**53 both contractions run
-    exactly in float64 and reduce once; otherwise each goes through
-    ``mul_mod``.
+    exactly in float64, the second as one ``einsum`` pass, and reduce
+    once; otherwise each goes through ``mul_mod``, exact at every p but
+    slower: a stack of 1 x d products, with int64 round trips.
     """
     k, d, qm = f.shape
     rows = f.transpose(0, 2, 1).reshape(k * qm, d)
@@ -141,32 +152,6 @@ def _each_pair(f: np.ndarray, g: np.ndarray, t: np.ndarray, at: np.ndarray,
         return out
     s = mul_mod(rows, t.reshape(d, d * d), p).reshape(k, qm, d, d)[:, at]
     return mul_mod(g.transpose(0, 2, 1)[:, :, None, :], s, p)[:, :, 0].transpose(0, 2, 1)
-
-
-def _lift(c: CochainComplex, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """power(m+n)'s coordinates as pairs: coordinate z is e_x ⊗ y for x =
-    at[z] in power(m), and y the unit vector lift[z] of power(n) when
-    ``lift`` is 1-D, column z of the matrix ``lift`` otherwise.  A degree-0
-    factor is the ground field, so nothing is lifted there; otherwise the
-    pairs are the tower's ``lift``, after the check that the product is
-    balanced over the tower's generators."""
-    key = (m, n)
-    got = c._lifts.get(key)
-    if got is None:
-        size = c.homs[m + n].rows.shape[1] // c.extension.ambient.dim
-        if not (m and n):
-            fixed, moving = np.zeros(size, dtype=np.intp), np.arange(size)
-            got = (fixed, moving) if m == 0 else (moving, fixed)
-        else:
-            _check_balanced(c, m, "right-linear")
-            _check_balanced(c, n, "left-linear")
-            at, lift = c.tower.lift(m, n)
-            units = lift.argmax(axis=0)
-            if np.array_equal(lift, np.eye(lift.shape[0], dtype=np.int64)[:, units]):
-                lift = units
-            got = (at, lift)
-        c._lifts[key] = got
-    return got
 
 
 def _check_balanced(c: CochainComplex, n: int, kind: str) -> None:

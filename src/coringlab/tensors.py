@@ -456,7 +456,8 @@ class TensorTower:
 
     def concat_batches(self, m: int, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """concat(m, n) of column-paired batches: column i is the product
-        of xs[:, i] in power(m) and ys[:, i] in power(n).
+        of xs[:, i] in power(m) and ys[:, i] in power(n), a side of one
+        column being paired with every column of the other.
 
         On a dual tower, power(n) is the carrier^(r^(n-1)) for the rank r
         of the dual basis, and concat(m, n) is concat(m, 1) on each of
@@ -465,13 +466,14 @@ class TensorTower:
         right-linear because every power's right action is id ⊗ R_b,
         which ``on_last`` certified, so the blocks need no check.
         """
-        p, k = self.p, xs.shape[1]
-        blocks = 1
+        p, blocks = self.p, 1
         if self.dual is not None and n >= 2:
             blocks, n = self.dual.w.shape[1] ** (n - 1), 1
-        ys = ys.reshape(blocks, ys.shape[0] // blocks, k)
-        # column (J, i) is kron(xs[:, i], ys[J, :, i])
+        ys = ys.reshape(blocks, ys.shape[0] // blocks, ys.shape[1])
+        # column (J, i) is kron(xs[:, i], ys[J, :, i]); a side of one
+        # column broadcasts against the other
         pairs = (xs[:, None, None, :] * ys[None]).transpose(0, 2, 1, 3) % p
+        k = pairs.shape[3]
         out = mul_mod(self.concat(m, n).a, pairs.reshape(xs.shape[0] * ys.shape[1], blocks * k), p)
         rows = out.shape[0]
         return out.reshape(rows, blocks, k).transpose(1, 0, 2).reshape(blocks * rows, k)
