@@ -34,41 +34,19 @@ class FinDimAlgebra:
 
     __slots__ = ("field", "basis_names", "tensor", "unit", "_mult")
 
-    def __init__(self, field: Field, basis_names, structure, unit):
+    def __init__(self, field: Field, basis_names, tensor, unit):
         self.field = field
         self.basis_names = tuple(str(nm) for nm in basis_names)
         d = len(self.basis_names)
-        p = field.p
-        tensor = np.zeros((d, d, d), dtype=np.int64)
-        for i, row in enumerate(structure):
-            for j, terms in enumerate(row):
-                for k, c in terms:
-                    tensor[i, j, int(k)] = (tensor[i, j, int(k)] + int(c)) % p
-        tensor.setflags(write=False)
-        self.tensor = tensor
-        u = np.asarray(unit, dtype=np.int64).reshape(-1) % p
-        if u.shape[0] != d:
-            raise ValueError(f"unit has length {u.shape[0]}, expected {d}")
-        u.setflags(write=False)
-        self.unit = u
+        self.tensor = np.asarray(tensor, dtype=np.int64) % field.p
+        if self.tensor.shape != (d, d, d):
+            raise ValueError(f"tensor shape {self.tensor.shape}, expected {(d, d, d)}")
+        self.unit = np.asarray(unit, dtype=np.int64).reshape(-1) % field.p
+        if self.unit.shape[0] != d:
+            raise ValueError(f"unit has length {self.unit.shape[0]}, expected {d}")
+        self.tensor.setflags(write=False)
+        self.unit.setflags(write=False)
         self._mult = None
-
-    @classmethod
-    def from_tensor(cls, field: Field, basis_names, tensor, unit) -> "FinDimAlgebra":
-        a = cls.__new__(cls)
-        a.field = field
-        a.basis_names = tuple(str(nm) for nm in basis_names)
-        t = np.asarray(tensor, dtype=np.int64) % field.p
-        d = len(a.basis_names)
-        if t.shape != (d, d, d):
-            raise ValueError(f"tensor shape {t.shape}, expected {(d, d, d)}")
-        t.setflags(write=False)
-        a.tensor = t
-        u = np.asarray(unit, dtype=np.int64).reshape(-1) % field.p
-        u.setflags(write=False)
-        a.unit = u
-        a._mult = None
-        return a
 
     @property
     def p(self) -> int:
@@ -268,7 +246,7 @@ def generating_indices(a: FinDimAlgebra) -> list[int]:
 
 
 def one_dim_algebra(f: Field) -> FinDimAlgebra:
-    return FinDimAlgebra(f, ("1",), [[[[0, 1]]]], [1])
+    return FinDimAlgebra(f, ("1",), np.ones((1, 1, 1), dtype=np.int64), [1])
 
 
 def matrix_algebra(f: Field, n: int) -> FinDimAlgebra:
@@ -285,7 +263,7 @@ def matrix_algebra(f: Field, n: int) -> FinDimAlgebra:
     for a in range(n):
         unit[a * n + a] = 1
     names = [f"e{r}{c}" for r in range(n) for c in range(n)]
-    return FinDimAlgebra.from_tensor(f, names, tensor, unit)
+    return FinDimAlgebra(f, names, tensor, unit)
 
 
 def upper_triangular(f: Field, n: int) -> FinDimAlgebra:
@@ -302,7 +280,7 @@ def upper_triangular(f: Field, n: int) -> FinDimAlgebra:
     for a in range(n):
         unit[index[(a, a)]] = 1
     names = [f"e{r}{c}" for r, c in pairs]
-    return FinDimAlgebra.from_tensor(f, names, tensor, unit)
+    return FinDimAlgebra(f, names, tensor, unit)
 
 
 def diagonal_algebra(f: Field, n: int) -> FinDimAlgebra:
@@ -311,7 +289,7 @@ def diagonal_algebra(f: Field, n: int) -> FinDimAlgebra:
     for i in range(n):
         tensor[i, i, i] = 1
     names = [f"d{i}" for i in range(n)]
-    return FinDimAlgebra.from_tensor(f, names, tensor, np.ones(n, dtype=np.int64))
+    return FinDimAlgebra(f, names, tensor, np.ones(n, dtype=np.int64))
 
 
 def group_algebra(f: Field, table, names=None) -> FinDimAlgebra:
@@ -353,7 +331,7 @@ def group_algebra(f: Field, table, names=None) -> FinDimAlgebra:
     unit[ident] = 1
     if names is None:
         names = [f"g{i}" for i in range(n)]
-    return FinDimAlgebra.from_tensor(f, names, tensor, unit)
+    return FinDimAlgebra(f, names, tensor, unit)
 
 
 def _poly_mod(coeffs, poly, p):
@@ -410,7 +388,7 @@ def field_ext_algebra(p: int, poly) -> FinDimAlgebra:
     unit = np.zeros(m, dtype=np.int64)
     unit[0] = 1
     names = ["1"] + [f"x{'' if t == 1 else t}" for t in range(1, m)]
-    return FinDimAlgebra.from_tensor(f, names, tensor, unit)
+    return FinDimAlgebra(f, names, tensor, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +414,7 @@ def subalgebra_on(a: FinDimAlgebra, span: Subspace, names=None) -> tuple[FinDimA
         raise ElementNotInSpaceError("span does not contain the unit")
     if names is None:
         names = [f"r{i}" for i in range(k)]
-    sub = FinDimAlgebra.from_tensor(a.field, names, tensor.reshape(k, k, k), unit_coords)
+    sub = FinDimAlgebra(a.field, names, tensor.reshape(k, k, k), unit_coords)
     return sub, Matrix(p, rows.T)
 
 
@@ -444,11 +422,6 @@ def trivial_extension(a: FinDimAlgebra) -> Extension:
     """The extension k*1 -> A (B is the scalars)."""
     one = one_dim_algebra(a.field)
     return Extension(a, one, Matrix(a.p, a.unit.reshape(-1, 1)))
-
-
-def self_extension(a: FinDimAlgebra) -> Extension:
-    """The extension A -> A along the identity."""
-    return Extension(a, a, Matrix.identity(a.p, a.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +526,7 @@ def dual_hopf(h: HopfData) -> HopfData:
     tensor = mult_dual.T.reshape(d, d, d)
     unit_dual = h.counit.a[0]
     names = [nm + "*" for nm in a.basis_names]
-    dual_alg = FinDimAlgebra.from_tensor(a.field, names, tensor, unit_dual)
+    dual_alg = FinDimAlgebra(a.field, names, tensor, unit_dual)
     rep = validate(dual_alg)
     if not rep.ok:
         raise AxiomError("dual multiplication fails algebra axioms: " + rep.failures[0])

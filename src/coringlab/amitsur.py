@@ -25,6 +25,7 @@ from .corings import CoringWithGrouplike
 from .dga import DGA, coboundaries, paired
 # this complex's cohomology and law check are the shared ones
 from .dga import cohomology_dims as amitsur_cohomology, verify_dga as verify_amitsur_dga
+from .hochschild import DEFAULT_DEGREE
 from .linalg import Matrix, QuotientSpace, trivial_quotient
 
 
@@ -54,7 +55,7 @@ def omega_product(x: AmitsurComplex, m: int, n: int, xs, ys) -> np.ndarray:
     return x.coring.concat_batches(m, n, xs, ys)
 
 
-def build_amitsur(c: CoringWithGrouplike, max_degree: int = 3) -> AmitsurComplex:
+def build_amitsur(c: CoringWithGrouplike, max_degree: int = DEFAULT_DEGREE) -> AmitsurComplex:
     """Assemble spaces and differentials up to the requested degree.
 
     Omega^n = power(n) is power(n-1) ⊗_R carrier, so every summand of d^n

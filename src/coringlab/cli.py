@@ -6,7 +6,8 @@ Commands
     amitsur      tensor-power complex of the extension's coring + DGA laws
     verify-iso   the full comparison-isomorphism check suite
     gs-compare   simplicial vs incidence-extension cohomology dims
-    hopf-check   H^n(K, k? K) against dim K times the dual cobar dims
+    hopf-check   HH^n of K over its unit line k ⊆ K against dim K times
+                 the dual cobar dims
 
 Reports are deterministic: json mode never includes wall-clock data
 unless --timing is passed, so identical inputs give identical bytes.
@@ -22,19 +23,16 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .algebras import dual_hopf, trivial_extension, validate
 from .amitsur import build_amitsur
 from .corings import build_f2, endo_coring, hopf_coring, sweedler_coring
-from .dga import cohomology_dims, verify_dga
+from .dga import DEFAULT_TRIALS, cohomology_dims, verify_dga
 from .errors import AxiomError, CoringLabError, NoD2CertificateError, SchemaError
-from .hochschild import HARD_DEGREE_CAP, build_complex
+from .hochschild import DEFAULT_DEGREE, HARD_DEGREE_CAP, build_complex
 from .isomorphism import verify_main_theorem
-from .linalg import Field, rank_of
+from .linalg import Field
 from .reporting import Report
 from .schemas import detect_kind, load_algebra, load_extension, load_hopf, read_json
 from .simplicial import DEFAULT_DIM_CAP, GS_DEGREE_CAP, gs_compare, parse_complex
@@ -42,40 +40,11 @@ from .simplicial import DEFAULT_DIM_CAP, GS_DEGREE_CAP, gs_compare, parse_comple
 # gs-compare defaults shallower than the algebraic commands: the
 # incidence algebra of even a small complex has a large tensor square.
 DEGREE_DEFAULTS = {"gs-compare": 1}
-GENERIC_DEGREE_DEFAULT = 3
 # gs-compare builds the cochain complex one degree above its own top
 DEGREE_CAPS = {"gs-compare": GS_DEGREE_CAP}
 
 
-@dataclass
-class RunConfig:
-    command: str
-    paths: list
-    prime: int = 5
-    max_degree: int = GENERIC_DEGREE_DEFAULT
-    trials: int = 50
-    out_format: str = "json"
-    seed: int = 0
-    cap: int = DEFAULT_DIM_CAP
-    timing: bool = False
-
-
-def _plain(value):
-    """Recursively strip numpy types so json.dumps never chokes."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    return value
-
-
-def _payload(cfg: RunConfig, report: Report) -> dict:
+def _payload(cfg: argparse.Namespace, report: Report) -> dict:
     return {
         "command": cfg.command,
         "inputs": [str(p) for p in cfg.paths],
@@ -110,7 +79,8 @@ def _markdown(payload: dict) -> str:
 
 
 def _emit(payload: dict, out_format: str) -> None:
-    payload = _plain(payload)
+    # numpy values become plain JSON ones, so both formats print the same
+    payload = json.loads(json.dumps(payload, default=lambda o: o.tolist()))
     if out_format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -118,7 +88,7 @@ def _emit(payload: dict, out_format: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each takes the config and returns a Report
+# command handlers: each takes the parsed arguments and returns a Report
 
 
 def _require_laws(**algebras) -> None:
@@ -129,13 +99,13 @@ def _require_laws(**algebras) -> None:
             raise AxiomError(f"{role} algebra laws fail: {res.failures[0]}")
 
 
-def _load_extension(cfg: RunConfig):
+def _load_extension(cfg: argparse.Namespace):
     e = load_extension(read_json(cfg.paths[0]))
     _require_laws(ambient=e.ambient, sub=e.sub)
     return e
 
 
-def cmd_validate(cfg: RunConfig) -> Report:
+def cmd_validate(cfg: argparse.Namespace) -> Report:
     report = Report("validate")
     for path in cfg.paths:
         name = Path(path).name
@@ -166,7 +136,7 @@ def cmd_validate(cfg: RunConfig) -> Report:
     return report
 
 
-def cmd_cohomology(cfg: RunConfig) -> Report:
+def cmd_cohomology(cfg: argparse.Namespace) -> Report:
     e = _load_extension(cfg)
     report = Report("cohomology")
     cc = build_complex(e, max(2, cfg.max_degree))
@@ -184,11 +154,11 @@ def cmd_cohomology(cfg: RunConfig) -> Report:
         report.add("amitsur section", True,
                    status="skipped: no depth-two certificate",
                    hom_dim=cert.hom_dim, square_dim=cert.square_dim,
-                   f2_rank=rank_of(cert.f2.a, e.p))
+                   f2_rank=cert.f2_rank)
     return report
 
 
-def cmd_amitsur(cfg: RunConfig) -> Report:
+def cmd_amitsur(cfg: argparse.Namespace) -> Report:
     e = _load_extension(cfg)
     cert = build_f2(e)
     if cert.bijective:
@@ -206,7 +176,7 @@ def cmd_amitsur(cfg: RunConfig) -> Report:
     return report
 
 
-def cmd_verify_iso(cfg: RunConfig) -> Report:
+def cmd_verify_iso(cfg: argparse.Namespace) -> Report:
     e = _load_extension(cfg)
     try:
         witness = verify_main_theorem(e, max_degree=cfg.max_degree,
@@ -218,13 +188,13 @@ def cmd_verify_iso(cfg: RunConfig) -> Report:
     return witness.report
 
 
-def cmd_gs(cfg: RunConfig) -> Report:
+def cmd_gs(cfg: argparse.Namespace) -> Report:
     text = Path(cfg.paths[0]).read_text(encoding="utf-8")
     s = parse_complex(text, cap=cfg.cap)
     return gs_compare(s, Field(cfg.prime), max_n=cfg.max_degree, cap=cfg.cap)
 
 
-def cmd_hopf(cfg: RunConfig) -> Report:
+def cmd_hopf(cfg: argparse.Namespace) -> Report:
     h = load_hopf(read_json(cfg.paths[0]))
     algebra = h.algebra
     _require_laws(underlying=algebra)
@@ -263,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("amitsur", "tensor-power complex of the extension's coring"),
         ("verify-iso", "run the full comparison-isomorphism suite"),
         ("gs-compare", "simplicial vs incidence-extension cohomology"),
-        ("hopf-check", "self-extension cohomology against the dual cobar complex"),
+        ("hopf-check", "cohomology over the unit line against the dual cobar complex"),
     ]
     for name, help_text in specs:
         sp = sub.add_parser(name, help=help_text)
@@ -274,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-degree", type=int, default=None,
                         help="top tensor degree "
                              f"(hard cap {DEGREE_CAPS.get(name, HARD_DEGREE_CAP)})")
-        sp.add_argument("--trials", type=int, default=50,
+        sp.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                         help="law-check pairs per degree pair: all basis pairs if at "
                              "most TRIALS of them, else TRIALS random pairs")
         sp.add_argument("--seed", type=int, default=0,
@@ -288,12 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    max_degree = args.max_degree
-    if max_degree is None:
-        max_degree = DEGREE_DEFAULTS.get(args.command, GENERIC_DEGREE_DEFAULT)
+def config_from_args(args: argparse.Namespace,
+                     parser: argparse.ArgumentParser) -> argparse.Namespace:
+    """The parsed arguments, checked, with the command's default degree."""
+    if args.max_degree is None:
+        args.max_degree = DEGREE_DEFAULTS.get(args.command, DEFAULT_DEGREE)
     cap = DEGREE_CAPS.get(args.command, HARD_DEGREE_CAP)
-    if not 1 <= max_degree <= cap:
+    if not 1 <= args.max_degree <= cap:
         parser.error(f"--max-degree must be between 1 and the hard cap {cap}"
                      + (f" of {args.command}" if args.command in DEGREE_CAPS else ""))
     try:
@@ -304,10 +275,7 @@ def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         parser.error("--trials must be positive")
     if args.seed < 0:
         parser.error("--seed must be non-negative")
-    return RunConfig(command=args.command, paths=list(args.paths), prime=args.prime,
-                     max_degree=max_degree, trials=args.trials,
-                     out_format=args.out_format, seed=args.seed,
-                     cap=args.cap, timing=args.timing)
+    return args
 
 
 def main(argv=None) -> int:

@@ -165,12 +165,11 @@ class CoringWithGrouplike(TensorTower):
 
         eps = self.counit.a
         try:
-            lefts, rights = self.concat(0, 2).a, self.right_on(2)
+            lefts, rights = self.left_on(2), self.right_on(2)
             for j in range(db):
                 e_j = np.zeros(db, dtype=np.int64)
                 e_j[j] = 1
-                lq = Matrix(p, lefts[:, j * sq.dim:(j + 1) * sq.dim])
-                if self.coproduct @ self.left_mats[j] != lq @ self.coproduct:
+                if self.coproduct @ self.left_mats[j] != lefts[j] @ self.coproduct:
                     fails.append(f"coproduct is not left-linear over the base (index {j})")
                 if self.coproduct @ self.right_mats[j] != rights[j] @ self.coproduct:
                     fails.append(f"coproduct is not right-linear over the base (index {j})")
@@ -221,6 +220,7 @@ class D2Certificate:
     left_mats: list
     right_mats: list
     f2: Matrix
+    f2_rank: int
     s_dim: int
     r_dim: int
     square_dim: int
@@ -251,13 +251,12 @@ def build_f2(e: Extension, cc: CochainComplex | None = None) -> D2Certificate:
     tower = TensorTower(base, s, left_mats, right_mats)
     square = tower.power(2)
     f2 = Matrix(p, descend(square, cc.products(1, 1, *every_pair(eye_s, eye_s))))
-    hom_space = cc.homs[2]
-    bijective = hom_space.dim == square.dim and rank_of(f2.a, p) == square.dim
+    hom_space, f2_rank = cc.homs[2], rank_of(f2.a, p)
     return D2Certificate(
         extension=e, s_space=cc.homs[1], r_space=cc.homs[0], hom_space=hom_space,
         tower=tower, square=square, left_mats=left_mats, right_mats=right_mats, f2=f2,
-        s_dim=s, r_dim=r, square_dim=square.dim,
-        hom_dim=hom_space.dim, bijective=bijective)
+        f2_rank=f2_rank, s_dim=s, r_dim=r, square_dim=square.dim,
+        hom_dim=hom_space.dim, bijective=hom_space.dim == square.dim == f2_rank)
 
 
 def endo_coring(e: Extension, cert: D2Certificate | None = None) -> CoringWithGrouplike:
@@ -272,7 +271,7 @@ def endo_coring(e: Extension, cert: D2Certificate | None = None) -> CoringWithGr
     if not cert.bijective:
         raise NoD2CertificateError(
             f"f2 is {cert.hom_dim} x {cert.square_dim} with rank "
-            f"{rank_of(cert.f2.a, e.ambient.p)}; the depth-two certificate fails")
+            f"{cert.f2_rank}; the depth-two certificate fails")
     a = e.ambient
     p, d = a.p, a.dim
     s_space, r_space = cert.s_space, cert.r_space

@@ -38,6 +38,8 @@ from .reporting import Report
 
 # pairs per batch of a law check: a constant, so --trials sizes no allocation
 LAW_BATCH = 64
+# pairs per degree pair of a law check when the caller gives no count
+DEFAULT_TRIALS = 50
 
 
 class DGA:
@@ -156,7 +158,7 @@ def _check_law(rep: Report, label: str, x: DGA, pairs, residual, trials: int,
             check.detail["witness"] = witness
 
 
-def verify_dga(x: DGA, trials: int = 50, seed: int = 0) -> Report:
+def verify_dga(x: DGA, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Report:
     """Exact d-squared checks, then the graded Leibniz rule per degree
     pair, d(ab) = d(a)b + (-1)^m a d(b), on basis or sampled pairs."""
     rep = Report(x.title)
@@ -178,7 +180,7 @@ def verify_dga(x: DGA, trials: int = 50, seed: int = 0) -> Report:
     return rep
 
 
-def verify_morphism(f: list[Matrix], src: DGA, dst: DGA, trials: int = 50,
+def verify_morphism(f: list[Matrix], src: DGA, dst: DGA, trials: int = DEFAULT_TRIALS,
                     seed: int = 0) -> Report:
     """Exact chain squares f^{n+1} d^n = d^n f^n, then f(xy) = f(x) f(y)
     per degree pair on basis or sampled pairs; ``f[n]`` maps degree n

@@ -41,10 +41,10 @@ from .dga import DGA, coboundaries, paired
 from .dga import cohomology_dims, verify_dga as verify_hochschild_dga
 from .linalg import RELATION_ENTRY_BUDGET, Matrix, check_entries, mul_mod
 from .homspaces import build_hom
+from .tensors import HARD_DEGREE_CAP  # the one cap, re-exported for callers
 from .tensors import RelativeTensorPower, _intertwines, extension_tower, mult_at
 
 DEFAULT_DEGREE = 3
-HARD_DEGREE_CAP = 4
 
 # entries of the products with the structure tensor of one slice of
 # paired cochains, d² per cochain and coordinate: a constant, so a wide
@@ -163,16 +163,13 @@ def _check_balanced(c: CochainComplex, n: int, kind: str) -> None:
     if (n, kind) in c._linear:
         return
     t, d = c.tower, c.extension.ambient.dim
-    gens, q = t.gens, t.power(n).dim
-    maps = c.homs[n].rows.reshape(-1, d, q).transpose(1, 0, 2)
+    maps = c.homs[n].rows.reshape(-1, d, t.power(n).dim).transpose(1, 0, 2)
     if kind == "right-linear":      # f(x·b) = f(x)·b
-        ins = [t.right_on(n)[j].a for j in gens]
-        outs = [t.right_mats[j].a for j in gens]
+        ins, outs = t.right_on(n), t.right_mats
     else:                           # g(b·y) = b·g(y)
-        lefts = t.concat(0, n).a
-        ins = [lefts[:, j * q:(j + 1) * q] for j in gens]
-        outs = [t.left_mats[j].a for j in gens]
-    _intertwines(c.p, maps, ins, outs, gens, kind)
+        ins, outs = t.left_on(n), t.left_mats
+    _intertwines(c.p, maps, [ins[j].a for j in t.gens], [outs[j].a for j in t.gens],
+                 t.gens, kind)
     c._linear.add((n, kind))
 
 

@@ -3,7 +3,7 @@
 A hom element is a matrix from quotient coordinates of the tensor power
 to A.  The space is cut out by two families of intertwining constraints,
 one per algebra generator of B that the tower picked: its left action on
-the first factor (the tower's ``concat(0, n)``) and its right action on
+the first factor (the tower's ``left_on(n)``) and its right action on
 the last (``right_on(n)``).  Each is a block kron(L, I) - kron(I, M), so
 the space is their ``linalg.commutant`` in its canonical basis: basis
 element t has a 1 in the t-th free coordinate of the flattened matrix.
@@ -54,10 +54,9 @@ def build_hom(e: Extension, t: RelativeTensorPower) -> BimoduleHomSpace:
     # echelon rows are all that is held at once
     check_entry_budget(2 * len(tower.gens), nvars,
                        f"a bimodule hom space with {nvars} unknowns needs a dense constraint matrix")
-    # B on the first factor is concat(0, n), on the last right_on(n)
-    lefts, rights = tower.concat(0, t.n).a, tower.right_on(t.n)
+    lefts, rights = tower.left_on(t.n), tower.right_on(t.n)
     pairs = []
     for j in tower.gens:
-        pairs.append((tower.left_mats[j].a, lefts[:, j * q:(j + 1) * q].T))
+        pairs.append((tower.left_mats[j].a, lefts[j].a.T))
         pairs.append((tower.right_mats[j].a, rights[j].a.T))
     return BimoduleHomSpace(e, t, *commutant(e.p, d_a, q, pairs))

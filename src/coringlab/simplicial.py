@@ -115,8 +115,7 @@ def incidence_extension(s: SimplicialComplex, field: Field) -> Extension:
         right = ".".join(map(str, tau))
         return f"e[{left}|{right}]"
 
-    ambient = FinDimAlgebra.from_tensor(field, [pair_name(ab) for ab in pairs],
-                                        tensor, unit)
+    ambient = FinDimAlgebra(field, [pair_name(ab) for ab in pairs], tensor, unit)
     sub = diagonal_algebra(field, len(faces))
     inclusion = np.zeros((m, len(faces)), dtype=np.int64)
     for f in faces:

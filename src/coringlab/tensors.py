@@ -68,7 +68,8 @@ from .linalg import (
     trivial_quotient,
 )
 
-DEFAULT_MAX_POWER = 4
+# the top tensor power, and so the top cochain degree, that any build makes
+HARD_DEGREE_CAP = 4
 
 # Draws of a candidate dual basis.  Over GF(2), 4 random vectors of the
 # M2 carrier (16 = 4 * 4) are a basis about 29% of the time, so 32 draws
@@ -421,6 +422,13 @@ class TensorTower:
             blocks = self._blocks[n] = (groups, ts, xs[ts])
         return blocks
 
+    def left_on(self, n: int) -> list[Matrix]:
+        """x -> b·x on power(n), one matrix per base basis element: the
+        column blocks of concat(0, n), so ``left_on(1)`` is ``left_mats``.
+        Not cached: concat(0, n) is, and a cached copy of its blocks would
+        only double what it holds."""
+        return [Matrix(self.p, b) for b in np.hsplit(self.concat(0, n).a, self.base.dim)]
+
     def right_on(self, n: int) -> list[Matrix]:
         """x -> x·b on power(n), one matrix per base basis element."""
         mats = self._rights.get(n)
@@ -621,8 +629,8 @@ def build_power(e: Extension, n: int) -> RelativeTensorPower:
     """The n-fold relative tensor power of the extension."""
     if n < 1:
         raise ValueError("tensor powers start at n = 1")
-    if n > DEFAULT_MAX_POWER:
-        raise SizeLimitError(f"power {n} exceeds the configured maximum {DEFAULT_MAX_POWER}")
+    if n > HARD_DEGREE_CAP:
+        raise SizeLimitError(f"power {n} exceeds the configured maximum {HARD_DEGREE_CAP}")
     t = RelativeTensorPower(e, extension_tower(e), n)
     t.tower.power(n)
     return t

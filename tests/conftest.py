@@ -97,6 +97,13 @@ def random_matrix(rng, rows, cols, p):
     return rng.integers(0, p, size=(rows, cols), dtype=np.int64)
 
 
+def self_extension(a):
+    """The extension A -> A along the identity."""
+    from coringlab import Extension, Matrix
+
+    return Extension(a, a, Matrix.identity(a.p, a.dim))
+
+
 def s3_c2_extension(p):
     """GF(p)[S3] over the subgroup algebra of a transposition.
 

@@ -20,7 +20,6 @@ from coringlab.algebras import (
     group_hopf,
     matrix_algebra,
     one_dim_algebra,
-    self_extension,
     subalgebra_on,
     algebra_violations,
     generating_indices,
@@ -32,7 +31,8 @@ from coringlab.errors import AxiomError, ElementNotInSpaceError, SizeLimitError
 from coringlab.linalg import Field, Matrix, Subspace
 
 from conftest import (kron_algebra_violations, kron_bialgebra_violations, multiply,
-                      rebuilt_generating_indices, shown_violations, span_from_vectors)
+                      rebuilt_generating_indices, self_extension, shown_violations,
+                      span_from_vectors)
 
 C2 = [[0, 1], [1, 0]]
 C3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -63,7 +63,7 @@ def test_validate_reports_corrupted_slot():
     a = matrix_algebra(Field(5), 2)
     bad = np.array(a.tensor)
     bad[1, 2, 3] = (bad[1, 2, 3] + 1) % 5  # e12*e21 picks up a spurious e22
-    broken = FinDimAlgebra.from_tensor(a.field, a.basis_names, bad, a.unit)
+    broken = FinDimAlgebra(a.field, a.basis_names, bad, a.unit)
     rep = validate(broken)
     assert not rep.ok
     assert any("associativity" in f for f in rep.failures)
@@ -263,7 +263,7 @@ def bialgebra_data(draw):
         for at, by in draw(st.lists(st.tuples(st.integers(0, arr.size - 1),
                                               st.integers(1, p - 1)), max_size=2)):
             arr.flat[at] = (arr.flat[at] + by) % p
-    algebra = FinDimAlgebra.from_tensor(Field(p), h.algebra.basis_names, tensor, h.algebra.unit)
+    algebra = FinDimAlgebra(Field(p), h.algebra.basis_names, tensor, h.algebra.unit)
     return algebra, cop, eps
 
 
@@ -280,8 +280,8 @@ def test_a_failing_report_lists_twenty_violations_and_counts_the_rest():
     # reference's first 20 lines, in its order, and one line for the rest
     p, d = 5, 12
     tensor = np.random.default_rng(3).integers(0, p, size=(d, d, d))
-    a = FinDimAlgebra.from_tensor(Field(p), [f"e{i}" for i in range(d)], tensor,
-                                  np.eye(1, d, dtype=np.int64)[0])
+    a = FinDimAlgebra(Field(p), [f"e{i}" for i in range(d)], tensor,
+                      np.eye(1, d, dtype=np.int64)[0])
     full = kron_algebra_violations(a)
     assert len(full) > 10_000
     assert any("unit law" in line for line in full)

@@ -9,13 +9,16 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coringlab import cli
 from coringlab.algebras import diagonal_algebra, trivial_extension
 from coringlab.cli import main
 from coringlab.corpus import corpus_path, s3_over_c2, ut2_over_diagonal
 from coringlab.linalg import Field
+from coringlab.reporting import Report
 from coringlab.schemas import dump_extension
 
 
@@ -344,6 +347,18 @@ def test_oversized_axiom_checks_are_refused_in_bounded_memory(tmp_path, command,
     assert int(proc.stdout) < 200 * 1024
 
 
+def test_a_structure_tensor_over_the_budget_is_refused_before_it_is_built(tmp_path):
+    # 465**3 entries, just over the budget of 1e8, from a file of empty products
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(zero_algebra(465)), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, "validate", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(
+        "error: algebra: a 465-dimensional algebra needs a structure tensor of about 1.01e+08 ")
+    assert int(proc.stdout) < 200 * 1024
+
+
 # the small corpus files: every command on them takes milliseconds
 SMALL_INPUTS = ["c2_gf2.json", "c3_gf3.json", "gf25_gf5.json", "ut2_diag_gf5.json",
                 "hopf_c2_gf2.json", "hopf_c2_gf3.json"]
@@ -436,3 +451,69 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"]
+
+
+EMITTED_JSON = """{
+  "checks": [
+    {
+      "detail": {
+        "count": 7,
+        "flag": false,
+        "grid": [
+          [
+            1,
+            2
+          ],
+          [
+            3,
+            4
+          ]
+        ],
+        "pair": [
+          5,
+          6
+        ]
+      },
+      "name": "laws",
+      "ok": true
+    }
+  ],
+  "command": "amitsur",
+  "config": {
+    "cap": 20,
+    "format": "json",
+    "max_degree": 3,
+    "prime": 5,
+    "seed": 0,
+    "trials": 50
+  },
+  "inputs": [
+    "x.json"
+  ],
+  "ok": true
+}
+"""
+
+EMITTED_MARKDOWN = """# coringlab amitsur
+
+- input: `x.json`
+- config: cap=20, format=json, max_degree=3, prime=5, seed=0, trials=50
+- result: pass
+
+| check | status | detail |
+| --- | --- | --- |
+| laws | pass | flag=False, count=7, grid=[[1, 2], [3, 4]], pair=[5, 6] |
+"""
+
+
+def test_emit_prints_numpy_details_as_plain_values(capsys):
+    report = Report("amitsur")
+    report.add("laws", np.bool_(True), flag=np.bool_(False), count=np.int64(7),
+               grid=np.array([[1, 2], [3, 4]]), pair=(np.int64(5), 6))
+    parser = cli.build_parser()
+    args = cli.config_from_args(parser.parse_args(["amitsur", "x.json"]), parser)
+    payload = cli._payload(args, report)
+    cli._emit(payload, "json")
+    assert capsys.readouterr().out == EMITTED_JSON
+    cli._emit(payload, "markdown")
+    assert capsys.readouterr().out == EMITTED_MARKDOWN

@@ -18,6 +18,7 @@ from coringlab.amitsur import build_amitsur
 from coringlab.corpus import load_corpus_extension
 from coringlab.dga import verify_dga, verify_morphism
 from coringlab.isomorphism import build_fn, verify_main_theorem
+from coringlab.linalg import descend
 
 from conftest import hom_matrix, leibniz_residual, multiply, pure_tensor, s3_c2_extension
 from test_algebras import ut2_diag_extension
@@ -40,10 +41,15 @@ def test_low_degrees_are_identity_maps(ut2_witness):
 
 
 def test_degree_two_matches_certificate(m2_gf5_extension, m2_gf5_cert):
-    e = m2_gf5_extension
-    ac = build_amitsur(endo_coring(e, m2_gf5_cert), 2)
-    cc = build_complex(e, 2)
-    assert build_fn(e, ac, cc, 2)[2] == m2_gf5_cert.f2
+    """f2 is the cup of two 1-cochains descended to the coring's power(2),
+    the product ``build_fn`` forms one degree up from it."""
+    e, cert = m2_gf5_extension, m2_gf5_cert
+    ac = build_amitsur(endo_coring(e, cert), 3)
+    cc = build_complex(e, 3)
+    units = np.eye(cc.dim(1), dtype=np.int64)
+    cup = cc.products(1, 1, *dga.every_pair(units, units))
+    assert Matrix(5, descend(ac.spaces[2], cup)) == cert.f2
+    assert build_fn(cert, ac, cc, 2)[2] == cert.f2
 
 
 def test_ut2_witness_passes(ut2_witness):
@@ -132,7 +138,7 @@ def test_build_fn_rejects_out_of_range(ut2_witness):
     ac = build_amitsur(endo_coring(e, cert), 2)
     cc = build_complex(e, 2)
     with pytest.raises(ValueError):
-        build_fn(e, ac, cc, 3)
+        build_fn(cert, ac, cc, 3)
 
 
 def test_corrupted_comparison_map_carries_witnesses(monkeypatch):
@@ -141,8 +147,8 @@ def test_corrupted_comparison_map_carries_witnesses(monkeypatch):
     with a failing pair whose residual is recomputed here."""
     real_build_fn = isomorphism.build_fn
 
-    def corrupted(e, ac, cc, n):
-        f = real_build_fn(e, ac, cc, n)
+    def corrupted(cert, ac, cc, n):
+        f = real_build_fn(cert, ac, cc, n)
         rows = f[2].a.copy()
         rows[0] = 0
         f[2] = Matrix(f[2].p, rows)
@@ -178,8 +184,9 @@ def comparison(e, tamper):
     """The comparison of ``e`` to degree 3; with ``tamper``, entry [0, 0]
     of delta^1 and row 0 of f2 are corrupted, so d squared, Leibniz, the
     chain squares and multiplicativity all fail."""
-    ac, cc = build_amitsur(endo_coring(e), 3), build_complex(e, 3)
-    f = build_fn(e, ac, cc, 3)
+    cert = build_f2(e)
+    ac, cc = build_amitsur(endo_coring(e, cert), 3), build_complex(e, 3)
+    f = build_fn(cert, ac, cc, 3)
     if tamper:
         d1 = cc.d[1].a.copy()
         d1[0, 0] = (d1[0, 0] + 1) % e.p

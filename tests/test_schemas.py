@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from coringlab.algebras import validate
+from coringlab.algebras import FinDimAlgebra, validate
 from coringlab.corpus import s3_over_c2, ut2_over_diagonal
 from coringlab.errors import AxiomError, SchemaError
 from coringlab.schemas import (
@@ -95,6 +95,30 @@ def test_bad_algebra_objects(mutate, message):
     mutate(obj)
     with pytest.raises(SchemaError, match=message):
         load_algebra(obj)
+
+
+def test_repeated_terms_add_up_mod_p_from_the_widest_coefficients():
+    # every coefficient is within the loader's range, and three of them
+    # summed unreduced would overflow int64
+    big = 2**62 - 1
+    p = 7
+    structure = [[[[0, big], [0, big], [1, -big], [0, big]], [[1, -big], [1, -big], [1, 3]]],
+                 [[[1, big], [0, -big], [1, big]], []]]
+    obj = {"field": {"prime": p}, "dim": 2, "basis": ["a", "b"],
+           "structure": structure, "unit": [1, 0]}
+    want = [[[sum(c for at, c in structure[i][j] if at == k) % p for k in range(2)]
+             for j in range(2)] for i in range(2)]
+    assert load_algebra(obj).tensor.tolist() == want
+
+
+def test_a_wrong_unit_length_is_refused_by_the_loader_and_the_constructor():
+    obj = c2_obj()
+    obj["unit"] = [1, 0, 0]
+    with pytest.raises(SchemaError, match="algebra.unit: expected a list of 2 integers"):
+        load_algebra(obj)
+    a = load_algebra(c2_obj())
+    with pytest.raises(ValueError, match="unit has length 3, expected 2"):
+        FinDimAlgebra(a.field, a.basis_names, a.tensor, [1, 0, 0])
 
 
 def test_bad_extension_objects():

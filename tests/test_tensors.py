@@ -15,7 +15,6 @@ from coringlab.algebras import (
     generating_indices,
     group_algebra,
     matrix_algebra,
-    self_extension,
     trivial_extension,
 )
 from coringlab.amitsur import build_amitsur
@@ -36,6 +35,7 @@ from coringlab.linalg import (
 from coringlab.simplicial import incidence_extension, parse_complex
 from coringlab.tensors import (
     RELATION_ENTRY_BUDGET,
+    RelativeTensorPower,
     TensorTower,
     balanced_pair,
     balanced_power,
@@ -49,7 +49,7 @@ from coringlab.tensors import (
 
 from conftest import (concat_lift_failures, dense_on_last, dense_then_identity,
                       dual_step_mismatches, gathered_map_mismatches, multiply, pure_tensor,
-                      off_choice_steps, quotient_of, s3_c2_extension)
+                      off_choice_steps, quotient_of, s3_c2_extension, self_extension)
 from test_algebras import C3, ut2_diag_extension
 
 
@@ -436,6 +436,33 @@ def test_tower_maps_gather_the_dense_maps(corpus_towers):
         assert gathered_map_mismatches(tower, 3) == [], name
 
 
+@pytest.mark.parametrize("build", [
+    lambda: endo_coring(load_corpus_extension("m2_gf5")),
+    lambda: extension_tower(incidence_extension(parse_complex(read_facets("filled_triangle")),
+                                                Field(5))),
+    lambda: extension_tower(load_corpus_extension("s3_c2_gf7")),
+    lambda: sweedler_coring(load_corpus_extension("ut2_diag_gf5")),
+], ids=["dual coring", "selection", "dual extension", "reduction"])
+def test_left_on_is_the_base_acting_on_the_first_factor(build):
+    # left_on(n) is concat(0, n) cut into one column block per base basis
+    # element, and block b sends v_1 ⊗ ... ⊗ v_n to (b·v_1) ⊗ ... ⊗ v_n
+    tower = build()
+    rng = np.random.default_rng(0)
+    assert [m.a.tolist() for m in tower.left_on(1)] == [m.a.tolist() for m in tower.left_mats]
+    for n in range(1, 4):
+        q = tower.power(n).dim
+        blocks = tower.concat(0, n).a.reshape(q, tower.base.dim, q)
+        lefts = tower.left_on(n)
+        assert len(lefts) == tower.base.dim
+        power = RelativeTensorPower(None, tower, n)  # pure_tensor reads the tower alone
+        for b, mat in enumerate(lefts):
+            assert np.array_equal(mat.a, blocks[:, b, :]), (n, b)
+            vs = rng.integers(0, tower.p, size=(n, tower.carrier_dim))
+            moved = [tower.left_mats[b].apply(vs[0]), *vs[1:]]
+            assert np.array_equal(mat.apply(pure_tensor(power, vs)),
+                                  pure_tensor(power, moved)), (n, b)
+
+
 def test_maps_that_fail_their_certificate_are_refused_like_the_dense_maps(m2_gf5_endo):
     # x -> x·e12 is not right-linear over M2 and v -> e12·v is not
     # left-linear: neither, tensored with an identity, descends.  The
@@ -527,7 +554,9 @@ def test_a_tower_holds_zero_dimensional_powers():
 
 def dual_numbers(f):
     """k[x]/x^2 on the basis 1, x."""
-    return FinDimAlgebra(f, ("1", "x"), [[[(0, 1)], [(1, 1)]], [[(1, 1)], []]], [1, 0])
+    tensor = np.zeros((2, 2, 2), dtype=np.int64)
+    tensor[0, 0, 0] = tensor[0, 1, 1] = tensor[1, 0, 1] = 1
+    return FinDimAlgebra(f, ("1", "x"), tensor, [1, 0])
 
 
 FREE_BASES = {

@@ -9,12 +9,16 @@ written, and every name the package exports resolves.
 """
 
 import importlib.util
+import inspect
 import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import coringlab
-from coringlab import cli
+from coringlab import cli, dga, hochschild, tensors
+from coringlab.errors import SizeLimitError
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -64,3 +68,23 @@ def test_readme_library_example_runs():
 def test_every_export_resolves():
     for name in coringlab.__all__:
         assert getattr(coringlab, name, None) is not None, name
+
+
+def test_degree_and_trials_defaults_are_the_single_constants():
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert hochschild.HARD_DEGREE_CAP is tensors.HARD_DEGREE_CAP
+    for fn in (coringlab.build_complex, coringlab.build_amitsur, coringlab.verify_main_theorem):
+        assert default(fn, "max_degree") == hochschild.DEFAULT_DEGREE, fn.__name__
+    for fn in (coringlab.verify_main_theorem, coringlab.verify_dga, coringlab.verify_morphism):
+        assert default(fn, "trials") == dga.DEFAULT_TRIALS, fn.__name__
+    parser = cli.build_parser()
+    for command in ("cohomology", "amitsur", "verify-iso", "hopf-check"):
+        args = cli.config_from_args(parser.parse_args([command, "x.json"]), parser)
+        assert (args.max_degree, args.trials) == (hochschild.DEFAULT_DEGREE, dga.DEFAULT_TRIALS)
+    # the cap refuses the first power above it
+    cap = tensors.HARD_DEGREE_CAP
+    e = coringlab.trivial_extension(coringlab.diagonal_algebra(coringlab.Field(2), 1))
+    with pytest.raises(SizeLimitError, match=f"power {cap + 1} exceeds"):
+        coringlab.build_power(e, cap + 1)
