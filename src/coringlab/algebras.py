@@ -38,9 +38,13 @@ class FinDimAlgebra:
         self.field = field
         self.basis_names = tuple(str(nm) for nm in basis_names)
         d = len(self.basis_names)
-        self.tensor = np.asarray(tensor, dtype=np.int64) % field.p
-        if self.tensor.shape != (d, d, d):
-            raise ValueError(f"tensor shape {self.tensor.shape}, expected {(d, d, d)}")
+        t = np.asarray(tensor, dtype=np.int64)
+        if t.shape != (d, d, d):
+            raise ValueError(f"tensor shape {t.shape}, expected {(d, d, d)}")
+        # a tensor already in [0, p), such as a loaded file's lazily zeroed
+        # one, is kept as a view: reducing it would commit all d**3 entries
+        in_range = t.min(initial=0) >= 0 and t.max(initial=0) < field.p
+        self.tensor = t.view() if in_range else t % field.p
         self.unit = np.asarray(unit, dtype=np.int64).reshape(-1) % field.p
         if self.unit.shape[0] != d:
             raise ValueError(f"unit has length {self.unit.shape[0]}, expected {d}")

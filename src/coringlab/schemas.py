@@ -13,8 +13,9 @@ adds ``"coproduct"`` (row-major dim^2 x dim) and ``"counit"`` (length
 dim).  Loading never checks algebra laws — the validate command exists
 to report on deliberately broken inputs — but shapes, the prime, and
 coefficient types are all enforced here with the offending JSON path.
-The dense structure tensor is built once every term is checked, and
-one above ``linalg.RELATION_ENTRY_BUDGET`` entries is refused first.
+A structure tensor above ``linalg.RELATION_ENTRY_BUDGET`` entries is
+refused before it is allocated; the rest is filled as the terms are
+checked, so a large file commits only the pages its terms touch.
 """
 
 from __future__ import annotations
@@ -75,7 +76,9 @@ def load_algebra(obj, where: str = "algebra") -> FinDimAlgebra:
     structure = _require(obj, "structure", where)
     if not isinstance(structure, list) or len(structure) != dim:
         raise SchemaError(f"{where}.structure: expected {dim} rows")
-    terms_at = []  # (i, j, k, c mod p) for each [k, c] term of e_i * e_j
+    check_entries(dim**3, RELATION_ENTRY_BUDGET,
+                  f"{where}: a {dim}-dimensional algebra needs a structure tensor")
+    tensor = np.zeros((dim, dim, dim), dtype=np.int64)
     for i, row in enumerate(structure):
         if not isinstance(row, list) or len(row) != dim:
             raise SchemaError(f"{where}.structure[{i}]: expected {dim} entries")
@@ -90,14 +93,10 @@ def load_algebra(obj, where: str = "algebra") -> FinDimAlgebra:
                 c = _int(term[1], f"{spot}[1]")
                 if not 0 <= k < dim:
                     raise SchemaError(f"{spot}: basis index {k} out of range")
-                terms_at.append((i, j, k, c % prime))
+                # repeated terms of one product add up; |c| < 2**62 and
+                # the running sum is below p < 2**31, so int64 holds both
+                tensor[i, j, k] = (tensor[i, j, k] + c) % prime
     unit = _int_list(_require(obj, "unit", where), dim, f"{where}.unit")
-    check_entries(dim**3, RELATION_ENTRY_BUDGET,
-                  f"{where}: a {dim}-dimensional algebra needs a structure tensor")
-    # repeated terms of one product add up, each below p < 2**31
-    i, j, k, c = np.array(terms_at, dtype=np.int64).reshape(-1, 4).T
-    tensor = np.zeros((dim, dim, dim), dtype=np.int64)
-    np.add.at(tensor, (i, j, k), c)
     return FinDimAlgebra(field, basis, tensor, unit)
 
 

@@ -347,15 +347,20 @@ def test_oversized_axiom_checks_are_refused_in_bounded_memory(tmp_path, command,
     assert int(proc.stdout) < 200 * 1024
 
 
-def test_a_structure_tensor_over_the_budget_is_refused_before_it_is_built(tmp_path):
-    # 465**3 entries, just over the budget of 1e8, from a file of empty products
+@pytest.mark.parametrize("d,refusal", [
+    # 300**3 entries load under the budget of 1e8 and 300**4 are refused
+    # at the laws; committed in full, the tensor alone would take 216 MB
+    (300, "the associativity check of a 300-dimensional algebra needs two arrays of about "),
+    # 465**3 entries, just over the budget, are refused before the tensor is built
+    (465, "algebra: a 465-dimensional algebra needs a structure tensor of about 1.01e+08 "),
+])
+def test_a_large_file_of_empty_products_is_refused_in_bounded_memory(tmp_path, d, refusal):
     path = tmp_path / "big.json"
-    path.write_text(json.dumps(zero_algebra(465)), encoding="utf-8")
+    path.write_text(json.dumps(zero_algebra(d)), encoding="utf-8")
     proc = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, "validate", str(path)],
                           capture_output=True, text=True)
     assert proc.returncode == 2
-    assert proc.stderr.startswith(
-        "error: algebra: a 465-dimensional algebra needs a structure tensor of about 1.01e+08 ")
+    assert proc.stderr.startswith(f"error: {refusal}")
     assert int(proc.stdout) < 200 * 1024
 
 
