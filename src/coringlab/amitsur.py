@@ -5,9 +5,10 @@ the carrier over the base, in the coring's coordinates: power(n) is
 power(n-1) (x)_R carrier, not a quotient of the dense carrier**n.  The
 product concatenates tensor factors, with degree-zero elements acting
 through the base actions: ``omega_product`` forms it on column-paired
-batches, as the coring's ``concat(m, n)`` applied to the Khatri-Rao
-product of the two batches (``TensorTower.concat_batches``, blockwise
-on dual steps), and is the complex's ``products``.  The
+batches with the coring's ``TensorTower.concat_batches``, pair by pair
+through each dual step (x ⊗ v -> Σ_b φ(v)_b ⊗ R_b·x), and elsewhere as
+``concat(m, n)`` applied to the Khatri-Rao product of the two batches;
+it is the complex's ``products``.  The
 differential is the shared ``dga.coboundaries`` with the grouplike as
 unit and the coring's slotwise ``coproducts`` as slot maps; in degree
 zero it sends r to ``right_action(r)(g) - left_action(r)(g)``, which

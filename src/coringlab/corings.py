@@ -209,7 +209,8 @@ class CoringWithGrouplike(TensorTower):
 
 @dataclass
 class D2Certificate:
-    """Outcome of the f2 bijectivity test, plus the spaces it was built on."""
+    """Outcome of the f2 bijectivity test, plus the spaces it was built on:
+    ``f2_inverse`` is f2⁻¹, or None when f2 is not square and invertible."""
 
     extension: Extension
     s_space: BimoduleHomSpace
@@ -220,12 +221,19 @@ class D2Certificate:
     left_mats: list
     right_mats: list
     f2: Matrix
-    f2_rank: int
+    f2_inverse: Matrix | None
     s_dim: int
     r_dim: int
     square_dim: int
     hom_dim: int
-    bijective: bool
+
+    @property
+    def bijective(self) -> bool:
+        return self.f2_inverse is not None
+
+    @property
+    def f2_rank(self) -> int:
+        return rank_of(self.f2.a, self.extension.p)
 
 
 def build_f2(e: Extension, cc: CochainComplex | None = None) -> D2Certificate:
@@ -251,12 +259,16 @@ def build_f2(e: Extension, cc: CochainComplex | None = None) -> D2Certificate:
     tower = TensorTower(base, s, left_mats, right_mats)
     square = tower.power(2)
     f2 = Matrix(p, descend(square, cc.products(1, 1, *every_pair(eye_s, eye_s))))
-    hom_space, f2_rank = cc.homs[2], rank_of(f2.a, p)
+    hom_space, f2_inverse = cc.homs[2], None
+    if hom_space.dim == square.dim:
+        try:
+            f2_inverse = inverse(f2)
+        except ValueError:  # singular
+            pass
     return D2Certificate(
         extension=e, s_space=cc.homs[1], r_space=cc.homs[0], hom_space=hom_space,
         tower=tower, square=square, left_mats=left_mats, right_mats=right_mats, f2=f2,
-        f2_rank=f2_rank, s_dim=s, r_dim=r, square_dim=square.dim,
-        hom_dim=hom_space.dim, bijective=hom_space.dim == square.dim == f2_rank)
+        f2_inverse=f2_inverse, s_dim=s, r_dim=r, square_dim=square.dim, hom_dim=hom_space.dim)
 
 
 def endo_coring(e: Extension, cert: D2Certificate | None = None) -> CoringWithGrouplike:
@@ -277,29 +289,30 @@ def endo_coring(e: Extension, cert: D2Certificate | None = None) -> CoringWithGr
     s_space, r_space = cert.s_space, cert.r_space
     # the basis of S, stacked as dim A x dim A matrices
     alphas = s_space.rows.reshape(-1, d, d)
-    mu = mul_mod(a.mult.a, cert.hom_space.source.space.section.a, p)
+    mu = descend(cert.hom_space.source.space, a.mult.a)
     after_mult = cert.hom_space.coords(mul_mod(alphas, mu, p).reshape(cert.s_dim, -1),
                                        "alpha after the multiplication is not a B-bimodule map")
-    coproduct = inverse(cert.f2) @ Matrix(p, after_mult.T)
+    coproduct = cert.f2_inverse @ Matrix(p, after_mult.T)
     at_unit = r_space.coords(mul_mod(alphas, a.unit.reshape(d, 1), p)[..., 0],
                              "evaluation at the unit does not land in the centralizer")
     counit = Matrix(p, at_unit.T)
     grouplike = s_space.coords_of(Matrix.identity(p, a.dim))
     coring = CoringWithGrouplike(cert.tower, coproduct, counit, grouplike)
     # the two splitting laws particular to this coring, on lambda_r and
-    # rho_r for each basis element r of R
+    # rho_r for each basis element r of R, projected as one batch
     mults = [a.left_mul(r).a for r in r_space.rows] + [a.right_mul(r).a for r in r_space.rows]
     split = s_space.coords(np.stack(mults).reshape(len(mults), -1),
                            "a multiplication by the centralizer is not in S")
-    for i, (lam, rho) in enumerate(zip(*np.split(split, 2))):
-        if not np.array_equal(coproduct.apply(lam),
-                              cert.square.project(np.kron(lam, grouplike))):
-            raise AxiomError(
-                f"coproduct of a left multiplication is not lambda (x) identity (index {i})")
-        if not np.array_equal(coproduct.apply(rho),
-                              cert.square.project(np.kron(grouplike, rho))):
-            raise AxiomError(
-                f"coproduct of a right multiplication is not identity (x) rho (index {i})")
+    lams, rhos = np.split(split, 2)
+    want = cert.square.project(np.hstack([np.kron(lams.T, grouplike[:, None]),
+                                          np.kron(grouplike[:, None], rhos.T)]))
+    bad = (mul_mod(coproduct.a, split.T, p) != want).any(axis=0).reshape(2, -1)
+    if bad.any():
+        i = int(np.flatnonzero(bad.any(axis=0))[0])
+        raise AxiomError(
+            f"coproduct of a left multiplication is not lambda (x) identity (index {i})"
+            if bad[0, i] else
+            f"coproduct of a right multiplication is not identity (x) rho (index {i})")
     return coring
 
 
@@ -311,16 +324,14 @@ def sweedler_coring(e: Extension) -> CoringWithGrouplike:
     t2 = build_power(e, 2)
     q = t2.space
     eye_d = np.eye(d, dtype=np.int64)
-    # A acts on the first factor as its multiplication ⊗ id, and on the
-    # last factor alone
-    lefts = t2.tower.then_identity(a.mult, 2, 2, d).a
-    left_mats = [Matrix(p, lefts[:, j * q.dim:(j + 1) * q.dim]) for j in range(d)]
+    # A acts on the first factor as its multiplication ⊗ id, one column
+    # block per basis element, and on the last factor alone
+    left_mats = [Matrix(p, b) for b in np.hsplit(t2.tower.then_identity(a.mult, 2, 2, d).a, d)]
     right_mats = t2.tower.on_last(2, [a.right_mul(x) for x in eye_d])
     tower = TensorTower(a, q.dim, left_mats, right_mats)
-    sq = tower.power(2)
-    into_left = mul_mod(q.projection.a, np.kron(eye_d, a.unit.reshape(d, 1)), p)
-    into_right = mul_mod(q.projection.a, np.kron(a.unit.reshape(d, 1), eye_d), p)
-    coproduct = induced_map(q, sq, Matrix(p, np.kron(into_left, into_right)))
+    into_left = q.project(np.kron(eye_d, a.unit.reshape(d, 1)))
+    into_right = q.project(np.kron(a.unit.reshape(d, 1), eye_d))
+    coproduct = induced_map(q, tower.power(2), Matrix(p, np.kron(into_left, into_right)))
     counit = mult_at(t2, RelativeTensorPower(e, t2.tower, 1), 1)
     grouplike = q.project(np.kron(a.unit, a.unit))
     return CoringWithGrouplike(tower, coproduct, counit, grouplike)
@@ -334,5 +345,5 @@ def hopf_coring(h: HopfData) -> CoringWithGrouplike:
     d = h.algebra.dim
     ident = Matrix.identity(p, d)
     tower = TensorTower(base, d, [ident], [ident])
-    coproduct = Matrix(p, mul_mod(tower.power(2).projection.a, h.coproduct.a, p))
+    coproduct = Matrix(p, tower.power(2).project(h.coproduct.a))
     return CoringWithGrouplike(tower, coproduct, Matrix(p, h.counit.a), h.algebra.unit)

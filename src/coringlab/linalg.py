@@ -25,9 +25,10 @@ dense integer matrix of residues.  This module supplies the primitives:
   (``induced_map`` goes through it).  A quotient built from a canonical
   kernel basis records its ``free`` columns: its section is the unit
   columns there and its projection is the identity on them, so
-  ``descend`` reads the map's rows with ``span_coords``.  Any other
-  pair (a tensor step read off a dual basis, say) descends through
-  products by its section and projection.
+  ``descend`` reads the map's rows with ``span_coords``.  A tensor step
+  read off a dual basis is a ``DualStep``, held as the data that
+  defines it: ``project`` and ``descend`` apply it blockwise, and form
+  neither its projection nor its section.
 
 A build or an axiom check that would form a dense array above
 ``RELATION_ENTRY_BUDGET`` entries refuses first, through
@@ -455,17 +456,18 @@ class QuotientSpace:
     kernel of the projection, and section @ projection fixes the
     section's image and kills that kernel.  ``from_kernel`` builds the
     pair from a canonical kernel basis and records its ``free`` columns
-    (an int array, or None for a pair built otherwise): there the
-    projection is the identity and the section has its unit columns.
+    (an int array): there the projection is the identity and the section
+    has its unit columns.  A ``DualStep`` holds no pair.
     """
 
-    __slots__ = ("p", "projection", "section", "free")
+    __slots__ = ("p", "projection", "section", "free", "dim", "ambient_dim")
 
-    def __init__(self, p: int, projection: Matrix, section: Matrix, free=None):
+    def __init__(self, p: int, projection: Matrix, section: Matrix, free):
         self.p = p
         self.projection = projection
         self.section = section
         self.free = free
+        self.dim, self.ambient_dim = projection.shape
 
     @classmethod
     def from_kernel(cls, p: int, rows: np.ndarray, free) -> "QuotientSpace":
@@ -477,19 +479,44 @@ class QuotientSpace:
         sect[free, np.arange(free.size)] = 1
         return cls(p, Matrix(p, rows), Matrix(p, sect), free)
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.projection.cols
+    def project(self, xs) -> np.ndarray:
+        """The projection of the vector xs, or of each column of xs."""
+        xs = np.asarray(xs, dtype=np.int64) % self.p
+        out = self._project(xs.reshape(self.ambient_dim, -1))
+        return out.reshape((self.dim,) + xs.shape[1:])
 
-    @property
-    def dim(self) -> int:
-        return self.projection.rows
-
-    def project(self, v) -> np.ndarray:
-        return self.projection.apply(v)
+    def _project(self, xs: np.ndarray) -> np.ndarray:
+        return mul_mod(self.projection.a, xs, self.p)
 
     def __repr__(self):
         return f"QuotientSpace(p={self.p}, ambient={self.ambient_dim}, dim={self.dim})"
+
+
+class DualStep(QuotientSpace):
+    """V ⊗_R C for a carrier C free over R on the columns w_j of ``w``
+    (c x m), held as the data that defines it: the coordinate maps
+    ``phi``, the (m, dim R, c) array Φ of ``tensors.dual_basis``, and V's
+    right actions ``rights``, the (dim R, d, d) array of x -> x·e_b, also
+    side by side in ``across``, R_b[y, x] at [y, b·d + x].  The quotient
+    is V^m, index j·d + y, of the plain product, index x·c + v: its
+    projection is x ⊗ v -> (Σ_b Φ[j, b, v]·R_b·x)_j and its section sends
+    (j, y) to e_y ⊗ w_j, neither formed as a matrix.
+    """
+
+    __slots__ = ("w", "phi", "rights", "across")
+
+    def __init__(self, p: int, w: np.ndarray, phi: np.ndarray, rights: np.ndarray):
+        self.p, self.free, self.w, self.phi, self.rights = p, None, w, phi, rights
+        (c, m), d = w.shape, rights.shape[1]
+        self.across = rights.transpose(1, 0, 2).reshape(d, -1)
+        self.dim, self.ambient_dim = m * d, d * c
+
+    def _project(self, xs: np.ndarray) -> np.ndarray:
+        # t[(j, b), (x, i)] = Σ_v Φ[j, b, v]·xs[x·c + v, i], then Σ_{b, x} R_b[y, x]·t
+        (m, r, c), d, k = self.phi.shape, len(self.across), xs.shape[1]
+        t = mul_mod(self.phi.reshape(m * r, c), xs.reshape(d, c, k).transpose(1, 0, 2).reshape(c, d * k), self.p)
+        t = mul_mod(self.across, t.reshape(m, r, d, k).transpose(1, 2, 0, 3).reshape(r * d, m * k), self.p)
+        return t.reshape(d, m, k).transpose(1, 0, 2)
 
 
 def trivial_quotient(p: int, n: int) -> QuotientSpace:
@@ -507,8 +534,7 @@ def induced_map(q_dom: QuotientSpace, q_cod: QuotientSpace, ambient_map: Matrix)
             f"ambient map shape {ambient_map.shape} does not match "
             f"({q_cod.ambient_dim}, {q_dom.ambient_dim})"
         )
-    p = q_dom.p
-    return Matrix(p, descend(q_dom, mul_mod(q_cod.projection.a, ambient_map.a, p)))
+    return Matrix(q_dom.p, descend(q_dom, q_cod.project(ambient_map.a)))
 
 
 def descend(q: QuotientSpace, m: np.ndarray) -> np.ndarray:
@@ -520,11 +546,18 @@ def descend(q: QuotientSpace, m: np.ndarray) -> np.ndarray:
 
     When q records its ``free`` columns, its projection is a canonical
     basis with the identity there, and h is ``span_coords`` of m's rows.
+    On a ``DualStep``, h at (j, y) is m at e_y ⊗ w_j, and h @ projection
+    at x ⊗ v is Σ_{j, b} Φ[j, b, v]·(h_j R_b)[:, x].
     """
     p = q.p
-    if q.free is None:
-        h = mul_mod(m, q.section.a, p)
-        bad = (mul_mod(h, q.projection.a, p) != m).any(axis=0)
+    if isinstance(q, DualStep):
+        (k, r, c), rows, d = q.phi.shape, m.shape[0], len(q.across)
+        h = mul_mod(m.reshape(rows * d, c), q.w, p).reshape(rows, d, k).transpose(0, 2, 1)
+        # (h_j R_b)[i, x] at [i, x, (j, b)], then against Φ
+        back = mul_mod(h.reshape(rows * k, d), q.across, p).reshape(rows, k, r, d).transpose(0, 3, 1, 2)
+        back = mul_mod(back.reshape(rows * d, k * r), q.phi.reshape(k * r, c), p)
+        h = h.reshape(rows, k * d)
+        bad = (back.reshape(rows, d * c) != m).any(axis=0)
     else:
         h, off = span_coords(q.projection.a, q.free, m, p)
         bad = off.any(axis=0)

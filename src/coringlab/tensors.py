@@ -11,14 +11,14 @@ tower picks once, so no power is built in the dense dim**n ambient.
 When the carrier is free as a left base module, on w_1..w_m, a step
 needs no relations at all: power(n) is power(n-1)^m, x ⊗ v -> (x·φ_j(v))_j
 for the coordinate maps φ_j of ``dual_basis``, with index j * dim
-power(n-1) + y.  ``free_pair`` builds that projection and the section
-e_y ⊗ w_j.  A tower decides once (``TensorTower.dual``) whether every
-step is such a dual step or none is; dual coordinates are not
-``commutant``'s canonical ones.  Carriers on which every generator acts
-diagonally keep ``commutant``'s coordinate selection, and the rest its
-reduction.
-Each power is a (projection, section) pair on its plain product, and
-every structure map on power(n) is a map on power(n-1) tensored with the
+power(n-1) + y, and section e_y ⊗ w_j.  ``free_pair`` holds such a step
+as the ``linalg.DualStep`` (w, Φ, R_b) that defines it, and its
+projection, descents and lifts are read blockwise from those.  A tower
+decides once (``TensorTower.dual``) whether every step is such a dual
+step or none is; dual coordinates are not ``commutant``'s canonical
+ones.  Carriers on which every generator acts diagonally keep
+``commutant``'s coordinate selection, and the rest its reduction.
+Each power is a quotient of its plain product, and every structure map on power(n) is a map on power(n-1) tensored with the
 identity of the last factor (``then_identity``) or one on the last
 factor alone (``on_last``).  The first is well defined when it is
 right-linear over the generators, the second when it is left-linear
@@ -33,8 +33,8 @@ computed, a gather of the projection.  ``lift`` lifts each coordinate
 of power(m+n) through concat(m, n) to a pure tensor e_x ⊗ y, certified
 once, so a map out of power(m) ⊗ power(n) that kills the balancing
 relations is read on power(m+n) at those pairs alone; and
-``concat_batches`` multiplies batches of pairs blockwise, without
-forming concat(m, n) on a dual tower.
+``concat_batches`` multiplies batches of pairs blockwise, forming
+neither concat(m, n) nor a Khatri-Rao product on a dual tower.
 A coring's S ⊗_R ... ⊗_R S and an extension's A ⊗_B ... ⊗_B A
 (``build_power``, B acting by multiplication) are both towers.
 ``balanced_power`` is the dense reference the tests check them against.
@@ -52,9 +52,11 @@ import numpy as np
 
 from .errors import NotWellDefinedError, SizeLimitError
 from .algebras import Extension, FinDimAlgebra, generating_indices
+from .dga import every_pair
 # this module's budget checks read its own binding of the budget
 from .linalg import (
     RELATION_ENTRY_BUDGET,
+    DualStep,
     Matrix,
     QuotientSpace,
     check_entries,
@@ -207,13 +209,14 @@ def _is_right_module(base: FinDimAlgebra, gens, rights) -> bool:
                           np.eye(d, dtype=np.int64))
 
 
-def free_pair(base: FinDimAlgebra, rights, dual: DualBasis) -> QuotientSpace:
+def free_pair(base: FinDimAlgebra, rights, dual: DualBasis) -> DualStep:
     """V ⊗_R C for a carrier C with the ``dual_basis`` w, Φ.
 
     ``rights[k]`` is V's matrix of x -> x·e_k, one per base basis element.
     The quotient is V^m, index j * dim V + y.  The projection is
     x ⊗ v -> (x·φ_j(v))_j, the sum over b of kron(R_b, Φ[:, b, :]), and
-    the section sends coordinate (j, y) to e_y ⊗ w_j; projection @
+    the section sends coordinate (j, y) to e_y ⊗ w_j, both held as the
+    ``linalg.DualStep`` (w, Φ, R) that defines them.  Projection @
     section is the identity because φ_i(w_j) = δ_ij·1 and x·1 = x.  The
     projection's kernel is exactly the generators' relations, the
     quotient ``balanced_pair`` gives in other coordinates, once
@@ -225,19 +228,7 @@ def free_pair(base: FinDimAlgebra, rights, dual: DualBasis) -> QuotientSpace:
       every x ⊗ v is x·φ_j(v) ⊗ w_j summed over j: the projection's
       kernel is no larger than the relations.
     """
-    p, dim_r = base.p, base.dim
-    w, phi = dual
-    m, _, c = phi.shape
-    d = rights[0].rows
-    stack = np.stack([mat.a for mat in rights]).reshape(dim_r, d * d)
-    # rows (j, y), columns (x, v): Σ_b Φ[j, b, v] R_b[y, x]
-    proj = mul_mod(phi.transpose(0, 2, 1).reshape(m * c, dim_r), stack, p)
-    proj = proj.reshape(m, c, d, d).transpose(0, 2, 3, 1).reshape(m * d, d * c)
-    # rows (x, v), columns (j, y): w_j[v] where x = y
-    sect = np.zeros((d, c, m, d), dtype=np.int64)
-    diag = np.arange(d)
-    sect[diag, :, :, diag] = w
-    return QuotientSpace(p, Matrix(p, proj), Matrix(p, sect.reshape(d * c, m * d)))
+    return DualStep(base.p, dual.w, dual.phi, np.stack([mat.a for mat in rights]))
 
 
 def balanced_power(p: int, dim: int, rights, lefts, n: int) -> QuotientSpace:
@@ -380,8 +371,7 @@ class TensorTower:
             # psi[t, (i, b), j]: coefficient b of φ_i(mats[t](w_j))
             psi = mul_mod(phi.reshape(m * dim_r, c), mul_mod(stack, w, p), p)
             psi = psi.reshape(k, m, dim_r, m).transpose(0, 1, 3, 2).reshape(k * m * m, dim_r)
-            rights = np.stack([r.a for r in self.right_on(n - 1)])
-            out = mul_mod(psi, rights.reshape(dim_r, d_prev * d_prev), p)
+            out = mul_mod(psi, q.rights.reshape(dim_r, d_prev * d_prev), p)
             out = out.reshape(k, m, m, d_prev, d_prev).transpose(0, 1, 3, 2, 4)
             return [Matrix(p, h) for h in out.reshape(k, q.dim, q.dim)]
         # row w of map j at [w, j]
@@ -453,6 +443,10 @@ class TensorTower:
                 prod = Matrix(p, _side_by_side(self.right_on(m)))
             elif n == 1 and m == 0:
                 prod = Matrix(p, np.hstack([mat.a for mat in self.left_mats]))
+            elif n == 1 and self.dual is not None:
+                # a dual step's projection, read at every pair e_x ⊗ e_v
+                eye = np.eye(self.power(m).dim, dtype=np.int64), np.eye(self.carrier_dim, dtype=np.int64)
+                prod = Matrix(p, self.concat_batches(m, 1, *every_pair(*eye)))
             elif n == 1:
                 # power(m+1) is a quotient of exactly this plain product
                 prod = self.power(m + 1).projection
@@ -469,15 +463,25 @@ class TensorTower:
 
         On a dual tower, power(n) is the carrier^(r^(n-1)) for the rank r
         of the dual basis, and concat(m, n) is concat(m, 1) on each of
-        those r^(n-1) blocks, so the batch is applied blockwise and
-        concat(m, n) itself is never formed.  Each concat(m, j) is
-        right-linear because every power's right action is id ⊗ R_b,
-        which ``on_last`` certified, so the blocks need no check.
+        those r^(n-1) blocks; each concat(m, j) is right-linear because
+        every power's right action is id ⊗ R_b, which ``on_last``
+        certified, so the blocks need no check.  For m >= 1, concat(m, 1)
+        is power(m+1)'s step, x ⊗ v -> Σ_b φ(v)_b ⊗ R_b·x, applied to
+        each pair with no plain product formed; otherwise concat(m, n) is
+        applied to the Khatri-Rao product of the batches.
         """
         p, blocks = self.p, 1
         if self.dual is not None and n >= 2:
             blocks, n = self.dual.w.shape[1] ** (n - 1), 1
         ys = ys.reshape(blocks, ys.shape[0] // blocks, ys.shape[1])
+        if self.dual is not None and m and n:
+            q = self.power(m + 1)
+            (rank, r, c), d = q.phi.shape, len(q.across)
+            # φ(v) at [i, (J, j), b] and R_b·x at [i, b, y], one column i a slice
+            at = mul_mod(q.phi.reshape(rank * r, c), ys.transpose(1, 0, 2).reshape(c, -1), p)
+            at = at.reshape(rank, r, blocks, -1).transpose(3, 2, 0, 1).reshape(-1, blocks * rank, r)
+            moved = mul_mod(q.rights.reshape(r * d, d), xs, p).reshape(r, d, -1).transpose(2, 0, 1)
+            return mul_mod(at, moved, p).transpose(1, 2, 0).reshape(blocks * rank * d, -1)
         # column (J, i) is kron(xs[:, i], ys[J, :, i]); a side of one
         # column broadcasts against the other
         pairs = (xs[:, None, None, :] * ys[None]).transpose(0, 2, 1, 3) % p
@@ -492,28 +496,29 @@ class TensorTower:
         a power(m) coordinate and y = ys[:, z] in power(n).
 
         Every power's section lifts z to a pure w ⊗ v, w in power(m+n-1):
-        a free column x * c + v, or a dual step's e_y ⊗ w_j.  For n = 1
-        that is the lift, since concat(m, 1) is power(m+1)'s projection;
-        above it w lifts to e_x ⊗ y' one power down, and y is power(n)'s
-        projection of y' ⊗ v.  The lift is certified once, concat(m, n) of
-        the pairs is the identity, and a lift that fails raises
-        NotWellDefinedError.
+        a free column w * c + v, or a dual step's (j, w) to e_w ⊗ w_j,
+        read off the step.  For n = 1 that is the lift, since concat(m, 1)
+        is power(m+1)'s projection; above it w lifts to e_x ⊗ y' one power
+        down, and y is power(n)'s projection of y' ⊗ v.  The lift is
+        certified once, concat(m, n) of the pairs is the identity, and a
+        lift that fails raises NotWellDefinedError.
         """
         key = (m, n)
         got = self._lifts.get(key)
         if got is None:
             p, q, c = self.p, self.power(m + n), self.carrier_dim
-            sect = q.section.a.reshape(self.power(m + n - 1).dim, c, q.dim)
-            # the block w of each column that is nonzero, or 0
-            w = sect.any(axis=1).argmax(axis=0) if sect.size else np.zeros(q.dim, dtype=np.intp)
-            v = sect[w, :, np.arange(q.dim)].T
+            if isinstance(q, DualStep):
+                w = np.tile(np.arange(len(q.across)), q.w.shape[1])
+                v = np.repeat(q.w, len(q.across), axis=1)
+            else:
+                w, v = np.divmod(q.free, c)
+                v = np.eye(c, dtype=np.int64)[:, v]
             if n == 1:
                 xs, ys = w, v
             else:
                 below, lower = self.lift(m, n - 1)
                 pairs = (lower[:, None, w] * v[None]) % p
-                xs, ys = below[w], mul_mod(self.power(n).projection.a,
-                                           pairs.reshape(lower.shape[0] * c, q.dim), p)
+                xs, ys = below[w], self.power(n).project(pairs.reshape(lower.shape[0] * c, q.dim))
             ones = np.eye(self.power(m).dim, dtype=np.int64)[:, xs]
             bad = self.concat_batches(m, n, ones, ys) != np.eye(q.dim, dtype=np.int64)
             if bad.any():

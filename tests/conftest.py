@@ -224,7 +224,7 @@ def dense_cup(c, m, n, xs, ys):
     then descended through concat(m, n) and a section of it read off its
     pivot columns, which checks that every product kills the balancing
     relations: the reference for ``hochschild.cup``."""
-    from coringlab.linalg import Matrix, QuotientSpace, descend, inverse, mul_mod, rref_rows
+    from coringlab.linalg import Matrix, inverse, mul_mod, rref_rows
 
     p, d = c.p, c.extension.ambient.dim
     xs, ys = np.asarray(xs, dtype=np.int64) % p, np.asarray(ys, dtype=np.int64) % p
@@ -241,7 +241,7 @@ def dense_cup(c, m, n, xs, ys):
         pivots = list(rref_rows(concat.a, p)[1])
         section = np.zeros((concat.cols, concat.rows), dtype=np.int64)
         section[pivots] = inverse(Matrix(p, concat.a[:, pivots])).a
-        plain = descend(QuotientSpace(p, concat, Matrix(p, section)), plain)
+        plain = descend_by(concat.a, section, plain, p)
     return c._coords(m + n, plain.reshape(k, d * plain.shape[1]))
 
 
@@ -292,30 +292,30 @@ def dual_step_mismatches(tower, top):
     canonical form of the dual projection's rows is the commutant's
     projection, T = canonical projection @ dual section is invertible,
     and the canonical projection is T @ dual projection."""
-    from coringlab.linalg import Matrix, inverse
+    from coringlab.linalg import Matrix, inverse, mul_mod
     from coringlab.tensors import balanced_pair, free_pair
 
-    out = []
+    p, out = tower.p, []
     for n in range(2, top + 1):
         rights = tower.right_on(n - 1)
-        dual = free_pair(tower.base, rights, tower.dual)
-        canon = balanced_pair(tower.p, tower.power(n - 1).dim, tower.carrier_dim,
+        proj, sect = dense_pair(free_pair(tower.base, rights, tower.dual))
+        canon = balanced_pair(p, tower.power(n - 1).dim, tower.carrier_dim,
                               [rights[j].a for j in tower.gens],
                               [tower.left_mats[j].a for j in tower.gens])
-        mine = tower.power(n)
-        rows, free = span_with_free(dual.projection.a, tower.p)
-        change = canon.projection @ dual.section
+        mine = dense_pair(tower.power(n))
+        rows, free = span_with_free(proj, p)
+        change = mul_mod(canon.projection.a, sect, p)
         try:
-            inverse(change)
+            inverse(Matrix(p, change))
             invertible = True
         except ValueError:
             invertible = False
-        if not (mine.projection == dual.projection and mine.section == dual.section
-                and dual.projection @ dual.section == Matrix.identity(tower.p, dual.dim)
+        if not (np.array_equal(mine[0], proj) and np.array_equal(mine[1], sect)
+                and np.array_equal(mul_mod(proj, sect, p), np.eye(len(proj), dtype=np.int64))
                 and np.array_equal(rows, canon.projection.a)
                 and free == canon.free.tolist()
                 and invertible
-                and change @ dual.projection == canon.projection):
+                and np.array_equal(mul_mod(change, proj, p), canon.projection.a)):
             out.append(n)
     return out
 
@@ -363,20 +363,54 @@ def off_choice_steps(tower, top):
         return [n for n in range(2, top + 1) if tower.power(n).free is None]
     out = [n + 1 for n in right_module_failures(tower, top - 1)]
     for n in range(2, top + 1):
-        dual = free_pair(tower.base, tower.right_on(n - 1), tower.dual)
-        q = tower.power(n)
-        if not (q.projection == dual.projection and q.section == dual.section):
+        dual = dense_pair(free_pair(tower.base, tower.right_on(n - 1), tower.dual))
+        mine = dense_pair(tower.power(n))
+        if not (np.array_equal(mine[0], dual[0]) and np.array_equal(mine[1], dual[1])):
             out.append(n)
     return sorted(set(out))
 
 
-def dense_descend(q, m):
-    """``linalg.descend`` through the section and projection as matrices,
-    h = m @ section checked by h @ projection = m on every column: the
-    reference for the gather on a quotient's free columns."""
-    from coringlab.linalg import QuotientSpace, descend
+def descend_by(projection, section, m, p):
+    """``linalg.descend`` through a projection and a section as matrices,
+    h = m @ section checked by h @ projection = m on every column, with
+    the same NotWellDefinedError naming the first ambient coordinate
+    that fails: the dense reference for every path of ``descend``."""
+    from coringlab.errors import NotWellDefinedError
+    from coringlab.linalg import mul_mod
 
-    return descend(QuotientSpace(q.p, q.projection, q.section), m)
+    h = mul_mod(m, section, p)
+    bad = (mul_mod(h, projection, p) != m).any(axis=0)
+    if bad.any():
+        raise NotWellDefinedError(
+            f"the map does not kill the relations: ambient coordinate "
+            f"{int(np.flatnonzero(bad)[0])} and its representative have different images")
+    return h
+
+
+def dense_pair(q):
+    """q's projection and section as arrays.  A ``linalg.DualStep``
+    holds neither, so its pair is formed here entry by entry from its
+    (w, Φ, R_b): projection[(j, y), (x, v)] = Σ_b Φ[j, b, v]·R_b[y, x]
+    and section[(x, v), (j, y)] = w_j[v] where x = y.  The dense
+    reference for the blockwise paths."""
+    from coringlab.linalg import DualStep
+
+    if not isinstance(q, DualStep):
+        return q.projection.a, q.section.a
+    (m, r, c), d = q.phi.shape, q.rights.shape[1]
+    proj = np.zeros((m, d, d, c), dtype=np.int64)
+    for b in range(r):
+        proj = (proj + q.phi[:, b, None, None, :] * q.rights[b][None, :, :, None]) % q.p
+    sect = np.zeros((d, c, m, d), dtype=np.int64)
+    for x in range(d):
+        sect[x, :, :, x] = q.w
+    return proj.reshape(m * d, d * c), sect.reshape(d * c, m * d)
+
+
+def dense_descend(q, m):
+    """``descend_by`` q's ``dense_pair``: the reference for the gather on
+    a quotient's free columns and for a dual step's blockwise descent."""
+    return descend_by(*dense_pair(q), m, q.p)
 
 
 def dense_on_last(tower, n, m):
@@ -386,7 +420,7 @@ def dense_on_last(tower, n, m):
 
     q = tower.power(n)
     eye = np.eye(tower.power(n - 1).dim, dtype=np.int64)
-    return dense_descend(q, mul_mod(q.projection.a, np.kron(eye, m.a), tower.p))
+    return dense_descend(q, mul_mod(dense_pair(q)[0], np.kron(eye, m.a), tower.p))
 
 
 def dense_then_identity(tower, phi, n, k, lead=1):
@@ -395,12 +429,12 @@ def dense_then_identity(tower, phi, n, k, lead=1):
     descended by ``dense_descend``; columns x * dim power(n) + t."""
     from coringlab.linalg import mul_mod
 
-    p, dst = tower.p, tower.power(k)
+    p, onto = tower.p, dense_pair(tower.power(k))[0]
     eye = np.eye(tower.carrier_dim, dtype=np.int64)
     slices = phi.a.reshape(tower.power(k - 1).dim, lead, tower.power(n - 1).dim)
     return np.hstack([
         dense_descend(tower.power(n),
-                      mul_mod(dst.projection.a, np.kron(slices[:, x, :], eye), p))
+                      mul_mod(onto, np.kron(slices[:, x, :], eye), p))
         for x in range(lead)])
 
 
@@ -446,6 +480,65 @@ def gathered_map_mismatches(tower, top):
             last = mul_mod(concat, np.kron(np.eye(d_prev, dtype=np.int64), tower.coproduct.a), p)
             if not np.array_equal(tower.coproducts(n)[-1].a, dense_descend(tower.power(n), last)):
                 out.append(("coproduct last slot", n))
+    return out
+
+
+def blockwise_step_failures(tower, top, seed=0):
+    """The (path, n) at which a dual power(n), n in 2..top, read
+    blockwise differs from its ``dense_pair``: ``project`` of a batch and
+    of one vector; ``concat(n - 1, 1)`` and ``concat_batches(n - 1, 1)``
+    on paired batches, on a one-column side on either side and on zero
+    columns, against the projection of their Khatri-Rao pairs;
+    ``descend`` of a map through the projection against ``descend_by``;
+    the refusal of that map with one ambient entry moved, which must
+    name the coordinate the dense check names; and ``lift(n - 1, 1)``
+    against the section's columns."""
+    from coringlab.errors import NotWellDefinedError
+    from coringlab.linalg import DualStep, descend, mul_mod
+
+    p, c = tower.p, tower.carrier_dim
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in range(2, top + 1):
+        q = tower.power(n)
+        if not isinstance(q, DualStep):
+            continue
+        proj, sect = dense_pair(q)
+        d = tower.power(n - 1).dim
+        xs = rng.integers(0, p, size=(q.ambient_dim, 5), dtype=np.int64)
+        if not (np.array_equal(q.project(xs), mul_mod(proj, xs, p))
+                and np.array_equal(q.project(xs[:, 0]), mul_mod(proj, xs[:, :1], p)[:, 0])):
+            out.append(("project", n))
+        if not np.array_equal(tower.concat(n - 1, 1).a, proj):
+            out.append(("concat", n))
+        left = rng.integers(0, p, size=(d, 5), dtype=np.int64)
+        right = rng.integers(0, p, size=(c, 5), dtype=np.int64)
+        for name, a, b in [("paired", left, right), ("one left", left[:, :1], right),
+                           ("one right", left, right[:, :1]), ("none", left[:, :0], right[:, :0])]:
+            k = max(a.shape[1], b.shape[1]) if a.shape[1] and b.shape[1] else 0
+            pairs = (np.broadcast_to(a[:, None, :], (d, c, k))
+                     * np.broadcast_to(b[None, :, :], (d, c, k))).reshape(d * c, k) % p
+            if not np.array_equal(tower.concat_batches(n - 1, 1, a, b), mul_mod(proj, pairs, p)):
+                out.append((f"concat_batches {name}", n))
+        m = mul_mod(rng.integers(0, p, size=(3, q.dim), dtype=np.int64), proj, p)
+        if not np.array_equal(descend(q, m), descend_by(proj, sect, m, p)):
+            out.append(("descend", n))
+        m[1, rng.integers(q.ambient_dim)] += 1 + rng.integers(p - 1)
+        m %= p
+        try:
+            descend_by(proj, sect, m, p)
+            out.append(("moved entry kept", n))
+        except NotWellDefinedError as dense:
+            try:
+                descend(q, m)
+                out.append(("moved entry descended", n))
+            except NotWellDefinedError as err:
+                if str(err) != str(dense):
+                    out.append(("moved entry named", n))
+        at, ys = tower.lift(n - 1, 1)
+        lifted = (np.eye(d, dtype=np.int64)[:, None, at] * ys[None]).reshape(d * c, -1)
+        if not np.array_equal(lifted, sect):
+            out.append(("lift", n))
     return out
 
 

@@ -224,8 +224,9 @@ def test_m2_complex_reduces_nothing_wider_than_the_carrier(monkeypatch):
     # the M2 carrier is free of rank 4 over M2, so every power above it is
     # read off the dual basis, power(n) = power(n-1)^4, in the dual step's
     # own coordinates: no 256- or 1024-wide reduction of a power runs.
-    # The one reduction wider than the 16-dim carrier is the rank of the
-    # 64 x 64 f2 of the depth-two certificate
+    # The 64 x 64 f2 of the depth-two certificate is inverted once, by
+    # Gauss-Jordan on its augmented matrix, and never ranked, so no
+    # reduction wider than the 16-dim carrier runs at all
     from coringlab import linalg
     from coringlab.corpus import load_corpus_extension
 
@@ -240,16 +241,32 @@ def test_m2_complex_reduces_nothing_wider_than_the_carrier(monkeypatch):
     x = build_amitsur(endo_coring(load_corpus_extension("m2_gf5")), 3)
     assert x.dims() == [4, 16, 64, 256]
     assert x.coring.carrier_dim == 16
-    assert [w for w in widths if w > 16] == [64]
+    assert [w for w in widths if w > 16] == []
 
 
-def test_m2_tower_maps_take_no_dense_path():
+def test_m2_tower_maps_take_no_dense_path(monkeypatch):
     # every structure map of the M2 coring and of the extension tower
     # under its f2 certificate passes its linearity check (one that
     # failed would be refused), and the coring's tower is dual, so its
-    # maps are block matrices
+    # maps are block matrices.  Its dual steps are projected, descended
+    # and lifted blockwise: building the complex and its cohomology
+    # forms no concat(m, n) with m, n >= 1 on a dual tower, the one way
+    # to a step's dense projection, and a DualStep holds no section
     from coringlab.corpus import load_corpus_extension
+    from coringlab.tensors import TensorTower
 
+    formed = []
+    concat = TensorTower.concat
+
+    def counted(tower, m, n):
+        if tower.dual is not None and m and n:
+            formed.append((m, n))
+        return concat(tower, m, n)
+
+    monkeypatch.setattr(TensorTower, "concat", counted)
     x = build_amitsur(endo_coring(load_corpus_extension("m2_gf5")), 3)
+    assert cohomology_dims(x) == [1, 0, 0]
     assert x.dims() == [4, 16, 64, 256]
     assert x.coring.dual is not None
+    assert formed == []
+    assert not hasattr(x.coring.power(3), "section")

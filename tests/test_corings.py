@@ -21,11 +21,12 @@ from coringlab import (
 )
 from coringlab.algebras import generating_indices, matrix_algebra, one_dim_algebra
 from coringlab.corpus import extension_names, hopf_names, load_corpus_extension, load_corpus_hopf
+from coringlab.linalg import mul_mod
 from coringlab.tensors import TensorTower, balanced_pair, balanced_power
 
-from conftest import (concat_lift_failures, dual_step_mismatches, gathered_map_mismatches,
-                      hom_matrix, multiply, naive_rank, off_choice_steps, pure_tensor,
-                      s3_c2_extension, span_with_free)
+from conftest import (blockwise_step_failures, concat_lift_failures, dense_pair,
+                      dual_step_mismatches, gathered_map_mismatches, hom_matrix, multiply,
+                      naive_rank, off_choice_steps, pure_tensor, s3_c2_extension, span_with_free)
 from test_algebras import ut2_diag_extension
 from test_homspaces import brute_hom_dim
 
@@ -110,7 +111,7 @@ def test_endo_measuring_identity(m2_gf5_extension, m2_gf5_cert, m2_gf5_endo, rng
         x = rng.integers(0, 5, size=a.dim)
         y = rng.integers(0, 5, size=a.dim)
         lhs = hom_matrix(s, alpha).apply(multiply(a, x, y))
-        lift = sq.section.apply(c.coproduct.apply(alpha))
+        lift = mul_mod(dense_pair(sq)[1], c.coproduct.apply(alpha).reshape(-1, 1), 5)[:, 0]
         rhs = np.zeros(a.dim, dtype=np.int64)
         for k in range(s.dim):
             xk = basis[k].apply(x)
@@ -285,6 +286,9 @@ def test_concat_lifts_invert_concat(corpus_corings):
 def test_coring_maps_gather_the_dense_maps(corpus_corings):
     for name, c in corpus_corings.items():
         assert gathered_map_mismatches(c, 3) == [], name
+        # dual steps read blockwise, up to power(4) on three of them
+        top = 4 if name in ("m2_gf5 endo", "c3_gf3 endo", "s3_c2_gf7 sweedler") else 3
+        assert blockwise_step_failures(c, top) == [], name
 
 
 def test_base_generators_balance_like_the_whole_basis(corpus_corings):
@@ -299,7 +303,7 @@ def test_base_generators_balance_like_the_whole_basis(corpus_corings):
             full = balanced_pair(c.p, c.power(n - 1).dim, c.carrier_dim,
                                  [m.a for m in c.right_on(n - 1)],
                                  [m.a for m in c.left_mats])
-            rows, free = span_with_free(c.power(n).projection.a, c.p)
+            rows, free = span_with_free(dense_pair(c.power(n))[0], c.p)
             assert np.array_equal(rows, full.projection.a), (name, n)
             assert free == full.free.tolist(), (name, n)
 

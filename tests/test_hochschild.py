@@ -135,9 +135,10 @@ def test_degree_two_coboundary_and_cups_pointwise(make, rng):
 
 
 def test_cup_refuses_a_product_that_does_not_descend():
-    # a power(3) whose section does not invert concat(1, 2): its
-    # coordinates lift to the wrong pure tensors, so id ∪ (id ∪ id) fails
-    # the lift's certificate instead of returning a wrong cochain
+    # a power(3) whose free columns are rolled, so that its section no
+    # longer inverts concat(1, 2): its coordinates lift to the wrong pure
+    # tensors, so id ∪ (id ∪ id) fails the lift's certificate instead of
+    # returning a wrong cochain
     e = ut2_diag_extension(5)
     c = build_complex(e, 3)
     ident = c.homs[1].coords_of(Matrix.identity(5, 3)).reshape(-1, 1)
@@ -145,7 +146,8 @@ def test_cup_refuses_a_product_that_does_not_descend():
     tower = extension_tower(e)
     good = tower.power(3)
     tower._powers[3] = QuotientSpace(5, good.projection,
-                                     Matrix(5, np.roll(good.section.a, 1, axis=1)))
+                                     Matrix(5, np.roll(good.section.a, 1, axis=1)),
+                                     np.roll(good.free, 1))
     broken = CochainComplex(e, 3, c.homs, {n: RelativeTensorPower(e, tower, n) for n in (1, 2, 3)},
                             c.d)
     assert cup(c, 1, 2, ident, square).shape == (c.dim(3), 1)

@@ -47,9 +47,10 @@ from coringlab.tensors import (
     relation_entries,
 )
 
-from conftest import (concat_lift_failures, dense_on_last, dense_then_identity,
-                      dual_step_mismatches, gathered_map_mismatches, multiply, pure_tensor,
-                      off_choice_steps, quotient_of, s3_c2_extension, self_extension)
+from conftest import (blockwise_step_failures, concat_lift_failures, dense_on_last, dense_pair,
+                      dense_then_identity, dual_step_mismatches, gathered_map_mismatches,
+                      multiply, pure_tensor, off_choice_steps, quotient_of, s3_c2_extension,
+                      self_extension)
 from test_algebras import C3, ut2_diag_extension
 
 
@@ -423,6 +424,7 @@ def test_dual_basis_steps_on_extension_towers(corpus_towers):
     assert sorted(name for name, t in corpus_towers.items() if t.dual is not None) == [
         "s3_c2_gf7"]
     assert dual_step_mismatches(corpus_towers["s3_c2_gf7"], 3) == []
+    assert blockwise_step_failures(corpus_towers["s3_c2_gf7"], TOP) == []
 
 
 def test_tower_maps_gather_the_dense_maps(corpus_towers):
@@ -605,9 +607,9 @@ def test_dual_basis_powers_match_the_dense_oracle(case):
                            [m.a for m in tower.left_mats], n)
     # the tower's power(n) read on the dense ambient, projecting one
     # factor at a time, kills exactly the dense relations
-    onto = tower.power(2).projection.a
+    onto = dense_pair(tower.power(2))[0]
     for k in range(3, n + 1):
-        onto = mul_mod(tower.power(k).projection.a, np.kron(onto, np.eye(c, dtype=np.int64)), p)
+        onto = mul_mod(dense_pair(tower.power(k))[0], np.kron(onto, np.eye(c, dtype=np.int64)), p)
     assert tower.power(n).dim == dense.dim
     assert np.array_equal(Subspace.from_spanning(p, c**n, onto).rows,
                           Subspace.from_spanning(p, c**n, dense.projection.a).rows)
