@@ -18,9 +18,10 @@ decides once (``TensorTower.dual``) whether every step is such a dual
 step or none is; dual coordinates are not ``commutant``'s canonical
 ones.  Carriers on which every generator acts diagonally keep
 ``commutant``'s coordinate selection, and the rest its reduction.
-Each power is a quotient of its plain product, and every structure map on power(n) is a map on power(n-1) tensored with the
-identity of the last factor (``then_identity``) or one on the last
-factor alone (``on_last``).  The first is well defined when it is
+Each power is a quotient of its plain product, and every structure map
+on power(n) is a map on power(n-1) tensored with the identity of the
+last factor (``then_identity``) or one on the last factor alone
+(``on_last``).  The first is well defined when it is
 right-linear over the generators, the second when it is left-linear
 over them, since the generators' relations span power(n)'s; each map
 checks that certificate with one product a side, or entry by entry when
@@ -34,7 +35,8 @@ of power(m+n) through concat(m, n) to a pure tensor e_x ⊗ y, certified
 once, so a map out of power(m) ⊗ power(n) that kills the balancing
 relations is read on power(m+n) at those pairs alone; and
 ``concat_batches`` multiplies batches of pairs blockwise, forming
-neither concat(m, n) nor a Khatri-Rao product on a dual tower.
+neither concat(m, n) nor, for m, n >= 1, a Khatri-Rao product on a
+dual tower.
 A coring's S ⊗_R ... ⊗_R S and an extension's A ⊗_B ... ⊗_B A
 (``build_power``, B acting by multiplication) are both towers.
 ``balanced_power`` is the dense reference the tests check them against.
@@ -496,8 +498,8 @@ class TensorTower:
         a power(m) coordinate and y = ys[:, z] in power(n).
 
         Every power's section lifts z to a pure w ⊗ v, w in power(m+n-1):
-        a free column w * c + v, or a dual step's (j, w) to e_w ⊗ w_j,
-        read off the step.  For n = 1 that is the lift, since concat(m, 1)
+        a free column w * c + v, or a dual step's coordinate (j, y), which
+        lifts to e_y ⊗ w_j.  For n = 1 that is the lift, since concat(m, 1)
         is power(m+1)'s projection; above it w lifts to e_x ⊗ y' one power
         down, and y is power(n)'s projection of y' ⊗ v.  The lift is
         certified once, concat(m, n) of the pairs is the identity, and a

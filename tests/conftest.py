@@ -426,16 +426,15 @@ def dense_on_last(tower, n, m):
 def dense_then_identity(tower, phi, n, k, lead=1):
     """phi ⊗ id_carrier from lead ⊗ power(n) to power(k), one slice of phi
     at a time on the whole plain product with an explicit kron, each
-    descended by ``dense_descend``; columns x * dim power(n) + t."""
+    descended through power(n)'s ``dense_pair``; columns x * dim
+    power(n) + t."""
     from coringlab.linalg import mul_mod
 
-    p, onto = tower.p, dense_pair(tower.power(k))[0]
+    p, onto, src = tower.p, dense_pair(tower.power(k))[0], dense_pair(tower.power(n))
     eye = np.eye(tower.carrier_dim, dtype=np.int64)
     slices = phi.a.reshape(tower.power(k - 1).dim, lead, tower.power(n - 1).dim)
-    return np.hstack([
-        dense_descend(tower.power(n),
-                      mul_mod(onto, np.kron(slices[:, x, :], eye), p))
-        for x in range(lead)])
+    return np.hstack([descend_by(*src, mul_mod(onto, np.kron(slices[:, x, :], eye), p), p)
+                      for x in range(lead)])
 
 
 def gathered_map_mismatches(tower, top):
