@@ -163,19 +163,17 @@ class CoringWithGrouplike(TensorTower):
             # only cascade
             return fails
 
-        eps = self.counit.a
+        eps, t = self.counit.a, self.base.tensor     # x -> e_j·x is t[j].T, x -> x·e_j t[:, j].T
         try:
             lefts, rights = self.left_on(2), self.right_on(2)
             for j in range(db):
-                e_j = np.zeros(db, dtype=np.int64)
-                e_j[j] = 1
                 if self.coproduct @ self.left_mats[j] != lefts[j] @ self.coproduct:
                     fails.append(f"coproduct is not left-linear over the base (index {j})")
                 if self.coproduct @ self.right_mats[j] != rights[j] @ self.coproduct:
                     fails.append(f"coproduct is not right-linear over the base (index {j})")
-                if self.counit @ self.left_mats[j] != self.base.left_mul(e_j) @ self.counit:
+                if self.counit @ self.left_mats[j] != Matrix(p, t[j].T) @ self.counit:
                     fails.append(f"counit is not left-linear over the base (index {j})")
-                if self.counit @ self.right_mats[j] != self.base.right_mul(e_j) @ self.counit:
+                if self.counit @ self.right_mats[j] != Matrix(p, t[:, j].T) @ self.counit:
                     fails.append(f"counit is not right-linear over the base (index {j})")
 
             # coproduct ⊗ id against id ⊗ coproduct, both power(2) -> power(3)
@@ -327,7 +325,7 @@ def sweedler_coring(e: Extension) -> CoringWithGrouplike:
     # A acts on the first factor as its multiplication ⊗ id, one column
     # block per basis element, and on the last factor alone
     left_mats = [Matrix(p, b) for b in np.hsplit(t2.tower.then_identity(a.mult, 2, 2, d).a, d)]
-    right_mats = t2.tower.on_last(2, [a.right_mul(x) for x in eye_d])
+    right_mats = t2.tower.on_last(2, [Matrix(p, a.tensor[:, j].T) for j in range(d)])
     tower = TensorTower(a, q.dim, left_mats, right_mats)
     into_left = q.project(np.kron(eye_d, a.unit.reshape(d, 1)))
     into_right = q.project(np.kron(a.unit.reshape(d, 1), eye_d))

@@ -14,9 +14,12 @@ coordinates only, each lifted to a pure tensor e_x ⊗ y by the tower's
 well defined because degree-m cochains are right-linear and degree-n
 ones left-linear over the tower's generators, checked once per complex
 and degree; and r ∪ g = r·g, f ∪ r = f·r in degree 0.  ``cup`` forms
-it on column-paired batches, f_i ∪ g_i for every column i, or one
-element against a batch, contracted with the structure tensor once, and
-is the complex's ``products``; it refuses an intermediate above
+it on column-paired batches, f_i ∪ g_i for every column i, as the
+reduced outer products f_i(e_x) ⊗ g_i(y) contracted with the structure
+tensor in one ``mul_mod``, or one element against a batch, contracted
+with the structure tensor once; every product is a ``mul_mod``, which
+alone decides how to keep it exact.  ``cup`` is the complex's
+``products``; it refuses an intermediate above
 ``linalg.RELATION_ENTRY_BUDGET`` before forming it.  The coboundary is the shared
 ``dga.coboundaries`` with iota, the identity 1-cochain, as unit and the
 pullbacks f -> f∘mu_i along the slot multiplications
@@ -46,9 +49,9 @@ from .tensors import RelativeTensorPower, _intertwines, extension_tower, mult_at
 
 DEFAULT_DEGREE = 3
 
-# entries of the products with the structure tensor of one slice of
-# paired cochains, d² per cochain and coordinate: a constant, so a wide
-# batch costs slices, not a larger array
+# entries of the outer products of one slice of paired cochains, d² per
+# pair and coordinate: a constant, so a wide batch costs slices, not a
+# larger array
 PAIR_SLICE = 2**21
 
 
@@ -106,8 +109,8 @@ def cup(c: CochainComplex, m: int, n: int, xs, ys) -> np.ndarray:
     f, g = c._matrices(m, xs), c._matrices(n, ys)
     single = 1 in (xs.shape[1], ys.shape[1])     # one element against a batch
     # the largest arrays: a batch, d entries per cochain and coordinate,
-    # and the products with t, d² entries for the one element or each
-    # paired cochain of a slice
+    # and d² entries for the one element's products with t or each pair's
+    # outer products in a slice
     width = max(size, f.shape[2])
     step = max(1, PAIR_SLICE // (d * d * width))
     slab = (1 if single else min(k, step)) * d * d * width
@@ -135,23 +138,15 @@ def _each_pair(f: np.ndarray, g: np.ndarray, t: np.ndarray, at: np.ndarray,
                p: int) -> np.ndarray:
     """out[i, r, z] = Σ_{a,b} t[a, b, r]·f[i, a, at[z]]·g[i, b, z] mod p.
 
-    Each f_i is contracted with t before the gather by ``at``, then one
-    small product per pair and lift.  Every partial sum is an integer
-    below d²·(p−1)³, so where that is below 2**53 both contractions run
-    exactly in float64, the second as one ``einsum`` pass, and reduce
-    once; otherwise each goes through ``mul_mod``, exact at every p but
-    slower: a stack of 1 x d products, with int64 round trips.
+    The outer products f_i(e_x) ⊗ g_i(y), one per pair i and lift z, are
+    formed reduced in [i, z, a, b] order and contracted with t in one
+    ``mul_mod`` of inner dimension d², which keeps it exact at every p.
     """
-    k, d, qm = f.shape
-    rows = f.transpose(0, 2, 1).reshape(k * qm, d)
-    if d * d * (p - 1) ** 3 < 2**53:
-        s = rows.astype(np.float64) @ t.reshape(d, d * d).astype(np.float64)
-        out = np.einsum("izbr,ibz->irz", s.reshape(k, qm, d, d)[:, at],
-                        g.astype(np.float64)).astype(np.int64)
-        out %= p
-        return out
-    s = mul_mod(rows, t.reshape(d, d * d), p).reshape(k, qm, d, d)[:, at]
-    return mul_mod(g.transpose(0, 2, 1)[:, :, None, :], s, p)[:, :, 0].transpose(0, 2, 1)
+    k, d, z = g.shape
+    outer = f[:, :, at].transpose(0, 2, 1)[..., None] * g.transpose(0, 2, 1)[..., None, :]
+    outer %= p
+    out = mul_mod(outer.reshape(k * z, d * d), t.reshape(d * d, d), p)
+    return out.reshape(k, z, d).transpose(0, 2, 1)
 
 
 def _check_balanced(c: CochainComplex, n: int, kind: str) -> None:
@@ -175,9 +170,8 @@ def _check_balanced(c: CochainComplex, n: int, kind: str) -> None:
 
 def _pullbacks(c: CochainComplex, n: int) -> list[Matrix]:
     """f -> f∘mu_i from degree n to n+1, for the slots i = 1..n."""
-    mats = c._matrices(n, np.eye(c.dim(n), dtype=np.int64))
-    k, d, q = mats.shape
-    flat = mats.reshape(k * d, q)
+    rows, k, d = c.homs[n].rows, c.dim(n), c.extension.ambient.dim
+    flat = rows.reshape(k * d, rows.shape[1] // d)    # the cochains' matrices, stacked
     maps = []
     for i in range(1, n + 1):
         pulled = mul_mod(flat, mult_at(c.powers[n + 1], c.powers[n], i).a, c.p)

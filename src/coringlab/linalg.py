@@ -7,7 +7,9 @@ dense integer matrix of residues.  This module supplies the primitives:
 * ``mul_mod`` -- exact matrix products.  When ``inner * (p-1)**2 < 2**53``
   the product is computed in float64 (BLAS) and rounded back, which is
   exact integer arithmetic; otherwise it falls back to chunked int64
-  accumulation.  Both paths are exact for every supported prime.
+  accumulation.  Both paths are exact for every supported prime, and
+  this is the one exactness decision: no other module converts residues
+  to floating point.
 * reduced row echelon forms with deterministic first-nonzero pivoting,
   including an incremental accumulator for large relation spans,
 * kernels and inverses,
@@ -58,6 +60,9 @@ _INT64_BUDGET = 2**62
 # field (ambient 11**4, about 2.1e8) is refused, and so are the d**4
 # entries of the associativity check of an algebra of dimension d > 100.
 RELATION_ENTRY_BUDGET = 10**8
+
+# rows an ``RrefAccumulator`` reduces and echelonizes at once
+RREF_CHUNK = 768
 
 
 def is_prime(n: int) -> bool:
@@ -164,10 +169,9 @@ class RrefAccumulator:
     order (RREF of a row space is unique).
     """
 
-    def __init__(self, ncols: int, p: int, chunk: int = 768):
+    def __init__(self, ncols: int, p: int):
         self.p = p
         self.ncols = ncols
-        self.chunk = chunk
         self.rows = np.zeros((0, ncols), dtype=np.int64)
         self.pivots: list[int] = []
 
@@ -177,8 +181,8 @@ class RrefAccumulator:
             return
         if block.shape[1] != self.ncols:
             raise ValueError(f"expected {self.ncols} columns, got {block.shape[1]}")
-        for lo in range(0, block.shape[0], self.chunk):
-            self._add_chunk(block[lo : lo + self.chunk].copy())
+        for lo in range(0, block.shape[0], RREF_CHUNK):
+            self._add_chunk(block[lo : lo + RREF_CHUNK].copy())
 
     def _add_chunk(self, c: np.ndarray) -> None:
         p = self.p

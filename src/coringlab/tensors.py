@@ -186,7 +186,7 @@ def dual_basis(base: FinDimAlgebra, gens, left_mats) -> DualBasis | None:
     for g in gens:
         # φ(g·v) against g·φ(v), with g acting on R by left multiplication
         lhs = mul_mod(phi.reshape(-1, c), stack[g], p)
-        rhs = mul_mod(base.left_mul(np.eye(dim_r, dtype=np.int64)[g]).a, phi, p)
+        rhs = mul_mod(base.tensor[g].T, phi, p)  # x -> e_g·x is t[g].T
         if not np.array_equal(lhs, rhs.reshape(-1, c)):
             return None
     unit = mul_mod(base.unit.reshape(1, -1), stack.reshape(dim_r, -1), p).reshape(c, c)
@@ -648,7 +648,8 @@ def _mult(tower: TensorTower, a: FinDimAlgebra, n: int, i: int) -> Matrix:
     if i < n:
         return tower.then_identity(_mult(tower, a, n - 1, i), n + 1, n)
     # the last slot: y ⊗ x -> y·x, A acting on the last factor of power(n)
-    acts = tower.on_last(n, [a.right_mul(x) for x in np.eye(a.dim, dtype=np.int64)])
+    # through x -> x·e_j, the slice t[:, j].T
+    acts = tower.on_last(n, [Matrix(a.p, a.tensor[:, j].T) for j in range(a.dim)])
     return Matrix(a.p, descend(tower.power(n + 1), _side_by_side(acts)))
 
 

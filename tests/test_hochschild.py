@@ -179,8 +179,11 @@ def test_cup_refuses_a_cochain_that_is_not_bilinear(mult, kind):
 
 
 # the corpus extensions and the two bundled triangles, to degree 3, and
-# two extensions at the largest prime, where products leave float64
+# two extensions at the largest prime, where products leave float64, and
+# at the largest prime below 2**20, where the cup's one contraction, of
+# inner dimension d², stays in float64 though d²·(p−1)³ passes 2**53
 ORACLE_PRIME = 2**31 - 1
+MIDDLE_PRIME = 1048573
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +197,8 @@ def oracle_complexes():
         out[name] = build_complex(e, 3)
     out["ut2_diag large p"] = build_complex(ut2_diag_extension(ORACLE_PRIME), 3)
     out["s3_c2 large p"] = build_complex(s3_c2_extension(ORACLE_PRIME), 3)
+    out["ut2_diag middle p"] = build_complex(ut2_diag_extension(MIDDLE_PRIME), 3)
+    out["s3_c2 middle p"] = build_complex(s3_c2_extension(MIDDLE_PRIME), 3)
     return out
 
 

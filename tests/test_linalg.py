@@ -188,10 +188,13 @@ def test_mul_mod_stacked_is_slice_by_slice(rng, p):
     assert not empty.any()
 
 
-def test_accumulator_matches_oneshot(rng):
+def test_accumulator_matches_oneshot(rng, monkeypatch):
+    from coringlab import linalg
+
+    monkeypatch.setattr(linalg, "RREF_CHUNK", 7)
     for p in (2, 5, 31):
         m = random_matrix(rng, 40, 17, p)
-        acc = RrefAccumulator(17, p, chunk=7)
+        acc = RrefAccumulator(17, p)
         for lo in range(0, 40, 11):
             acc.add(m[lo : lo + 11])
         rows, piv = acc.result()

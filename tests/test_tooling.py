@@ -5,7 +5,8 @@ up in its owner's namespace (``owner.__dict__[attr]``); a refactor that
 drops or renames a traced function fails here rather than only in the
 benchmark's own tests, and so does one that changes the arguments or
 results its span counters read.  The README's library example runs as
-written, and every name the package exports resolves.
+written, every name the package exports resolves, and no module but
+``linalg`` leaves integer arithmetic.
 """
 
 import importlib.util
@@ -88,3 +89,14 @@ def test_degree_and_trials_defaults_are_the_single_constants():
     e = coringlab.trivial_extension(coringlab.diagonal_algebra(coringlab.Field(2), 1))
     with pytest.raises(SizeLimitError, match=f"power {cap + 1} exceeds"):
         coringlab.build_power(e, cap + 1)
+
+
+def test_only_linalg_leaves_the_integers():
+    # exactness is decided in one place: ``linalg.mul_mod`` runs a product
+    # in float64 or in int64 by its own bound, so no other module converts
+    # residues to floating point or contracts them with ``einsum``
+    leaves = re.compile(r"\bfloat(16|32|64)\b|np\.(float|double)|(astype\(|dtype=)float\b|einsum")
+    for path in sorted((ROOT / "src" / "coringlab").glob("*.py")):
+        if path.name != "linalg.py":
+            hit = leaves.search(path.read_text(encoding="utf-8"))
+            assert hit is None, (path.name, hit and hit.group())
