@@ -65,7 +65,7 @@ class FinDimAlgebra:
         """Multiplication as a dim x dim^2 matrix; column i*dim+j is e_i*e_j."""
         if self._mult is None:
             d = self.dim
-            self._mult = Matrix(self.p, self.tensor.reshape(d * d, d).T)
+            self._mult = Matrix._wrap(self.p, self.tensor.reshape(d * d, d).T)
         return self._mult
 
     def pair_products(self, xs) -> np.ndarray:
@@ -81,14 +81,14 @@ class FinDimAlgebra:
         x = np.asarray(x, dtype=np.int64).reshape(1, -1) % self.p
         d = self.dim
         lb = self.tensor.transpose(0, 2, 1).reshape(d, d * d)
-        return Matrix(self.p, mul_mod(x, lb, self.p).reshape(d, d))
+        return Matrix._wrap(self.p, mul_mod(x, lb, self.p).reshape(d, d))
 
     def right_mul(self, x) -> Matrix:
         """Matrix of y -> y*x."""
         x = np.asarray(x, dtype=np.int64).reshape(1, -1) % self.p
         d = self.dim
         rb = self.tensor.transpose(1, 2, 0).reshape(d, d * d)
-        return Matrix(self.p, mul_mod(x, rb, self.p).reshape(d, d))
+        return Matrix._wrap(self.p, mul_mod(x, rb, self.p).reshape(d, d))
 
     def __eq__(self, other):
         return (
@@ -419,13 +419,13 @@ def subalgebra_on(a: FinDimAlgebra, span: Subspace, names=None) -> tuple[FinDimA
     if names is None:
         names = [f"r{i}" for i in range(k)]
     sub = FinDimAlgebra(a.field, names, tensor.reshape(k, k, k), unit_coords)
-    return sub, Matrix(p, rows.T)
+    return sub, Matrix._wrap(p, rows.T)
 
 
 def trivial_extension(a: FinDimAlgebra) -> Extension:
     """The extension k*1 -> A (B is the scalars)."""
     one = one_dim_algebra(a.field)
-    return Extension(a, one, Matrix(a.p, a.unit.reshape(-1, 1)))
+    return Extension(a, one, Matrix._wrap(a.p, a.unit.reshape(-1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +534,6 @@ def dual_hopf(h: HopfData) -> HopfData:
     rep = validate(dual_alg)
     if not rep.ok:
         raise AxiomError("dual multiplication fails algebra axioms: " + rep.failures[0])
-    cop_dual = Matrix(p, a.mult.a.T)      # d^2 x d
-    counit_dual = Matrix(p, a.unit.reshape(1, -1))
+    cop_dual = Matrix._wrap(p, a.mult.a.T)      # d^2 x d
+    counit_dual = Matrix._wrap(p, a.unit.reshape(1, -1))
     return HopfData(dual_alg, cop_dual, counit_dual)

@@ -5,7 +5,8 @@ the base (which holds the base algebra and the commuting left/right
 base actions), the coproduct into the carrier's tensor square, the
 counit and the grouplike vector, and every axiom is checked exactly
 before the constructor returns, so a CoringWithGrouplike value in hand
-is itself a certificate.
+is itself a certificate.  The base-action laws run as stacked products,
+every j of a basis pair (i, j) at once, and report each failing pair.
 
 A coring is a ``tensors.TensorTower``: its carrier's powers over the
 base are grown one factor at a time, power(n) = power(n-1) (x)_R
@@ -87,7 +88,7 @@ class CoringWithGrouplike(TensorTower):
         c = self.carrier_dim
         coords = np.asarray(coords, dtype=np.int64).reshape(1, -1) % self.p
         stack = np.stack([m.a for m in mats]).reshape(len(mats), c * c)
-        return Matrix(self.p, mul_mod(coords, stack, self.p).reshape(c, c))
+        return Matrix._wrap(self.p, mul_mod(coords, stack, self.p).reshape(c, c))
 
     def coproducts(self, n: int) -> list[Matrix]:
         """The coproduct applied in slot i = 1..n of power(n), each a map
@@ -116,12 +117,12 @@ class CoringWithGrouplike(TensorTower):
         p, c = self.p, self.carrier_dim
         if self.dual is not None:
             blocks = self.coproduct.a.reshape(-1, c, c)
-            last = self.on_last(n, [Matrix(p, b) for b in blocks])
-            return Matrix(p, np.vstack([h.a for h in last]))
+            last = self.on_last(n, [Matrix._wrap(p, b) for b in blocks])
+            return Matrix._wrap(p, np.vstack([h.a for h in last]))
         rows, d_prev = self.power(n + 1).dim, self.power(n - 1).dim
         concat = self.concat(n - 1, 2).a.reshape(rows * d_prev, self.power(2).dim)
         last = mul_mod(concat, self.coproduct.a, p)
-        return Matrix(p, descend(self.power(n), last.reshape(rows, d_prev * c)))
+        return Matrix._wrap(p, descend(self.power(n), last.reshape(rows, d_prev * c)))
 
     # -- construction-time verification ------------------------------------
 
@@ -149,15 +150,16 @@ class CoringWithGrouplike(TensorTower):
             fails.append("left action is not unital")
         if self.right_action(self.base.unit) != ident:
             fails.append("right action is not unital")
-        for i in range(db):
-            for j in range(db):
-                prod = self.base.tensor[i, j]
-                if self.left_action(prod) != self.left_mats[i] @ self.left_mats[j]:
-                    fails.append(f"left action not multiplicative (i={i}, j={j})")
-                if self.right_action(prod) != self.right_mats[j] @ self.right_mats[i]:
-                    fails.append(f"right action not antimultiplicative (i={i}, j={j})")
-                if self.left_mats[i] @ self.right_mats[j] != self.right_mats[j] @ self.left_mats[i]:
-                    fails.append(f"left and right actions do not commute (i={i}, j={j})")
+        # L(e_i e_j) = L_i L_j, R(e_i e_j) = R_j R_i and L_i R_j = R_j L_i as
+        # stacked products over j, one base index i at a time
+        ls, rs = (np.stack([m.a for m in mats]) for mats in (self.left_mats, self.right_mats))
+        laws = ("left action not multiplicative", "right action not antimultiplicative",
+                "left and right actions do not commute")
+        for i, t_i in enumerate(self.base.tensor):     # row j of t_i: e_i·e_j
+            bad = np.stack([mul_mod(t_i, ls.reshape(db, -1), p).reshape(ls.shape) != mul_mod(ls[i], ls, p),
+                            mul_mod(t_i, rs.reshape(db, -1), p).reshape(rs.shape) != mul_mod(rs, rs[i], p),
+                            mul_mod(ls[i], rs, p) != mul_mod(rs, ls[i], p)], axis=1).any(axis=(2, 3))
+            fails += [f"{laws[k]} (i={i}, j={j})" for j, k in zip(*np.nonzero(bad))]
         if fails:
             # bimodule structure is broken; the quotient checks below would
             # only cascade
@@ -171,9 +173,9 @@ class CoringWithGrouplike(TensorTower):
                     fails.append(f"coproduct is not left-linear over the base (index {j})")
                 if self.coproduct @ self.right_mats[j] != rights[j] @ self.coproduct:
                     fails.append(f"coproduct is not right-linear over the base (index {j})")
-                if self.counit @ self.left_mats[j] != Matrix(p, t[j].T) @ self.counit:
+                if self.counit @ self.left_mats[j] != Matrix._wrap(p, t[j].T) @ self.counit:
                     fails.append(f"counit is not left-linear over the base (index {j})")
-                if self.counit @ self.right_mats[j] != Matrix(p, t[:, j].T) @ self.counit:
+                if self.counit @ self.right_mats[j] != Matrix._wrap(p, t[:, j].T) @ self.counit:
                     fails.append(f"counit is not right-linear over the base (index {j})")
 
             # coproduct ⊗ id against id ⊗ coproduct, both power(2) -> power(3)
@@ -186,9 +188,9 @@ class CoringWithGrouplike(TensorTower):
             for j in range(db):
                 left_amb = (left_amb + np.kron(eps[j : j + 1, :], self.left_mats[j].a)) % p
                 right_amb = (right_amb + np.kron(self.right_mats[j].a, eps[j : j + 1, :])) % p
-            if Matrix(p, descend(sq, left_amb)) @ self.coproduct != ident:
+            if Matrix._wrap(p, descend(sq, left_amb)) @ self.coproduct != ident:
                 fails.append("left counit law fails")
-            if Matrix(p, descend(sq, right_amb)) @ self.coproduct != ident:
+            if Matrix._wrap(p, descend(sq, right_amb)) @ self.coproduct != ident:
                 fails.append("right counit law fails")
         except NotWellDefinedError as err:
             fails.append(f"structure maps do not descend to the base quotient: {err}")
@@ -251,12 +253,12 @@ def build_f2(e: Extension, cc: CochainComplex | None = None) -> D2Certificate:
     eye_s, eye_r = np.eye(s, dtype=np.int64), np.eye(r, dtype=np.int64)
     lefts = cc.products(0, 1, *every_pair(eye_r, eye_s))    # column i * s + j: r_i ∪ alpha_j
     rights = cc.products(1, 0, *every_pair(eye_s, eye_r))   # column j * r + i: alpha_j ∪ r_i
-    left_mats = [Matrix(p, lefts[:, i * s:(i + 1) * s]) for i in range(r)]
-    right_mats = [Matrix(p, rights[:, i::r]) for i in range(r)]
+    left_mats = [Matrix._wrap(p, lefts[:, i * s:(i + 1) * s]) for i in range(r)]
+    right_mats = [Matrix._wrap(p, rights[:, i::r]) for i in range(r)]
     base, _ = subalgebra_on(e.ambient, cc.homs[0], [f"r{i}" for i in range(r)])
     tower = TensorTower(base, s, left_mats, right_mats)
     square = tower.power(2)
-    f2 = Matrix(p, descend(square, cc.products(1, 1, *every_pair(eye_s, eye_s))))
+    f2 = Matrix._wrap(p, descend(square, cc.products(1, 1, *every_pair(eye_s, eye_s))))
     hom_space, f2_inverse = cc.homs[2], None
     if hom_space.dim == square.dim:
         try:
@@ -290,10 +292,10 @@ def endo_coring(e: Extension, cert: D2Certificate | None = None) -> CoringWithGr
     mu = descend(cert.hom_space.source.space, a.mult.a)
     after_mult = cert.hom_space.coords(mul_mod(alphas, mu, p).reshape(cert.s_dim, -1),
                                        "alpha after the multiplication is not a B-bimodule map")
-    coproduct = cert.f2_inverse @ Matrix(p, after_mult.T)
+    coproduct = cert.f2_inverse @ Matrix._wrap(p, after_mult.T)
     at_unit = r_space.coords(mul_mod(alphas, a.unit.reshape(d, 1), p)[..., 0],
                              "evaluation at the unit does not land in the centralizer")
-    counit = Matrix(p, at_unit.T)
+    counit = Matrix._wrap(p, at_unit.T)
     grouplike = s_space.coords_of(Matrix.identity(p, a.dim))
     coring = CoringWithGrouplike(cert.tower, coproduct, counit, grouplike)
     # the two splitting laws particular to this coring, on lambda_r and
@@ -324,8 +326,8 @@ def sweedler_coring(e: Extension) -> CoringWithGrouplike:
     eye_d = np.eye(d, dtype=np.int64)
     # A acts on the first factor as its multiplication ⊗ id, one column
     # block per basis element, and on the last factor alone
-    left_mats = [Matrix(p, b) for b in np.hsplit(t2.tower.then_identity(a.mult, 2, 2, d).a, d)]
-    right_mats = t2.tower.on_last(2, [Matrix(p, a.tensor[:, j].T) for j in range(d)])
+    left_mats = [Matrix._wrap(p, b) for b in np.hsplit(t2.tower.then_identity(a.mult, 2, 2, d).a, d)]
+    right_mats = t2.tower.on_last(2, [Matrix._wrap(p, a.tensor[:, j].T) for j in range(d)])
     tower = TensorTower(a, q.dim, left_mats, right_mats)
     into_left = q.project(np.kron(eye_d, a.unit.reshape(d, 1)))
     into_right = q.project(np.kron(a.unit.reshape(d, 1), eye_d))
@@ -343,5 +345,5 @@ def hopf_coring(h: HopfData) -> CoringWithGrouplike:
     d = h.algebra.dim
     ident = Matrix.identity(p, d)
     tower = TensorTower(base, d, [ident], [ident])
-    coproduct = Matrix(p, tower.power(2).project(h.coproduct.a))
-    return CoringWithGrouplike(tower, coproduct, Matrix(p, h.counit.a), h.algebra.unit)
+    coproduct = Matrix._wrap(p, tower.power(2).project(h.coproduct.a))
+    return CoringWithGrouplike(tower, coproduct, h.counit, h.algebra.unit)

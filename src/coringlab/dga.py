@@ -95,8 +95,8 @@ def every_pair(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(xs, ys.shape[1], axis=1), np.tile(ys, (1, xs.shape[1]))
 
 
-def coboundaries(x: DGA, unit, inner) -> list[Matrix]:
-    """d^0..d^{N-1} of ``x`` from the one coboundary formula.
+def coboundaries(x: DGA, unit, inner, start: int = 0) -> list[Matrix]:
+    """d^start..d^{N-1} of ``x`` from the one coboundary formula.
 
     ``unit`` holds the degree-1 coordinates of u; ``inner(n)`` lists the
     slot maps i = 1..n out of degree n >= 1, each a matrix from degree n
@@ -105,14 +105,14 @@ def coboundaries(x: DGA, unit, inner) -> list[Matrix]:
     p = x.p
     u = np.asarray(unit, dtype=np.int64).reshape(-1) % p
     d = []
-    for n in range(x.max_degree):
+    for n in range(start, x.max_degree):
         eye = np.eye(x.dim(n), dtype=np.int64)
         outer = x.products(n, 1, eye, u)
         total = x.products(1, n, u, eye)
         total = (total + outer if n % 2 else total - outer) % p
         for i, term in enumerate(inner(n) if n else [], start=1):
             total = (total - term.a if i % 2 else total + term.a) % p
-        d.append(Matrix(p, total))
+        d.append(Matrix._wrap(p, total))
     return d
 
 

@@ -31,7 +31,7 @@ so delta^0 sends r to right-mult-by-r minus left-mult-by-r.
 
 A complex built to max_degree N stores spaces for degrees 0..N and the
 coboundaries delta^0..delta^{N-1}; cohomology is therefore certified
-for degrees 0..N-1.
+for degrees 0..N-1; ``grow_complex`` raises N, solving the new degrees.
 """
 
 from __future__ import annotations
@@ -175,21 +175,30 @@ def _pullbacks(c: CochainComplex, n: int) -> list[Matrix]:
     maps = []
     for i in range(1, n + 1):
         pulled = mul_mod(flat, mult_at(c.powers[n + 1], c.powers[n], i).a, c.p)
-        maps.append(Matrix(c.p, c._coords(n + 1, pulled.reshape(k, d * pulled.shape[1]))))
+        maps.append(Matrix._wrap(c.p, c._coords(n + 1, pulled.reshape(k, d * pulled.shape[1]))))
     return maps
 
 
 def build_complex(e: Extension, max_degree: int = DEFAULT_DEGREE) -> CochainComplex:
+    c = CochainComplex(e, 0, [centralizer(e)], {1: RelativeTensorPower(e, extension_tower(e), 1)}, [])
+    return grow_complex(c, max_degree)
+
+
+def grow_complex(c: CochainComplex, max_degree: int) -> CochainComplex:
+    """``c`` grown in place to ``max_degree`` when that is above its own,
+    keeping its tower, spaces and coboundaries: only new degrees are solved."""
     if not (1 <= max_degree <= HARD_DEGREE_CAP):
         raise ValueError(f"max_degree must be between 1 and {HARD_DEGREE_CAP}")
-    a = e.ambient
+    e, top = c.extension, c.max_degree
+    if max_degree <= top:
+        return c
     # top power first: it is the largest, so an oversized request fails
     # its size check before any hom space is solved
-    tower = extension_tower(e)
-    tower.power(max_degree)
-    powers = {n: RelativeTensorPower(e, tower, n) for n in range(1, max_degree + 1)}
-    homs = [centralizer(e)] + [build_hom(e, powers[n]) for n in range(1, max_degree + 1)]
-    c = CochainComplex(e, max_degree, homs, powers, [])
-    iota = homs[1].coords_of(Matrix.identity(a.p, a.dim))
-    c.d = coboundaries(c, iota, lambda n: _pullbacks(c, n))
+    c.tower.power(max_degree)
+    for n in range(top + 1, max_degree + 1):
+        c.powers[n] = RelativeTensorPower(e, c.tower, n)
+        c.homs.append(build_hom(e, c.powers[n]))
+    c.max_degree, c._dims = max_degree, [h.dim for h in c.homs]
+    iota = c.homs[1].coords_of(Matrix.identity(e.p, e.ambient.dim))
+    c.d += coboundaries(c, iota, lambda n: _pullbacks(c, n), start=top)
     return c

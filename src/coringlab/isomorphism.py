@@ -23,7 +23,7 @@ from .algebras import Extension
 from .amitsur import AmitsurComplex, build_amitsur
 from .corings import D2Certificate, build_f2, endo_coring
 from .dga import DEFAULT_TRIALS, cohomology_dims, every_pair, verify_morphism
-from .hochschild import DEFAULT_DEGREE, CochainComplex, build_complex
+from .hochschild import DEFAULT_DEGREE, CochainComplex, build_complex, grow_complex
 from .linalg import Matrix, descend, rank_of
 from .reporting import Report
 
@@ -63,7 +63,7 @@ def build_fn(cert: D2Certificate, ac: AmitsurComplex, cc: CochainComplex, n: int
     units = np.eye(ac.dim(1), dtype=np.int64)
     for k in range(3, n + 1):
         images = cc.products(k - 1, 1, *every_pair(f[-1].a, units))
-        f.append(Matrix(p, descend(ac.spaces[k], images)))
+        f.append(Matrix._wrap(p, descend(ac.spaces[k], images)))
     return f
 
 
@@ -75,10 +75,12 @@ def verify_main_theorem(e: Extension, max_degree: int = DEFAULT_DEGREE,
     any failed check on a certified extension is reported in the
     witness, never raised.
     """
-    cert = build_f2(e)
+    # one complex: the certificate's, grown only once its coring stands
+    cc = build_complex(e, 2)
+    cert = build_f2(e, cc)
     coring = endo_coring(e, cert)
     ac = build_amitsur(coring, max_degree)
-    cc = build_complex(e, max_degree)
+    cc = grow_complex(cc, max_degree)
     rep = Report("main-theorem")
 
     f = build_fn(cert, ac, cc, max_degree)
@@ -94,7 +96,7 @@ def verify_main_theorem(e: Extension, max_degree: int = DEFAULT_DEGREE,
     rep.checks.extend(verify_morphism(f, ac, cc, trials=trials, seed=seed).checks)
     chain_ok = [c.ok for c in rep.checks if c.name.startswith("chain square")]
 
-    hd = cohomology_dims(cc)
+    hd = cohomology_dims(cc)[:max_degree]
     ad = cohomology_dims(ac)
     rep.add("cohomology dims agree", hd == ad, hochschild=hd, amitsur=ad)
     return IsoWitness(extension=e, max_degree=max_degree, f=f,

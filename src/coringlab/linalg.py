@@ -2,16 +2,20 @@
 
 Every space in this package (tensor powers, hom spaces, cochain groups)
 is a coordinate space over GF(p) with 2 <= p < 2**31, and every map is a
-dense integer matrix of residues.  This module supplies the primitives:
+dense int64 matrix of residues in [0, p), which stay residues: each
+kernel reduces once, ``Matrix._wrap`` holds its output as it is, and
+only ``Matrix(p, data)`` reduces, for arrays from outside.  Primitives:
 
 * ``mul_mod`` -- exact matrix products.  When ``inner * (p-1)**2 < 2**53``
-  the product is computed in float64 (BLAS) and rounded back, which is
-  exact integer arithmetic; otherwise it falls back to chunked int64
-  accumulation.  Both paths are exact for every supported prime, and
-  this is the one exactness decision: no other module converts residues
-  to floating point.
+  the product is computed in float64 (BLAS): every term and partial sum
+  is then an integer below 2**53, which float64 holds exactly, so the
+  result needs no rounding, only a cast back and one ``% p``.  Otherwise
+  it falls back to chunked int64 accumulation.  Both paths are exact for
+  every supported prime, and this is the one exactness decision: no
+  other module converts residues to floating point.
 * reduced row echelon forms with deterministic first-nonzero pivoting,
-  including an incremental accumulator for large relation spans,
+  each pivot step touching only the columns from the pivot on, and an
+  incremental accumulator for large relation spans,
 * kernels and inverses,
 * ``span_coords``, the one coordinate reader, for a basis with the
   identity at known columns; ``Subspace`` is a space held in one (the
@@ -108,16 +112,16 @@ def check_entries(entries: int, budget: int, what: str) -> None:
 
 
 def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p for int64 residue matrices, or for stacks of them
-    (3-D operands, multiplied slice by slice as ``np.matmul`` does)."""
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    b = np.ascontiguousarray(b, dtype=np.int64)
+    """Exact (a @ b) % p for int64 arrays of residues in [0, p), or for
+    stacks of them (3-D operands, multiplied slice by slice as
+    ``np.matmul`` does); any strides will do.  The result is a fresh
+    int64 array of residues."""
     inner = a.shape[-1]
     top = (p - 1) * (p - 1)
     # an empty inner dimension takes this path too, and gives zeros
     if inner * top < 2**53:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        out = np.rint(prod, out=prod).astype(np.int64)
+        # exact in float64: every partial sum is an integer below 2**53
+        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
         out %= p
         return out
     out = 0
@@ -141,19 +145,19 @@ def _rref_inplace(a: np.ndarray, p: int, col_stop: int | None = None) -> list[in
     for col in range(stop):
         if r == m:
             break
-        below = np.flatnonzero(a[r:, col])
+        below = a[r:, col].nonzero()[0]
         if below.size == 0:
             continue
         k = r + int(below[0])
         if k != r:
             a[[r, k]] = a[[k, r]]
-        lead = int(a[r, col])
-        if lead != 1:
-            a[r] = a[r] * pow(lead, p - 2, p) % p
-        hit = np.flatnonzero(a[:, col])
+        row = a[r, col:]    # rows r.. are zero left of col: work from col on
+        if row[0] != 1:
+            row[:] = row * pow(int(row[0]), p - 2, p) % p
+        hit = a[:, col].nonzero()[0]
         hit = hit[hit != r]
         if hit.size:
-            a[hit] = (a[hit] - np.outer(a[hit, col], a[r])) % p
+            a[hit, col:] = (a[hit, col:] - np.outer(a[hit, col], row)) % p
         piv.append(col)
         r += 1
     return piv
@@ -182,7 +186,7 @@ class RrefAccumulator:
         if block.shape[1] != self.ncols:
             raise ValueError(f"expected {self.ncols} columns, got {block.shape[1]}")
         for lo in range(0, block.shape[0], RREF_CHUNK):
-            self._add_chunk(block[lo : lo + RREF_CHUNK].copy())
+            self._add_chunk(block[lo : lo + RREF_CHUNK])
 
     def _add_chunk(self, c: np.ndarray) -> None:
         p = self.p
@@ -316,7 +320,8 @@ class Field:
 
 
 class Matrix:
-    """Immutable dense matrix over GF(p)."""
+    """Immutable dense matrix over GF(p): ``a`` is a read-only 2-D int64
+    array of residues.  The constructor reduces whatever it is given."""
 
     __slots__ = ("p", "a")
 
@@ -327,8 +332,17 @@ class Matrix:
         self.a = a
 
     @classmethod
+    def _wrap(cls, p: int, a: np.ndarray) -> "Matrix":
+        """A matrix on ``a``, a 2-D int64 array of residues (a kernel's output, or
+        a slice or stack of matrices), as a read-only view: not copied or reduced."""
+        m = cls.__new__(cls)
+        m.p, m.a = p, a.view()
+        m.a.setflags(write=False)
+        return m
+
+    @classmethod
     def identity(cls, p: int, n: int) -> "Matrix":
-        return cls(p, np.eye(n, dtype=np.int64))
+        return cls._wrap(p, np.eye(n, dtype=np.int64))
 
     @property
     def rows(self) -> int:
@@ -345,7 +359,7 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.p != other.p:
             raise ValueError("field mismatch")
-        return Matrix(self.p, mul_mod(self.a, other.a, self.p))
+        return Matrix._wrap(self.p, mul_mod(self.a, other.a, self.p))
 
     def apply(self, v) -> np.ndarray:
         """Matrix-vector product on a coordinate vector."""
@@ -441,11 +455,12 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    aug = np.hstack([m.a, np.eye(n, dtype=np.int64)]).copy()
+    aug = np.hstack([m.a, np.eye(n, dtype=np.int64)])
     piv = _rref_inplace(aug, m.p, col_stop=n)
     if len(piv) != n:
         raise ValueError("matrix is singular")
-    return Matrix(m.p, aug[:, n:])
+    # a copy: a view of the augmented half would keep all of aug
+    return Matrix._wrap(m.p, aug[:, n:].copy())
 
 
 def rank_of(a: np.ndarray, p: int) -> int:
@@ -481,7 +496,7 @@ class QuotientSpace:
         free = np.asarray(free, dtype=np.int64)
         sect = np.zeros((rows.shape[1], free.size), dtype=np.int64)
         sect[free, np.arange(free.size)] = 1
-        return cls(p, Matrix(p, rows), Matrix(p, sect), free)
+        return cls(p, Matrix._wrap(p, rows), Matrix._wrap(p, sect), free)
 
     def project(self, xs) -> np.ndarray:
         """The projection of the vector xs, or of each column of xs."""
@@ -538,7 +553,7 @@ def induced_map(q_dom: QuotientSpace, q_cod: QuotientSpace, ambient_map: Matrix)
             f"ambient map shape {ambient_map.shape} does not match "
             f"({q_cod.ambient_dim}, {q_dom.ambient_dim})"
         )
-    return Matrix(q_dom.p, descend(q_dom, q_cod.project(ambient_map.a)))
+    return Matrix._wrap(q_dom.p, descend(q_dom, q_cod.project(ambient_map.a)))
 
 
 def descend(q: QuotientSpace, m: np.ndarray) -> np.ndarray:

@@ -177,7 +177,7 @@ def dual_basis(base: FinDimAlgebra, gens, left_mats) -> DualBasis | None:
         # column (j, b) of M is b·w_j
         big = mul_mod(stack, w, p).transpose(1, 2, 0).reshape(c, m * dim_r)
         try:
-            phi = inverse(Matrix(p, big)).a.reshape(m, dim_r, c)
+            phi = inverse(Matrix._wrap(p, big)).a.reshape(m, dim_r, c)
         except ValueError:  # singular: these w_j are not a basis
             continue
         break
@@ -375,7 +375,7 @@ class TensorTower:
             psi = psi.reshape(k, m, dim_r, m).transpose(0, 1, 3, 2).reshape(k * m * m, dim_r)
             out = mul_mod(psi, q.rights.reshape(dim_r, d_prev * d_prev), p)
             out = out.reshape(k, m, m, d_prev, d_prev).transpose(0, 1, 3, 2, 4)
-            return [Matrix(p, h) for h in out.reshape(k, q.dim, q.dim)]
+            return [Matrix._wrap(p, h) for h in out.reshape(k, q.dim, q.dim)]
         # row w of map j at [w, j]
         maps = stack.transpose(1, 0, 2)
         proj = q.projection.a.reshape(q.dim, d_prev, c)
@@ -385,7 +385,7 @@ class TensorTower:
         for v, ts, xs in zip(*self._free_by_last(n)):
             cols = mul_mod(proj[:, xs, :].reshape(q.dim * ts.size, c), maps[:, :, v], p)
             out[:, :, ts] = cols.reshape(q.dim, ts.size, k).transpose(2, 0, 1)
-        return [Matrix(p, h) for h in out]
+        return [Matrix._wrap(p, h) for h in out]
 
     def _check_left_linear(self, stack: np.ndarray) -> None:
         """Raise NotWellDefinedError unless every carrier matrix in the
@@ -419,7 +419,7 @@ class TensorTower:
         column blocks of concat(0, n), so ``left_on(1)`` is ``left_mats``.
         Not cached: concat(0, n) is, and a cached copy of its blocks would
         only double what it holds."""
-        return [Matrix(self.p, b) for b in np.hsplit(self.concat(0, n).a, self.base.dim)]
+        return [Matrix._wrap(self.p, b) for b in np.hsplit(self.concat(0, n).a, self.base.dim)]
 
     def right_on(self, n: int) -> list[Matrix]:
         """x -> x·b on power(n), one matrix per base basis element."""
@@ -442,13 +442,13 @@ class TensorTower:
             if n == 0 and m == 0:
                 prod = self.base.mult
             elif n == 0:
-                prod = Matrix(p, _side_by_side(self.right_on(m)))
+                prod = Matrix._wrap(p, _side_by_side(self.right_on(m)))
             elif n == 1 and m == 0:
-                prod = Matrix(p, np.hstack([mat.a for mat in self.left_mats]))
+                prod = Matrix._wrap(p, np.hstack([mat.a for mat in self.left_mats]))
             elif n == 1 and self.dual is not None:
                 # a dual step's projection, read at every pair e_x ⊗ e_v
                 eye = np.eye(self.power(m).dim, dtype=np.int64), np.eye(self.carrier_dim, dtype=np.int64)
-                prod = Matrix(p, self.concat_batches(m, 1, *every_pair(*eye)))
+                prod = Matrix._wrap(p, self.concat_batches(m, 1, *every_pair(*eye)))
             elif n == 1:
                 # power(m+1) is a quotient of exactly this plain product
                 prod = self.power(m + 1).projection
@@ -558,7 +558,7 @@ class TensorTower:
             out = np.zeros((m, d_out, lead, m, d_in), dtype=np.int64)
             diag = np.arange(m)
             out[diag, :, :, diag, :] = slices
-            return Matrix(p, out.reshape(dst.dim, lead * src.dim))
+            return Matrix._wrap(p, out.reshape(dst.dim, lead * src.dim))
         proj = dst.projection.a.reshape(dst.dim, d_out, c)
         # free column t is the plain coordinate y_t ⊗ v_t: P[:, :, v_t] @ phi_x(y_t),
         # one product per v in a stack
@@ -568,7 +568,7 @@ class TensorTower:
                        slices[:, :, ys].transpose(2, 0, 1, 3).reshape(g, d_out, lead * w), p)
         out = np.empty((dst.dim, lead, src.dim), dtype=np.int64)
         out[:, :, ts] = cols.reshape(g, dst.dim, lead, w).transpose(1, 2, 0, 3)
-        return Matrix(p, out.reshape(dst.dim, lead * src.dim))
+        return Matrix._wrap(p, out.reshape(dst.dim, lead * src.dim))
 
 
 def _intertwines(p: int, maps: np.ndarray, ins, outs, gens, kind: str) -> None:
@@ -649,8 +649,8 @@ def _mult(tower: TensorTower, a: FinDimAlgebra, n: int, i: int) -> Matrix:
         return tower.then_identity(_mult(tower, a, n - 1, i), n + 1, n)
     # the last slot: y ⊗ x -> y·x, A acting on the last factor of power(n)
     # through x -> x·e_j, the slice t[:, j].T
-    acts = tower.on_last(n, [Matrix(a.p, a.tensor[:, j].T) for j in range(a.dim)])
-    return Matrix(a.p, descend(tower.power(n + 1), _side_by_side(acts)))
+    acts = tower.on_last(n, [Matrix._wrap(a.p, a.tensor[:, j].T) for j in range(a.dim)])
+    return Matrix._wrap(a.p, descend(tower.power(n + 1), _side_by_side(acts)))
 
 
 def mult_at(t_src: RelativeTensorPower, t_dst: RelativeTensorPower, i: int) -> Matrix:

@@ -15,28 +15,8 @@ import pytest
 
 def naive_rank(rows, p):
     """Rank by textbook Gaussian elimination on python ints."""
-    m = [[int(x) % p for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(m)):
-            if m[r][col] % p:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [x * inv % p for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                c = m[r][col]
-                m[r] = [(a - c * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+    rows = [list(row) for row in rows]
+    return len(naive_rref(rows, p, len(rows[0]) if rows else 0)[1])
 
 
 def naive_solve(rows, rhs, p):
@@ -69,6 +49,28 @@ def naive_solve(rows, rhs, p):
     for i, col in enumerate(pivots):
         x[col] = m[i][-1]
     return x
+
+
+def naive_rref(rows, p, ncols):
+    """The reduced row echelon form (nonzero rows only) and pivot columns
+    of rows with ``ncols`` columns, by textbook Gauss-Jordan on python
+    ints with first-nonzero pivoting."""
+    m = [[int(x) % p for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = pow(m[r][col], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                c = m[i][col]
+                m[i] = [(a - c * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return m[:len(pivots)], pivots
 
 
 def enumerate_kernel(rows, p, ncols):

@@ -190,6 +190,56 @@ def test_tampered_coproduct_on_a_dual_tower_is_rejected(m2_gf5_endo):
         CoringWithGrouplike(tower_of(good), bad, good.counit, good.grouplike)
 
 
+def base_action_failures(coring, lefts, rights):
+    """The unit and base-action law failures of the actions ``lefts`` and
+    ``rights`` (arrays of matrices) over the coring's base, one basis pair
+    (i, j) at a time, in the order the constructor reports them."""
+    p, base = coring.p, coring.base
+    ident = np.eye(coring.carrier_dim, dtype=np.int64)
+
+    def act(mats, coords):
+        return sum(int(x) * m for x, m in zip(coords, mats)) % p
+
+    fails = []
+    if not np.array_equal(act(lefts, base.unit), ident):
+        fails.append("left action is not unital")
+    if not np.array_equal(act(rights, base.unit), ident):
+        fails.append("right action is not unital")
+    for i in range(base.dim):
+        for j in range(base.dim):
+            prod = base.tensor[i, j]
+            if not np.array_equal(act(lefts, prod), lefts[i] @ lefts[j] % p):
+                fails.append(f"left action not multiplicative (i={i}, j={j})")
+            if not np.array_equal(act(rights, prod), rights[j] @ rights[i] % p):
+                fails.append(f"right action not antimultiplicative (i={i}, j={j})")
+            if not np.array_equal(lefts[i] @ rights[j] % p, rights[j] @ lefts[i] % p):
+                fails.append(f"left and right actions do not commute (i={i}, j={j})")
+    return fails
+
+
+@pytest.mark.parametrize("name", ["ut2_diag_gf5", "s3_c2_gf7"])
+def test_a_broken_base_action_is_reported_pair_by_pair(name):
+    good = sweedler_coring(load_corpus_extension(name))
+    p, db = good.p, good.base.dim
+    lefts = np.stack([m.a for m in good.left_mats])
+    rights = np.stack([m.a for m in good.right_mats])
+    assert base_action_failures(good, lefts, rights) == []
+    # swap the first and last basis elements' actions on both sides, then
+    # let the last act on the right as the second does on the left; the
+    # balanced square keeps its dimension, so the action laws report
+    swap = [0, db - 1], [db - 1, 0]
+    lefts[swap[0]], rights[swap[0]] = lefts[swap[1]], rights[swap[1]]
+    rights[db - 1] = lefts[1]
+    want = base_action_failures(good, lefts, rights)
+    assert all(any(kind in f for f in want)
+               for kind in ("not unital", "multiplicative", "antimultiplicative", "commute"))
+    broken = TensorTower(good.base, good.carrier_dim, [Matrix(p, m) for m in lefts],
+                         [Matrix(p, m) for m in rights])
+    with pytest.raises(AxiomError) as exc:
+        CoringWithGrouplike(broken, good.coproduct, good.counit, good.grouplike)
+    assert str(exc.value) == "coring axioms violated: " + "; ".join(want)
+
+
 def test_non_coassociative_coproduct_is_rejected():
     """Over k with basis {1, x, y}: counital, k-linear, 1 grouplike, but
     (cop (x) id) cop(y) - (id (x) cop) cop(y) = -x (x) x (x) y."""

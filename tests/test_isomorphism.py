@@ -13,7 +13,7 @@ from coringlab import (
     group_algebra,
     trivial_extension,
 )
-from coringlab import dga, isomorphism
+from coringlab import dga, hochschild, isomorphism
 from coringlab.amitsur import build_amitsur
 from coringlab.corpus import load_corpus_extension
 from coringlab.dga import verify_dga, verify_morphism
@@ -111,6 +111,35 @@ def test_batched_products_are_the_per_pair_products(name, rng):
 def test_no_certificate_raises():
     with pytest.raises(NoD2CertificateError):
         verify_main_theorem(s3_c2_extension(7), 2, trials=5)
+
+
+@pytest.mark.parametrize("name, certified", [("c3_gf3", True), ("s3_c2_gf7", False)])
+def test_verify_iso_solves_each_cochain_degree_once(monkeypatch, name, certified):
+    # the certificate's complex to degree 2 grows to max_degree only once
+    # the coring stands, so an uncertified extension solves no degree 3
+    solved = []
+    plain = hochschild.build_hom
+
+    def build_hom(e, t):
+        solved.append(t.n)
+        return plain(e, t)
+
+    monkeypatch.setattr(hochschild, "build_hom", build_hom)
+    if certified:
+        witness = verify_main_theorem(load_corpus_extension(name), 4, trials=5)
+        assert witness.ok
+        assert len(witness.hochschild_dims) == 4
+    else:
+        with pytest.raises(NoD2CertificateError):
+            verify_main_theorem(load_corpus_extension(name), 4, trials=5)
+    assert solved == ([1, 2, 3, 4] if certified else [1, 2])
+
+
+def test_verify_iso_below_degree_two_reads_the_certificate_complex(ut2_witness):
+    low = verify_main_theorem(ut2_diag_extension(5), 1, trials=5)
+    assert low.ok
+    assert low.hochschild_dims == ut2_witness.hochschild_dims[:1]
+    assert [fn.shape for fn in low.f] == [fn.shape for fn in ut2_witness.f[:2]]
 
 
 def test_chain_identity_pointwise(rng):

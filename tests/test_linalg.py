@@ -1,11 +1,16 @@
 """Exact linear algebra over GF(p): frozen examples and random cross-checks."""
 
+import contextlib
+import io
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coringlab import cli
+from coringlab.corpus import corpus_path, extension_names, hopf_names
 from coringlab.errors import NotWellDefinedError
 from coringlab.linalg import (
     Field,
@@ -31,6 +36,7 @@ from conftest import (
     descend_by,
     enumerate_kernel,
     naive_rank,
+    naive_rref,
     naive_solve,
     quotient_of,
     random_matrix,
@@ -186,6 +192,124 @@ def test_mul_mod_stacked_is_slice_by_slice(rng, p):
     empty = mul_mod(np.zeros((4, 3, 0), dtype=np.int64), np.zeros((4, 0, 2), dtype=np.int64), p)
     assert empty.shape == (4, 3, 2)
     assert not empty.any()
+
+
+# primes at both ends of ``mul_mod``'s range: at 1048573 (the largest
+# prime below 2**20) an inner dimension of up to 8192 stays in float64,
+# and at 2**31 - 1 every product accumulates in int64
+KERNEL_PRIMES = [2, 3, 5, 7, 1048573, 2**31 - 1]
+
+
+def naive_product(a, b, p):
+    """(a @ b) % p on python ints, slice by slice for stacks."""
+    if a.ndim == 3:
+        return np.array([naive_product(x, y, p) for x, y in zip(a, b)],
+                        dtype=np.int64).reshape(a.shape[0], a.shape[1], b.shape[2])
+    out = [[sum(int(a[i, t]) * int(b[t, j]) for t in range(a.shape[1])) % p
+            for j in range(b.shape[1])] for i in range(a.shape[0])]
+    return np.array(out, dtype=np.int64).reshape(a.shape[0], b.shape[1])
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(KERNEL_PRIMES), st.integers(0, 3), st.integers(0, 4), st.integers(0, 5),
+       st.integers(0, 4), st.sampled_from(["contiguous", "transposed", "sliced"]),
+       st.integers(0, 2**32 - 1))
+def test_mul_mod_is_the_python_int_product(p, stack, rows, inner, cols, layout, seed):
+    # residues weighted to 0 and p - 1, so that products and sums of the
+    # largest residues and exact multiples of p come up often; stack 0
+    # means 2-D operands
+    rng = np.random.default_rng(seed)
+    lead = (stack,) if stack else ()
+
+    def residues(*shape):
+        pick = rng.integers(0, 3, size=shape)
+        return np.where(pick == 0, 0, np.where(pick == 1, p - 1, rng.integers(0, p, size=shape)))
+
+    if layout == "transposed":      # Fortran-ordered operands, as views
+        a = residues(*lead, inner, rows).swapaxes(-1, -2)
+        b = residues(*lead, cols, inner).swapaxes(-1, -2)
+    elif layout == "sliced":        # every other row and column of larger arrays
+        a = residues(*lead, 2 * rows + 1, 2 * inner + 1)[..., 1::2, ::2][..., :rows, :inner]
+        b = residues(*lead, 2 * inner + 1, 2 * cols + 1)[..., ::2, 1::2][..., :inner, :cols]
+    else:
+        a, b = residues(*lead, rows, inner), residues(*lead, inner, cols)
+    assert a.shape == (*lead, rows, inner) and b.shape == (*lead, inner, cols)
+    got = mul_mod(a, b, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, naive_product(a, b, p))
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_mul_mod_at_the_largest_float_inner_dimension(extra):
+    # inner * (p-1)**2 < 2**53 is the float64 path's bound; all-(p-1)
+    # operands reach the largest exact sum on it.  One more term takes the
+    # int64 path, where the (p-2) row and column sum to an odd integer
+    # above 2**53, which float64 cannot hold
+    p = 1048573
+    inner = (2**53 - 1) // (p - 1) ** 2 + extra
+    a = np.full((2, inner), p - 1, dtype=np.int64)
+    a[1] = p - 2
+    b = np.full((inner, 3), p - 1, dtype=np.int64)
+    b[:, 1] = p - 2
+    assert (inner * (p - 1) ** 2 < 2**53) == (not extra)
+    got = mul_mod(a, b.T.copy().T, p)
+    want = [[inner * x * y % p for y in (p - 1, p - 2, p - 1)] for x in (p - 1, p - 2)]
+    assert got.tolist() == want
+
+
+@st.composite
+def echelon_cases(draw):
+    """(p, a) with a random matrix of rank at most r: wide, tall or square,
+    rank-deficient when r < min(rows, cols), built as a product of
+    random rows x r and r x cols factors on python ints."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    r = draw(st.integers(0, min(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left, right = random_matrix(rng, rows, r, p), random_matrix(rng, r, cols, p)
+    return p, naive_product(left, right, p)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(echelon_cases())
+def test_rref_and_kernel_are_python_gauss_jordan(case):
+    p, a = case
+    ncols = a.shape[1]
+    want_rows, want_piv = naive_rref(a.tolist(), p, ncols)
+    rows, piv = rref_rows(a, p)
+    assert list(piv) == want_piv
+    assert rows.tolist() == want_rows
+    # the canonical kernel: row t is the t-th free unit vector minus its
+    # column of the RREF at the pivots
+    free = [c for c in range(ncols) if c not in want_piv]
+    want_ker = [[1 if c == f else 0 for c in range(ncols)] for f in free]
+    for row, col in zip(want_rows, want_piv):
+        for t, f in enumerate(free):
+            want_ker[t][col] = -row[f] % p
+    ker, got_free = kernel_rows_with_free(a, p)
+    assert got_free == free
+    assert ker.reshape(len(free), ncols).tolist() == want_ker
+    assert all(sum(int(x) * int(y) for x, y in zip(row, k)) % p == 0
+               for row in a.tolist() for k in want_ker)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(KERNEL_PRIMES), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_inverse_is_python_gauss_jordan(p, n, seed, singular):
+    rng = np.random.default_rng(seed)
+    m = random_matrix(rng, n, n, p)
+    if singular:    # a row that combines the others
+        m[-1] = naive_product(random_matrix(rng, 1, n - 1, p), m[:-1], p)[0] if n > 1 else 0
+    rows, piv = naive_rref([row + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(m.tolist())], p, n)
+    if len(piv) < n:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(Matrix(p, m))
+        return
+    got = inverse(Matrix(p, m))
+    assert got.a.tolist() == [row[n:] for row in rows]
+    assert got.a.base is None or got.a.base.shape == (n, n)
 
 
 def test_accumulator_matches_oneshot(rng, monkeypatch):
@@ -449,3 +573,42 @@ def test_primality_gate():
     with pytest.raises(ValueError):
         Field(10)
     assert Field(97).p == 97
+
+
+def test_kernels_take_and_give_residues_on_the_corpus(monkeypatch):
+    # the residue contract: every operand and result of ``mul_mod`` is an
+    # int64 array in [0, p), and so is every 2-D array ``Matrix._wrap``
+    # holds without reducing it, on every corpus command
+    import coringlab.linalg as linalg
+
+    def residues(a, p):
+        return a.dtype == np.int64 and (a.size == 0 or 0 <= a.min() <= a.max() < p)
+
+    plain_mul, plain_wrap = linalg.mul_mod, Matrix._wrap.__func__
+    seen = {"mul_mod": 0, "wrap": 0}
+
+    def mul_mod_checked(a, b, p):
+        assert residues(a, p) and residues(b, p), (a.dtype, b.dtype, p)
+        out = plain_mul(a, b, p)
+        assert residues(out, p)
+        seen["mul_mod"] += 1
+        return out
+
+    def wrap_checked(cls, p, a):
+        assert a.ndim == 2 and residues(a, p), (a.shape, a.dtype, p)
+        seen["wrap"] += 1
+        return plain_wrap(cls, p, a)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "coringlab" and vars(module).get("mul_mod") is plain_mul:
+            monkeypatch.setattr(module, "mul_mod", mul_mod_checked)
+    monkeypatch.setattr(Matrix, "_wrap", classmethod(wrap_checked))
+    commands = [[c, str(corpus_path(f"{n}.json"))] for n in extension_names()
+                for c in ("cohomology", "amitsur", "verify-iso")]
+    commands += [["hopf-check", str(corpus_path(f"{n}.json"))] for n in hopf_names()]
+    commands += [["gs-compare", str(corpus_path(f"{n}.facets")), "--max-degree", "2"]
+                 for n in ("filled_triangle", "hollow_triangle")]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) in (0, 1), argv
+    assert seen["mul_mod"] > 1000 and seen["wrap"] > 1000, seen
