@@ -13,6 +13,28 @@ import numpy as np
 import pytest
 
 
+def naive_rref(rows, p, ncols):
+    """The reduced row echelon form (nonzero rows only) and pivot columns
+    of rows with ``ncols`` columns, by textbook Gauss-Jordan on python
+    ints with first-nonzero pivoting."""
+    m = [[int(x) % p for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = pow(m[r][col], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                c = m[i][col]
+                m[i] = [(a - c * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return m[:len(pivots)], pivots
+
+
 def naive_rank(rows, p):
     """Rank by textbook Gaussian elimination on python ints."""
     rows = [list(row) for row in rows]
@@ -49,28 +71,6 @@ def naive_solve(rows, rhs, p):
     for i, col in enumerate(pivots):
         x[col] = m[i][-1]
     return x
-
-
-def naive_rref(rows, p, ncols):
-    """The reduced row echelon form (nonzero rows only) and pivot columns
-    of rows with ``ncols`` columns, by textbook Gauss-Jordan on python
-    ints with first-nonzero pivoting."""
-    m = [[int(x) % p for x in row] for row in rows]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = pow(m[r][col], p - 2, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                c = m[i][col]
-                m[i] = [(a - c * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-    return m[:len(pivots)], pivots
 
 
 def enumerate_kernel(rows, p, ncols):
