@@ -76,19 +76,21 @@ class FinDimAlgebra:
         left = mul_mod(xs, self.tensor.reshape(d, d * d), self.p).reshape(k, d, d)
         return mul_mod(xs, left, self.p)
 
+    def actions(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """The matrices of y -> x*y and of y -> y*x for every row x of xs,
+        each side a k x dim x dim stack formed by one product."""
+        d = self.dim
+        xs = np.asarray(xs, dtype=np.int64).reshape(-1, d) % self.p
+        return tuple(mul_mod(xs, self.tensor.transpose(axes).reshape(d, d * d), self.p).reshape(-1, d, d)
+                     for axes in ((0, 2, 1), (1, 2, 0)))
+
     def left_mul(self, x) -> Matrix:
         """Matrix of y -> x*y."""
-        x = np.asarray(x, dtype=np.int64).reshape(1, -1) % self.p
-        d = self.dim
-        lb = self.tensor.transpose(0, 2, 1).reshape(d, d * d)
-        return Matrix._wrap(self.p, mul_mod(x, lb, self.p).reshape(d, d))
+        return Matrix._wrap(self.p, self.actions(x)[0][0])
 
     def right_mul(self, x) -> Matrix:
         """Matrix of y -> y*x."""
-        x = np.asarray(x, dtype=np.int64).reshape(1, -1) % self.p
-        d = self.dim
-        rb = self.tensor.transpose(1, 2, 0).reshape(d, d * d)
-        return Matrix._wrap(self.p, mul_mod(x, rb, self.p).reshape(d, d))
+        return Matrix._wrap(self.p, self.actions(x)[1][0])
 
     def __eq__(self, other):
         return (
@@ -210,10 +212,9 @@ class Extension:
 def centralizer(e: Extension) -> Subspace:
     """R = {a in A : a * iota(b) = iota(b) * a for all b}, echelon basis."""
     a = e.ambient
-    blocks = []
-    for b in e.sub_images():
-        blocks.append((a.left_mul(b).a - a.right_mul(b).a) % a.p)
-    return Subspace.from_spanning(a.p, a.dim, kernel_rows_with_free(np.vstack(blocks), a.p)[0])
+    lefts, rights = a.actions(e.sub_images())
+    blocks = ((lefts - rights) % a.p).reshape(-1, a.dim)
+    return Subspace.from_spanning(a.p, a.dim, kernel_rows_with_free(blocks, a.p)[0])
 
 
 def generating_indices(a: FinDimAlgebra) -> list[int]:
@@ -225,8 +226,14 @@ def generating_indices(a: FinDimAlgebra) -> list[int]:
     that span grows as it closes: a new pick multiplies every row, and
     each round after it multiplies only the rows at the pivots the round
     before gained, since the others' products are in the span already.
+    When the basis multiplies diagonally, e_i·e_j = δ_ij·e_i with unit
+    Σ e_i, the search would pick every index but the last, which is the
+    unit minus the others, so those are returned with no reduction.
     """
     p, d = a.p, a.dim
+    at = np.arange(d)
+    if np.count_nonzero(a.tensor) == d and (a.tensor[at, at, at] == 1).all() and (a.unit == 1).all():
+        return list(range(d - 1))
     acc = RrefAccumulator(d, p)
     acc.add(a.unit)
     picks: list[int] = []

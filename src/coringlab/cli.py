@@ -79,12 +79,12 @@ def _markdown(payload: dict) -> str:
 
 
 def _emit(payload: dict, out_format: str) -> None:
-    # numpy values become plain JSON ones, so both formats print the same
-    payload = json.loads(json.dumps(payload, default=lambda o: o.tolist()))
+    # numpy values become plain JSON ones, so both formats print the same;
+    # markdown reads the plain values back, in the checks' own key order
     if out_format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2, default=lambda o: o.tolist()))
     else:
-        print(_markdown(payload), end="")
+        print(_markdown(json.loads(json.dumps(payload, default=lambda o: o.tolist()))), end="")
 
 
 # ---------------------------------------------------------------------------

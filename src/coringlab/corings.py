@@ -300,8 +300,8 @@ def endo_coring(e: Extension, cert: D2Certificate | None = None) -> CoringWithGr
     coring = CoringWithGrouplike(cert.tower, coproduct, counit, grouplike)
     # the two splitting laws particular to this coring, on lambda_r and
     # rho_r for each basis element r of R, projected as one batch
-    mults = [a.left_mul(r).a for r in r_space.rows] + [a.right_mul(r).a for r in r_space.rows]
-    split = s_space.coords(np.stack(mults).reshape(len(mults), -1),
+    mults = np.concatenate(a.actions(r_space.rows))
+    split = s_space.coords(mults.reshape(len(mults), -1),
                            "a multiplication by the centralizer is not in S")
     lams, rhos = np.split(split, 2)
     want = cert.square.project(np.hstack([np.kron(lams.T, grouplike[:, None]),

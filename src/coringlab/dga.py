@@ -5,7 +5,8 @@ d^0..d^{N-1} as matrices, and the one product each concrete complex
 supplies, ``products(m, n, xs, ys)`` on column-paired batches: the cup
 product of relative Hochschild cochains, or the concatenation product
 of a coring's tensor powers.  Either side may instead be one element,
-a 1-D vector, paired with every column of the other batch.  The
+a 1-D vector, paired with every column of the other batch, and the
+left side may be None, the basis of its degree.  The
 coboundaries, the cohomology, the DGA law checks and the check of a
 comparison morphism are written once here against it.
 
@@ -68,7 +69,8 @@ class DGA:
     def products(self, m: int, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Column i is xs[:, i]·ys[:, i], for xs of degree m and ys of degree n
         reduced mod p; a 1-D xs or ys is one element, paired with every
-        column of the other batch.  Raises ValueError past max_degree or on
+        column of the other batch, and xs None is the basis of degree m,
+        the identity batch.  Raises ValueError past max_degree or on
         unpaired batches."""
         raise NotImplementedError
 
@@ -76,18 +78,21 @@ class DGA:
 def paired(x: DGA, m: int, n: int, xs, ys) -> tuple[np.ndarray, np.ndarray, int]:
     """The batches of a product of degrees m and n, reduced mod p, as
     2-D arrays, and the number k of products: a one-element side is one
-    column."""
+    column.  An xs of None, the basis of degree m, stays None, so that
+    ``products`` routes the identity batch instead of multiplying by it."""
     if m + n > x.max_degree:
         raise ValueError(f"product degree {m}+{n} exceeds max_degree {x.max_degree}")
-    xs, ys = np.asarray(xs, dtype=np.int64) % x.p, np.asarray(ys, dtype=np.int64) % x.p
     dm, dn = x.dim(m), x.dim(n)
+    basis = xs is None
+    xs = np.broadcast_to(np.int64(0), (dm, dm)) if basis else np.asarray(xs, dtype=np.int64) % x.p
+    ys = np.asarray(ys, dtype=np.int64) % x.p
     # a 1-D side against a batch takes its width; two of them pair nothing
     one_x, one_y = xs.ndim == 1 and ys.ndim == 2, ys.ndim == 1 and xs.ndim == 2
     k = ys.shape[1] if one_x else xs.shape[1] if xs.ndim == 2 else -1
     if xs.shape != ((dm,) if one_x else (dm, k)) or ys.shape != ((dn,) if one_y else (dn, k)):
         raise ValueError(f"batches of shape {xs.shape} and {ys.shape} do not pair "
                          f"degrees {m} and {n} of dimensions {dm} and {dn}")
-    return xs.reshape(dm, -1), ys.reshape(dn, -1), k
+    return None if basis else xs.reshape(dm, -1), ys.reshape(dn, -1), k
 
 
 def every_pair(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,9 +111,8 @@ def coboundaries(x: DGA, unit, inner, start: int = 0) -> list[Matrix]:
     u = np.asarray(unit, dtype=np.int64).reshape(-1) % p
     d = []
     for n in range(start, x.max_degree):
-        eye = np.eye(x.dim(n), dtype=np.int64)
-        outer = x.products(n, 1, eye, u)
-        total = x.products(1, n, u, eye)
+        outer = x.products(n, 1, None, u)
+        total = x.products(1, n, u, np.eye(x.dim(n), dtype=np.int64))
         total = (total + outer if n % 2 else total - outer) % p
         for i, term in enumerate(inner(n) if n else [], start=1):
             total = (total - term.a if i % 2 else total + term.a) % p

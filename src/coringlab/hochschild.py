@@ -70,11 +70,13 @@ class CochainComplex(DGA):
         self.tower = powers[1].tower    # the one tower all powers come from
         self._linear = set()            # (n, kind) checked by ``_check_balanced``
 
-    def _matrices(self, n: int, xs: np.ndarray) -> np.ndarray:
-        """The cochains in the columns of xs, stacked: k x dim A x dim power(n)."""
+    def _matrices(self, n: int, xs: np.ndarray | None) -> np.ndarray:
+        """The cochains in the columns of xs, or the basis for None,
+        stacked: k x dim A x dim power(n)."""
         rows = self.homs[n].rows
         d = self.extension.ambient.dim
-        return mul_mod(xs.T, rows, self.p).reshape(xs.shape[1], d, rows.shape[1] // d)
+        flat = rows if xs is None else mul_mod(xs.T, rows, self.p)
+        return flat.reshape(len(flat), d, rows.shape[1] // d)
 
     def _coords(self, n: int, flat: np.ndarray) -> np.ndarray:
         """Degree-n coordinates, as columns, of cochain matrices given as
@@ -107,7 +109,7 @@ def cup(c: CochainComplex, m: int, n: int, xs, ys) -> np.ndarray:
     else:
         at, lift = np.zeros(size, dtype=np.intp), np.eye(size, dtype=np.int64)
     f, g = c._matrices(m, xs), c._matrices(n, ys)
-    single = 1 in (xs.shape[1], ys.shape[1])     # one element against a batch
+    single = 1 in (len(f), len(g))     # one element against a batch
     # the largest arrays: a batch, d entries per cochain and coordinate,
     # and d² entries for the one element's products with t or each pair's
     # outer products in a slice
@@ -121,7 +123,7 @@ def cup(c: CochainComplex, m: int, n: int, xs, ys) -> np.ndarray:
     if single:
         # one element, contracted with t at each lift z, then applied to
         # the whole other batch: [z, r, ·] against [z, ·, i]
-        if xs.shape[1] == 1:
+        if len(f) == 1:
             one = mul_mod(f[0].T, t.reshape(d, d * d), p).reshape(-1, d, d)[at]
             other = g
         else:

@@ -9,7 +9,8 @@ the space is their ``linalg.commutant`` in its canonical basis: basis
 element t has a 1 in the t-th free coordinate of the flattened matrix.
 So a hom space is a ``linalg.Subspace`` with its identity there, and
 members are re-expressed by ``linalg.span_coords``, a gather plus one
-verification product.  The solve first estimates its constraint matrix
+verification product, or the gather alone on a ``selection`` (a base
+acting diagonally).  The solve first estimates its constraint matrix
 as if every block were stacked, and refuses one above
 ``tensors.RELATION_ENTRY_BUDGET``.
 """

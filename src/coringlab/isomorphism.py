@@ -4,10 +4,10 @@ cochain complex of the extension it came from.
 The comparison maps send a pure tensor of endomorphisms to their
 iterated cup product.  In degrees 0 and 1 the two sides share
 coordinates outright, so the maps are identities; from degree 2 on
-f_n is one paired product of the cochain complex, f_{n-1}(x) ∪ v for
-every basis x of degree n-1 and v of the carrier, on the plain product
-power(n-1) x carrier that the coring's power(n) is a quotient of,
-descended through the balancing relations; f_2 is the depth-two
+f_n is f_{n-1}(x) ∪ v for every basis x of degree n-1 and v of the
+carrier, one cup of the batch f_{n-1} against each v, on the plain
+product power(n-1) x carrier that the coring's power(n) is a quotient
+of, descended through the balancing relations; f_2 is the depth-two
 certificate's f2.  All degrees are built in one sweep, each from the one
 below.  Multiplicativity is checked by the shared ``dga.verify_morphism``:
 proved on every basis pair where dim(m)·dim(n) <= ``trials``, else sampled.
@@ -22,7 +22,7 @@ import numpy as np
 from .algebras import Extension
 from .amitsur import AmitsurComplex, build_amitsur
 from .corings import D2Certificate, build_f2, endo_coring
-from .dga import DEFAULT_TRIALS, cohomology_dims, every_pair, verify_morphism
+from .dga import DEFAULT_TRIALS, cohomology_dims, verify_morphism
 from .hochschild import DEFAULT_DEGREE, CochainComplex, build_complex, grow_complex
 from .linalg import Matrix, descend, rank_of
 from .reporting import Report
@@ -54,7 +54,10 @@ def build_fn(cert: D2Certificate, ac: AmitsurComplex, cc: CochainComplex, n: int
     the iterated cup product of 1-cochains, built one factor at a time:
     the coring's power(k) is power(k-1) ⊗_R carrier, and on that plain
     product f_k(x ⊗ v) = f_{k-1}(x) ∪ f_1(v), descended through the
-    balancing relations, from the certificate's f2 on.
+    balancing relations, from the certificate's f2 on.  Each v is one
+    element against the batch f_{k-1}, so the structure tensor meets it
+    once, not once per column of f_{k-1}; column x * dim Ω¹ + v of the
+    images is f_{k-1}(x) ∪ v.
     """
     p = cert.extension.p
     if not 0 <= n <= min(ac.max_degree, cc.max_degree):
@@ -62,8 +65,8 @@ def build_fn(cert: D2Certificate, ac: AmitsurComplex, cc: CochainComplex, n: int
     f = [Matrix.identity(p, ac.dim(0)), Matrix.identity(p, ac.dim(1)), cert.f2][:n + 1]
     units = np.eye(ac.dim(1), dtype=np.int64)
     for k in range(3, n + 1):
-        images = cc.products(k - 1, 1, *every_pair(f[-1].a, units))
-        f.append(Matrix._wrap(p, descend(ac.spaces[k], images)))
+        images = np.stack([cc.products(k - 1, 1, f[-1].a, v) for v in units], axis=2)
+        f.append(Matrix._wrap(p, descend(ac.spaces[k], images.reshape(len(images), -1))))
     return f
 
 

@@ -35,6 +35,12 @@ only ``Matrix(p, data)`` reduces, for arrays from outside.  Primitives:
   read off a dual basis is a ``DualStep``, held as the data that
   defines it: ``project`` and ``descend`` apply it blockwise, and form
   neither its projection nor its section.
+* a selection, a basis of unit rows at its identity columns (as
+  ``commutant``'s diagonal path gives), is held, like a ``DualStep``, as
+  its data: the kept indices.  A quotient or subspace recognizes one from
+  its rows (``selection``); there ``project`` is ``xs[free]``, ``descend``
+  is ``m[:, free]`` once m vanishes off ``free``, and ``span_coords``
+  checks members with no product.
 
 A build or an axiom check that would form a dense array above
 ``RELATION_ENTRY_BUDGET`` entries refuses first, through
@@ -381,20 +387,29 @@ class Matrix:
         return f"Matrix(p={self.p}, shape={self.a.shape})"
 
 
-def span_coords(rows: np.ndarray, at, xs: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _is_selection(rows: np.ndarray, at) -> bool:
+    """Whether ``rows`` (residues) are the unit vectors at the columns
+    ``at``, in order: a selection of plain coordinates."""
+    return (at is not None and np.count_nonzero(rows) == len(at)
+            and bool((rows[np.arange(len(at)), at] == 1).all()))
+
+
+def span_coords(rows: np.ndarray | None, at, xs: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates of the rows of ``xs`` in the span of ``rows``, a basis
     with the identity at the columns ``at`` (RREF rows at their pivots,
     kernel rows at their free columns): a member's entries there, checked
-    on the other columns with one product.  Returns them, k x dim, and
-    the k x n mask of the entries where a row and its combination differ;
-    a row is a member exactly when its row of the mask is all False."""
+    on the other columns with one product, or, for rows None, the unit
+    vectors at ``at`` (a selection), by their vanishing there.  Returns
+    them, k x dim, and the k x n mask of the entries where a row and its
+    combination differ; a row is a member exactly when its row of the
+    mask is all False."""
     at = np.asarray(at, dtype=np.intp)
     coords = xs[:, at] % p
     rest = np.ones(xs.shape[1], dtype=bool)
     rest[at] = False
     off = np.empty(xs.shape, dtype=bool)
     off[:, at] = coords != xs[:, at]
-    off[:, rest] = mul_mod(coords, rows[:, rest], p) != xs[:, rest]
+    off[:, rest] = (0 if rows is None else mul_mod(coords, rows[:, rest], p)) != xs[:, rest]
     return coords, off
 
 
@@ -402,9 +417,10 @@ class Subspace:
     """A subspace of GF(p)^n in a canonical basis: ``rows[i]`` is the
     i-th basis vector, and the rows carry the identity at the columns
     ``at`` (an int array), the pivots of an RREF or the free columns of a
-    kernel basis, where ``span_coords`` reads a member's coordinates."""
+    kernel basis, where ``span_coords`` reads a member's coordinates;
+    with no product when the rows are unit vectors (``selection``)."""
 
-    __slots__ = ("p", "rows", "at")
+    __slots__ = ("p", "rows", "at", "selection")
 
     def __init__(self, p: int, rows: np.ndarray, at):
         self.p = p
@@ -412,6 +428,7 @@ class Subspace:
         r.setflags(write=False)
         self.rows = r
         self.at = np.asarray(at, dtype=np.int64)
+        self.selection = _is_selection(r, self.at)
 
     @classmethod
     def from_spanning(cls, p: int, ambient_dim: int, vectors) -> "Subspace":
@@ -435,7 +452,7 @@ class Subspace:
     def coords(self, xs: np.ndarray, what: str) -> np.ndarray:
         """The coordinates of the rows of xs (residues), as rows; raises
         ElementNotInSpaceError(what) unless every row is a member."""
-        coords, off = span_coords(self.rows, self.at, xs, self.p)
+        coords, off = span_coords(None if self.selection else self.rows, self.at, xs, self.p)
         if off.any():
             raise ElementNotInSpaceError(what)
         return coords
@@ -443,7 +460,7 @@ class Subspace:
     def coords_of(self, v):
         """The coordinates of the vector v, or None if it is not a member."""
         v = np.asarray(v, dtype=np.int64).reshape(1, -1) % self.p
-        coords, off = span_coords(self.rows, self.at, v, self.p)
+        coords, off = span_coords(None if self.selection else self.rows, self.at, v, self.p)
         return None if off.any() else coords[0]
 
     def __repr__(self):
@@ -476,10 +493,12 @@ class QuotientSpace:
     section's image and kills that kernel.  ``from_kernel`` builds the
     pair from a canonical kernel basis and records its ``free`` columns
     (an int array): there the projection is the identity and the section
-    has its unit columns.  A ``DualStep`` holds no pair.
+    has its unit columns.  When the projection's rows are unit vectors
+    as well, the quotient is a ``selection`` of the plain coordinates at
+    ``free``.  A ``DualStep`` holds no pair.
     """
 
-    __slots__ = ("p", "projection", "section", "free", "dim", "ambient_dim")
+    __slots__ = ("p", "projection", "section", "free", "dim", "ambient_dim", "selection")
 
     def __init__(self, p: int, projection: Matrix, section: Matrix, free):
         self.p = p
@@ -487,6 +506,7 @@ class QuotientSpace:
         self.section = section
         self.free = free
         self.dim, self.ambient_dim = projection.shape
+        self.selection = _is_selection(projection.a, free)
 
     @classmethod
     def from_kernel(cls, p: int, rows: np.ndarray, free) -> "QuotientSpace":
@@ -501,11 +521,11 @@ class QuotientSpace:
     def project(self, xs) -> np.ndarray:
         """The projection of the vector xs, or of each column of xs."""
         xs = np.asarray(xs, dtype=np.int64) % self.p
-        out = self._project(xs.reshape(self.ambient_dim, -1))
+        out = self._project(xs.reshape(self.ambient_dim, int(np.prod(xs.shape[1:]))))
         return out.reshape((self.dim,) + xs.shape[1:])
 
     def _project(self, xs: np.ndarray) -> np.ndarray:
-        return mul_mod(self.projection.a, xs, self.p)
+        return xs[self.free] if self.selection else mul_mod(self.projection.a, xs, self.p)
 
     def __repr__(self):
         return f"QuotientSpace(p={self.p}, ambient={self.ambient_dim}, dim={self.dim})"
@@ -525,7 +545,7 @@ class DualStep(QuotientSpace):
     __slots__ = ("w", "phi", "rights", "across")
 
     def __init__(self, p: int, w: np.ndarray, phi: np.ndarray, rights: np.ndarray):
-        self.p, self.free, self.w, self.phi, self.rights = p, None, w, phi, rights
+        self.p, self.free, self.selection, self.w, self.phi, self.rights = p, None, False, w, phi, rights
         (c, m), d = w.shape, rights.shape[1]
         self.across = rights.transpose(1, 0, 2).reshape(d, -1)
         self.dim, self.ambient_dim = m * d, d * c
@@ -564,7 +584,8 @@ def descend(q: QuotientSpace, m: np.ndarray) -> np.ndarray:
     representative's.
 
     When q records its ``free`` columns, its projection is a canonical
-    basis with the identity there, and h is ``span_coords`` of m's rows.
+    basis with the identity there, and h is ``span_coords`` of m's rows:
+    on a selection, m[:, free], once m vanishes off ``free``.
     On a ``DualStep``, h at (j, y) is m at e_y ⊗ w_j, and h @ projection
     at x ⊗ v is Σ_{j, b} Φ[j, b, v]·(h_j R_b)[:, x].
     """
@@ -578,7 +599,7 @@ def descend(q: QuotientSpace, m: np.ndarray) -> np.ndarray:
         h = h.reshape(rows, k * d)
         bad = (back.reshape(rows, d * c) != m).any(axis=0)
     else:
-        h, off = span_coords(q.projection.a, q.free, m, p)
+        h, off = span_coords(None if q.selection else q.projection.a, q.free, m, p)
         bad = off.any(axis=0)
     if bad.any():
         col = int(np.flatnonzero(bad)[0])

@@ -17,7 +17,9 @@ projection, descents and lifts are read blockwise from those.  A tower
 decides once (``TensorTower.dual``) whether every step is such a dual
 step or none is; dual coordinates are not ``commutant``'s canonical
 ones.  Carriers on which every generator acts diagonally keep
-``commutant``'s coordinate selection, and the rest its reduction.
+``commutant``'s coordinate selection (``linalg``'s ``selection``, held
+as its kept indices as a dual step is held as (w, Φ, R_b)), and the rest
+its reduction.
 Each power is a quotient of its plain product, and every structure map
 on power(n) is a map on power(n-1) tensored with the identity of the
 last factor (``then_identity``) or one on the last factor alone
@@ -29,8 +31,10 @@ the generators act diagonally, and a map that fails it raises
 NotWellDefinedError at the first entry where it fails.  On a
 dual tower the map is then a block matrix: phi ⊗ id is phi on each of
 the m blocks, and id ⊗ m mixes the blocks through power(n-1)'s right
-actions.  Otherwise only the columns of power(n)'s free coordinates are
-computed, a gather of the projection.  ``lift`` lifts each coordinate
+actions.  On a selection, the image at x_s ⊗ v_s of x_t ⊗ v_t is
+[x_s = x_t]·m[v_s, v_t] for id ⊗ m and [v_s = v_t]·phi[x_s, x_t] for
+phi ⊗ id, gathered with no product; otherwise only the columns of
+power(n)'s free coordinates are computed.  ``lift`` lifts each coordinate
 of power(m+n) through concat(m, n) to a pure tensor e_x ⊗ y, certified
 once, so a map out of power(m) ⊗ power(n) that kills the balancing
 relations is read on power(m+n) at those pairs alone; and
@@ -376,6 +380,11 @@ class TensorTower:
             out = mul_mod(psi, q.rights.reshape(dim_r, d_prev * d_prev), p)
             out = out.reshape(k, m, m, d_prev, d_prev).transpose(0, 1, 3, 2, 4)
             return [Matrix._wrap(p, h) for h in out.reshape(k, q.dim, q.dim)]
+        if q.selection:
+            # coordinate s is the plain x_s ⊗ v_s: [x_s = x_t]·m[v_s, v_t], a gather
+            xs, vs = np.divmod(q.free, c)
+            out = stack[:, vs[:, None], vs] * (xs[:, None] == xs)
+            return [Matrix._wrap(p, h) for h in out]
         # row w of map j at [w, j]
         maps = stack.transpose(1, 0, 2)
         proj = q.projection.a.reshape(q.dim, d_prev, c)
@@ -470,7 +479,8 @@ class TensorTower:
         certified, so the blocks need no check.  For m >= 1, concat(m, 1)
         is power(m+1)'s step, x ⊗ v -> Σ_b φ(v)_b ⊗ R_b·x, applied to
         each pair with no plain product formed; otherwise concat(m, n) is
-        applied to the Khatri-Rao product of the batches.
+        applied to the Khatri-Rao product of the batches.  An xs of None is
+        the basis of power(m), whose R_b·x there are the R_b themselves.
         """
         p, blocks = self.p, 1
         if self.dual is not None and n >= 2:
@@ -482,8 +492,11 @@ class TensorTower:
             # φ(v) at [i, (J, j), b] and R_b·x at [i, b, y], one column i a slice
             at = mul_mod(q.phi.reshape(rank * r, c), ys.transpose(1, 0, 2).reshape(c, -1), p)
             at = at.reshape(rank, r, blocks, -1).transpose(3, 2, 0, 1).reshape(-1, blocks * rank, r)
-            moved = mul_mod(q.rights.reshape(r * d, d), xs, p).reshape(r, d, -1).transpose(2, 0, 1)
+            moved = (q.rights if xs is None else
+                     mul_mod(q.rights.reshape(r * d, d), xs, p).reshape(r, d, -1)).transpose(2, 0, 1)
             return mul_mod(at, moved, p).transpose(1, 2, 0).reshape(blocks * rank * d, -1)
+        if xs is None:
+            xs = np.eye(self.power(m).dim if m else self.base.dim, dtype=np.int64)
         # column (J, i) is kron(xs[:, i], ys[J, :, i]); a side of one
         # column broadcasts against the other
         pairs = (xs[:, None, None, :] * ys[None]).transpose(0, 2, 1, 3) % p
@@ -559,6 +572,11 @@ class TensorTower:
             diag = np.arange(m)
             out[diag, :, :, diag, :] = slices
             return Matrix._wrap(p, out.reshape(dst.dim, lead * src.dim))
+        if dst.selection:
+            # [v_s = v_t]·phi_x[y_s, y_t] from y_t ⊗ v_t to y_s ⊗ v_s, a gather
+            (ys, vs), (yd, vd) = np.divmod(src.free, c), np.divmod(dst.free, c)
+            out = slices[yd][:, :, ys] * (vd[:, None, None] == vs)
+            return Matrix._wrap(p, out.reshape(dst.dim, lead * src.dim))
         proj = dst.projection.a.reshape(dst.dim, d_out, c)
         # free column t is the plain coordinate y_t ⊗ v_t: P[:, :, v_t] @ phi_x(y_t),
         # one product per v in a stack
@@ -601,9 +619,9 @@ def _intertwines(p: int, maps: np.ndarray, ins, outs, gens, kind: str) -> None:
 def extension_tower(e: Extension) -> TensorTower:
     """The tower of A over B, with B acting by multiplication in A."""
     a = e.ambient
-    subs = e.sub_images()
-    return TensorTower(e.sub, a.dim, [a.left_mul(b) for b in subs],
-                       [a.right_mul(b) for b in subs])
+    lefts, rights = a.actions(e.sub_images())
+    return TensorTower(e.sub, a.dim, [Matrix._wrap(a.p, m) for m in lefts],
+                       [Matrix._wrap(a.p, m) for m in rights])
 
 
 class RelativeTensorPower:

@@ -28,7 +28,7 @@ from coringlab.algebras import (
     validate,
 )
 from coringlab.errors import AxiomError, ElementNotInSpaceError, SizeLimitError
-from coringlab.linalg import Field, Matrix, Subspace
+from coringlab.linalg import Field, Matrix, RrefAccumulator, Subspace
 
 from conftest import (kron_algebra_violations, kron_bialgebra_violations, multiply,
                       rebuilt_generating_indices, self_extension, shown_violations,
@@ -345,6 +345,27 @@ def test_generating_indices_match_the_rebuilt_search_on_corpus_and_incidence_alg
             algebras_ += [(f"{name} p={p}", e.ambient), (f"{name} p={p} sub", e.sub)]
     for name, a in algebras_:
         assert generating_indices(a) == rebuilt_generating_indices(a), name
+
+
+def test_a_diagonal_basis_picks_its_generators_without_reducing(monkeypatch):
+    # k^n multiplies its basis diagonally with unit the sum: the picks are
+    # every index but the last, read off with no row reduction
+    added = []
+    plain_add = RrefAccumulator.add
+    monkeypatch.setattr(RrefAccumulator, "add",
+                        lambda acc, block: added.append(block) or plain_add(acc, block))
+    for p in (2, 3, 5, 7):
+        for n in range(1, 9):
+            a = diagonal_algebra(Field(p), n)
+            picks = generating_indices(a)
+            assert picks == list(range(n - 1)) and not added, (p, n)
+            assert picks == rebuilt_generating_indices(a), (p, n)
+            added.clear()
+    # the same tensor with a unit that is not all ones takes the search
+    t = diagonal_algebra(Field(5), 3).tensor
+    a = FinDimAlgebra(Field(5), ["x", "y", "z"], t, [1, 1, 0])
+    assert generating_indices(a) == rebuilt_generating_indices(a) == [0, 2]
+    assert added
 
 
 @st.composite

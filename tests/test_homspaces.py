@@ -5,9 +5,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coringlab import tensors
 from coringlab.algebras import (
+    Extension,
+    FinDimAlgebra,
     diagonal_algebra,
     generating_indices,
     matrix_algebra,
@@ -16,7 +19,7 @@ from coringlab.algebras import (
 from coringlab.corpus import facet_names, read_facets
 from coringlab.errors import ElementNotInSpaceError, SizeLimitError
 from coringlab.homspaces import build_hom
-from coringlab.linalg import Field, Matrix, kernel_rows_with_free
+from coringlab.linalg import Field, Matrix, kernel_rows_with_free, mul_mod
 from coringlab.simplicial import SimplicialComplex, incidence_extension, parse_complex
 from coringlab.tensors import balanced_power, build_power, relation_entries
 
@@ -262,3 +265,50 @@ def test_incidence_hom_selection_is_budgeted_like_the_reduction(monkeypatch):
             "a bimodule hom space with 703 unknowns needs a dense constraint matrix "
             f"of about {estimate:.2e} entries, over the budget of {estimate - 1:.0e}")):
         build_hom(e, t)
+
+
+@st.composite
+def poset_extensions(draw):
+    """The incidence algebra of a random poset on up to four points over
+    its diagonal, p = 2, 3, 5 or 7: x <= y is drawn for x < y and closed
+    transitively, and e_xy·e_yz = e_xz."""
+    f, k = Field(draw(st.sampled_from([2, 3, 5, 7]))), draw(st.integers(1, 4))
+    below = np.eye(k, dtype=bool)
+    for x in range(k):
+        for y in range(x + 1, k):
+            below[x, y] = draw(st.booleans())
+    for z in range(k):      # Warshall: x <= z <= y gives x <= y
+        below |= below[:, z, None] & below[None, z, :]
+    pairs = [tuple(xy) for xy in np.argwhere(below)]
+    at = {xy: i for i, xy in enumerate(pairs)}
+    tensor = np.zeros((len(pairs),) * 3, dtype=np.int64)
+    for (x, y), i in at.items():
+        for (y2, z), j in at.items():
+            if y == y2:
+                tensor[i, j, at[(x, z)]] = 1
+    inclusion = np.zeros((len(pairs), k), dtype=np.int64)
+    for x in range(k):
+        inclusion[at[(x, x)], x] = 1
+    ambient = FinDimAlgebra(f, [f"e{x}{y}" for x, y in pairs], tensor, inclusion.sum(axis=1))
+    return Extension(ambient, diagonal_algebra(f, k), Matrix(f.p, inclusion))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(poset_extensions())
+def test_poset_hom_spaces_are_selections_of_the_stacked_kernel(e):
+    # over a diagonal base every hom space is a selection: the stacked
+    # reduction's rows, read and refused by a gather
+    rng = np.random.default_rng(e.ambient.dim)
+    for n in (1, 2):
+        t = build_power(e, n)
+        hom = build_hom(e, t)
+        rows, free = stacked_constraint_kernel(e, t)
+        assert hom.selection and t.space.selection, n
+        assert np.array_equal(hom.rows, rows) and hom.at.tolist() == free, n
+        coords = rng.integers(0, e.p, size=(3, hom.dim), dtype=np.int64)
+        members = mul_mod(coords, rows, e.p)
+        assert np.array_equal(hom.coords(members, "not a member"), coords), n
+        if hom.dim < hom.ambient_dim:
+            members[0, np.setdiff1d(np.arange(hom.ambient_dim), free)[0]] = 1
+            with pytest.raises(ElementNotInSpaceError, match="not a member"):
+                hom.coords(members, "not a member")

@@ -26,8 +26,10 @@ from coringlab.linalg import (
     Field,
     Matrix,
     Subspace,
+    descend,
     diagonal_kept,
     inverse,
+    kernel_rows_with_free,
     mul_mod,
     rank_of,
     rref_rows,
@@ -47,8 +49,8 @@ from coringlab.tensors import (
     relation_entries,
 )
 
-from conftest import (blockwise_step_failures, concat_lift_failures, dense_on_last, dense_pair,
-                      dense_then_identity, dual_step_mismatches, gathered_map_mismatches,
+from conftest import (blockwise_step_failures, concat_lift_failures, dense_descend, dense_on_last,
+                      dense_pair, dense_then_identity, dual_step_mismatches, gathered_map_mismatches,
                       multiply, pure_tensor, off_choice_steps, quotient_of, s3_c2_extension,
                       self_extension)
 from test_algebras import C3, ut2_diag_extension
@@ -342,6 +344,62 @@ def test_selection_is_budgeted_like_the_reduction(monkeypatch):
             "a tensor power with ambient dimension 361 needs a dense relation matrix "
             f"of about {estimate:.2e} entries, over the budget of {estimate - 1:.0e}")):
         balanced_pair(5, a.dim, a.dim, rights, lefts)
+
+
+@st.composite
+def diagonal_towers(draw):
+    """(tower, lefts, rights, seed): a carrier of dimension c on which
+    the base k^r acts from both sides by diagonal idempotents, basis
+    vector v lying in the left summand lefts[v] and the right summand
+    rights[v], over p = 2, 3, 5 or 7."""
+    p, r, c = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    lefts, rights = (np.array(draw(st.lists(st.integers(0, r - 1), min_size=c, max_size=c)))
+                     for _ in "lr")
+    tower = TensorTower(diagonal_algebra(Field(p), r), c,
+                        [Matrix(p, np.diag(lefts == j)) for j in range(r)],
+                        [Matrix(p, np.diag(rights == j)) for j in range(r)])
+    return tower, lefts, rights, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(diagonal_towers())
+def test_selection_towers_are_the_dense_reduction(case):
+    # every power of a diagonal tower is a selection, equal to the
+    # reduction of all its balancing relations, and projects, descends,
+    # refuses and maps as the dense projection does
+    tower, lefts, rights, seed = case
+    p, c, rng = tower.p, tower.carrier_dim, np.random.default_rng(seed)
+    for n in (1, 2, 3):
+        q = tower.power(n)
+        assert q.selection, n
+        if n > 1:
+            relations = pair_relation_rows(p, tower.power(n - 1).dim, c,
+                                           [m.a for m in tower.right_on(n - 1)],
+                                           [m.a for m in tower.left_mats])
+            rows, free = kernel_rows_with_free(relations, p)
+            assert np.array_equal(q.projection.a, rows) and q.free.tolist() == free, n
+        proj = q.projection.a
+        xs = rng.integers(0, p, size=(q.ambient_dim, 3), dtype=np.int64)
+        assert np.array_equal(q.project(xs), mul_mod(proj, xs, p)), n
+        assert np.array_equal(q.project(xs[:, 0]), mul_mod(proj, xs[:, :1], p)[:, 0]), n
+        m = mul_mod(rng.integers(0, p, size=(2, q.dim), dtype=np.int64), proj, p)
+        assert np.array_equal(descend(q, m), dense_descend(q, m)), n
+        off = np.setdiff1d(np.arange(q.ambient_dim), q.free)
+        if off.size:
+            m[1, rng.choice(off)] = rng.integers(1, p)
+            with pytest.raises(NotWellDefinedError) as dense:
+                dense_descend(q, m)
+            with pytest.raises(NotWellDefinedError, match=re.escape(str(dense.value))):
+                descend(q, m)
+    # carrier maps that keep each left (right) summand: left- (right-)linear
+    within = [rng.integers(0, p, size=(c, c), dtype=np.int64) * (side[:, None] == side)
+              for side in (lefts, rights)]
+    for n in (2, 3):
+        assert np.array_equal(tower.on_last(n, [Matrix(p, within[0])])[0].a,
+                              dense_on_last(tower, n, Matrix(p, within[0]))), n
+    assert np.array_equal(tower.then_identity(Matrix(p, within[1]), 2, 2).a,
+                          dense_then_identity(tower, Matrix(p, within[1]), 2, 2))
+    assert gathered_map_mismatches(tower, 3) == []
 
 
 # -- the extension tower ------------------------------------------------------

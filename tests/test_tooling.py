@@ -6,11 +6,16 @@ drops or renames a traced function fails here rather than only in the
 benchmark's own tests, and so does one that changes the arguments or
 results its span counters read.  The README's library example runs as
 written, every name the package exports resolves, and no module but
-``linalg`` leaves integer arithmetic.
+``linalg`` leaves integer arithmetic.  On incidence algebras, whose base
+acts diagonally, the selection paths stay gathers: no product runs
+under them, and the generator search of the diagonal base reduces
+nothing.
 """
 
+import contextlib
 import importlib.util
 import inspect
+import io
 import re
 import sys
 from pathlib import Path
@@ -18,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import coringlab
-from coringlab import cli, dga, hochschild, tensors
+from coringlab import cli, dga, hochschild, linalg, tensors
 from coringlab.errors import SizeLimitError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,3 +105,42 @@ def test_only_linalg_leaves_the_integers():
         if path.name != "linalg.py":
             hit = leaves.search(path.read_text(encoding="utf-8"))
             assert hit is None, (path.name, hit and hit.group())
+
+
+# the selection paths, which must read their spaces by gathers alone
+GATHERS = {"project", "_project", "descend", "coords", "coords_of", "on_last", "then_identity"}
+
+
+def calling(names):
+    """The names in ``names`` of the package functions on the caller's stack."""
+    frame, found = sys._getframe(2), []
+    while frame is not None:
+        if frame.f_code.co_name in names and "coringlab" in frame.f_code.co_filename:
+            found.append(frame.f_code.co_name)
+        frame = frame.f_back
+    return found
+
+
+def test_incidence_selections_run_no_products_and_pick_generators_unreduced(monkeypatch):
+    plain_mul, plain_add = linalg.mul_mod, linalg.RrefAccumulator.add
+    products, under = [], []
+
+    def watched_mul(a, b, p):
+        products.append(1)
+        under.extend(calling(GATHERS))
+        return plain_mul(a, b, p)
+
+    def watched_add(acc, block):
+        under.extend(calling({"generating_indices"}))
+        return plain_add(acc, block)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "coringlab" and vars(module).get("mul_mod") is plain_mul:
+            monkeypatch.setattr(module, "mul_mod", watched_mul)
+    monkeypatch.setattr(linalg.RrefAccumulator, "add", watched_add)
+    for facets in ("filled_triangle", "hollow_triangle"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["gs-compare", str(CORPUS / f"{facets}.facets"),
+                             "--max-degree", "2"]) == 0
+    # the cup and the ranks still multiply, so the watch is live
+    assert products and under == []
