@@ -117,32 +117,40 @@ class ValidationReport:
 # a report lists this many violations, in order, then counts the rest
 VIOLATIONS_SHOWN = 20
 
+# entries of each side of the associativity check formed at once: every
+# corpus and benchmark algebra (dim 24 at most) fits in one slab
+ASSOCIATIVITY_SLAB = 2**21
+
 
 def algebra_violations(a: FinDimAlgebra) -> list[str]:
     """The violated associativity or unit identities, as readable strings:
     the first ``VIOLATIONS_SHOWN``, then one line counting the rest.
 
     Associativity is checked on every basis triple by contracting the
-    structure tensor t with itself, two arrays of d**4 entries; above
+    structure tensor t with itself, d**4 entries a side, formed for a
+    slab of l at a time, of at most ``ASSOCIATIVITY_SLAB`` entries; above
     ``RELATION_ENTRY_BUDGET`` the check refuses with SizeLimitError.
     """
     p, d = a.p, a.dim
     out: list[str] = []
     check_entries(d**4, RELATION_ENTRY_BUDGET,
                   f"the associativity check of a {d}-dimensional algebra needs two arrays")
-    t = a.tensor
-    # (e_i e_j) e_k = sum_m t[i, j, m] t[m, k, :] at [i, j, k, l]
-    lhs = mul_mod(t.reshape(d * d, d), t.reshape(d, d * d), p).reshape(d, d, d, d)
-    # e_i (e_j e_k) = sum_m t[j, k, m] t[i, m, :], computed at [j, k, i, l]
-    rhs = mul_mod(t.reshape(d * d, d), t.transpose(1, 0, 2).reshape(d, d * d), p)
-    rhs = rhs.reshape(d, d, d, d).transpose(2, 0, 1, 3)
-    # listed by l first, then (i, j, k)
-    bad = (lhs != rhs).transpose(3, 0, 1, 2)
-    for l in range(d):
-        if len(out) == VIOLATIONS_SHOWN:
-            break
-        for i, j, k in np.argwhere(bad[l])[:VIOLATIONS_SHOWN - len(out)]:
-            out.append(f"associativity fails at (i={i}, j={j}, k={k}, l={l})")
+    t, wrong = a.tensor, 0
+    width = max(1, ASSOCIATIVITY_SLAB // max(d**3, 1))
+    for lo in range(0, d, width):
+        ts = t[:, :, lo:lo + width]
+        # (e_i e_j) e_k = sum_m t[i, j, m] t[m, k, l] at [i, j, k, l]
+        lhs = mul_mod(t.reshape(d * d, d), ts.reshape(d, -1), p).reshape(d, d, d, -1)
+        # e_i (e_j e_k) = sum_m t[j, k, m] t[i, m, l], computed at [j, k, i, l]
+        rhs = mul_mod(t.reshape(d * d, d), ts.transpose(1, 0, 2).reshape(d, -1), p)
+        # listed by l first, then (i, j, k)
+        bad = (lhs != rhs.reshape(lhs.shape).transpose(2, 0, 1, 3)).transpose(3, 0, 1, 2)
+        wrong += int(np.count_nonzero(bad))
+        for l in range(len(bad)):
+            if len(out) == VIOLATIONS_SHOWN:
+                break
+            for i, j, k in np.argwhere(bad[l])[:VIOLATIONS_SHOWN - len(out)]:
+                out.append(f"associativity fails at (i={i}, j={j}, k={k}, l={lo + l})")
     eye = np.eye(d, dtype=np.int64)
     lu = a.left_mul(a.unit).a
     ru = a.right_mul(a.unit).a
@@ -153,7 +161,7 @@ def algebra_violations(a: FinDimAlgebra) -> list[str]:
         if not np.array_equal(ru[:, i], eye[:, i]):
             units.append(f"right unit law fails at basis index {i}")
     out += units
-    total = int(np.count_nonzero(bad)) + len(units)
+    total = wrong + len(units)
     if total > VIOLATIONS_SHOWN:
         out[VIOLATIONS_SHOWN:] = [f"… and {total - VIOLATIONS_SHOWN} more"]
     return out

@@ -1,10 +1,11 @@
 """The relative Hochschild cochain complex of an extension, as a DGA.
 
-Degree 0 is the centralizer R; degree n >= 1 is the bimodule hom space
-on A^(⊗_B n), power n of the extension's tensor tower.  A cochain is
-handled as its matrix from power(n) to A; a degree-0 cochain is its
-value r, a matrix on the one-dimensional power(0).  Each degree is a
-``linalg.Subspace`` of such matrices, flattened, in one list, and
+Degree 0 is the centralizer R, the coordinates where A's two diagonals
+agree on a tower with ``diagonals``; degree n >= 1 is the bimodule hom
+space on power n of the extension's tensor tower.  A cochain is handled
+as its matrix from power(n) to A; a degree-0 cochain is its value r.
+Each degree is a ``linalg.Subspace`` of such matrices, flattened, in one
+list (a selection's coordinates are scattered into it), and
 ``span_coords`` reads every product and pullback back into its
 coordinates.  The cup product concatenates arguments: f ∪ g is
 mult(f(x) ⊗ g(y)) at x ⊗ y, and power(m+n) is power(m) ⊗_B power(n)
@@ -17,13 +18,12 @@ and degree; and r ∪ g = r·g, f ∪ r = f·r in degree 0.  ``cup`` forms
 it on column-paired batches, f_i ∪ g_i for every column i, as the
 reduced outer products f_i(e_x) ⊗ g_i(y) contracted with the structure
 tensor in one ``mul_mod``, or one element against a batch, contracted
-with the structure tensor once; every product is a ``mul_mod``, which
-alone decides how to keep it exact.  ``cup`` is the complex's
-``products``; it refuses an intermediate above
-``linalg.RELATION_ENTRY_BUDGET`` before forming it.  The coboundary is the shared
-``dga.coboundaries`` with iota, the identity 1-cochain, as unit and the
-pullbacks f -> f∘mu_i along the slot multiplications
-``tensors.mult_at`` as slot maps:
+with the structure tensor once; each product is a ``mul_mod``, which
+alone keeps it exact.  ``cup`` is the complex's ``products``; it refuses
+an intermediate above ``linalg.RELATION_ENTRY_BUDGET`` before forming
+it.  The coboundary is the shared ``dga.coboundaries`` with iota, the
+identity 1-cochain, as unit and the pullbacks f -> f∘mu_i along the
+slot multiplications ``tensors.mult_at`` as slot maps:
 
     delta f = iota ∪ f + sum_i (-1)^i f∘mu_i + (-1)^{n+1} f ∪ iota,
 
@@ -42,7 +42,7 @@ from .algebras import Extension, centralizer
 from .dga import DGA, coboundaries, paired
 # this complex's cohomology and law check are the shared ones
 from .dga import cohomology_dims, verify_dga as verify_hochschild_dga
-from .linalg import RELATION_ENTRY_BUDGET, Matrix, check_entries, mul_mod
+from .linalg import RELATION_ENTRY_BUDGET, Matrix, Subspace, check_entries, kept_rows, mul_mod
 from .homspaces import build_hom
 from .tensors import HARD_DEGREE_CAP  # the one cap, re-exported for callers
 from .tensors import RelativeTensorPower, _intertwines, extension_tower, mult_at
@@ -73,10 +73,13 @@ class CochainComplex(DGA):
     def _matrices(self, n: int, xs: np.ndarray | None) -> np.ndarray:
         """The cochains in the columns of xs, or the basis for None,
         stacked: k x dim A x dim power(n)."""
-        rows = self.homs[n].rows
-        d = self.extension.ambient.dim
-        flat = rows if xs is None else mul_mod(xs.T, rows, self.p)
-        return flat.reshape(len(flat), d, rows.shape[1] // d)
+        h, d = self.homs[n], self.extension.ambient.dim
+        if xs is not None and h.selection:  # unit rows: scatter the coordinates
+            flat = np.zeros((xs.shape[1], h.ambient_dim), dtype=np.int64)
+            flat[:, h.at] = xs.T
+        else:
+            flat = h.rows if xs is None else mul_mod(xs.T, h.rows, self.p)
+        return flat.reshape(len(flat), d, h.ambient_dim // d)
 
     def _coords(self, n: int, flat: np.ndarray) -> np.ndarray:
         """Degree-n coordinates, as columns, of cochain matrices given as
@@ -107,7 +110,7 @@ def cup(c: CochainComplex, m: int, n: int, xs, ys) -> np.ndarray:
     elif m:
         at, lift = np.arange(size), np.ones((1, size), dtype=np.int64)
     else:
-        at, lift = np.zeros(size, dtype=np.intp), np.eye(size, dtype=np.int64)
+        at, lift = np.zeros(size, dtype=np.intp), None     # the identity
     f, g = c._matrices(m, xs), c._matrices(n, ys)
     single = 1 in (len(f), len(g))     # one element against a batch
     # the largest arrays: a batch, d entries per cochain and coordinate,
@@ -118,7 +121,8 @@ def cup(c: CochainComplex, m: int, n: int, xs, ys) -> np.ndarray:
     slab = (1 if single else min(k, step)) * d * d * width
     check_entries(max(slab, k * d * width), RELATION_ENTRY_BUDGET,
                   f"the cup product of degrees {m} and {n} needs an array")
-    g = mul_mod(g, lift, p)
+    if lift is not None:
+        g = mul_mod(g, lift, p)
     t = c.extension.ambient.tensor     # e_a·e_b = Σ_r t[a, b, r] e_r
     if single:
         # one element, contracted with t at each lift z, then applied to
@@ -161,12 +165,8 @@ def _check_balanced(c: CochainComplex, n: int, kind: str) -> None:
         return
     t, d = c.tower, c.extension.ambient.dim
     maps = c.homs[n].rows.reshape(-1, d, t.power(n).dim).transpose(1, 0, 2)
-    if kind == "right-linear":      # f(x·b) = f(x)·b
-        ins, outs = t.right_on(n), t.right_mats
-    else:                           # g(b·y) = b·g(y)
-        ins, outs = t.left_on(n), t.left_mats
-    _intertwines(c.p, maps, [ins[j].a for j in t.gens], [outs[j].a for j in t.gens],
-                 t.gens, kind)
+    # f(x·b) = f(x)·b, or g(b·y) = b·g(y): the actions on power(n) and A
+    _intertwines(c.p, maps, *t._sides(n, 1, int(kind == "right-linear")), t.gens, kind)
     c._linear.add((n, kind))
 
 
@@ -182,7 +182,11 @@ def _pullbacks(c: CochainComplex, n: int) -> list[Matrix]:
 
 
 def build_complex(e: Extension, max_degree: int = DEFAULT_DEGREE) -> CochainComplex:
-    c = CochainComplex(e, 0, [centralizer(e)], {1: RelativeTensorPower(e, extension_tower(e), 1)}, [])
+    tower = extension_tower(e)
+    # C⁰, the centralizer: on a diagonal tower, where A's two diagonals agree
+    ends = tower.diagonals(1)
+    c0 = centralizer(e) if ends is None else Subspace(e.p, *kept_rows(*ends))
+    c = CochainComplex(e, 0, [c0], {1: RelativeTensorPower(e, tower, 1)}, [])
     return grow_complex(c, max_degree)
 
 

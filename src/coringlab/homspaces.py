@@ -5,14 +5,14 @@ to A.  The space is cut out by two families of intertwining constraints,
 one per algebra generator of B that the tower picked: its left action on
 the first factor (the tower's ``left_on(n)``) and its right action on
 the last (``right_on(n)``).  Each is a block kron(L, I) - kron(I, M), so
-the space is their ``linalg.commutant`` in its canonical basis: basis
-element t has a 1 in the t-th free coordinate of the flattened matrix.
-So a hom space is a ``linalg.Subspace`` with its identity there, and
-members are re-expressed by ``linalg.span_coords``, a gather plus one
-verification product, or the gather alone on a ``selection`` (a base
-acting diagonally).  The solve first estimates its constraint matrix
-as if every block were stacked, and refuses one above
-``tensors.RELATION_ENTRY_BUDGET``.
+the space is their ``linalg.commutant`` in its canonical basis, or, on a
+tower with ``diagonals``, ``linalg.kept_rows`` of A's and power(n)'s
+diagonals, with no block formed: basis element t has a 1 in the t-th
+free coordinate of the flattened matrix.  So a hom space is a
+``linalg.Subspace`` whose members ``linalg.span_coords`` reads with a
+gather plus one verification product, or the gather alone on a
+``selection``.  The solve first estimates its constraint matrix as if
+every block were stacked, and refuses one above ``tensors.RELATION_ENTRY_BUDGET``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebras import Extension
-from .linalg import Matrix, Subspace, commutant
+from .linalg import Matrix, Subspace, commutant, kept_rows
 from .tensors import RelativeTensorPower, check_entry_budget
 
 
@@ -55,6 +55,9 @@ def build_hom(e: Extension, t: RelativeTensorPower) -> BimoduleHomSpace:
     # echelon rows are all that is held at once
     check_entry_budget(2 * len(tower.gens), nvars,
                        f"a bimodule hom space with {nvars} unknowns needs a dense constraint matrix")
+    if tower.diagonals(1) is not None:    # A's two diagonals against power(n)'s
+        ends, far = (np.concatenate(tower.diagonals(k)) for k in (1, t.n))
+        return BimoduleHomSpace(e, t, *kept_rows(ends[:, :, None], far[:, None, :]))
     lefts, rights = tower.left_on(t.n), tower.right_on(t.n)
     pairs = []
     for j in tower.gens:

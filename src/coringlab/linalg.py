@@ -24,8 +24,9 @@ only ``Matrix(p, data)`` reduces, for arrays from outside.  Primitives:
   kron(L, I) - kron(I, M): the balancing relations of a tensor product
   over a subring and the intertwining constraints of a bimodule-hom
   space both have this shape.  When every L and M is diagonal the
-  kernel is read off the diagonals with no elimination; otherwise the
-  blocks stream, one at a time, into one row reduction,
+  kernel is ``kept_rows`` of the diagonals, which a diagonal tower
+  keeps, so it scans no matrix; otherwise the blocks stream, one at a
+  time, into one row reduction,
 * ``QuotientSpace``, a (projection, section) pair with projection @
   section = identity, and ``descend``, the one well-definedness check
   (``induced_map`` goes through it).  A quotient built from a canonical
@@ -258,17 +259,13 @@ def commutant(p: int, dim_left: int, dim_right: int, pairs) -> tuple[np.ndarray,
     """The common kernel of the blocks kron(L, I) - kron(I, M), one per
     (L, M) in the list ``pairs``, as ``kernel_rows_with_free`` gives it.
 
-    When every L and M is diagonal mod p the kernel is the unit vectors
-    that ``diagonal_kept`` finds, with ``free`` their positions: RREF is
-    canonical, so these are the rows a reduction would give.  Otherwise
-    the nonzero blocks stream, one at a time, into one reduction.
+    When every L and M is diagonal mod p the kernel is read off their
+    diagonals (``diagonal_kept``); otherwise the nonzero blocks stream,
+    one at a time, into one reduction.
     """
     kept = diagonal_kept(p, dim_left, dim_right, pairs)
     if kept is not None:
-        free = np.flatnonzero(kept)
-        rows = np.zeros((free.size, kept.size), dtype=np.int64)
-        rows[np.arange(free.size), free] = 1
-        return rows, free.tolist()
+        return kept
     eye_l = np.eye(dim_left, dtype=np.int64)
     eye_r = np.eye(dim_right, dtype=np.int64)
     acc = RrefAccumulator(dim_left * dim_right, p)
@@ -279,22 +276,33 @@ def commutant(p: int, dim_left: int, dim_right: int, pairs) -> tuple[np.ndarray,
     return acc.kernel()
 
 
-def diagonal_kept(p: int, dim_left: int, dim_right: int, pairs) -> np.ndarray | None:
-    """The kernel of the blocks kron(L, I) - kron(I, M), one per (L, M)
-    in ``pairs``, when every L and M is diagonal mod p; None otherwise.
+def diagonal_kept(p: int, dim_left: int, dim_right: int, pairs) -> tuple[np.ndarray, list[int]] | None:
+    """``commutant``'s kernel when every L and M in ``pairs`` is diagonal
+    mod p, from ``kept_rows`` of their diagonals; None otherwise.
 
     Each block is then diagonal, with entry L[l, l] - M[m, m] at index
-    l * dim_right + m, so its kernel is spanned by unit vectors.  The
-    result is the boolean mask of the coordinates where every block's
-    entry vanishes.
+    l * dim_right + m.
     """
-    kept = np.ones((dim_left, dim_right), dtype=bool)
-    for left, right in pairs:
-        dl, dr = _diagonal_of(left, p), _diagonal_of(right, p)
-        if dl is None or dr is None:
-            return None
-        kept &= dl[:, None] == dr[None, :]
-    return kept.reshape(-1)
+    diagonals = [], []
+    for pair in pairs:
+        for side, m in zip(diagonals, pair):
+            side.append(_diagonal_of(m, p))
+            if side[-1] is None:
+                return None
+    lefts, rights = (np.array(side, dtype=np.int64) for side in diagonals)
+    return kept_rows(lefts.reshape(-1, dim_left, 1), rights.reshape(-1, 1, dim_right))
+
+
+def kept_rows(lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The kernel of the blocks diag(lefts[g] - rights[g]), for stacks of
+    diagonals that broadcast against each other: the unit vectors at the
+    flattened coordinates where every g's entries agree, with ``free``
+    their positions, the rows a reduction gives (RREF is canonical)."""
+    kept = (lefts == rights).all(axis=0).reshape(-1)
+    free = np.flatnonzero(kept)
+    rows = np.zeros((free.size, kept.size), dtype=np.int64)
+    rows[np.arange(free.size), free] = 1
+    return rows, free.tolist()
 
 
 def _diagonal_of(m, p: int) -> np.ndarray | None:

@@ -16,18 +16,18 @@ as the ``linalg.DualStep`` (w, Φ, R_b) that defines it, and its
 projection, descents and lifts are read blockwise from those.  A tower
 decides once (``TensorTower.dual``) whether every step is such a dual
 step or none is; dual coordinates are not ``commutant``'s canonical
-ones.  Carriers on which every generator acts diagonally keep
-``commutant``'s coordinate selection (``linalg``'s ``selection``, held
-as its kept indices as a dual step is held as (w, Φ, R_b)), and the rest
-its reduction.
+ones.  A tower whose generators act diagonally on the carrier keeps
+their ``diagonals`` on every power, by index arithmetic, and reads each
+power off them as a coordinate selection (``linalg.kept_rows``); the
+rest take ``commutant``'s reduction.
 Each power is a quotient of its plain product, and every structure map
 on power(n) is a map on power(n-1) tensored with the identity of the
 last factor (``then_identity``) or one on the last factor alone
 (``on_last``).  The first is well defined when it is
 right-linear over the generators, the second when it is left-linear
 over them, since the generators' relations span power(n)'s; each map
-checks that certificate with one product a side, or entry by entry when
-the generators act diagonally, and a map that fails it raises
+checks that certificate with one product a side, or entry by entry
+against the kept diagonals, and a map that fails it raises
 NotWellDefinedError at the first entry where it fails.  On a
 dual tower the map is then a block matrix: phi ⊗ id is phi on each of
 the m blocks, and id ⊗ m mixes the blocks through power(n-1)'s right
@@ -68,8 +68,8 @@ from .linalg import (
     check_entries,
     commutant,
     descend,
-    diagonal_kept,
     inverse,
+    kept_rows,
     kernel_rows_with_free,
     mul_mod,
     _diagonal_of,
@@ -272,7 +272,8 @@ class TensorTower:
     """
 
     __slots__ = ("base", "gens", "carrier_dim", "left_mats", "right_mats", "_powers",
-                 "_rights", "_concats", "_lifts", "_blocks", "_dual", "_left_linear")
+                 "_rights", "_concats", "_lifts", "_blocks", "_dual", "_left_linear",
+                 "_diagonals")
 
     def __init__(self, base: FinDimAlgebra, carrier_dim: int, left_mats, right_mats):
         self.base = base
@@ -287,6 +288,7 @@ class TensorTower:
         self._blocks = {}
         self._dual = _UNSEARCHED
         self._left_linear = set()
+        self._diagonals = _UNSEARCHED
 
     @property
     def p(self) -> int:
@@ -298,9 +300,8 @@ class TensorTower:
         the tower's one choice of coordinates, dual at every step or at
         none.
 
-        There is no search when every generator acts diagonally on the
-        carrier from both sides: ``commutant`` selects those steps'
-        coordinates without elimination.  Nor is there one unless the
+        There is no search on a tower with ``diagonals``: those steps
+        are selections of coordinates.  Nor is there one unless the
         carrier's right action is a unital module action over the
         generators, R_k·R_g = R_{g·k} and R_1 = I, which ``free_pair``
         needs of every power(n-1).  The carrier alone is checked: the
@@ -309,13 +310,31 @@ class TensorTower:
         multiplicative, so both identities carry up to every power.
         """
         if self._dual is _UNSEARCHED:
-            pairs = [(self.right_mats[j].a, self.left_mats[j].a) for j in self.gens]
-            diagonal = diagonal_kept(self.p, self.carrier_dim, self.carrier_dim, pairs)
             self._dual = (dual_basis(self.base, self.gens, self.left_mats)
-                          if diagonal is None
+                          if self.diagonals(1) is None
                           and _is_right_module(self.base, self.gens, self.right_mats)
                           else None)
         return self._dual
+
+    def diagonals(self, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """The diagonals of the generators' left and right actions on
+        power(n), |gens| x dim power(n) each, or None unless they all act
+        diagonally on the carrier from both sides: decided once, on the
+        carrier, the one place a tower scans matrices.  Every power is
+        then a selection, and b·(x ⊗ v)·b' = b·x ⊗ v·b': at x ⊗ v the left
+        diagonal is power(n-1)'s at x, the right the carrier's at v."""
+        if self._diagonals is _UNSEARCHED:
+            found = [_diagonal_of(mats[j].a, self.p)
+                     for mats in (self.left_mats, self.right_mats) for j in self.gens]
+            self._diagonals = None if any(d is None for d in found) else {1: tuple(
+                np.array(found, dtype=np.int64).reshape(2, len(self.gens), self.carrier_dim))}
+        if self._diagonals is None:
+            return None
+        got = self._diagonals.get(n)
+        if got is None:
+            xs, vs = np.divmod(self.power(n).free, self.carrier_dim)
+            got = self._diagonals[n] = (self.diagonals(n - 1)[0][:, xs], self._diagonals[1][1][:, vs])
+        return got
 
     def power(self, n: int) -> QuotientSpace:
         """The carrier's n-fold tensor power over the base.
@@ -326,7 +345,8 @@ class TensorTower:
         ``dual`` basis it is read off that basis (``free_pair``), in the
         coordinates power(n-1)^m; otherwise it is the commutant of the
         generators' relations, in canonical coordinates with ``free``
-        columns.
+        columns; on a tower with ``diagonals``, the selection (``kept_rows``)
+        of the x ⊗ v where power(n-1)'s right and the carrier's left agree.
         """
         if n < 1:
             raise ValueError("tensor powers start at n = 1")
@@ -335,13 +355,16 @@ class TensorTower:
             if n == 1:
                 q = trivial_quotient(self.p, self.carrier_dim)
             else:
-                rights = self.right_on(n - 1)
                 dim = self.power(n - 1).dim
                 # the budget refuses a step before it picks a path
                 _check_relation_budget(len(self.gens), dim * self.carrier_dim)
-                if self.dual is not None:
-                    q = free_pair(self.base, rights, self.dual)
+                if self.diagonals(1) is not None:
+                    q = QuotientSpace.from_kernel(self.p, *kept_rows(
+                        self.diagonals(n - 1)[1][:, :, None], self.diagonals(1)[0][:, None, :]))
+                elif self.dual is not None:
+                    q = free_pair(self.base, self.right_on(n - 1), self.dual)
                 else:
+                    rights = self.right_on(n - 1)
                     q = balanced_pair(self.p, dim, self.carrier_dim,
                                       [rights[j].a for j in self.gens],
                                       [self.left_mats[j].a for j in self.gens])
@@ -367,8 +390,11 @@ class TensorTower:
             return list(mats)
         p, c = self.p, self.carrier_dim
         stack = np.stack([m.a for m in mats])
-        k = stack.shape[0]
-        self._check_left_linear(stack)
+        k, key = stack.shape[0], stack.tobytes()
+        if key not in self._left_linear:    # the stack's certificate, run once
+            _intertwines(p, stack.transpose(1, 0, 2), *self._sides(1, 1, 0), self.gens,
+                         "left-linear")
+            self._left_linear.add(key)
         q = self.power(n)
         d_prev = self.power(n - 1).dim
         if self.dual is not None:
@@ -396,16 +422,14 @@ class TensorTower:
             out[:, :, ts] = cols.reshape(q.dim, ts.size, k).transpose(2, 0, 1)
         return [Matrix._wrap(p, h) for h in out]
 
-    def _check_left_linear(self, stack: np.ndarray) -> None:
-        """Raise NotWellDefinedError unless every carrier matrix in the
-        stack commutes with the generators' left actions; checked once
-        per stack and tower."""
-        key = stack.tobytes()
-        if key not in self._left_linear:
-            lefts = [self.left_mats[g].a for g in self.gens]
-            _intertwines(self.p, stack.transpose(1, 0, 2), lefts, lefts, self.gens,
-                         "left-linear")
-            self._left_linear.add(key)
+    def _sides(self, n_in: int, n_out: int, side: int):
+        """The generators' left (side 0) or right (side 1) actions on
+        power(n_in) and on power(n_out), as ``_intertwines`` takes them:
+        their ``diagonals`` on a tower that has them, else the matrices."""
+        if self.diagonals(1) is not None:
+            return self.diagonals(n_in)[side], self.diagonals(n_out)[side]
+        acts = self.right_on if side else self.left_on
+        return tuple([acts(n)[j].a for j in self.gens] for n in (n_in, n_out))
 
     def _free_by_last(self, n: int):
         """power(n)'s free coordinates x * c + v grouped by v, worked out
@@ -564,8 +588,7 @@ class TensorTower:
         src, dst = self.power(n), self.power(k)
         d_in, d_out = self.power(n - 1).dim, self.power(k - 1).dim
         slices = phi.a.reshape(d_out, lead, d_in)
-        _intertwines(p, slices, [self.right_on(n - 1)[j].a for j in self.gens],
-                     [self.right_on(k - 1)[j].a for j in self.gens], self.gens, "right-linear")
+        _intertwines(p, slices, *self._sides(n - 1, k - 1, 1), self.gens, "right-linear")
         if self.dual is not None:
             m = self.dual.w.shape[1]
             out = np.zeros((m, d_out, lead, m, d_in), dtype=np.int64)
@@ -593,17 +616,16 @@ def _intertwines(p: int, maps: np.ndarray, ins, outs, gens, kind: str) -> None:
     """Raise NotWellDefinedError unless m·A = B·m for every map m and
     every pair (A, B) of ``ins`` and ``outs``, one per generator in
     ``gens``, naming the ``kind`` of linearity, the generator's base
-    index and the first entry that differs; one product a side, or none
-    when every A and B is diagonal (``commutant``'s selection towers):
-    m·A − B·m is then m[r, c]·(A[c, c] − B[r, r]) at [r, c].
+    index and the first entry that differs; one product a side.  On a
+    tower with ``diagonals``, ``ins`` and ``outs`` are the |gens| x d
+    stacks of the A's and B's diagonals, and there is no product:
+    m·A − B·m is m[r, c]·(A[c, c] − B[r, r]) at [r, c].
     ``maps`` is d_out x k x d_in, map j at [:, j, :]."""
-    if not ins:
+    if not len(gens):
         return
     d_out, k, d_in = maps.shape
-    diagonals = [_diagonal_of(m, p) for m in list(ins) + list(outs)]
-    if all(x is not None for x in diagonals):
-        a, b = np.stack(diagonals[:len(ins)]), np.stack(diagonals[len(ins):])
-        bad = (b[:, :, None, None] != a[:, None, None, :]) & (maps % p != 0)
+    if isinstance(ins, np.ndarray) and ins.ndim == 2:
+        bad = (outs[:, :, None, None] != ins[:, None, None, :]) & (maps % p != 0)
     else:
         after = mul_mod(maps.reshape(d_out * k, d_in), np.hstack(ins), p)
         before = mul_mod(np.vstack(outs), maps.reshape(d_out, k * d_in), p)

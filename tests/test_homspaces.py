@@ -11,6 +11,7 @@ from coringlab import tensors
 from coringlab.algebras import (
     Extension,
     FinDimAlgebra,
+    centralizer,
     diagonal_algebra,
     generating_indices,
     matrix_algebra,
@@ -18,6 +19,7 @@ from coringlab.algebras import (
 )
 from coringlab.corpus import facet_names, read_facets
 from coringlab.errors import ElementNotInSpaceError, SizeLimitError
+from coringlab.hochschild import build_complex
 from coringlab.homspaces import build_hom
 from coringlab.linalg import Field, Matrix, kernel_rows_with_free, mul_mod
 from coringlab.simplicial import SimplicialComplex, incidence_extension, parse_complex
@@ -250,6 +252,16 @@ def test_incidence_hom_selection_is_the_stacked_kernel(name):
         rows, free = stacked_constraint_kernel(e, t)
         assert np.array_equal(hom.rows, rows), (name, n)
         assert hom.at.tolist() == free, (name, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("name", sorted(INCIDENCE_CASES))
+def test_incidence_degree_zero_is_the_centralizer(name, p):
+    # C⁰ read off the tower's diagonals is the reduced centralizer
+    e = incidence_extension(INCIDENCE_CASES[name](), Field(p))
+    c0, reduced = build_complex(e, 1).homs[0], centralizer(e)
+    assert np.array_equal(c0.rows, reduced.rows), name
+    assert np.array_equal(c0.at, reduced.at), name
 
 
 def test_incidence_hom_selection_is_budgeted_like_the_reduction(monkeypatch):

@@ -402,6 +402,54 @@ def test_selection_towers_are_the_dense_reduction(case):
     assert gathered_map_mismatches(tower, 3) == []
 
 
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(diagonal_towers())
+def test_a_diagonal_tower_keeps_the_diagonals_of_its_actions(case):
+    # the gathered diagonals of every power are those of the dense
+    # actions, which vanish off the diagonal
+    tower, _, _, _ = case
+    for n in (1, 2, 3):
+        d = tower.power(n).dim
+        for side, mats in zip(tower.diagonals(n), (tower.left_on(n), tower.right_on(n))):
+            dense = np.array([mats[j].a for j in tower.gens], dtype=np.int64).reshape(len(tower.gens), d, d)
+            diagonal = np.diagonal(dense, axis1=1, axis2=2)
+            assert side.shape == (len(tower.gens), d), n
+            assert np.array_equal(side, diagonal), n
+            assert np.count_nonzero(dense) == np.count_nonzero(diagonal), n
+
+
+def test_towers_with_an_action_off_the_diagonal_keep_no_diagonals():
+    # the M2 and GF(25) corings act by full matrices, and so does S3/C2's
+    # generator on its extension tower: those towers keep dual bases
+    towers = [endo_coring(load_corpus_extension(name)) for name in ("m2_gf5", "gf25_gf5")]
+    towers.append(extension_tower(load_corpus_extension("s3_c2_gf7")))
+    for tower in towers:
+        assert tower.gens
+        assert tower.diagonals(1) is None and tower.diagonals(3) is None
+        assert tower.dual is not None
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(diagonal_towers())
+def test_a_diagonal_certificate_refuses_as_the_products_do(case):
+    # a carrier map that mixes the summands fails the entry-wise check
+    # with the text the product branch gives on the dense matrices
+    tower, _, _, seed = case
+    p, c, gens = tower.p, tower.carrier_dim, tower.gens
+    m = np.random.default_rng(seed).integers(0, p, size=(c, c), dtype=np.int64)
+    for kind, apply, mats in (
+            ("left-linear", lambda: tower.on_last(2, [Matrix(p, m)]), tower.left_mats),
+            ("right-linear", lambda: tower.then_identity(Matrix(p, m), 2, 2), tower.right_mats)):
+        sides = [mats[g].a for g in gens]
+        try:
+            tensors._intertwines(p, m.reshape(c, 1, c), sides, sides, gens, kind)
+        except NotWellDefinedError as dense:
+            with pytest.raises(NotWellDefinedError, match=re.escape(str(dense))):
+                apply()
+        else:
+            apply()
+
+
 # -- the extension tower ------------------------------------------------------
 
 TOP = 4

@@ -9,7 +9,9 @@ written, every name the package exports resolves, and no module but
 ``linalg`` leaves integer arithmetic.  On incidence algebras, whose base
 acts diagonally, the selection paths stay gathers: no product runs
 under them, and the generator search of the diagonal base reduces
-nothing.
+nothing.  Their towers answer from the carrier's diagonals: no commutant
+or centralizer solve runs, no other matrix is scanned for diagonality,
+and the cup scatters selection cochains instead of multiplying them.
 """
 
 import contextlib
@@ -144,3 +146,48 @@ def test_incidence_selections_run_no_products_and_pick_generators_unreduced(monk
                              "--max-degree", "2"]) == 0
     # the cup and the ranks still multiply, so the watch is live
     assert products and under == []
+
+
+def test_incidence_towers_answer_from_their_carrier_diagonals(monkeypatch):
+    # the triangles' towers are diagonal: no commutant or centralizer
+    # solve runs, diagonality is read off each tower's carrier actions
+    # alone, and cochains of a selection degree are scattered, not
+    # multiplied by their unit rows
+    from coringlab import algebras
+
+    plain_mul, plain_diagonal = linalg.mul_mod, linalg._diagonal_of
+    towers, read, under = [], [], []
+
+    def refused(*args):
+        raise AssertionError("a solve ran on a diagonal tower")
+
+    def watched_mul(a, b, p):
+        under.extend(calling({"_matrices"}))
+        return plain_mul(a, b, p)
+
+    def watched_diagonal(m, p):
+        read.append(m)
+        return plain_diagonal(m, p)
+
+    def kept(tower, *args):
+        towers.append(tower)
+        plain_init(tower, *args)
+
+    plain_init = tensors.TensorTower.__init__
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "coringlab":
+            for attr, fn in (("commutant", refused), ("centralizer", refused),
+                             ("mul_mod", watched_mul), ("_diagonal_of", watched_diagonal)):
+                if attr in vars(module):
+                    monkeypatch.setattr(module, attr, fn)
+    monkeypatch.setattr(tensors.TensorTower, "__init__", kept)
+    for facets in ("filled_triangle", "hollow_triangle"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["gs-compare", str(CORPUS / f"{facets}.facets"),
+                             "--max-degree", "2"]) == 0
+    carriers = [m.a for t in towers for mats in (t.left_mats, t.right_mats)
+                for m in (mats[j] for j in t.gens)]
+    assert towers and all(t.diagonals(1) is not None for t in towers)
+    assert len(read) == len(carriers)
+    assert all(any(m is c for c in carriers) for m in read)
+    assert under == []
