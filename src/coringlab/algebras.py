@@ -20,8 +20,8 @@ from itertools import product as iproduct
 import numpy as np
 
 from .errors import AxiomError, ElementNotInSpaceError
-from .linalg import (RELATION_ENTRY_BUDGET, Field, Matrix, RrefAccumulator, Subspace,
-                     check_entries, kernel_rows_with_free, mul_mod, rank_of, span_coords)
+from .linalg import (RELATION_ENTRY_BUDGET, Field, Matrix, RrefAccumulator, Subspace, check_entries,
+                     fixed_space, mul_mod, rank_of, span_coords)
 
 
 class FinDimAlgebra:
@@ -219,10 +219,7 @@ class Extension:
 
 def centralizer(e: Extension) -> Subspace:
     """R = {a in A : a * iota(b) = iota(b) * a for all b}, echelon basis."""
-    a = e.ambient
-    lefts, rights = a.actions(e.sub_images())
-    blocks = ((lefts - rights) % a.p).reshape(-1, a.dim)
-    return Subspace.from_spanning(a.p, a.dim, kernel_rows_with_free(blocks, a.p)[0])
+    return fixed_space(e.p, *e.ambient.actions(e.sub_images()))
 
 
 def generating_indices(a: FinDimAlgebra) -> list[int]:
@@ -424,7 +421,7 @@ def subalgebra_on(a: FinDimAlgebra, span: Subspace, names=None) -> tuple[FinDimA
     """
     p, d, k = a.p, a.dim, span.dim
     rows = span.rows
-    tensor, off = span_coords(rows, span.at, a.pair_products(rows).reshape(k * k, d), p)
+    tensor, off = span.read(a.pair_products(rows).reshape(k * k, d))
     if off.any():
         i, j = divmod(int(np.flatnonzero(off.any(axis=1))[0]), k)
         raise ElementNotInSpaceError(f"product of span vectors {i} and {j} leaves the span")

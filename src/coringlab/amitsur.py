@@ -6,7 +6,8 @@ power(n-1) (x)_R carrier, not a quotient of the dense carrier**n.  The
 product concatenates tensor factors, with degree-zero elements acting
 through the base actions: ``omega_product`` forms it on column-paired
 batches with the coring's ``TensorTower.concat_batches``, pair by pair
-through each dual step (x ⊗ v -> Σ_b φ(v)_b ⊗ R_b·x), and elsewhere as
+through the step that each product lands in (a gather on a selection,
+x ⊗ v -> Σ_b φ(v)_b ⊗ R_b·x through a dual step), and elsewhere as
 ``concat(m, n)`` applied to the Khatri-Rao product of the two batches;
 it is the complex's ``products``.  The
 differential is the shared ``dga.coboundaries`` with the grouplike as

@@ -60,7 +60,7 @@ class CoringWithGrouplike(TensorTower):
     j-th base basis element acting on the left / right.  ``coproduct``
     maps carrier coordinates into ``power(2)`` coordinates, ``counit``
     maps them to base coordinates.  The coring takes over the tower it
-    is given, with its generators, dual basis and built powers, instead
+    is given, with its generators, step type and built powers, instead
     of picking and building them again.
     """
 
@@ -106,23 +106,10 @@ class CoringWithGrouplike(TensorTower):
 
     def _last_coproduct(self, n: int) -> Matrix:
         """The coproduct in the last slot of power(n), n >= 2: x ⊗ v ->
-        x ⊗ coproduct(v), concatenated.
-
-        On a dual tower, the coproduct is v -> Σ_j Δ_j(v) ⊗ w_j with Δ_j
-        its block j, each left-linear with it, so block j of the image is
-        ``on_last(n, Δ_j)``.  Otherwise it
-        is concat(n-1, 2) @ kron(I, coproduct), without forming the kron,
-        descended.
-        """
-        p, c = self.p, self.carrier_dim
-        if self.dual is not None:
-            blocks = self.coproduct.a.reshape(-1, c, c)
-            last = self.on_last(n, [Matrix._wrap(p, b) for b in blocks])
-            return Matrix._wrap(p, np.vstack([h.a for h in last]))
-        rows, d_prev = self.power(n + 1).dim, self.power(n - 1).dim
-        concat = self.concat(n - 1, 2).a.reshape(rows * d_prev, self.power(2).dim)
-        last = mul_mod(concat, self.coproduct.a, p)
-        return Matrix._wrap(p, descend(self.power(n), last.reshape(rows, d_prev * c)))
+        x ⊗ coproduct(v), concatenated, as the tower's step type reads a
+        map from the carrier into power(2) on the last factor
+        (``square_on_last``)."""
+        return self.step.square_on_last(self, n, self.coproduct)
 
     # -- construction-time verification ------------------------------------
 

@@ -1,17 +1,18 @@
 """The relative Hochschild cochain complex of an extension, as a DGA.
 
-Degree 0 is the centralizer R, the coordinates where A's two diagonals
-agree on a tower with ``diagonals``; degree n >= 1 is the bimodule hom
-space on power n of the extension's tensor tower.  A cochain is handled
-as its matrix from power(n) to A; a degree-0 cochain is its value r.
-Each degree is a ``linalg.Subspace`` of such matrices, flattened, in one
-list (a selection's coordinates are scattered into it), and
-``span_coords`` reads every product and pullback back into its
-coordinates.  The cup product concatenates arguments: f ∪ g is
-mult(f(x) ⊗ g(y)) at x ⊗ y, and power(m+n) is power(m) ⊗_B power(n)
-through ``concat(m, n)``.  So ``cup`` reads it at power(m+n)'s own
-coordinates only, each lifted to a pure tensor e_x ⊗ y by the tower's
-``lift``: mult(f(e_x) ⊗ g(y)), with no plain product formed.  That is
+Degree 0 is the centralizer R and degree n >= 1 the bimodule hom space
+on power n of the extension's tensor tower, both solved by the tower's
+step type.  A cochain is handled as its matrix from power(n) to A; a
+degree-0 cochain is its value r.  Each degree is a space of such
+matrices, flattened, in one list, a ``linalg.Subspace`` or, on a tower
+of selections, a ``linalg.Selection``: its ``members`` turn coordinates
+into cochains and its ``coords`` read every product and pullback back,
+with no product on a selection.  The cup product concatenates
+arguments: f ∪ g is mult(f(x) ⊗ g(y)) at x ⊗ y, and power(m+n) is
+power(m) ⊗_B power(n) through ``concat(m, n)``.  So ``cup`` reads it at
+power(m+n)'s own coordinates only, each lifted to a pure tensor e_x ⊗ y
+by the tower's ``lift``: mult(f(e_x) ⊗ g(y)), with no plain product
+formed.  That is
 well defined because degree-m cochains are right-linear and degree-n
 ones left-linear over the tower's generators, checked once per complex
 and degree; and r ∪ g = r·g, f ∪ r = f·r in degree 0.  ``cup`` forms
@@ -38,14 +39,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebras import Extension, centralizer
+from .algebras import Extension
 from .dga import DGA, coboundaries, paired
 # this complex's cohomology and law check are the shared ones
 from .dga import cohomology_dims, verify_dga as verify_hochschild_dga
-from .linalg import RELATION_ENTRY_BUDGET, Matrix, Subspace, check_entries, kept_rows, mul_mod
+from .linalg import RELATION_ENTRY_BUDGET, Matrix, check_entries, mul_mod
 from .homspaces import build_hom
 from .tensors import HARD_DEGREE_CAP  # the one cap, re-exported for callers
-from .tensors import RelativeTensorPower, _intertwines, extension_tower, mult_at
+from .tensors import RelativeTensorPower, extension_tower, mult_at
 
 DEFAULT_DEGREE = 3
 
@@ -65,7 +66,7 @@ class CochainComplex(DGA):
     def __init__(self, extension, max_degree, homs, powers, delta):
         super().__init__(extension.p, max_degree, [h.dim for h in homs], delta)
         self.extension = extension
-        self.homs = homs                # [Subspace]: C^n at n, the centralizer R at 0
+        self.homs = homs                # C^n at n, the centralizer R at 0
         self.powers = powers            # {n: RelativeTensorPower}, n = 1..N
         self.tower = powers[1].tower    # the one tower all powers come from
         self._linear = set()            # (n, kind) checked by ``_check_balanced``
@@ -74,11 +75,7 @@ class CochainComplex(DGA):
         """The cochains in the columns of xs, or the basis for None,
         stacked: k x dim A x dim power(n)."""
         h, d = self.homs[n], self.extension.ambient.dim
-        if xs is not None and h.selection:  # unit rows: scatter the coordinates
-            flat = np.zeros((xs.shape[1], h.ambient_dim), dtype=np.int64)
-            flat[:, h.at] = xs.T
-        else:
-            flat = h.rows if xs is None else mul_mod(xs.T, h.rows, self.p)
+        flat = h.members(xs)
         return flat.reshape(len(flat), d, h.ambient_dim // d)
 
     def _coords(self, n: int, flat: np.ndarray) -> np.ndarray:
@@ -102,7 +99,7 @@ def cup(c: CochainComplex, m: int, n: int, xs, ys) -> np.ndarray:
     tensor once."""
     xs, ys, k = paired(c, m, n, xs, ys)
     p, d = c.p, c.extension.ambient.dim
-    size = c.homs[m + n].rows.shape[1] // d
+    size = c.homs[m + n].ambient_dim // d
     if m and n:
         _check_balanced(c, m, "right-linear")
         _check_balanced(c, n, "left-linear")
@@ -163,17 +160,16 @@ def _check_balanced(c: CochainComplex, n: int, kind: str) -> None:
     complex, degree and kind."""
     if (n, kind) in c._linear:
         return
-    t, d = c.tower, c.extension.ambient.dim
-    maps = c.homs[n].rows.reshape(-1, d, t.power(n).dim).transpose(1, 0, 2)
+    maps = c._matrices(n, None).transpose(1, 0, 2)
     # f(x·b) = f(x)·b, or g(b·y) = b·g(y): the actions on power(n) and A
-    _intertwines(c.p, maps, *t._sides(n, 1, int(kind == "right-linear")), t.gens, kind)
+    c.tower._certify(maps, n, 1, int(kind == "right-linear"), kind)
     c._linear.add((n, kind))
 
 
 def _pullbacks(c: CochainComplex, n: int) -> list[Matrix]:
     """f -> f∘mu_i from degree n to n+1, for the slots i = 1..n."""
-    rows, k, d = c.homs[n].rows, c.dim(n), c.extension.ambient.dim
-    flat = rows.reshape(k * d, rows.shape[1] // d)    # the cochains' matrices, stacked
+    k, d, q = (mats := c._matrices(n, None)).shape
+    flat = mats.reshape(k * d, q)    # the cochains' matrices, stacked
     maps = []
     for i in range(1, n + 1):
         pulled = mul_mod(flat, mult_at(c.powers[n + 1], c.powers[n], i).a, c.p)
@@ -183,10 +179,7 @@ def _pullbacks(c: CochainComplex, n: int) -> list[Matrix]:
 
 def build_complex(e: Extension, max_degree: int = DEFAULT_DEGREE) -> CochainComplex:
     tower = extension_tower(e)
-    # C⁰, the centralizer: on a diagonal tower, where A's two diagonals agree
-    ends = tower.diagonals(1)
-    c0 = centralizer(e) if ends is None else Subspace(e.p, *kept_rows(*ends))
-    c = CochainComplex(e, 0, [c0], {1: RelativeTensorPower(e, tower, 1)}, [])
+    c = CochainComplex(e, 0, [tower.step.centre(tower)], {1: RelativeTensorPower(e, tower, 1)}, [])
     return grow_complex(c, max_degree)
 
 

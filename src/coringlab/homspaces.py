@@ -4,15 +4,14 @@ A hom element is a matrix from quotient coordinates of the tensor power
 to A.  The space is cut out by two families of intertwining constraints,
 one per algebra generator of B that the tower picked: its left action on
 the first factor (the tower's ``left_on(n)``) and its right action on
-the last (``right_on(n)``).  Each is a block kron(L, I) - kron(I, M), so
-the space is their ``linalg.commutant`` in its canonical basis, or, on a
-tower with ``diagonals``, ``linalg.kept_rows`` of A's and power(n)'s
-diagonals, with no block formed: basis element t has a 1 in the t-th
-free coordinate of the flattened matrix.  So a hom space is a
-``linalg.Subspace`` whose members ``linalg.span_coords`` reads with a
-gather plus one verification product, or the gather alone on a
-``selection``.  The solve first estimates its constraint matrix as if
-every block were stacked, and refuses one above ``tensors.RELATION_ENTRY_BUDGET``.
+the last (``right_on(n)``).  Each is a block kron(L, I) - kron(I, M),
+and the tower's step type solves them: their ``linalg.commutant`` in its
+canonical basis, or, on a tower of selections, the ``linalg.Selection``
+of the coordinates where A's and power(n)'s kept diagonals agree, with
+no block formed.  Either way basis element t has a 1 in the t-th free
+coordinate of the flattened matrix.  The solve first estimates its
+constraint matrix as if every block were stacked, and refuses one above
+``tensors.RELATION_ENTRY_BUDGET``.
 """
 
 from __future__ import annotations
@@ -20,21 +19,23 @@ from __future__ import annotations
 import numpy as np
 
 from .algebras import Extension
-from .linalg import Matrix, Subspace, commutant, kept_rows
+from .linalg import Matrix
 from .tensors import RelativeTensorPower, check_entry_budget
 
 
-class BimoduleHomSpace(Subspace):
-    """Hom_{B-B}(A^(⊗_B n), A) in its canonical basis: each row a
-    flattened dim A x dim power(n) matrix, with the identity at the free
-    coordinates of the commutant."""
+class BimoduleHomSpace:
+    """Hom_{B-B}(A^(⊗_B n), A) in its canonical basis, each member a
+    flattened dim A x dim power(n) matrix: the ``space`` its tower's
+    step type solves, read through it."""
 
-    __slots__ = ("extension", "source")
+    __slots__ = ("extension", "source", "space")
 
-    def __init__(self, extension, source, rows, free):
-        super().__init__(extension.p, rows, free)
-        self.extension = extension
-        self.source = source
+    def __init__(self, extension, source, space):
+        self.extension, self.source, self.space = extension, source, space
+
+    def __getattr__(self, name):
+        # dim, rows, members, coords; an unset slot raises, not recurses
+        return getattr(object.__getattribute__(self, "space"), name)
 
     def coords_of(self, mat: Matrix) -> np.ndarray:
         """Echelon coordinates of a B-bimodule map; raises if not one."""
@@ -48,19 +49,10 @@ class BimoduleHomSpace(Subspace):
 def build_hom(e: Extension, t: RelativeTensorPower) -> BimoduleHomSpace:
     """Solve the intertwining constraints for Hom_{B-B}(power, A)."""
     tower = t.tower
-    d_a, q = e.ambient.dim, t.dim
-    nvars = d_a * q
+    nvars = e.ambient.dim * t.dim
     # budgeted as the two nvars-square blocks of every generator stacked;
     # they stream into one reduction instead, so one block and the
     # echelon rows are all that is held at once
     check_entry_budget(2 * len(tower.gens), nvars,
                        f"a bimodule hom space with {nvars} unknowns needs a dense constraint matrix")
-    if tower.diagonals(1) is not None:    # A's two diagonals against power(n)'s
-        ends, far = (np.concatenate(tower.diagonals(k)) for k in (1, t.n))
-        return BimoduleHomSpace(e, t, *kept_rows(ends[:, :, None], far[:, None, :]))
-    lefts, rights = tower.left_on(t.n), tower.right_on(t.n)
-    pairs = []
-    for j in tower.gens:
-        pairs.append((tower.left_mats[j].a, lefts[j].a.T))
-        pairs.append((tower.right_mats[j].a, rights[j].a.T))
-    return BimoduleHomSpace(e, t, *commutant(e.p, d_a, q, pairs))
+    return BimoduleHomSpace(e, t, tower.step.hom(tower, t.n))

@@ -19,38 +19,27 @@ only ``Matrix(p, data)`` reduces, for arrays from outside.  Primitives:
 * kernels and inverses,
 * ``span_coords``, the one coordinate reader, for a basis with the
   identity at known columns; ``Subspace`` is a space held in one (the
-  centralizer, each hom space of ``homspaces``),
+  centralizer, the hom spaces of ``homspaces``),
 * ``commutant``, the one solve for the common kernel of blocks
   kron(L, I) - kron(I, M): the balancing relations of a tensor product
   over a subring and the intertwining constraints of a bimodule-hom
-  space both have this shape.  When every L and M is diagonal the
-  kernel is ``kept_rows`` of the diagonals, which a diagonal tower
-  keeps, so it scans no matrix; otherwise the blocks stream, one at a
-  time, into one row reduction,
-* ``QuotientSpace``, a (projection, section) pair with projection @
-  section = identity, and ``descend``, the one well-definedness check
-  (``induced_map`` goes through it).  A quotient built from a canonical
-  kernel basis records its ``free`` columns: its section is the unit
-  columns there and its projection is the identity on them, so
-  ``descend`` reads the map's rows with ``span_coords``.  A tensor step
-  read off a dual basis is a ``DualStep``, held as the data that
-  defines it: ``project`` and ``descend`` apply it blockwise, and form
-  neither its projection nor its section.
-* a selection, a basis of unit rows at its identity columns (as
-  ``commutant``'s diagonal path gives), is held, like a ``DualStep``, as
-  its data: the kept indices.  A quotient or subspace recognizes one from
-  its rows (``selection``); there ``project`` is ``xs[free]``, ``descend``
-  is ``m[:, free]`` once m vanishes off ``free``, and ``span_coords``
-  checks members with no product.
+  space both have this shape.  The blocks stream, one at a time, into
+  one row reduction,
+* one ``QuotientSpace`` type per coordinate system of a tower step,
+  and ``descend``, the one well-definedness check (``induced_map`` goes
+  through it): a ``Selection`` of plain coordinates, held as its kept
+  indices and read by gathers, which serves as a ``Subspace`` too; a
+  ``Reduction`` by a canonical kernel basis, read by ``span_coords``;
+  and a ``Dual`` step, held as the dual basis data that defines it and
+  read blockwise.  A ``tensors.TensorTower`` picks one type, once.
 
 A build or an axiom check that would form a dense array above
 ``RELATION_ENTRY_BUDGET`` entries refuses first, through
 ``check_entries``.
 
 Everything is deterministic: the RREF of a row span is unique, kernel
-bases are the canonical free-column bases, and a quotient built from
-one (``QuotientSpace.from_kernel``) lifts to the free-coordinate unit
-representatives.
+bases are the canonical free-column bases, and a ``Reduction`` by one,
+like a ``Selection``, lifts to the free-coordinate unit representatives.
 """
 
 from __future__ import annotations
@@ -257,15 +246,8 @@ def _kernel_of_rref(rows: np.ndarray, pivots: Sequence[int], ncols: int,
 
 def commutant(p: int, dim_left: int, dim_right: int, pairs) -> tuple[np.ndarray, list[int]]:
     """The common kernel of the blocks kron(L, I) - kron(I, M), one per
-    (L, M) in the list ``pairs``, as ``kernel_rows_with_free`` gives it.
-
-    When every L and M is diagonal mod p the kernel is read off their
-    diagonals (``diagonal_kept``); otherwise the nonzero blocks stream,
-    one at a time, into one reduction.
-    """
-    kept = diagonal_kept(p, dim_left, dim_right, pairs)
-    if kept is not None:
-        return kept
+    (L, M) in the list ``pairs``, as ``kernel_rows_with_free`` gives it:
+    the nonzero blocks stream, one at a time, into one reduction."""
     eye_l = np.eye(dim_left, dtype=np.int64)
     eye_r = np.eye(dim_right, dtype=np.int64)
     acc = RrefAccumulator(dim_left * dim_right, p)
@@ -274,35 +256,6 @@ def commutant(p: int, dim_left: int, dim_right: int, pairs) -> tuple[np.ndarray,
         if block.any():
             acc.add(block)
     return acc.kernel()
-
-
-def diagonal_kept(p: int, dim_left: int, dim_right: int, pairs) -> tuple[np.ndarray, list[int]] | None:
-    """``commutant``'s kernel when every L and M in ``pairs`` is diagonal
-    mod p, from ``kept_rows`` of their diagonals; None otherwise.
-
-    Each block is then diagonal, with entry L[l, l] - M[m, m] at index
-    l * dim_right + m.
-    """
-    diagonals = [], []
-    for pair in pairs:
-        for side, m in zip(diagonals, pair):
-            side.append(_diagonal_of(m, p))
-            if side[-1] is None:
-                return None
-    lefts, rights = (np.array(side, dtype=np.int64) for side in diagonals)
-    return kept_rows(lefts.reshape(-1, dim_left, 1), rights.reshape(-1, 1, dim_right))
-
-
-def kept_rows(lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """The kernel of the blocks diag(lefts[g] - rights[g]), for stacks of
-    diagonals that broadcast against each other: the unit vectors at the
-    flattened coordinates where every g's entries agree, with ``free``
-    their positions, the rows a reduction gives (RREF is canonical)."""
-    kept = (lefts == rights).all(axis=0).reshape(-1)
-    free = np.flatnonzero(kept)
-    rows = np.zeros((free.size, kept.size), dtype=np.int64)
-    rows[np.arange(free.size), free] = 1
-    return rows, free.tolist()
 
 
 def _diagonal_of(m, p: int) -> np.ndarray | None:
@@ -395,29 +348,20 @@ class Matrix:
         return f"Matrix(p={self.p}, shape={self.a.shape})"
 
 
-def _is_selection(rows: np.ndarray, at) -> bool:
-    """Whether ``rows`` (residues) are the unit vectors at the columns
-    ``at``, in order: a selection of plain coordinates."""
-    return (at is not None and np.count_nonzero(rows) == len(at)
-            and bool((rows[np.arange(len(at)), at] == 1).all()))
-
-
-def span_coords(rows: np.ndarray | None, at, xs: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def span_coords(rows: np.ndarray, at, xs: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates of the rows of ``xs`` in the span of ``rows``, a basis
     with the identity at the columns ``at`` (RREF rows at their pivots,
     kernel rows at their free columns): a member's entries there, checked
-    on the other columns with one product, or, for rows None, the unit
-    vectors at ``at`` (a selection), by their vanishing there.  Returns
-    them, k x dim, and the k x n mask of the entries where a row and its
-    combination differ; a row is a member exactly when its row of the
-    mask is all False."""
+    on the other columns with one product.  Returns them, k x dim, and
+    the k x n mask of the entries where a row and its combination differ;
+    a row is a member exactly when its row of the mask is all False."""
     at = np.asarray(at, dtype=np.intp)
     coords = xs[:, at] % p
     rest = np.ones(xs.shape[1], dtype=bool)
     rest[at] = False
     off = np.empty(xs.shape, dtype=bool)
     off[:, at] = coords != xs[:, at]
-    off[:, rest] = (0 if rows is None else mul_mod(coords, rows[:, rest], p)) != xs[:, rest]
+    off[:, rest] = mul_mod(coords, rows[:, rest], p) != xs[:, rest]
     return coords, off
 
 
@@ -425,10 +369,10 @@ class Subspace:
     """A subspace of GF(p)^n in a canonical basis: ``rows[i]`` is the
     i-th basis vector, and the rows carry the identity at the columns
     ``at`` (an int array), the pivots of an RREF or the free columns of a
-    kernel basis, where ``span_coords`` reads a member's coordinates;
-    with no product when the rows are unit vectors (``selection``)."""
+    kernel basis, where ``read`` takes a member's coordinates.  A
+    ``Selection`` serves as one too, with no rows held."""
 
-    __slots__ = ("p", "rows", "at", "selection")
+    __slots__ = ("p", "rows", "at")
 
     def __init__(self, p: int, rows: np.ndarray, at):
         self.p = p
@@ -436,7 +380,6 @@ class Subspace:
         r.setflags(write=False)
         self.rows = r
         self.at = np.asarray(at, dtype=np.int64)
-        self.selection = _is_selection(r, self.at)
 
     @classmethod
     def from_spanning(cls, p: int, ambient_dim: int, vectors) -> "Subspace":
@@ -457,22 +400,38 @@ class Subspace:
     def dim(self) -> int:
         return self.rows.shape[0]
 
+    def read(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return span_coords(self.rows, self.at, xs, self.p)
+
+    def members(self, xs: np.ndarray | None = None) -> np.ndarray:
+        """The members with the columns of xs as coordinates, as rows; the
+        basis for None."""
+        return self.rows if xs is None else mul_mod(xs.T, self.rows, self.p)
+
     def coords(self, xs: np.ndarray, what: str) -> np.ndarray:
         """The coordinates of the rows of xs (residues), as rows; raises
         ElementNotInSpaceError(what) unless every row is a member."""
-        coords, off = span_coords(None if self.selection else self.rows, self.at, xs, self.p)
+        coords, off = self.read(xs)
         if off.any():
             raise ElementNotInSpaceError(what)
         return coords
 
     def coords_of(self, v):
         """The coordinates of the vector v, or None if it is not a member."""
-        v = np.asarray(v, dtype=np.int64).reshape(1, -1) % self.p
-        coords, off = span_coords(None if self.selection else self.rows, self.at, v, self.p)
+        coords, off = self.read(np.asarray(v, dtype=np.int64).reshape(1, -1) % self.p)
         return None if off.any() else coords[0]
 
     def __repr__(self):
         return f"Subspace(p={self.p}, ambient={self.ambient_dim}, dim={self.dim})"
+
+
+def fixed_space(p: int, lefts, rights) -> Subspace:
+    """The x with L·x = R·x for every pair of square matrices (L, R) in
+    the stacks ``lefts`` and ``rights``, in echelon form: the
+    centralizer, for the two actions of a subalgebra."""
+    blocks = (np.asarray(lefts, dtype=np.int64) - np.asarray(rights, dtype=np.int64)) % p
+    d = blocks.shape[-1]
+    return Subspace.from_spanning(p, d, kernel_rows_with_free(blocks.reshape(-1, d), p)[0])
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -493,38 +452,21 @@ def rank_of(a: np.ndarray, p: int) -> int:
 
 
 class QuotientSpace:
-    """A quotient of GF(p)^ambient, held as a retract of it.
-
-    ``projection`` (dim x ambient) and ``section`` (ambient x dim)
-    satisfy projection @ section = identity; the relations are the
-    kernel of the projection, and section @ projection fixes the
-    section's image and kills that kernel.  ``from_kernel`` builds the
-    pair from a canonical kernel basis and records its ``free`` columns
-    (an int array): there the projection is the identity and the section
-    has its unit columns.  When the projection's rows are unit vectors
-    as well, the quotient is a ``selection`` of the plain coordinates at
-    ``free``.  A ``DualStep`` holds no pair.
+    """A tower step: a quotient of GF(p)^ambient_dim, the plain product of
+    a power and a c-dimensional carrier, index x * c + v, as a
+    ``Selection``, a ``Reduction`` or a ``Dual`` step.  Each type
+    implements once ``project``; ``descended`` (a map on the ambient read
+    on the quotient, with the mask of the ambient coordinates where it
+    fails to kill the relations); ``lifts``, the section's pure tensors;
+    ``pairs`` and ``rows``, the projection of pure tensors and as a
+    matrix; and ``on_last`` and ``then_identity``, behind the tower maps
+    id ⊗ m and phi ⊗ id.  A ``tensors.TensorTower`` picks one type, once,
+    and asks its class methods the rest (``grow``, ``actions`` and
+    ``mismatch``, ``hom``, ``centre``, ``concat_batches``,
+    ``square_on_last``); the defaults here serve towers held by matrices.
     """
 
-    __slots__ = ("p", "projection", "section", "free", "dim", "ambient_dim", "selection")
-
-    def __init__(self, p: int, projection: Matrix, section: Matrix, free):
-        self.p = p
-        self.projection = projection
-        self.section = section
-        self.free = free
-        self.dim, self.ambient_dim = projection.shape
-        self.selection = _is_selection(projection.a, free)
-
-    @classmethod
-    def from_kernel(cls, p: int, rows: np.ndarray, free) -> "QuotientSpace":
-        """The projection is a canonical kernel basis (``rows``, with the
-        identity at the ``free`` columns); the section lifts to the unit
-        representatives on those columns."""
-        free = np.asarray(free, dtype=np.int64)
-        sect = np.zeros((rows.shape[1], free.size), dtype=np.int64)
-        sect[free, np.arange(free.size)] = 1
-        return cls(p, Matrix._wrap(p, rows), Matrix._wrap(p, sect), free)
+    __slots__ = ("p", "dim", "ambient_dim")
 
     def project(self, xs) -> np.ndarray:
         """The projection of the vector xs, or of each column of xs."""
@@ -532,14 +474,228 @@ class QuotientSpace:
         out = self._project(xs.reshape(self.ambient_dim, int(np.prod(xs.shape[1:]))))
         return out.reshape((self.dim,) + xs.shape[1:])
 
-    def _project(self, xs: np.ndarray) -> np.ndarray:
-        return xs[self.free] if self.selection else mul_mod(self.projection.a, xs, self.p)
+    def descended(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # with the identity at ``free``, h is ``read`` of m's rows
+        h, off = self.read(m)
+        return h, off.any(axis=0)
+
+    def lifts(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinate t lifts to e_w[t] ⊗ v[:, t], for w[t] a coordinate of
+        the power below and v c x dim: at ``free``, the plain w * c + v."""
+        w, v = np.divmod(self.free, c)
+        return w, np.eye(c, dtype=np.int64)[:, v]
+
+    @staticmethod
+    def actions(tower, n_in: int, n_out: int, side: int):
+        """The generators' left (side 0) or right (side 1) actions on
+        power(n_in) and power(n_out)."""
+        acts = tower.right_on if side else tower.left_on
+        return tuple([acts(n)[j].a for j in tower.gens] for n in (n_in, n_out))
+
+    @staticmethod
+    def mismatch(p: int, maps: np.ndarray, ins, outs) -> np.ndarray:
+        """Where m·A and B·m differ, at [g, row, j, col], for the maps
+        (d_out x k x d_in) and A = ins[g], B = outs[g]: one product a side."""
+        d_out, k, d_in = maps.shape
+        after = mul_mod(maps.reshape(d_out * k, d_in), np.hstack(ins), p)
+        before = mul_mod(np.vstack(outs), maps.reshape(d_out, k * d_in), p)
+        return (after.reshape(d_out, k, len(ins), d_in).transpose(2, 0, 1, 3)
+                != before.reshape(len(outs), d_out, k, d_in))
+
+    @staticmethod
+    def hom(tower, n: int) -> Subspace:
+        """Hom_{B-B}(power(n), carrier), flattened: the ``commutant`` of the
+        generators' actions on the carrier and, transposed, on power(n)."""
+        sides = (tower.left_mats, tower.left_on(n)), (tower.right_mats, tower.right_on(n))
+        pairs = [(mats[j].a, acts[j].a.T) for j in tower.gens for mats, acts in sides]
+        return Subspace(tower.p, *commutant(tower.p, tower.carrier_dim, tower.power(n).dim, pairs))
+
+    @staticmethod
+    def centre(tower) -> Subspace:
+        """The x with b·x = x·b for every base element b: C⁰."""
+        return fixed_space(tower.p, [m.a for m in tower.left_mats], [m.a for m in tower.right_mats])
+
+    @staticmethod
+    def concat_batches(tower, m: int, n: int, xs, ys) -> np.ndarray:
+        if m and n == 1:
+            basis = np.eye(tower.power(m).dim, dtype=np.int64)
+            return tower.power(m + 1).pairs(basis if xs is None else xs, ys)
+        return tower.product_batches(m, n, xs, ys)
+
+    @staticmethod
+    def square_on_last(tower, n: int, square: Matrix) -> Matrix:
+        """id ⊗ square from power(n) to power(n+1), for a map from the
+        carrier into power(2): concat(n-1, 2) after kron(I, square),
+        without forming the kron, descended."""
+        p, c = tower.p, tower.carrier_dim
+        rows, d_prev = tower.power(n + 1).dim, tower.power(n - 1).dim
+        concat = tower.concat(n - 1, 2).a.reshape(rows * d_prev, tower.power(2).dim)
+        last = mul_mod(concat, square.a, p)
+        return Matrix._wrap(p, descend(tower.power(n), last.reshape(rows, d_prev * c)))
 
     def __repr__(self):
-        return f"QuotientSpace(p={self.p}, ambient={self.ambient_dim}, dim={self.dim})"
+        return f"{type(self).__name__}(p={self.p}, ambient={self.ambient_dim}, dim={self.dim})"
 
 
-class DualStep(QuotientSpace):
+class Selection(QuotientSpace):
+    """The plain coordinates at the kept indices ``free``: as a quotient,
+    xs -> xs[free] with the unit columns there as section; as a
+    ``Subspace``, the span of the unit vectors there, ``rows`` formed
+    only when asked for.  Reads are gathers and members scatters.  The
+    steps, hom spaces and C⁰ of a tower whose generators act diagonally,
+    b·(x ⊗ v)·b' = b·x ⊗ v·b', are where the kept diagonals agree."""
+
+    __slots__ = ("free",)
+
+    def __init__(self, p: int, ambient_dim: int, free):
+        self.p, self.ambient_dim = p, int(ambient_dim)
+        self.free = np.asarray(free, dtype=np.int64)
+        self.dim = self.free.size
+
+    @classmethod
+    def agreeing(cls, p: int, lefts: np.ndarray, rights: np.ndarray) -> "Selection":
+        """The kernel of the blocks diag(lefts[g] - rights[g]) for broadcast
+        stacks of diagonals, the unit rows a reduction would give."""
+        kept = (lefts == rights).all(axis=0)
+        return cls(p, kept.size, np.flatnonzero(kept))
+
+    coords, coords_of = Subspace.coords, Subspace.coords_of    # through ``read``
+    at = property(lambda self: self.free)                       # its Subspace name
+
+    def members(self, xs: np.ndarray | None = None) -> np.ndarray:
+        # scattered into the kept indices
+        if xs is None:
+            xs = np.eye(self.dim, dtype=np.int64)
+        out = np.zeros((xs.shape[1], self.ambient_dim), dtype=np.int64)
+        out[:, self.free] = xs.T
+        return out
+
+    rows = property(members)
+
+    def read(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # a row differs from its members at its nonzero entries off ``free``
+        coords = xs[:, self.free] % self.p
+        off = xs != 0
+        off[:, self.free] = coords != xs[:, self.free]
+        return coords, off
+
+    def _project(self, xs: np.ndarray) -> np.ndarray:
+        return xs[self.free]
+
+    def pairs(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        # x_i ⊗ y_i at the kept x ⊗ v is xs[x, i]·ys[v, i]
+        x, v = np.divmod(self.free, ys.shape[0])
+        return xs[x] * ys[v] % self.p
+
+    def on_last(self, stack: np.ndarray, c: int) -> np.ndarray:
+        # the image at x_s ⊗ v_s of x_t ⊗ v_t is [x_s = x_t]·m[v_s, v_t]
+        xs, vs = np.divmod(self.free, c)
+        return stack[:, vs[:, None], vs] * (xs[:, None] == xs)
+
+    def then_identity(self, src: "Selection", slices: np.ndarray, c: int) -> np.ndarray:
+        # the image at y_s ⊗ v_s of y_t ⊗ v_t is [v_s = v_t]·phi_x[y_s, y_t]
+        (ys, vs), (yd, vd) = np.divmod(src.free, c), np.divmod(self.free, c)
+        return slices[yd][:, :, ys] * (vd[:, None, None] == vs)
+
+    @classmethod
+    def grow(cls, tower, n: int) -> "Selection":
+        # the x ⊗ v where power(n-1)'s right diagonals and the carrier's left agree
+        return cls.agreeing(tower.p, tower.diagonals(n - 1)[1][:, :, None],
+                            tower.diagonals(1)[0][:, None, :])
+
+    @staticmethod
+    def actions(tower, n_in: int, n_out: int, side: int):
+        return tower.diagonals(n_in)[side], tower.diagonals(n_out)[side]
+
+    @staticmethod
+    def mismatch(p: int, maps: np.ndarray, ins, outs) -> np.ndarray:
+        # m·A − B·m is m[r, c]·(A[c, c] − B[r, r]) at [r, c] for diagonal A, B
+        return (outs[:, :, None, None] != ins[:, None, None, :]) & (maps % p != 0)
+
+    @classmethod
+    def hom(cls, tower, n: int) -> "Selection":
+        # the a ⊗ x that every generator scales alike on both sides
+        ends, far = (np.concatenate(tower.diagonals(k)) for k in (1, n))
+        return cls.agreeing(tower.p, ends[:, :, None], far[:, None, :])
+
+    @classmethod
+    def centre(cls, tower) -> "Selection":
+        return cls.agreeing(tower.p, *tower.diagonals(1))
+
+
+class Reduction(QuotientSpace):
+    """GF(p)^ambient_dim modulo the kernel of ``rows``, a canonical kernel
+    basis with the identity at the ``free`` columns: the projection is
+    xs -> rows @ xs and the section the unit columns at ``free``, so a
+    map's descent is ``span_coords`` of its rows.  Maps into it are
+    computed at the free columns only."""
+
+    __slots__ = ("rows", "free", "_by_last")
+
+    def __init__(self, p: int, rows: np.ndarray, free):
+        self.p, self.rows, self.free = p, rows, np.asarray(free, dtype=np.int64)
+        self.dim, self.ambient_dim = rows.shape
+        self._by_last = None
+
+    @classmethod
+    def grow(cls, tower, n: int) -> "Reduction":
+        # the commutant of power(n-1)'s right and the carrier's left actions, transposed
+        rights = tower.right_on(n - 1)
+        pairs = [(rights[j].a.T, tower.left_mats[j].a.T) for j in tower.gens]
+        return cls(tower.p, *commutant(tower.p, tower.power(n - 1).dim, tower.carrier_dim, pairs))
+
+    def read(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return span_coords(self.rows, self.free, xs, self.p)
+
+    def _project(self, xs: np.ndarray) -> np.ndarray:
+        return mul_mod(self.rows, xs, self.p)
+
+    def pairs(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        # the projection of the Khatri-Rao product
+        plain = (xs[:, None, :] * ys[None]) % self.p
+        return mul_mod(self.rows, plain.reshape(self.ambient_dim, -1), self.p)
+
+    def by_last(self, c: int):
+        """The free coordinates x * c + v grouped by v, worked out once, as
+        (vs, ts, xs): row i of ts holds the positions in ``free`` of the
+        coordinates whose v is vs[i], and xs their x's.  Rows shorter than
+        the longest repeat their last position, so that the groups stack."""
+        if self._by_last is None:
+            xs, vs = np.divmod(self.free, c)
+            order = np.argsort(vs, kind="stable")
+            groups, start, count = np.unique(vs[order], return_index=True, return_counts=True)
+            width = np.arange(count.max(initial=0))
+            ts = order[start[:, None] + np.minimum(width, count[:, None] - 1)]
+            self._by_last = (groups, ts, xs[ts])
+        return self._by_last
+
+    def on_last(self, stack: np.ndarray, c: int) -> np.ndarray:
+        # free column t is the plain x_t ⊗ v_t: P[:, x_t, :] @ m(v_t), one
+        # product per v (a stack of these thin products is slower)
+        k, d_prev = len(stack), self.ambient_dim // c
+        maps = stack.transpose(1, 0, 2)     # row w of map j at [w, j]
+        proj = self.rows.reshape(self.dim, d_prev, c)
+        out = np.empty((k, self.dim, self.dim), dtype=np.int64)
+        for v, ts, xs in zip(*self.by_last(c)):
+            cols = mul_mod(proj[:, xs, :].reshape(self.dim * ts.size, c), maps[:, :, v], self.p)
+            out[:, :, ts] = cols.reshape(self.dim, ts.size, k).transpose(2, 0, 1)
+        return out
+
+    def then_identity(self, src: "Reduction", slices: np.ndarray, c: int) -> np.ndarray:
+        # free column t of src is the plain y_t ⊗ v_t: P[:, :, v_t] @ phi_x(y_t),
+        # one product per v in a stack
+        d_out, lead, _ = slices.shape
+        proj = self.rows.reshape(self.dim, d_out, c)
+        vs, ts, ys = src.by_last(c)
+        g, w = ts.shape
+        cols = mul_mod(proj[:, :, vs].transpose(2, 0, 1),
+                       slices[:, :, ys].transpose(2, 0, 1, 3).reshape(g, d_out, lead * w), self.p)
+        out = np.empty((self.dim, lead, src.dim), dtype=np.int64)
+        out[:, :, ts] = cols.reshape(g, self.dim, lead, w).transpose(1, 2, 0, 3)
+        return out
+
+
+class Dual(QuotientSpace):
     """V ⊗_R C for a carrier C free over R on the columns w_j of ``w``
     (c x m), held as the data that defines it: the coordinate maps
     ``phi``, the (m, dim R, c) array Φ of ``tensors.dual_basis``, and V's
@@ -547,16 +703,30 @@ class DualStep(QuotientSpace):
     side by side in ``across``, R_b[y, x] at [y, b·d + x].  The quotient
     is V^m, index j·d + y, of the plain product, index x·c + v: its
     projection is x ⊗ v -> (Σ_b Φ[j, b, v]·R_b·x)_j and its section sends
-    (j, y) to e_y ⊗ w_j, neither formed as a matrix.
+    (j, y) to e_y ⊗ w_j, neither formed but read blockwise: every power
+    of a dual tower is carrier blocks, and its maps block matrices.
+    Projection @ section is the identity as φ_i(w_j) = δ_ij·1 and x·1 = x.
+    The projection's kernel is exactly the generators' relations once
+    (x·g)·k = x·(g·k) for every generator g and basis element k, and
+    x·1 = x, which ``tensors.TensorTower._choose`` makes sure of: with φ_j
+    left-linear over g, it kills (x·g) ⊗ v − x ⊗ g·v; and words in the
+    generators, reached from 1, span R, so by induction x ⊗ r·w_j is
+    x·r ⊗ w_j modulo the relations, and x ⊗ v is Σ_j x·φ_j(v) ⊗ w_j.
     """
 
     __slots__ = ("w", "phi", "rights", "across")
 
     def __init__(self, p: int, w: np.ndarray, phi: np.ndarray, rights: np.ndarray):
-        self.p, self.free, self.selection, self.w, self.phi, self.rights = p, None, False, w, phi, rights
+        self.p, self.w, self.phi, self.rights = p, w, phi, rights
         (c, m), d = w.shape, rights.shape[1]
         self.across = rights.transpose(1, 0, 2).reshape(d, -1)
         self.dim, self.ambient_dim = m * d, d * c
+
+    @classmethod
+    def grow(cls, tower, n: int) -> "Dual":
+        # read off the tower's ``dual`` basis and power(n-1)'s right actions
+        w, phi = tower.dual
+        return cls(tower.p, w, phi, np.stack([m.a for m in tower.right_on(n - 1)]))
 
     def _project(self, xs: np.ndarray) -> np.ndarray:
         # t[(j, b), (x, i)] = Σ_v Φ[j, b, v]·xs[x·c + v, i], then Σ_{b, x} R_b[y, x]·t
@@ -565,10 +735,77 @@ class DualStep(QuotientSpace):
         t = mul_mod(self.across, t.reshape(m, r, d, k).transpose(1, 2, 0, 3).reshape(r * d, m * k), self.p)
         return t.reshape(d, m, k).transpose(1, 0, 2)
 
+    def descended(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # h at (j, y) is m at e_y ⊗ w_j; h @ projection at x ⊗ v is
+        # Σ_{j, b} Φ[j, b, v]·(h_j R_b)[:, x]
+        p, (k, r, c), rows, d = self.p, self.phi.shape, m.shape[0], len(self.across)
+        h = mul_mod(m.reshape(rows * d, c), self.w, p).reshape(rows, d, k).transpose(0, 2, 1)
+        # (h_j R_b)[i, x] at [i, x, (j, b)], then against Φ
+        back = mul_mod(h.reshape(rows * k, d), self.across, p).reshape(rows, k, r, d).transpose(0, 3, 1, 2)
+        back = mul_mod(back.reshape(rows * d, k * r), self.phi.reshape(k * r, c), p)
+        return h.reshape(rows, k * d), (back.reshape(rows, d * c) != m).any(axis=0)
 
-def trivial_quotient(p: int, n: int) -> QuotientSpace:
-    """The identity quotient (no relations): the kernel of nothing."""
-    return QuotientSpace.from_kernel(p, np.eye(n, dtype=np.int64), range(n))
+    def lifts(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        d = len(self.across)
+        return np.tile(np.arange(d), self.w.shape[1]), np.repeat(self.w, d, axis=1)
+
+    @property
+    def rows(self) -> np.ndarray:
+        # the projection read at every pair e_x ⊗ e_v
+        (c, _), d = self.w.shape, len(self.across)
+        return self.pairs(np.repeat(np.eye(d, dtype=np.int64), c, axis=1),
+                          np.tile(np.eye(c, dtype=np.int64), (1, d)))
+
+    def pairs(self, xs: np.ndarray | None, ys: np.ndarray) -> np.ndarray:
+        """x ⊗ v -> Σ_b φ(v)_b ⊗ R_b·x on each column pair, ys perhaps
+        carrier blocks read alike, xs None the basis (R_b·x is R_b)."""
+        (rank, r, c), d, p = self.phi.shape, len(self.across), self.p
+        blocks = ys.shape[0] // c
+        # φ(v) at [i, (J, j), b] and R_b·x at [i, b, y], one column i a slice
+        at = mul_mod(self.phi.reshape(rank * r, c), ys.reshape(blocks, c, -1).transpose(1, 0, 2).reshape(c, -1), p)
+        at = at.reshape(rank, r, blocks, -1).transpose(3, 2, 0, 1).reshape(-1, blocks * rank, r)
+        moved = (self.rights if xs is None else
+                 mul_mod(self.rights.reshape(r * d, d), xs, p).reshape(r, d, -1)).transpose(2, 0, 1)
+        return mul_mod(at, moved, p).transpose(1, 2, 0).reshape(blocks * rank * d, -1)
+
+    def on_last(self, stack: np.ndarray, c: int) -> np.ndarray:
+        # e_y ⊗ w_j goes to Σ_i e_y·φ_i(m(w_j)) ⊗ w_i, the block matrix
+        # Σ_b Ψ[i, j, b]·R_b with Ψ[i, j] = φ_i(m(w_j)), at psi[t, (i, b), j]
+        p, (m, r, _), d, k = self.p, self.phi.shape, len(self.across), len(stack)
+        psi = mul_mod(self.phi.reshape(m * r, c), mul_mod(stack, self.w, p), p)
+        psi = psi.reshape(k, m, r, m).transpose(0, 1, 3, 2).reshape(k * m * m, r)
+        out = mul_mod(psi, self.rights.reshape(r, d * d), p)
+        return out.reshape(k, m, m, d, d).transpose(0, 1, 3, 2, 4).reshape(k, self.dim, self.dim)
+
+    def then_identity(self, src: "Dual", slices: np.ndarray, c: int) -> np.ndarray:
+        # block j of the image is phi of block j, e_y ⊗ w_j -> phi(e_y) ⊗ w_j
+        m, (d_out, lead, d_in) = self.w.shape[1], slices.shape
+        out = np.zeros((m, d_out, lead, m, d_in), dtype=np.int64)
+        diag = np.arange(m)
+        out[diag, :, :, diag, :] = slices
+        return out
+
+    @staticmethod
+    def concat_batches(tower, m: int, n: int, xs, ys) -> np.ndarray:
+        """concat(m, n) is concat(m, 1) on each carrier block of power(n):
+        each concat(m, j) is right-linear, as every right action is
+        id ⊗ R_b, which ``on_last`` certified."""
+        if m and n:
+            return tower.power(m + 1).pairs(xs, ys)
+        return tower.product_batches(m, min(n, 1), xs, ys, ys.shape[0] // tower.carrier_dim if n else 1)
+
+    @staticmethod
+    def square_on_last(tower, n: int, square: Matrix) -> Matrix:
+        # square is v -> Σ_j square_j(v) ⊗ w_j, each block left-linear with
+        # it, and block j of the image is on_last(n, square_j)
+        c = tower.carrier_dim
+        last = tower.on_last(n, [Matrix._wrap(tower.p, b) for b in square.a.reshape(-1, c, c)])
+        return Matrix._wrap(tower.p, np.vstack([h.a for h in last]))
+
+
+def trivial_quotient(p: int, n: int) -> Selection:
+    """The identity quotient (no relations): every coordinate kept."""
+    return Selection(p, n, np.arange(n))
 
 
 def induced_map(q_dom: QuotientSpace, q_cod: QuotientSpace, ambient_map: Matrix) -> Matrix:
@@ -586,29 +823,11 @@ def induced_map(q_dom: QuotientSpace, q_cod: QuotientSpace, ambient_map: Matrix)
 
 def descend(q: QuotientSpace, m: np.ndarray) -> np.ndarray:
     """h = m @ section, the map m (residues) on q's ambient read on
-    quotient coordinates.  m kills the relations, ker(projection),
-    exactly when h @ projection = m; otherwise NotWellDefinedError
-    names the first ambient coordinate whose image differs from its
-    representative's.
-
-    When q records its ``free`` columns, its projection is a canonical
-    basis with the identity there, and h is ``span_coords`` of m's rows:
-    on a selection, m[:, free], once m vanishes off ``free``.
-    On a ``DualStep``, h at (j, y) is m at e_y ⊗ w_j, and h @ projection
-    at x ⊗ v is Σ_{j, b} Φ[j, b, v]·(h_j R_b)[:, x].
-    """
-    p = q.p
-    if isinstance(q, DualStep):
-        (k, r, c), rows, d = q.phi.shape, m.shape[0], len(q.across)
-        h = mul_mod(m.reshape(rows * d, c), q.w, p).reshape(rows, d, k).transpose(0, 2, 1)
-        # (h_j R_b)[i, x] at [i, x, (j, b)], then against Φ
-        back = mul_mod(h.reshape(rows * k, d), q.across, p).reshape(rows, k, r, d).transpose(0, 3, 1, 2)
-        back = mul_mod(back.reshape(rows * d, k * r), q.phi.reshape(k * r, c), p)
-        h = h.reshape(rows, k * d)
-        bad = (back.reshape(rows, d * c) != m).any(axis=0)
-    else:
-        h, off = span_coords(None if q.selection else q.projection.a, q.free, m, p)
-        bad = off.any(axis=0)
+    quotient coordinates, as q's type reads it (``descended``).  m kills
+    the relations, ker(projection), exactly when h @ projection = m;
+    otherwise NotWellDefinedError names the first ambient coordinate
+    whose image differs from its representative's."""
+    h, bad = q.descended(m)
     if bad.any():
         col = int(np.flatnonzero(bad)[0])
         raise NotWellDefinedError(

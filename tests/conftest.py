@@ -270,6 +270,28 @@ def rebuilt_generating_indices(a):
     return picks
 
 
+def pair_relation_rows(p: int, dim_left: int, dim_right: int, rights, lefts) -> np.ndarray:
+    """Generators (as rows) of the balancing span inside V ⊗ W: the dense
+    relations ``tensors.balanced_power`` reduces for one slot.
+
+    ``rights[b]`` is the matrix of v -> v·b on V and ``lefts[b]`` the
+    matrix of w -> b·w on W, for each base basis element b.  The span is
+    generated by the columns of kron(rights[b], I) − kron(I, lefts[b]).
+    """
+    eye_l = np.eye(dim_left, dtype=np.int64)
+    eye_r = np.eye(dim_right, dtype=np.int64)
+    blocks = []
+    for rb, lb in zip(rights, lefts):
+        rb = np.asarray(rb, dtype=np.int64) % p
+        lb = np.asarray(lb, dtype=np.int64) % p
+        m = (np.kron(rb, eye_r) - np.kron(eye_l, lb)) % p
+        if m.any():
+            blocks.append(m.T)
+    if not blocks:
+        return np.zeros((0, dim_left * dim_right), dtype=np.int64)
+    return np.vstack(blocks)
+
+
 def span_with_free(a, p):
     """The row space of ``a`` in ``kernel_rows_with_free``'s form: the
     RREF of the columns read backwards, so row t ends in a 1 at column
@@ -285,9 +307,17 @@ def span_with_free(a, p):
     return rows[::-1, ::-1], [last - c for c in reversed(pivots)]
 
 
+def dual_step(tower, n):
+    """power(n-1) (x)_R carrier read off the tower's dual basis and
+    power(n-1)'s right actions, as a ``linalg.Dual`` step."""
+    from coringlab.linalg import Dual
+
+    return Dual(tower.p, *tower.dual, np.stack([m.a for m in tower.right_on(n - 1)]))
+
+
 def dual_step_mismatches(tower, top):
     """The n in 2..top at which power(n-1) (x)_R carrier read off the
-    tower's dual basis (``tensors.free_pair``) is not the tower's
+    tower's dual basis (``dual_step``) is not the tower's
     power(n), or is not the quotient the commutant gives
     (``tensors.balanced_pair``) in other coordinates.  Byte for
     byte: the dual projection and section compose to the identity, the
@@ -295,18 +325,18 @@ def dual_step_mismatches(tower, top):
     projection, T = canonical projection @ dual section is invertible,
     and the canonical projection is T @ dual projection."""
     from coringlab.linalg import Matrix, inverse, mul_mod
-    from coringlab.tensors import balanced_pair, free_pair
+    from coringlab.tensors import balanced_pair
 
     p, out = tower.p, []
     for n in range(2, top + 1):
         rights = tower.right_on(n - 1)
-        proj, sect = dense_pair(free_pair(tower.base, rights, tower.dual))
+        proj, sect = dense_pair(dual_step(tower, n))
         canon = balanced_pair(p, tower.power(n - 1).dim, tower.carrier_dim,
                               [rights[j].a for j in tower.gens],
                               [tower.left_mats[j].a for j in tower.gens])
         mine = dense_pair(tower.power(n))
         rows, free = span_with_free(proj, p)
-        change = mul_mod(canon.projection.a, sect, p)
+        change = mul_mod(canon.rows, sect, p)
         try:
             inverse(Matrix(p, change))
             invertible = True
@@ -314,21 +344,22 @@ def dual_step_mismatches(tower, top):
             invertible = False
         if not (np.array_equal(mine[0], proj) and np.array_equal(mine[1], sect)
                 and np.array_equal(mul_mod(proj, sect, p), np.eye(len(proj), dtype=np.int64))
-                and np.array_equal(rows, canon.projection.a)
+                and np.array_equal(rows, canon.rows)
                 and free == canon.free.tolist()
                 and invertible
-                and np.array_equal(mul_mod(change, proj, p), canon.projection.a)):
+                and np.array_equal(mul_mod(change, proj, p), canon.rows)):
             out.append(n)
     return out
 
 
 def quotient_of(ambient_dim, relations):
     """GF(p)^ambient_dim modulo the span of the Subspace ``relations``:
-    the projection is the canonical kernel basis of their rows."""
-    from coringlab.linalg import QuotientSpace, kernel_rows_with_free
+    the ``Reduction`` whose projection is the canonical kernel basis of
+    their rows."""
+    from coringlab.linalg import Reduction, kernel_rows_with_free
 
     rows = relations.rows.reshape(-1, ambient_dim)
-    return QuotientSpace.from_kernel(relations.p, *kernel_rows_with_free(rows, relations.p))
+    return Reduction(relations.p, *kernel_rows_with_free(rows, relations.p))
 
 
 def right_module_failures(tower, top):
@@ -355,17 +386,15 @@ def right_module_failures(tower, top):
 
 def off_choice_steps(tower, top):
     """The n in 2..top at which power(n) is not in the coordinates the
-    tower chose once: read off its dual basis by ``tensors.free_pair``
-    when it has one, canonical with ``free`` columns otherwise.  On a
-    dual tower also the n at which power(n-1)'s right action, which
-    ``free_pair`` needs to be a unital module action, is not one."""
-    from coringlab.tensors import free_pair
-
+    tower chose once: read off its dual basis (``dual_step``) when it
+    has one, canonical with ``free`` columns otherwise.  On a dual tower
+    also the n at which power(n-1)'s right action, which a dual step
+    needs to be a unital module action, is not one."""
     if tower.dual is None:
-        return [n for n in range(2, top + 1) if tower.power(n).free is None]
+        return [n for n in range(2, top + 1) if getattr(tower.power(n), "free", None) is None]
     out = [n + 1 for n in right_module_failures(tower, top - 1)]
     for n in range(2, top + 1):
-        dual = dense_pair(free_pair(tower.base, tower.right_on(n - 1), tower.dual))
+        dual = dense_pair(dual_step(tower, n))
         mine = dense_pair(tower.power(n))
         if not (np.array_equal(mine[0], dual[0]) and np.array_equal(mine[1], dual[1])):
             out.append(n)
@@ -390,15 +419,20 @@ def descend_by(projection, section, m, p):
 
 
 def dense_pair(q):
-    """q's projection and section as arrays.  A ``linalg.DualStep``
-    holds neither, so its pair is formed here entry by entry from its
-    (w, Φ, R_b): projection[(j, y), (x, v)] = Σ_b Φ[j, b, v]·R_b[y, x]
-    and section[(x, v), (j, y)] = w_j[v] where x = y.  The dense
-    reference for the blockwise paths."""
-    from coringlab.linalg import DualStep
+    """q's projection and section as arrays, formed here from the data
+    its step type holds, for no type holds its section.  A selection's
+    projection is the unit rows at ``free``, a reduction's is its
+    ``rows``, and the section of either is the unit columns at ``free``.
+    A ``linalg.Dual`` step holds neither, so its pair is formed entry by
+    entry from its (w, Φ, R_b): projection[(j, y), (x, v)] =
+    Σ_b Φ[j, b, v]·R_b[y, x] and section[(x, v), (j, y)] = w_j[v] where
+    x = y.  The dense reference for the gathered and blockwise paths."""
+    from coringlab.linalg import Dual, Selection
 
-    if not isinstance(q, DualStep):
-        return q.projection.a, q.section.a
+    if not isinstance(q, Dual):
+        sect = np.zeros((q.ambient_dim, q.dim), dtype=np.int64)
+        sect[q.free, np.arange(q.dim)] = 1
+        return (sect.T.copy() if isinstance(q, Selection) else np.asarray(q.rows)), sect
     (m, r, c), d = q.phi.shape, q.rights.shape[1]
     proj = np.zeros((m, d, d, c), dtype=np.int64)
     for b in range(r):
@@ -495,14 +529,14 @@ def blockwise_step_failures(tower, top, seed=0):
     name the coordinate the dense check names; and ``lift(n - 1, 1)``
     against the section's columns."""
     from coringlab.errors import NotWellDefinedError
-    from coringlab.linalg import DualStep, descend, mul_mod
+    from coringlab.linalg import Dual, descend, mul_mod
 
     p, c = tower.p, tower.carrier_dim
     rng = np.random.default_rng(seed)
     out = []
     for n in range(2, top + 1):
         q = tower.power(n)
-        if not isinstance(q, DualStep):
+        if not isinstance(q, Dual):
             continue
         proj, sect = dense_pair(q)
         d = tower.power(n - 1).dim

@@ -251,7 +251,7 @@ def test_m2_tower_maps_take_no_dense_path(monkeypatch):
     # maps are block matrices.  Its dual steps are projected, descended
     # and lifted blockwise: building the complex and its cohomology
     # forms no concat(m, n) with m, n >= 1 on a dual tower, the one way
-    # to a step's dense projection, and a DualStep holds no section
+    # to a step's dense projection, and a dual step holds no section
     from coringlab.corpus import load_corpus_extension
     from coringlab.tensors import TensorTower
 

@@ -354,7 +354,7 @@ def test_base_generators_balance_like_the_whole_basis(corpus_corings):
                                  [m.a for m in c.right_on(n - 1)],
                                  [m.a for m in c.left_mats])
             rows, free = span_with_free(dense_pair(c.power(n))[0], c.p)
-            assert np.array_equal(rows, full.projection.a), (name, n)
+            assert np.array_equal(rows, full.rows), (name, n)
             assert free == full.free.tolist(), (name, n)
 
 

@@ -29,7 +29,7 @@ from coringlab import (
 from coringlab.dga import every_pair
 from coringlab.errors import NotWellDefinedError, SizeLimitError
 from coringlab.hochschild import HARD_DEGREE_CAP, CochainComplex
-from coringlab.linalg import QuotientSpace, Subspace
+from coringlab.linalg import Selection, Subspace
 from coringlab.tensors import RelativeTensorPower, extension_tower
 
 from test_algebras import ut2_diag_extension
@@ -134,20 +134,30 @@ def test_degree_two_coboundary_and_cups_pointwise(make, rng):
         assert np.array_equal(on("b ∪ a", x, y, z), multiply(a, b(x, y), am.apply(z)))
 
 
+class RolledSection(Selection):
+    """A selection whose section's pure tensors are those of its kept
+    indices rolled by one: a section that no longer inverts the
+    projection."""
+
+    __slots__ = ()
+
+    def lifts(self, c):
+        w, v = super().lifts(c)
+        return np.roll(w, 1), np.roll(v, 1, axis=1)
+
+
 def test_cup_refuses_a_product_that_does_not_descend():
-    # a power(3) whose free columns are rolled, so that its section no
-    # longer inverts concat(1, 2): its coordinates lift to the wrong pure
-    # tensors, so id ∪ (id ∪ id) fails the lift's certificate instead of
-    # returning a wrong cochain
+    # a power(3) whose section is rolled, so that it no longer inverts
+    # concat(1, 2): its coordinates lift to the wrong pure tensors, so
+    # id ∪ (id ∪ id) fails the lift's certificate instead of returning a
+    # wrong cochain
     e = ut2_diag_extension(5)
     c = build_complex(e, 3)
     ident = c.homs[1].coords_of(Matrix.identity(5, 3)).reshape(-1, 1)
     square = cup(c, 1, 1, ident, ident)
     tower = extension_tower(e)
     good = tower.power(3)
-    tower._powers[3] = QuotientSpace(5, good.projection,
-                                     Matrix(5, np.roll(good.section.a, 1, axis=1)),
-                                     np.roll(good.free, 1))
+    tower._powers[3] = RolledSection(5, good.ambient_dim, good.free)
     broken = CochainComplex(e, 3, c.homs, {n: RelativeTensorPower(e, tower, n) for n in (1, 2, 3)},
                             c.d)
     assert cup(c, 1, 2, ident, square).shape == (c.dim(3), 1)

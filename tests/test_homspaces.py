@@ -21,7 +21,7 @@ from coringlab.corpus import facet_names, read_facets
 from coringlab.errors import ElementNotInSpaceError, SizeLimitError
 from coringlab.hochschild import build_complex
 from coringlab.homspaces import build_hom
-from coringlab.linalg import Field, Matrix, kernel_rows_with_free, mul_mod
+from coringlab.linalg import Field, Matrix, Selection, kernel_rows_with_free, mul_mod
 from coringlab.simplicial import SimplicialComplex, incidence_extension, parse_complex
 from coringlab.tensors import balanced_power, build_power, relation_entries
 
@@ -315,7 +315,7 @@ def test_poset_hom_spaces_are_selections_of_the_stacked_kernel(e):
         t = build_power(e, n)
         hom = build_hom(e, t)
         rows, free = stacked_constraint_kernel(e, t)
-        assert hom.selection and t.space.selection, n
+        assert isinstance(hom.space, Selection) and isinstance(t.space, Selection), n
         assert np.array_equal(hom.rows, rows) and hom.at.tolist() == free, n
         coords = rng.integers(0, e.p, size=(3, hom.dim), dtype=np.int64)
         members = mul_mod(coords, rows, e.p)

@@ -33,6 +33,7 @@ from coringlab.linalg import (
 
 from conftest import (
     dense_descend,
+    dense_pair,
     descend_by,
     enumerate_kernel,
     naive_rank,
@@ -96,7 +97,7 @@ def test_quotient_identifies_coordinates_gf5():
     pb = q.project([0, 1])
     assert np.array_equal(pa, pb)
     # the section lifts back to a representative in the same class
-    lifted = q.section.apply(pa)
+    lifted = mul_mod(dense_pair(q)[1], pa.reshape(-1, 1), 5)[:, 0]
     assert np.array_equal(q.project(lifted), pa)
 
 
@@ -408,14 +409,15 @@ def test_quotient_projection_section_contract(rng):
     for p in (2, 11):
         rel = Subspace.from_spanning(p, 7, random_matrix(rng, 3, 7, p))
         q = quotient_of(7, rel)
+        proj, sect = dense_pair(q)
         assert q.dim == 7 - rel.dim
         # projection kills exactly the relation span
         if rel.dim:
-            assert not mul_mod(q.projection.a, rel.rows.T, p).any()
-        assert (q.projection @ q.section) == Matrix.identity(p, q.dim)
+            assert not mul_mod(proj, rel.rows.T, p).any()
+        assert Matrix(p, proj) @ Matrix(p, sect) == Matrix.identity(p, q.dim)
         # lifting then projecting is the identity on quotient coordinates
         v = rng.integers(0, p, size=7, dtype=np.int64)
-        assert np.array_equal(q.project(q.section.apply(q.project(v))), q.project(v))
+        assert np.array_equal(q.project(Matrix(p, sect).apply(q.project(v))), q.project(v))
 
 
 @st.composite
@@ -435,7 +437,7 @@ def quotients_and_maps(draw):
     k = draw(st.integers(1, 3))
     if draw(st.booleans()):
         return rel, q, matrix(k, n)
-    m = mul_mod(matrix(k, q.dim), q.projection.a, p)
+    m = mul_mod(matrix(k, q.dim), q.rows, p)
     if draw(st.booleans()):
         m[draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))] += 1
     return rel, q, m % p
@@ -450,7 +452,7 @@ def test_descend_raises_exactly_when_a_relation_survives(case):
         with pytest.raises(NotWellDefinedError):
             descend(q, m)
     else:
-        assert np.array_equal(descend(q, m), mul_mod(m, q.section.a, p))
+        assert np.array_equal(descend(q, m), mul_mod(m, dense_pair(q)[1], p))
 
 
 def test_every_section_descends_alike(rng):
@@ -460,11 +462,12 @@ def test_every_section_descends_alike(rng):
         # s + K X is a section too when the columns of K span the relations
         moved = mul_mod(rel.rows.T, random_matrix(rng, rel.dim, q.dim, p), p)
         assert moved.any()
-        other = (q.section.a + moved) % p
-        assert q.projection @ Matrix(p, other) == Matrix.identity(p, q.dim)
+        proj, sect = dense_pair(q)
+        other = (sect + moved) % p
+        assert Matrix(p, proj) @ Matrix(p, other) == Matrix.identity(p, q.dim)
         # maps that kill the relations are the maps through the projection
-        maps = mul_mod(random_matrix(rng, 5, q.dim, p), q.projection.a, p)
-        assert np.array_equal(descend_by(q.projection.a, other, maps, p), descend(q, maps))
+        maps = mul_mod(random_matrix(rng, 5, q.dim, p), proj, p)
+        assert np.array_equal(descend_by(proj, other, maps, p), descend(q, maps))
 
 
 def test_descend_names_the_first_failing_coordinate():
@@ -485,7 +488,7 @@ def test_descent_gathers_the_product_by_the_section(p, n, n_rel, k, moved, seed)
     rng = np.random.default_rng(seed)
     q = quotient_of(n, Subspace.from_spanning(p, n, random_matrix(rng, n_rel, n, p)))
     assert q.free is not None
-    m = mul_mod(random_matrix(rng, k, q.dim, p), q.projection.a, p)
+    m = mul_mod(random_matrix(rng, k, q.dim, p), q.rows, p)
     for _ in range(moved):
         m[rng.integers(k), rng.integers(n)] = rng.integers(p)
     try:
@@ -494,15 +497,14 @@ def test_descent_gathers_the_product_by_the_section(p, n, n_rel, k, moved, seed)
         with pytest.raises(NotWellDefinedError, match=re.escape(str(err))):
             descend(q, m)
     else:
-        assert np.array_equal(want, mul_mod(m, q.section.a, p))
+        assert np.array_equal(want, mul_mod(m, dense_pair(q)[1], p))
         assert np.array_equal(descend(q, m), want)
 
 
 def test_trivial_quotient_is_identity():
     q = trivial_quotient(3, 4)
     assert q.dim == 4
-    assert q.projection == Matrix.identity(3, 4)
-    assert q.section == Matrix.identity(3, 4)
+    assert all(Matrix(3, a) == Matrix.identity(3, 4) for a in dense_pair(q))
 
 
 @st.composite

@@ -6,7 +6,8 @@ drops or renames a traced function fails here rather than only in the
 benchmark's own tests, and so does one that changes the arguments or
 results its span counters read.  The README's library example runs as
 written, every name the package exports resolves, and no module but
-``linalg`` leaves integer arithmetic.  On incidence algebras, whose base
+``linalg`` leaves integer arithmetic or tests which coordinate system
+a tower step is held in.  On incidence algebras, whose base
 acts diagonally, the selection paths stay gathers: no product runs
 under them, and the generator search of the diagonal base reduces
 nothing.  Their towers answer from the carrier's diagonals: no commutant
@@ -107,6 +108,27 @@ def test_only_linalg_leaves_the_integers():
         if path.name != "linalg.py":
             hit = leaves.search(path.read_text(encoding="utf-8"))
             assert hit is None, (path.name, hit and hit.group())
+
+
+# the flags a tower step's coordinate system was once read from
+COORDINATE_FLAGS = re.compile(
+    r"\.selection\b|isinstance\([^)]*\b(DualStep|Dual|Selection|Reduction)\b"
+    r"|\.dual\s+is\b|diagonals\(1\)\s+is\b|\bfree\s+is\b")
+
+
+def coordinate_flag_tests(src: Path) -> list[str]:
+    """``module.py:line`` of every coordinate-system flag tested outside
+    ``linalg``, the step types' own module."""
+    return [f"{path.name}:{i}" for path in sorted(src.glob("*.py")) if path.name != "linalg.py"
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if COORDINATE_FLAGS.search(line)]
+
+
+def test_only_the_step_types_branch_on_the_coordinate_system():
+    # a tower picks its step type once (``TensorTower._choose``) and asks
+    # it the rest, so no other module tests which coordinates a step,
+    # hom space or tower is held in
+    assert coordinate_flag_tests(ROOT / "src" / "coringlab") == []
 
 
 # the selection paths, which must read their spaces by gathers alone
