@@ -390,8 +390,10 @@ def off_choice_steps(tower, top):
     has one, canonical with ``free`` columns otherwise.  On a dual tower
     also the n at which power(n-1)'s right action, which a dual step
     needs to be a unital module action, is not one."""
+    from coringlab.linalg import Dual
+
     if tower.dual is None:
-        return [n for n in range(2, top + 1) if getattr(tower.power(n), "free", None) is None]
+        return [n for n in range(2, top + 1) if isinstance(tower.power(n), Dual)]
     out = [n + 1 for n in right_module_failures(tower, top - 1)]
     for n in range(2, top + 1):
         dual = dense_pair(dual_step(tower, n))
