@@ -31,14 +31,36 @@ C2_TABLE = [[0, 1], [1, 0]]
 C3_TABLE = [[(i + j) % 3 for j in range(3)] for i in range(3)]
 
 
+S3_PERMS = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
+S3_NAMES = ["e", "s12", "s13", "s23", "c123", "c132"]
+
+# the even permutations of {0,1,2,3}: the Klein four-group first, then
+# the 3-cycles, in lexicographic order of their images
+A4_PERMS = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0),
+            (0, 2, 3, 1), (0, 3, 1, 2), (1, 2, 0, 3), (1, 3, 2, 0),
+            (2, 0, 1, 3), (2, 1, 3, 0), (3, 0, 2, 1), (3, 1, 0, 2)]
+
+
+def composition_table(perms) -> list[list[int]]:
+    """Multiplication table of a permutation group, g_i g_j = g_i ∘ g_j."""
+    idx = {q: i for i, q in enumerate(perms)}
+    return [[idx[tuple(a[b[i]] for i in range(len(b)))] for b in perms] for a in perms]
+
+
 def s3_table() -> list[list[int]]:
     """Multiplication table of S3 from composing permutations of {0,1,2}."""
-    perms = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
-    idx = {q: i for i, q in enumerate(perms)}
-    return [[idx[tuple(a[b[i]] for i in range(3))] for b in perms] for a in perms]
+    return composition_table(S3_PERMS)
 
 
-S3_NAMES = ["e", "s12", "s13", "s23", "c123", "c132"]
+def subgroup_extension(p: int, perms, names, sub) -> Extension:
+    """GF(p)[G] over GF(p)[H] for G the permutations ``perms`` and H the
+    subgroup at the indices ``sub``, whose table is G's restricted."""
+    table = composition_table(perms)
+    big = group_algebra(Field(p), table, names)
+    small = group_algebra(Field(p), [[sub.index(table[a][b]) for b in sub] for a in sub],
+                          [names[i] for i in sub])
+    inclusion = [[int(i == j) for j in sub] for i in range(len(perms))]
+    return Extension(big, small, Matrix(p, inclusion))
 
 
 def ut2_over_diagonal(p: int) -> Extension:
@@ -49,10 +71,18 @@ def ut2_over_diagonal(p: int) -> Extension:
 
 def s3_over_c2(p: int) -> Extension:
     """GF(p)[S3] over the span of the identity and the transposition s12."""
-    big = group_algebra(Field(p), s3_table(), S3_NAMES)
-    small = group_algebra(Field(p), C2_TABLE, ["e", "s12"])
-    inclusion = Matrix(p, [[1, 0], [0, 1], [0, 0], [0, 0], [0, 0], [0, 0]])
-    return Extension(big, small, inclusion)
+    return subgroup_extension(p, S3_PERMS, S3_NAMES, [0, 1])
+
+
+def s3_over_c3(p: int) -> Extension:
+    """GF(p)[S3] over its rotations, a k[C2]-Galois extension."""
+    return subgroup_extension(p, S3_PERMS, S3_NAMES, [0, 4, 5])
+
+
+def a4_over_v4(p: int) -> Extension:
+    """GF(p)[A4] over the Klein four-group, a k[C3]-Galois extension."""
+    names = ["".join(map(str, q)) for q in A4_PERMS]
+    return subgroup_extension(p, A4_PERMS, names, [0, 1, 2, 3])
 
 
 EXTENSION_BUILDERS = {
@@ -63,6 +93,9 @@ EXTENSION_BUILDERS = {
     "m2_gf5": lambda: trivial_extension(matrix_algebra(Field(5), 2)),
     "m2_gf7": lambda: trivial_extension(matrix_algebra(Field(7), 2)),
     "s3_c2_gf7": lambda: s3_over_c2(7),
+    "s3_c3_gf2": lambda: s3_over_c3(2),
+    "s3_c3_gf7": lambda: s3_over_c3(7),
+    "a4_v4_gf3": lambda: a4_over_v4(3),
     "ut2_diag_gf5": lambda: ut2_over_diagonal(5),
 }
 

@@ -44,6 +44,9 @@ AMITSUR_DEPTH = {
     "m2_gf5": 3,
     "m2_gf7": 3,
     "s3_c2_gf7": 3,
+    "s3_c3_gf2": 3,
+    "s3_c3_gf7": 3,
+    "a4_v4_gf3": 3,
     "ut2_diag_gf5": 4,
 }
 
@@ -136,10 +139,10 @@ def test_criterion_3_dimension_agreement(capsys):
         for name, b in certified.items()
         if b["hochschild_dims"][:3] != b["amitsur_dims"][:3]
     }
-    ok = len(certified) == 7 and not mismatches
+    ok = len(certified) == 10 and not mismatches
     report_line(capsys, 3, ok,
                 f"H^0..H^2 agree degreewise on all {len(certified)} certified extensions")
-    assert len(certified) == 7
+    assert len(certified) == 10
     assert not mismatches, mismatches
 
 

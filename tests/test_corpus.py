@@ -26,6 +26,9 @@ EXPECTED_SHAPES = {
     "m2_gf5": (5, 4, 1),
     "m2_gf7": (7, 4, 1),
     "s3_c2_gf7": (7, 6, 2),
+    "s3_c3_gf2": (2, 6, 3),
+    "s3_c3_gf7": (7, 6, 3),
+    "a4_v4_gf3": (3, 12, 4),
     "ut2_diag_gf5": (5, 3, 2),
 }
 

@@ -509,8 +509,9 @@ def test_extension_powers_match_the_dense_oracle(corpus_towers):
                 dense = balanced_power(tower.p, tower.carrier_dim, rights, lefts, n)
                 assert tower.power(n).dim == dense.dim, (name, n)
                 checked.append((name, n))
-    # every corpus power up to the top fits
-    assert len(checked) == (TOP - 1) * len(corpus_towers)
+    # every corpus power up to the top fits but power 3 and 4 of
+    # a4_v4_gf3 (ambient 12**3 and 12**4)
+    assert len(checked) == (TOP - 1) * len(corpus_towers) - 2
 
 
 def test_every_corpus_tower_is_dual_at_every_step_or_at_none(corpus_towers):
@@ -519,10 +520,11 @@ def test_every_corpus_tower_is_dual_at_every_step_or_at_none(corpus_towers):
 
 
 def test_dual_basis_steps_on_extension_towers(corpus_towers):
-    # the other corpus extensions are over the ground field, with no
-    # generators, or ut2 over its diagonal (3 over 2)
+    # the group algebras over subgroup algebras; the other corpus
+    # extensions are over the ground field, with no generators, or ut2
+    # over its diagonal (3 over 2)
     assert sorted(name for name, t in corpus_towers.items() if t.dual is not None) == [
-        "s3_c2_gf7"]
+        "a4_v4_gf3", "s3_c2_gf7", "s3_c3_gf2", "s3_c3_gf7"]
     assert dual_step_mismatches(corpus_towers["s3_c2_gf7"], 3) == []
     assert blockwise_step_failures(corpus_towers["s3_c2_gf7"], TOP) == []
 
