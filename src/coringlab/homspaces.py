@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebras import Extension
 from .linalg import Matrix
-from .tensors import RelativeTensorPower, check_entry_budget
+from .tensors import RelativeTensorPower, check_step_budget
 
 
 class BimoduleHomSpace:
@@ -50,9 +50,9 @@ def build_hom(e: Extension, t: RelativeTensorPower) -> BimoduleHomSpace:
     """Solve the intertwining constraints for Hom_{B-B}(power, A)."""
     tower = t.tower
     nvars = e.ambient.dim * t.dim
-    # budgeted as the two nvars-square blocks of every generator stacked;
-    # they stream into one reduction instead, so one block and the
-    # echelon rows are all that is held at once
-    check_entry_budget(2 * len(tower.gens), nvars,
-                       f"a bimodule hom space with {nvars} unknowns needs a dense constraint matrix")
+    # two blocks for each generator, as the step type counts what its
+    # solve forms: for those held by matrices, the blocks stacked, though
+    # they stream into one reduction, one block and the echelon rows at once
+    check_step_budget(tower.step, 2 * len(tower.gens), nvars, "constraint",
+                      f"a bimodule hom space with {nvars} unknowns")
     return BimoduleHomSpace(e, t, tower.step.hom(tower, t.n))

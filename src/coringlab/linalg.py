@@ -107,6 +107,16 @@ def check_entries(entries: int, budget: int, what: str) -> None:
             f"{what} of about {entries:.2e} entries, over the budget of {budget:.0e}")
 
 
+def relation_entries(n_blocks: int, ambient: int) -> int:
+    """Entries of the largest dense matrix of a solve by relation blocks.
+
+    The generators are ``n_blocks`` blocks of ``ambient`` rows, each
+    ``ambient`` wide; with no generators the quotient's projection, at
+    most ``ambient`` square, is the largest.
+    """
+    return max(n_blocks, 1) * ambient * ambient
+
+
 def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) % p for int64 arrays of residues in [0, p), or for
     stacks of them (3-D operands, multiplied slice by slice as
@@ -266,6 +276,105 @@ def _diagonal_of(m, p: int) -> np.ndarray | None:
     if np.count_nonzero(m) != np.count_nonzero(diag):
         return None
     return diag
+
+
+def _monomial_of(m, p: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """A square matrix mod p with exactly one nonzero in each row and each
+    column as (index, scalar) arrays, m[index[t], t] = scalar[t], or None."""
+    nz = np.asarray(m, dtype=np.int64) % p != 0
+    if not ((nz.sum(axis=0) == 1).all() and (nz.sum(axis=1) == 1).all()):
+        return None
+    at = nz.argmax(axis=0)
+    return at, np.asarray(m, dtype=np.int64)[at, np.arange(len(at))] % p
+
+
+def _inverses(a: np.ndarray, p: int) -> np.ndarray:
+    """a^(p-2) mod p entry by entry: the inverses of nonzero residues."""
+    out, base, e = np.ones_like(a), a % p, p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base, e = base * base % p, e >> 1
+    return out
+
+
+def _orbit_walk(maps: np.ndarray, starts) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Walk the orbits of the index maps ``maps`` (one row per map, each a
+    permutation of range(c)), opening one at each index of ``starts`` not
+    reached yet: the indices that opened one, and the steps (u, g, v),
+    v = maps[g, u], that first reached each other index, in order."""
+    seen = np.zeros(maps.shape[1], dtype=bool)
+    opened, steps = [], []
+    for s in starts:
+        if seen[s]:
+            continue
+        seen[s], queue = True, [int(s)]
+        opened.append(int(s))
+        for u in queue:
+            for g, v in enumerate(maps[:, u].tolist()):
+                if not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+                    steps.append((u, g, v))
+    return opened, steps
+
+
+def orbit_kernel(p: int, dim_left: int, dim_right: int, pairs) -> tuple[np.ndarray, list[int]]:
+    """``commutant`` of monomial pairs, each matrix held as (index,
+    scalar) arrays as ``_monomial_of`` gives them: the same rows and
+    free columns, by orbits instead of a reduction.
+
+    Row (L[l], M[r]) of the block of (L, M) reads
+    L_s[l]·x[l, M[r]] = M_s[r]·x[L[l], r]: an edge between two unknowns
+    (l, m) with the ratio of their values.  A union-find over the edges
+    carries each unknown's ratio to its root.  An orbit whose ratios
+    disagree around a cycle, a one-term relation among them, is 0 in
+    the kernel; every other orbit is one kernel vector, which the
+    canonical basis normalizes to 1 at the orbit's largest index, its
+    free column, and lists in the order of those.
+    """
+    n = dim_left * dim_right
+    ls, rs = np.divmod(np.arange(n), dim_right)
+    src, dst, ratio = [], [], []
+    for (l_at, l_s), (m_at, m_s) in pairs:
+        src.append(ls * dim_right + m_at[rs])
+        dst.append(l_at[ls] * dim_right + rs)
+        ratio.append(l_s[ls] * _inverses(m_s, p)[rs] % p)
+    parent, pot, bad = list(range(n)), [1] * n, [False] * n
+
+    def find(i):
+        # the root of i and x[i] / x[root], compressing the path
+        path = []
+        while parent[i] != i:
+            path.append(i)
+            i = parent[i]
+        acc = 1
+        for j in reversed(path):
+            acc = acc * pot[j] % p
+            parent[j], pot[j] = i, acc
+        return i, (pot[path[0]] if path else 1)
+
+    edges = (np.concatenate(e).tolist() if e else [] for e in (src, dst, ratio))
+    for a, b, w in zip(*edges):
+        # x[b] = w·x[a]
+        (ra, pa), (rb, pb) = find(a), find(b)
+        if ra == rb:
+            bad[ra] = bad[ra] or pb != w * pa % p
+        else:
+            parent[rb], pot[rb] = ra, w * pa * pow(pb, p - 2, p) % p
+            bad[ra] = bad[ra] or bad[rb]
+    found = [find(i) for i in range(n)]
+    roots = np.array([r for r, _ in found], dtype=np.int64)
+    ratios = np.array([x for _, x in found], dtype=np.int64)
+    top = np.zeros(n, dtype=np.int64)
+    np.maximum.at(top, roots, np.arange(n))
+    kept = ~np.array(bad, dtype=bool)[roots]
+    free = np.unique(top[roots[kept]])
+    check_entries(len(free) * n, RELATION_ENTRY_BUDGET, f"a kernel of {n} unknowns needs rows")
+    row = np.searchsorted(free, top[roots[kept]])
+    rows = np.zeros((len(free), n), dtype=np.int64)
+    rows[row, np.flatnonzero(kept)] = ratios[kept] * _inverses(ratios[free], p)[row] % p
+    return rows, free.tolist()
 
 
 class Field:
@@ -484,6 +593,15 @@ class QuotientSpace:
         the power below and v c x dim: at ``free``, the plain w * c + v."""
         w, v = np.divmod(self.free, c)
         return w, np.eye(c, dtype=np.int64)[:, v]
+
+    @staticmethod
+    def budget(n_blocks: int, width: int, kind: str) -> tuple[int, str]:
+        """The entries of the largest array that ``grow`` (``kind``
+        "relation") or ``hom`` ("constraint") forms on ``width`` unknowns
+        under ``n_blocks`` generator blocks, as the budget counts it, and
+        what that array is: for the types held by matrices, the blocks
+        stacked (``relation_entries``)."""
+        return relation_entries(n_blocks, width), f"a dense {kind} matrix"
 
     @staticmethod
     def actions(tower, n_in: int, n_out: int, side: int):
@@ -746,7 +864,7 @@ class Dual(QuotientSpace):
         return h.reshape(rows, k * d), (back.reshape(rows, d * c) != m).any(axis=0)
 
     def lifts(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        d = len(self.across)
+        d = self.ambient_dim // c
         return np.tile(np.arange(d), self.w.shape[1]), np.repeat(self.w, d, axis=1)
 
     @property
@@ -801,6 +919,132 @@ class Dual(QuotientSpace):
         c = tower.carrier_dim
         last = tower.on_last(n, [Matrix._wrap(tower.p, b) for b in square.a.reshape(-1, c, c)])
         return Matrix._wrap(tower.p, np.vstack([h.a for h in last]))
+
+
+class Monomial(Dual):
+    """A ``Dual`` step on a coset dual basis, w_j = e_{i_j} for one
+    carrier index i_j per orbit of the generators' left actions, when
+    every generator acts by a monomial matrix from both sides: then every
+    power's actions are monomial too, and the step is held as index
+    arrays.  Its projection sends the plain x ⊗ v to
+    scale[x, v]·e_{to[x, v]}: walking the carrier's orbit from i_j, where
+    x ⊗ w_j is (j, x), each step v = g·u with g·e_u = s·e_v gives
+    x ⊗ e_v = s⁻¹·(x·g) ⊗ e_u, and x·g is one scaled coordinate of the
+    power below.  For each v, x -> to[x, v] is one-to-one onto block
+    j_v, so each quotient coordinate is the image of |orbit| = dim R
+    plain ones, its ``fibers`` row; reads are gathers over them.  The
+    generators' actions on the power, ``sides``, are (index, scalar)
+    arrays (2, |gens|, dim), read off below: g·(y ⊗ w_j) = (g·y) ⊗ w_j
+    and (y ⊗ w_j)·g = s·y ⊗ e_v for w_j·g = s·e_v, projected.  The hom
+    solve is ``orbit_kernel`` of those arrays, and the certificates
+    compare maps by gathers.
+    """
+
+    __slots__ = ("reps", "to", "scale", "fibers", "weights", "sides")
+
+    def __init__(self, p: int, w: np.ndarray, to: np.ndarray, scale: np.ndarray, sides):
+        self.p, self.w, self.to, self.scale, self.sides = p, w, to, scale, sides
+        self.reps = w.argmax(axis=0)
+        (d, c), m = to.shape, w.shape[1]
+        self.dim, self.ambient_dim = m * d, d * c
+        self.fibers = np.argsort(to.ravel(), kind="stable").reshape(self.dim, -1)
+        self.weights = scale.ravel()[self.fibers]
+
+    @classmethod
+    def grow(cls, tower, n: int) -> "Monomial":
+        # the tower's coset basis, the carrier's actions and power(n-1)'s
+        p, w = tower.p, tower.dual.w
+        (at, s), (below, below_s) = tower.monomials(1), tower.monomials(n - 1)
+        (d, c), reps = (below.shape[2], tower.carrier_dim), w.argmax(axis=0)
+        to, scale = np.empty((d, c), dtype=np.int64), np.empty((d, c), dtype=np.int64)
+        to[:, reps] = np.arange(reps.size) * d + np.arange(d)[:, None]
+        scale[:, reps] = 1
+        inverse = _inverses(s[0], p)
+        for u, g, v in _orbit_walk(at[0], reps)[1]:
+            # g·e_u = s·e_v and x·g = r·e_ρ(x): x ⊗ e_v = s⁻¹·r·e_ρ(x) ⊗ e_u
+            rho = below[1, g]
+            to[:, v] = to[rho, u]
+            scale[:, v] = inverse[g, u] * below_s[1, g] % p * scale[rho, u] % p
+        gens, m = len(at[0]), reps.size
+        lefts = (np.arange(m)[:, None] * d + below[0][:, None, :]).reshape(gens, m * d)
+        vs = at[1][:, reps]
+        rights = to[:, vs].transpose(1, 2, 0).reshape(gens, m * d)
+        right_s = s[1][:, reps, None] * scale[:, vs].transpose(1, 2, 0) % p
+        sides = (np.stack([lefts, rights]),
+                 np.stack([np.tile(below_s[0], (1, m)), right_s.reshape(gens, m * d)]))
+        return cls(p, w, to, scale, sides)
+
+    def _project(self, xs: np.ndarray) -> np.ndarray:
+        return (xs[self.fibers] * self.weights[:, :, None] % self.p).sum(axis=1) % self.p
+
+    def descended(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # h at (j, y) is m at y ⊗ w_j; h @ projection at x ⊗ v is scale·h at to
+        d, c = self.to.shape
+        h = m[:, (np.arange(d) * c + self.reps[:, None]).ravel()]
+        back = h[:, self.to.ravel()] * self.scale.ravel() % self.p
+        return h, (back != m).any(axis=0)
+
+    @property
+    def rows(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.ambient_dim), dtype=np.int64)
+        out[self.to.ravel(), np.arange(self.ambient_dim)] = self.scale.ravel()
+        return out
+
+    def pairs(self, xs: np.ndarray | None, ys: np.ndarray) -> np.ndarray:
+        # the Khatri-Rao pairs of each carrier block of ys, projected
+        p, (d, c) = self.p, self.to.shape
+        if xs is None:
+            xs = np.eye(d, dtype=np.int64)
+        blocks = ys.shape[0] // c
+        plain = xs[:, None, None, :] * ys.reshape(blocks, c, -1)[None] % p
+        plain = plain.transpose(1, 0, 2, 3).reshape(blocks, d * c, -1)
+        out = (plain[:, self.fibers] * self.weights[:, :, None] % p).sum(axis=2) % p
+        return out.reshape(blocks * self.dim, -1)
+
+    def on_last(self, stack: np.ndarray, c: int) -> np.ndarray:
+        # y ⊗ w_j goes to Σ_v m[v, i_j]·y ⊗ e_v: the plain x ⊗ v of fiber
+        # row t adds its weight times m[v, i_j] at [t, (j, x)]
+        k, (d, _), m = len(stack), self.to.shape, self.reps.size
+        xs, vs = np.divmod(self.fibers, c)
+        vals = stack[:, vs][..., self.reps] * self.weights[:, :, None] % self.p
+        out = np.zeros((k, self.dim, m, d), dtype=np.int64)
+        np.add.at(out, (slice(None), np.arange(self.dim)[:, None, None], np.arange(m), xs[:, :, None]),
+                  vals)
+        return out.reshape(k, self.dim, self.dim) % self.p
+
+    @staticmethod
+    def budget(n_blocks: int, width: int, kind: str) -> tuple[int, str]:
+        # at most an index and a scalar per unknown for each block's two
+        # sides (a step's actions, a solve's edges), and three arrays over
+        # the unknowns (a step's to, scale and fibers; the union-find's)
+        return (4 * max(n_blocks, 1) + 3) * width, "index arrays"
+
+    @staticmethod
+    def actions(tower, n_in: int, n_out: int, side: int):
+        return tuple(tuple(a[side] for a in tower.monomials(n)) for n in (n_in, n_out))
+
+    @staticmethod
+    def mismatch(p: int, maps: np.ndarray, ins, outs) -> np.ndarray:
+        # (m·A)[:, :, t] is A_s[t]·m[:, :, A[t]]; row B[r] of B·m is B_s[r]·m[r]
+        (a_at, a_s), (b_at, b_s) = ins, outs
+        after = (maps[:, :, a_at] * a_s % p).transpose(2, 0, 1, 3)
+        back = np.argsort(b_at, axis=1)
+        before = maps[back] * np.take_along_axis(b_s, back, axis=1)[:, :, None, None] % p
+        return after != before
+
+    @classmethod
+    def hom(cls, tower, n: int) -> Subspace:
+        # the commutant's pairs (L_g, A_gᵀ), each monomial; the transpose
+        # of (index, scalar) is the inverse index with its scalars moved
+        (ends, end_s), (far, far_s) = tower.monomials(1), tower.monomials(n)
+        dim = tower.power(n).dim
+        pairs = []
+        for side in (0, 1):
+            for g in range(len(tower.gens)):
+                back, moved = np.empty(dim, dtype=np.int64), np.empty(dim, dtype=np.int64)
+                back[far[side, g]], moved[far[side, g]] = np.arange(dim), far_s[side, g]
+                pairs.append(((ends[side, g], end_s[side, g]), (back, moved)))
+        return Subspace(tower.p, *orbit_kernel(tower.p, tower.carrier_dim, dim, pairs))
 
 
 def trivial_quotient(p: int, n: int) -> Selection:

@@ -53,6 +53,7 @@ from .linalg import (
     RELATION_ENTRY_BUDGET,
     Dual,
     Matrix,
+    Monomial,
     QuotientSpace,
     Reduction,
     Selection,
@@ -63,6 +64,8 @@ from .linalg import (
     kernel_rows_with_free,
     mul_mod,
     _diagonal_of,
+    _monomial_of,
+    _orbit_walk,
     trivial_quotient,
 )
 
@@ -75,27 +78,20 @@ HARD_DEGREE_CAP = 4
 DUAL_BASIS_DRAWS = 32
 
 
-def relation_entries(n_blocks: int, ambient: int) -> int:
-    """Entries of the largest dense matrix of a power build.
-
-    The generators are ``n_blocks`` blocks of ``ambient`` rows, each
-    ``ambient`` wide; with no generators the quotient's projection, at
-    most ``ambient`` square, is the largest.
-    """
-    return max(n_blocks, 1) * ambient * ambient
-
-
-def check_entry_budget(n_blocks: int, ambient: int, what: str) -> None:
-    """Raise SizeLimitError before a build whose largest dense matrix,
-    ``relation_entries(n_blocks, ambient)`` entries, is above the budget;
-    ``what`` names the build and its matrix."""
-    check_entries(relation_entries(n_blocks, ambient), RELATION_ENTRY_BUDGET, what)
+def check_step_budget(step: type[QuotientSpace], n_blocks: int, width: int, kind: str,
+                      what: str) -> None:
+    """Raise SizeLimitError before a power build (``kind`` "relation") or a
+    hom solve ("constraint") on ``width`` unknowns under ``n_blocks``
+    generator blocks whose largest array, as the step type counts it
+    (``budget``), is above the budget; ``what`` names the build."""
+    entries, array = step.budget(n_blocks, width, kind)
+    check_entries(entries, RELATION_ENTRY_BUDGET, f"{what} needs {array}")
 
 
-def _check_relation_budget(n_blocks: int, ambient: int) -> None:
+def _check_relation_budget(n_blocks: int, ambient: int, step=QuotientSpace) -> None:
     """Raise SizeLimitError before a relation build above the budget."""
-    check_entry_budget(n_blocks, ambient,
-                       f"a tensor power with ambient dimension {ambient} needs a dense relation matrix")
+    check_step_budget(step, n_blocks, ambient, "relation",
+                      f"a tensor power with ambient dimension {ambient}")
 
 
 def balanced_pair(p: int, dim_left: int, dim_right: int, rights, lefts) -> Reduction:
@@ -128,12 +124,17 @@ def dual_basis(base: FinDimAlgebra, gens, left_mats) -> DualBasis | None:
 
     Say the carrier is c-dimensional and free on w_1..w_m, m = c / dim R:
     the c x (m * dim R) matrix M with column (j, b) the vector b·w_j is
-    then invertible.  The w_j are drawn at random, with a fixed seed, at
-    most ``DUAL_BASIS_DRAWS`` times; a greedy pass over basis vectors
-    would miss the M2 carriers, which need combinations.  Φ is M⁻¹,
-    reshaped.  The pair is returned only when each φ_j is left-linear
-    over every generator, φ_j(g·v) = g·φ_j(v), and 1·w_j = w_j: a
-    ``linalg.Dual`` step needs both.
+    then invertible.  The first candidate is the greedy coset pass: when
+    every generator acts on the left by a monomial matrix, the basis
+    vector opening each orbit of their index maps, read off by index
+    arithmetic, as coset representatives are for a group algebra over a
+    subgroup's.  Otherwise, or when the pass finds other than m orbits,
+    the w_j are drawn at random, with a fixed seed, at most
+    ``DUAL_BASIS_DRAWS`` times; the M2 carriers need combinations.  The
+    first candidate with M invertible is kept, and Φ is M⁻¹, reshaped.
+    The pair is returned only when each φ_j is left-linear over every
+    generator, φ_j(g·v) = g·φ_j(v), and 1·w_j = w_j: a ``linalg.Dual``
+    step needs both.
     """
     p, dim_r = base.p, base.dim
     c = left_mats[0].rows
@@ -141,9 +142,7 @@ def dual_basis(base: FinDimAlgebra, gens, left_mats) -> DualBasis | None:
         return None
     m = c // dim_r
     stack = np.stack([mat.a for mat in left_mats])
-    rng = np.random.default_rng(0)  # a fixed seed: every run draws the same basis
-    for _ in range(DUAL_BASIS_DRAWS):
-        w = rng.integers(0, p, size=(c, m), dtype=np.int64)
+    for w in _candidates(p, stack[gens], m):
         # column (j, b) of M is b·w_j
         big = mul_mod(stack, w, p).transpose(1, 2, 0).reshape(c, m * dim_r)
         try:
@@ -163,6 +162,21 @@ def dual_basis(base: FinDimAlgebra, gens, left_mats) -> DualBasis | None:
     if not np.array_equal(mul_mod(unit, w, p), w):
         return None
     return DualBasis(w, phi)
+
+
+def _candidates(p: int, gen_mats: np.ndarray, m: int):
+    """The bases ``dual_basis`` tries, as c x m arrays: the greedy coset
+    pass, when every generator matrix is monomial and their index maps
+    have m orbits, then the random draws."""
+    c = gen_mats.shape[1]
+    found = [_monomial_of(a, p) for a in gen_mats]
+    if all(f is not None for f in found):
+        reps = _orbit_walk(np.array([at for at, _ in found]), range(c))[0]
+        if len(reps) == m:
+            yield np.eye(c, dtype=np.int64)[:, reps]
+    rng = np.random.default_rng(0)  # a fixed seed: every run draws the same basis
+    for _ in range(DUAL_BASIS_DRAWS):
+        yield rng.integers(0, p, size=(c, m), dtype=np.int64)
 
 
 def _is_right_module(base: FinDimAlgebra, gens, rights) -> bool:
@@ -221,7 +235,7 @@ class TensorTower:
 
     __slots__ = ("base", "gens", "carrier_dim", "left_mats", "right_mats", "_powers",
                  "_rights", "_concats", "_lifts", "_left_linear", "_step", "_dual",
-                 "_diagonals")
+                 "_diagonals", "_monomials")
 
     def __init__(self, base: FinDimAlgebra, carrier_dim: int, left_mats, right_mats):
         self.base = base
@@ -231,7 +245,7 @@ class TensorTower:
         self.right_mats = list(right_mats)
         self._powers, self._rights, self._concats, self._lifts = {}, {}, {}, {}
         self._left_linear = set()
-        self._step = self._dual = self._diagonals = None
+        self._step = self._dual = self._diagonals = self._monomials = None
 
     @property
     def p(self) -> int:
@@ -246,13 +260,15 @@ class TensorTower:
 
     def _choose(self) -> type[QuotientSpace]:
         """The tower's one choice of coordinates, hom solve and C⁰, made on
-        the carrier: ``Selection`` when every generator acts diagonally on
-        it from both sides, the one place a tower scans matrices; ``Dual``
-        when it is free as a left base module, on a ``dual_basis``, and its
-        right action is a unital module action over the generators,
-        R_k·R_g = R_{g·k} and R_1 = I, which carries up to every power as
-        ``on_last`` is linear and, on certified maps, multiplicative;
-        ``Reduction`` otherwise."""
+        the carrier, the one place a tower scans matrices: ``Selection``
+        when every generator acts diagonally on it from both sides; a
+        ``Dual`` step when it is free as a left base module, on a
+        ``dual_basis``, and its right action is a unital module action over
+        the generators, R_k·R_g = R_{g·k} and R_1 = I, which carries up to
+        every power as ``on_last`` is linear and, on certified maps,
+        multiplicative; of it, a ``Monomial`` step when the dual basis is
+        the coset basis and every generator acts by a monomial matrix
+        from both sides; ``Reduction`` otherwise."""
         found = [_diagonal_of(mats[j].a, self.p) for mats in (self.left_mats, self.right_mats)
                  for j in self.gens]
         if all(d is not None for d in found):
@@ -261,7 +277,17 @@ class TensorTower:
             return Selection
         if _is_right_module(self.base, self.gens, self.right_mats):
             self._dual = dual_basis(self.base, self.gens, self.left_mats)
-        return Reduction if self._dual is None else Dual
+        if self._dual is None:
+            return Reduction
+        sides = [_monomial_of(mats[j].a, self.p) for mats in (self.left_mats, self.right_mats)
+                 for j in self.gens]
+        w = self._dual.w
+        if any(side is None for side in sides) or not np.array_equal(
+                w, np.eye(self.carrier_dim, dtype=np.int64)[:, w.argmax(axis=0)]):
+            return Dual
+        self._monomials = tuple(np.array([side[k] for side in sides]).reshape(
+            2, len(self.gens), self.carrier_dim) for k in (0, 1))
+        return Monomial
 
     @property
     def dual(self) -> DualBasis | None:
@@ -283,6 +309,17 @@ class TensorTower:
             got = self._diagonals[n] = (self.diagonals(n - 1)[0][:, xs], self._diagonals[1][1][:, vs])
         return got
 
+    def monomials(self, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """The generators' left and right actions on power(n) as (index,
+        scalar) arrays, (2, |gens|, dim power(n)) each, column t of an
+        action having its one nonzero at row index[t], on a tower of
+        ``Monomial`` steps, else None: the choice reads the carrier's off
+        its matrices, and each step above derives its own."""
+        self.step
+        if self._monomials is None or n == 1:
+            return self._monomials
+        return self.power(n).sides
+
     def power(self, n: int) -> QuotientSpace:
         """The carrier's n-fold tensor power over the base, power(n-1) ⊗_R
         carrier: a quotient of the plain product, index x * carrier_dim + v
@@ -294,8 +331,9 @@ class TensorTower:
             if n == 1:
                 q = trivial_quotient(self.p, self.carrier_dim)
             else:
-                # the budget refuses a step before it picks a path
-                _check_relation_budget(len(self.gens), self.power(n - 1).dim * self.carrier_dim)
+                # the budget refuses a step by what its type forms, before it grows
+                _check_relation_budget(len(self.gens), self.power(n - 1).dim * self.carrier_dim,
+                                       self.step)
                 q = self.step.grow(self, n)
             self._powers[n] = q
         return q

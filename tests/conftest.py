@@ -428,17 +428,23 @@ def dense_pair(q):
     A ``linalg.Dual`` step holds neither, so its pair is formed entry by
     entry from its (w, Φ, R_b): projection[(j, y), (x, v)] =
     Σ_b Φ[j, b, v]·R_b[y, x] and section[(x, v), (j, y)] = w_j[v] where
-    x = y.  The dense reference for the gathered and blockwise paths."""
-    from coringlab.linalg import Dual, Selection
+    x = y; a ``linalg.Monomial`` step's projection has scale[x, v] at
+    (to[x, v], (x, v)).  The dense reference for the gathered and
+    blockwise paths."""
+    from coringlab.linalg import Dual, Monomial, Selection
 
     if not isinstance(q, Dual):
         sect = np.zeros((q.ambient_dim, q.dim), dtype=np.int64)
         sect[q.free, np.arange(q.dim)] = 1
         return (sect.T.copy() if isinstance(q, Selection) else np.asarray(q.rows)), sect
-    (m, r, c), d = q.phi.shape, q.rights.shape[1]
-    proj = np.zeros((m, d, d, c), dtype=np.int64)
-    for b in range(r):
-        proj = (proj + q.phi[:, b, None, None, :] * q.rights[b][None, :, :, None]) % q.p
+    (c, m), d = q.w.shape, q.dim // q.w.shape[1]
+    if isinstance(q, Monomial):
+        proj = np.zeros((m * d, d * c), dtype=np.int64)
+        proj[q.to.ravel(), np.arange(d * c)] = q.scale.ravel()
+    else:
+        proj = np.zeros((m, d, d, c), dtype=np.int64)
+        for b in range(q.phi.shape[1]):
+            proj = (proj + q.phi[:, b, None, None, :] * q.rights[b][None, :, :, None]) % q.p
     sect = np.zeros((d, c, m, d), dtype=np.int64)
     for x in range(d):
         sect[x, :, :, x] = q.w

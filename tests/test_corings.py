@@ -295,6 +295,12 @@ def test_iterated_powers_match_the_dense_oracle(corpus_corings):
     assert len(checked) >= 20
 
 
+# the dense references of the tests below stay under a second a coring up
+# to this carrier; the Sweedler coring of a4_v4_gf3 (36) would take half a
+# minute
+DENSE_CARRIER = 18
+
+
 def test_dual_basis_steps_are_the_commutant_quotients(corpus_corings):
     # every corpus carrier is free over its base but the ut2/diag ones
     # (3 over 2, 4 over 3) and the Hopf coalgebras, over the ground field
@@ -303,7 +309,8 @@ def test_dual_basis_steps_are_the_commutant_quotients(corpus_corings):
     assert free == sorted(name for name in corpus_corings
                           if "ut2" not in name and "hopf" not in name)
     for name in free:
-        assert dual_step_mismatches(corpus_corings[name], 3) == [], name
+        if corpus_corings[name].carrier_dim <= DENSE_CARRIER:
+            assert dual_step_mismatches(corpus_corings[name], 3) == [], name
 
 
 def test_every_corpus_coring_is_dual_at_every_step_or_at_none(corpus_corings):
@@ -335,6 +342,8 @@ def test_concat_lifts_invert_concat(corpus_corings):
 
 def test_coring_maps_gather_the_dense_maps(corpus_corings):
     for name, c in corpus_corings.items():
+        if c.carrier_dim > DENSE_CARRIER:
+            continue
         assert gathered_map_mismatches(c, 3) == [], name
         # dual steps read blockwise, up to power(4) on three of them
         top = 4 if name in ("m2_gf5 endo", "c3_gf3 endo", "s3_c2_gf7 sweedler") else 3

@@ -23,7 +23,8 @@ from coringlab.hochschild import build_complex
 from coringlab.homspaces import build_hom
 from coringlab.linalg import Field, Matrix, Selection, kernel_rows_with_free, mul_mod
 from coringlab.simplicial import SimplicialComplex, incidence_extension, parse_complex
-from coringlab.tensors import balanced_power, build_power, relation_entries
+from coringlab.linalg import relation_entries
+from coringlab.tensors import balanced_power, build_power
 
 from conftest import hom_matrix, multiply, naive_rank, pure_tensor
 from test_algebras import ut2_diag_extension

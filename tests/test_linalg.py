@@ -25,6 +25,7 @@ from coringlab.linalg import (
     is_prime,
     kernel_rows_with_free,
     mul_mod,
+    orbit_kernel,
     rank_of,
     rref_rows,
     span_coords,
@@ -548,6 +549,59 @@ def test_commutant_is_the_kernel_of_the_stacked_blocks(case):
     expected_rows, expected_free = kernel_rows_with_free(np.vstack(blocks) % p, p)
     assert np.array_equal(rows, expected_rows)
     assert free == expected_free
+
+
+@st.composite
+def monomial_pairs(draw):
+    """(p, dim_left, dim_right, pairs) for ``orbit_kernel``: each matrix a
+    random permutation with scalars, as (index, scalar) arrays.  The
+    scalars are all 1 or drawn at random, so that the orbits of some
+    draws keep their ratios and others disagree around a cycle, a fixed
+    point with two scalars that differ among them."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    dim_left, dim_right = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    ones = draw(st.booleans())
+
+    def monomial(dim):
+        at = np.array(draw(st.permutations(range(dim))), dtype=np.int64)
+        if ones:
+            return at, np.ones(dim, dtype=np.int64)
+        return at, np.array(draw(st.lists(st.integers(1, p - 1), min_size=dim, max_size=dim)),
+                            dtype=np.int64)
+
+    pairs = [(monomial(dim_left), monomial(dim_right)) for _ in range(draw(st.integers(0, 3)))]
+    return p, dim_left, dim_right, pairs
+
+
+def dense_monomial(at, scalars):
+    m = np.zeros((len(at), len(at)), dtype=np.int64)
+    m[at, np.arange(len(at))] = scalars
+    return m
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(monomial_pairs())
+def test_the_orbit_kernel_is_the_commutant(case):
+    # the same rows and free columns as the streamed reduction, byte for byte
+    p, dim_left, dim_right, pairs = case
+    dense = [tuple(dense_monomial(*side) for side in pair) for pair in pairs]
+    rows, free = orbit_kernel(p, dim_left, dim_right, pairs)
+    want_rows, want_free = commutant(p, dim_left, dim_right, dense)
+    assert (rows.dtype, rows.shape, rows.tobytes()) == (want_rows.dtype, want_rows.shape,
+                                                         want_rows.tobytes())
+    assert free == want_free
+
+
+def test_an_orbit_whose_ratios_disagree_is_dropped():
+    # a 3-cycle of unknowns: scalars whose product around it is 1 keep
+    # its one kernel vector, a product of 2 drops it
+    p, cycle = 5, np.array([1, 2, 0])
+    keep = ((cycle, np.array([2, 3, 1])), (np.arange(1), np.ones(1, dtype=np.int64)))
+    drop = ((cycle, np.array([2, 1, 1])), (np.arange(1), np.ones(1, dtype=np.int64)))
+    rows, free = orbit_kernel(p, 3, 1, [keep])
+    assert rows.shape == (1, 3) and free == [2]
+    assert orbit_kernel(p, 3, 1, [drop])[0].shape == (0, 3)
+    assert np.array_equal(rows, commutant(p, 3, 1, [tuple(dense_monomial(*s) for s in keep)])[0])
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

@@ -22,9 +22,11 @@ from coringlab.corings import endo_coring, sweedler_coring
 from coringlab.corpus import extension_names, facet_names, load_corpus_extension, read_facets
 from coringlab.errors import NotWellDefinedError, SizeLimitError
 from coringlab.hochschild import build_complex
+from coringlab.homspaces import build_hom
 from coringlab.linalg import (
     Field,
     Matrix,
+    Monomial,
     Selection,
     Subspace,
     descend,
@@ -32,6 +34,7 @@ from coringlab.linalg import (
     kernel_rows_with_free,
     mul_mod,
     rank_of,
+    relation_entries,
     rref_rows,
 )
 from coringlab.simplicial import incidence_extension, parse_complex
@@ -45,7 +48,6 @@ from coringlab.tensors import (
     dual_basis,
     extension_tower,
     mult_at,
-    relation_entries,
 )
 
 from conftest import (blockwise_step_failures, concat_lift_failures, dense_descend, dense_on_last,
@@ -764,13 +766,37 @@ def test_the_left_linearity_certificate_runs_once_per_action_list(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(tensors, "_intertwines", counted)
-    tower.power(4)
+    for n in (2, 3, 4):
+        tower.right_on(n)
     assert calls == [(6, len(tower.right_mats), 6)]
     calls.clear()
     powers = {n: tensors.RelativeTensorPower(e, tower, n) for n in (2, 3, 4)}
     mult_at(powers[3], powers[2], 2)
     mult_at(powers[4], powers[3], 3)
     assert calls == [(6, 6, 6)]
+
+
+def test_monomial_steps_are_budgeted_by_their_index_arrays(monkeypatch):
+    # power(3) of the S3/C2 extension tower, 18 * 6 ambient coordinates,
+    # and its hom space, 6 * 54 unknowns under two blocks a generator:
+    # each counted by the index arrays it forms, far below the blocks
+    e = load_corpus_extension("s3_c2_gf7")
+    gens = len(extension_tower(e).gens)
+    for kind, blocks, width, what, build in [
+            ("relation", gens, 108, "a tensor power with ambient dimension 108",
+             lambda: build_power(e, 3)),
+            ("constraint", 2 * gens, 324, "a bimodule hom space with 324 unknowns",
+             lambda t=build_power(e, 3): build_hom(e, t))]:
+        estimate, array = Monomial.budget(blocks, width, kind)
+        assert array == "index arrays" and 10 * estimate < relation_entries(blocks, width)
+        monkeypatch.setattr(tensors, "RELATION_ENTRY_BUDGET", estimate)
+        assert build().dim == (54 if kind == "relation" else 82)
+        monkeypatch.setattr(tensors, "RELATION_ENTRY_BUDGET", estimate - 1)
+        with pytest.raises(SizeLimitError, match=re.escape(
+                f"{what} needs index arrays of about {estimate:.2e} entries, "
+                f"over the budget of {estimate - 1:.0e}")):
+            build()
+        monkeypatch.undo()
 
 
 def test_a_left_action_that_is_no_module_gets_no_dual_basis():

@@ -13,6 +13,8 @@ under them, and the generator search of the diagonal base reduces
 nothing.  Their towers answer from the carrier's diagonals: no commutant
 or centralizer solve runs, no other matrix is scanned for diagonality,
 and the cup scatters selection cochains instead of multiplying them.
+The hom solves of group algebras over subgroup algebras, monomial
+towers, run no row reduction.
 """
 
 import contextlib
@@ -213,3 +215,22 @@ def test_incidence_towers_answer_from_their_carrier_diagonals(monkeypatch):
     assert len(read) == len(carriers)
     assert all(any(m is c for c in carriers) for m in read)
     assert under == []
+
+
+def test_group_algebra_hom_solves_run_no_row_reduction(monkeypatch):
+    # both towers of each file are monomial, so build_hom solves by
+    # orbits; the ranks and the generator search still reduce, so the
+    # watch is live
+    plain_init = linalg.RrefAccumulator.__init__
+    made, under = [], []
+
+    def watched(acc, ncols, p):
+        made.append(ncols)
+        under.extend(calling({"build_hom"}))
+        plain_init(acc, ncols, p)
+
+    monkeypatch.setattr(linalg.RrefAccumulator, "__init__", watched)
+    for name in ("s3_c2_gf7", "s3_c3_gf2", "s3_c3_gf7", "a4_v4_gf3"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["cohomology", str(CORPUS / f"{name}.json")]) == 0
+    assert made and under == []
