@@ -6,11 +6,13 @@ one per algebra generator of B that the tower picked: its left action on
 the first factor (the tower's ``left_on(n)``) and its right action on
 the last (``right_on(n)``).  Each is a block kron(L, I) - kron(I, M),
 and the tower's step type solves them: their ``linalg.commutant`` in its
-canonical basis, or, on a tower of selections, the ``linalg.Selection``
-of the coordinates where A's and power(n)'s kept diagonals agree, with
-no block formed.  Either way basis element t has a 1 in the t-th free
-coordinate of the flattened matrix.  The solve first estimates its
-constraint matrix as if every block were stacked, and refuses one above
+canonical basis; on a tower of selections, the ``linalg.Selection`` of
+the coordinates where A's and power(n)'s kept diagonals agree; on a
+tower of monomial steps, ``linalg.orbit_kernel`` of the actions' index
+arrays.  The last two form no block.  Either way basis element t has a
+1 in the t-th free coordinate of the flattened matrix.  The solve first
+estimates what it forms, as the step type counts it (every block
+stacked, or the index arrays), and refuses it above
 ``tensors.RELATION_ENTRY_BUDGET``.
 """
 

@@ -20,22 +20,26 @@ only ``Matrix(p, data)`` reduces, for arrays from outside.  Primitives:
 * ``span_coords``, the one coordinate reader, for a basis with the
   identity at known columns; ``Subspace`` is a space held in one (the
   centralizer, the hom spaces of ``homspaces``),
-* ``commutant``, the one solve for the common kernel of blocks
+* ``commutant``, the one reduction for the common kernel of blocks
   kron(L, I) - kron(I, M): the balancing relations of a tensor product
   over a subring and the intertwining constraints of a bimodule-hom
   space both have this shape.  The blocks stream, one at a time, into
-  one row reduction,
+  one row reduction.  ``orbit_kernel`` gives the same basis for
+  monomial L and M by a union-find over the unknowns,
 * one ``QuotientSpace`` type per coordinate system of a tower step,
   and ``descend``, the one well-definedness check (``induced_map`` goes
   through it): a ``Selection`` of plain coordinates, held as its kept
   indices and read by gathers, which serves as a ``Subspace`` too; a
   ``Reduction`` by a canonical kernel basis, read by ``span_coords``;
-  and a ``Dual`` step, held as the dual basis data that defines it and
-  read blockwise.  A ``tensors.TensorTower`` picks one type, once.
+  a ``Dual`` step, held as the dual basis data that defines it and
+  read blockwise; and a ``Monomial`` step, a dual step on a coset basis
+  held as index arrays and read by gathers.  A ``tensors.TensorTower``
+  picks one type, once.
 
-A build or an axiom check that would form a dense array above
+A build or an axiom check that would form an array above
 ``RELATION_ENTRY_BUDGET`` entries refuses first, through
-``check_entries``.
+``check_entries``; each step type counts what its builds form
+(``QuotientSpace.budget``).
 
 Everything is deterministic: the RREF of a row span is unique, kernel
 bases are the canonical free-column bases, and a ``Reduction`` by one,
@@ -563,15 +567,15 @@ def rank_of(a: np.ndarray, p: int) -> int:
 class QuotientSpace:
     """A tower step: a quotient of GF(p)^ambient_dim, the plain product of
     a power and a c-dimensional carrier, index x * c + v, as a
-    ``Selection``, a ``Reduction`` or a ``Dual`` step.  Each type
+    ``Selection``, a ``Reduction``, a ``Dual`` or a ``Monomial`` step.  Each type
     implements once ``project``; ``descended`` (a map on the ambient read
     on the quotient, with the mask of the ambient coordinates where it
     fails to kill the relations); ``lifts``, the section's pure tensors;
     ``pairs`` and ``rows``, the projection of pure tensors and as a
     matrix; and ``on_last`` and ``then_identity``, behind the tower maps
     id ⊗ m and phi ⊗ id.  A ``tensors.TensorTower`` picks one type, once,
-    and asks its class methods the rest (``grow``, ``actions`` and
-    ``mismatch``, ``hom``, ``centre``, ``concat_batches``,
+    and asks its class methods the rest (``grow`` and its ``budget``,
+    ``actions`` and ``mismatch``, ``hom``, ``centre``, ``concat_batches``,
     ``square_on_last``); the defaults here serve towers held by matrices.
     """
 
@@ -955,7 +959,7 @@ class Monomial(Dual):
         # the tower's coset basis, the carrier's actions and power(n-1)'s
         p, w = tower.p, tower.dual.w
         (at, s), (below, below_s) = tower.monomials(1), tower.monomials(n - 1)
-        (d, c), reps = (below.shape[2], tower.carrier_dim), w.argmax(axis=0)
+        d, c, reps = below.shape[2], tower.carrier_dim, w.argmax(axis=0)
         to, scale = np.empty((d, c), dtype=np.int64), np.empty((d, c), dtype=np.int64)
         to[:, reps] = np.arange(reps.size) * d + np.arange(d)[:, None]
         scale[:, reps] = 1
@@ -975,7 +979,11 @@ class Monomial(Dual):
         return cls(p, w, to, scale, sides)
 
     def _project(self, xs: np.ndarray) -> np.ndarray:
-        return (xs[self.fibers] * self.weights[:, :, None] % self.p).sum(axis=1) % self.p
+        # one column of the fibers at a time holds one dim x k array
+        out = np.zeros((self.dim, xs.shape[1]), dtype=np.int64)
+        for at, w in zip(self.fibers.T, self.weights.T):
+            out += xs[at] * w[:, None] % self.p
+        return out % self.p
 
     def descended(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # h at (j, y) is m at y ⊗ w_j; h @ projection at x ⊗ v is scale·h at to
@@ -991,15 +999,18 @@ class Monomial(Dual):
         return out
 
     def pairs(self, xs: np.ndarray | None, ys: np.ndarray) -> np.ndarray:
-        # the Khatri-Rao pairs of each carrier block of ys, projected
+        # the projection of the Khatri-Rao pairs of each carrier block of
+        # ys: at coordinate t, Σ over its fiber of weight·x_i[x]·y_i[v]
         p, (d, c) = self.p, self.to.shape
         if xs is None:
             xs = np.eye(d, dtype=np.int64)
-        blocks = ys.shape[0] // c
-        plain = xs[:, None, None, :] * ys.reshape(blocks, c, -1)[None] % p
-        plain = plain.transpose(1, 0, 2, 3).reshape(blocks, d * c, -1)
-        out = (plain[:, self.fibers] * self.weights[:, :, None] % p).sum(axis=2) % p
-        return out.reshape(blocks * self.dim, -1)
+        blocks, k = ys.shape[0] // c, np.broadcast_shapes(xs.shape[1:], ys.shape[1:])[0]
+        ys = ys.reshape(blocks, c, ys.shape[1])
+        out = np.zeros((blocks, self.dim, k), dtype=np.int64)
+        for at, w in zip(self.fibers.T, self.weights.T):
+            x, v = np.divmod(at, c)
+            out += xs[x] * w[:, None] % p * ys[:, v] % p
+        return out.reshape(blocks * self.dim, k) % p
 
     def on_last(self, stack: np.ndarray, c: int) -> np.ndarray:
         # y ⊗ w_j goes to Σ_v m[v, i_j]·y ⊗ e_v: the plain x ⊗ v of fiber

@@ -8,7 +8,7 @@ transposed actions.  ``TensorTower`` grows the powers of a carrier C,
 power(n) = power(n-1) ⊗_R C, balanced over algebra generators of the
 base that the tower picks once, so no power is built in the dense
 dim**n ambient.  Every power above the carrier is a step of one of the
-three types of ``linalg``, picked once, from the carrier
+four types of ``linalg``, picked once, from the carrier
 (``TensorTower._choose``), and the same type solves the tower's hom
 spaces and C⁰:
 - a ``Selection`` when the generators act diagonally on the carrier:
@@ -17,6 +17,11 @@ spaces and C⁰:
 - a ``Dual`` step when the carrier is free as a left base module, on
   w_1..w_m: power(n) is power(n-1)^m, x ⊗ v -> (x·φ_j(v))_j for the
   coordinate maps φ_j of ``dual_basis``, with section e_y ⊗ w_j;
+- of those, a ``Monomial`` step when the w_j are coset representatives,
+  which ``dual_basis``'s greedy coset pass finds, and the generators act
+  by monomial matrices, as a group algebra over a subgroup's does: the
+  tower keeps their actions on every power as (index, scalar) arrays,
+  and solves hom spaces by orbits;
 - a ``Reduction`` of the generators' relations otherwise.
 Every structure map on power(n) is a map on power(n-1) tensored with
 the identity of the last factor (``then_identity``) or one on the last
@@ -34,10 +39,11 @@ m, n >= 1, a Khatri-Rao product on a dual tower.
 A coring's S ⊗_R ... ⊗_R S and an extension's A ⊗_B ... ⊗_B A
 (``build_power``, B acting by multiplication) are both towers.
 ``balanced_power`` is the dense reference the tests check them against.
-Every build estimates its largest dense matrix first and raises
-SizeLimitError above ``RELATION_ENTRY_BUDGET`` (``linalg``'s, bound
-here); the bimodule-hom solves of ``homspaces`` are held to the same
-budget.
+Every build estimates its largest array first, as its step type counts
+it (``QuotientSpace.budget``: the stacked relation blocks, or a
+monomial step's index arrays), and raises SizeLimitError above
+``RELATION_ENTRY_BUDGET`` (``linalg``'s, bound here); the bimodule-hom
+solves of ``homspaces`` are held to the same budget.
 """
 
 from __future__ import annotations
