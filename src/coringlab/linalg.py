@@ -370,12 +370,16 @@ def orbit_kernel(p: int, dim_left: int, dim_right: int, pairs) -> tuple[np.ndarr
     found = [find(i) for i in range(n)]
     roots = np.array([r for r, _ in found], dtype=np.int64)
     ratios = np.array([x for _, x in found], dtype=np.int64)
+    # each kept unknown's orbit top, a free column; its row is the top's rank
     top = np.zeros(n, dtype=np.int64)
     np.maximum.at(top, roots, np.arange(n))
     kept = ~np.array(bad, dtype=bool)[roots]
-    free = np.unique(top[roots[kept]])
+    tops = top[roots[kept]]
+    is_free = np.zeros(n, dtype=bool)
+    is_free[tops] = True
+    free = np.flatnonzero(is_free)
     check_entries(len(free) * n, RELATION_ENTRY_BUDGET, f"a kernel of {n} unknowns needs rows")
-    row = np.searchsorted(free, top[roots[kept]])
+    row = (np.cumsum(is_free) - 1)[tops]
     rows = np.zeros((len(free), n), dtype=np.int64)
     rows[row, np.flatnonzero(kept)] = ratios[kept] * _inverses(ratios[free], p)[row] % p
     return rows, free.tolist()
@@ -944,15 +948,25 @@ class Monomial(Dual):
     compare maps by gathers.
     """
 
-    __slots__ = ("reps", "to", "scale", "fibers", "weights", "sides")
+    __slots__ = ("reps", "to", "scale", "fibers", "weights", "sides", "_columns")
 
     def __init__(self, p: int, w: np.ndarray, to: np.ndarray, scale: np.ndarray, sides):
         self.p, self.w, self.to, self.scale, self.sides = p, w, to, scale, sides
         self.reps = w.argmax(axis=0)
         (d, c), m = to.shape, w.shape[1]
         self.dim, self.ambient_dim = m * d, d * c
-        self.fibers = np.argsort(to.ravel(), kind="stable").reshape(self.dim, -1)
+        # x -> to[x, v] is one-to-one onto v's block, so fiber column k of
+        # a block's coordinates holds the k-th carrier index v of its orbit
+        rank, seen = np.zeros(c, dtype=np.int64), [0] * m
+        for v, j in enumerate((to[0] // d).tolist() if d else []):
+            rank[v], seen[j] = seen[j], seen[j] + 1
+        self.fibers = np.empty((self.dim, c // m), dtype=np.int64)
+        self.fibers[to, rank] = np.arange(d * c).reshape(d, c)
         self.weights = scale.ravel()[self.fibers]
+        # each column of the fibers as its plain indices x·c + v, its x
+        # and v, and its weights, None where all are 1 (as on a group)
+        self._columns = [(at, *np.divmod(at, c), None if (wt == 1).all() else wt[:, None])
+                         for at, wt in zip(self.fibers.T, self.weights.T)]
 
     @classmethod
     def grow(cls, tower, n: int) -> "Monomial":
@@ -981,8 +995,8 @@ class Monomial(Dual):
     def _project(self, xs: np.ndarray) -> np.ndarray:
         # one column of the fibers at a time holds one dim x k array
         out = np.zeros((self.dim, xs.shape[1]), dtype=np.int64)
-        for at, w in zip(self.fibers.T, self.weights.T):
-            out += xs[at] * w[:, None] % self.p
+        for at, _, _, wt in self._columns:
+            out += xs[at] if wt is None else xs[at] * wt % self.p
         return out % self.p
 
     def descended(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1004,24 +1018,25 @@ class Monomial(Dual):
         p, (d, c) = self.p, self.to.shape
         if xs is None:
             xs = np.eye(d, dtype=np.int64)
-        blocks, k = ys.shape[0] // c, np.broadcast_shapes(xs.shape[1:], ys.shape[1:])[0]
+        # a side of one column pairs with every column of the other
+        blocks, k = ys.shape[0] // c, ys.shape[1] if xs.shape[1] == 1 else xs.shape[1]
         ys = ys.reshape(blocks, c, ys.shape[1])
         out = np.zeros((blocks, self.dim, k), dtype=np.int64)
-        for at, w in zip(self.fibers.T, self.weights.T):
-            x, v = np.divmod(at, c)
-            out += xs[x] * w[:, None] % p * ys[:, v] % p
+        for _, x, v, wt in self._columns:
+            term = xs[x] * ys[:, v] % p
+            out += term if wt is None else term * wt % p
         return out.reshape(blocks * self.dim, k) % p
 
     def on_last(self, stack: np.ndarray, c: int) -> np.ndarray:
         # y ⊗ w_j goes to Σ_v m[v, i_j]·y ⊗ e_v: the plain x ⊗ v of fiber
-        # row t adds its weight times m[v, i_j] at [t, (j, x)]
-        k, (d, _), m = len(stack), self.to.shape, self.reps.size
-        xs, vs = np.divmod(self.fibers, c)
-        vals = stack[:, vs][..., self.reps] * self.weights[:, :, None] % self.p
-        out = np.zeros((k, self.dim, m, d), dtype=np.int64)
-        np.add.at(out, (slice(None), np.arange(self.dim)[:, None, None], np.arange(m), xs[:, :, None]),
-                  vals)
-        return out.reshape(k, self.dim, self.dim) % self.p
+        # row t adds its weight times m[v, i_j] at [t, (j, x)], one fiber
+        # column at a time, in which each t has one x
+        (d, _), m, at = self.to.shape, self.reps.size, np.arange(self.dim)
+        out = np.zeros((len(stack), self.dim, m, d), dtype=np.int64)
+        for _, x, v, wt in self._columns:
+            vals = stack[:, v][:, :, self.reps].transpose(1, 0, 2)
+            out[:, at, :, x] += vals if wt is None else vals * wt[:, :, None] % self.p
+        return out.reshape(len(stack), self.dim, self.dim) % self.p
 
     @staticmethod
     def budget(n_blocks: int, width: int, kind: str) -> tuple[int, str]:
@@ -1039,8 +1054,10 @@ class Monomial(Dual):
         # (m·A)[:, :, t] is A_s[t]·m[:, :, A[t]]; row B[r] of B·m is B_s[r]·m[r]
         (a_at, a_s), (b_at, b_s) = ins, outs
         after = (maps[:, :, a_at] * a_s % p).transpose(2, 0, 1, 3)
-        back = np.argsort(b_at, axis=1)
-        before = maps[back] * np.take_along_axis(b_s, back, axis=1)[:, :, None, None] % p
+        gens = np.arange(len(b_at))[:, None]
+        back = np.empty_like(b_at)
+        back[gens, b_at] = np.arange(b_at.shape[1])
+        before = maps[back] * b_s[gens, back][:, :, None, None] % p
         return after != before
 
     @classmethod
