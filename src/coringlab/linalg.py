@@ -940,7 +940,7 @@ class Monomial(Dual):
     x ⊗ e_v = s⁻¹·(x·g) ⊗ e_u, and x·g is one scaled coordinate of the
     power below.  For each v, x -> to[x, v] is one-to-one onto block
     j_v, so each quotient coordinate is the image of |orbit| = dim R
-    plain ones, its ``fibers`` row; reads are gathers over them.  The
+    plain ones, its fiber; reads are gathers over the fibers.  The
     generators' actions on the power, ``sides``, are (index, scalar)
     arrays (2, |gens|, dim), read off below: g·(y ⊗ w_j) = (g·y) ⊗ w_j
     and (y ⊗ w_j)·g = s·y ⊗ e_v for w_j·g = s·e_v, projected.  The hom
@@ -948,7 +948,7 @@ class Monomial(Dual):
     compare maps by gathers.
     """
 
-    __slots__ = ("reps", "to", "scale", "fibers", "weights", "sides", "_columns")
+    __slots__ = ("reps", "to", "scale", "sides", "_columns")
 
     def __init__(self, p: int, w: np.ndarray, to: np.ndarray, scale: np.ndarray, sides):
         self.p, self.w, self.to, self.scale, self.sides = p, w, to, scale, sides
@@ -960,13 +960,12 @@ class Monomial(Dual):
         rank, seen = np.zeros(c, dtype=np.int64), [0] * m
         for v, j in enumerate((to[0] // d).tolist() if d else []):
             rank[v], seen[j] = seen[j], seen[j] + 1
-        self.fibers = np.empty((self.dim, c // m), dtype=np.int64)
-        self.fibers[to, rank] = np.arange(d * c).reshape(d, c)
-        self.weights = scale.ravel()[self.fibers]
+        fibers = np.empty((self.dim, c // m), dtype=np.int64)
+        fibers[to, rank] = np.arange(d * c).reshape(d, c)
         # each column of the fibers as its plain indices x·c + v, its x
         # and v, and its weights, None where all are 1 (as on a group)
         self._columns = [(at, *np.divmod(at, c), None if (wt == 1).all() else wt[:, None])
-                         for at, wt in zip(self.fibers.T, self.weights.T)]
+                         for at, wt in zip(fibers.T, scale.ravel()[fibers].T)]
 
     @classmethod
     def grow(cls, tower, n: int) -> "Monomial":
