@@ -285,11 +285,12 @@ def _diagonal_of(m, p: int) -> np.ndarray | None:
 def _monomial_of(m, p: int) -> tuple[np.ndarray, np.ndarray] | None:
     """A square matrix mod p with exactly one nonzero in each row and each
     column as (index, scalar) arrays, m[index[t], t] = scalar[t], or None."""
-    nz = np.asarray(m, dtype=np.int64) % p != 0
+    m = np.asarray(m, dtype=np.int64) % p
+    nz = m != 0
     if not ((nz.sum(axis=0) == 1).all() and (nz.sum(axis=1) == 1).all()):
         return None
     at = nz.argmax(axis=0)
-    return at, np.asarray(m, dtype=np.int64)[at, np.arange(len(at))] % p
+    return at, m[at, np.arange(len(at))]
 
 
 def _inverses(a: np.ndarray, p: int) -> np.ndarray:
