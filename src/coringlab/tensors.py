@@ -321,7 +321,7 @@ class TensorTower:
         action having its one nonzero at row index[t], on a tower of
         ``Monomial`` steps, else None: the choice reads the carrier's off
         its matrices, and each step above derives its own."""
-        self.step
+        self.step       # the choice reads the carrier's
         if self._monomials is None or n == 1:
             return self._monomials
         return self.power(n).sides
